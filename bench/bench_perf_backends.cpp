@@ -1,13 +1,11 @@
 // End-to-end backend benchmark -> BENCH_backends.json. Runs the same
 // 8-meeting x 5-peer, 10-sim-second scenario on all three conference
 // backends and reports simulated seconds per wall second for each — the
-// repo's headline "how fast does the whole simulator go" number — plus a
-// southbound command microloop (create/program/tear down meetings through
-// a zero-latency ControlChannel) for the control-plane write path.
+// repo's headline "how fast does the whole simulator go" number. (The
+// southbound command rate is bench_perf_control's.)
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/control_channel.hpp"
 #include "harness/runner.hpp"
 #include "perf_report.hpp"
 
@@ -36,41 +34,10 @@ double BackendRate(const testbed::BackendChoice& choice, int meetings,
   return duration_s / wall;
 }
 
-// Southbound command throughput: program and tear down `meetings`
-// two-party meetings through an inline (zero-latency) channel.
-double SouthboundRate(int meetings, uint64_t* commands) {
-  sim::Scheduler sched;
-  sim::Network net(sched, 7);
-  switchsim::Switch sw(sched, net, {.address = net::Ipv4(100, 64, 0, 1)});
-  net.Attach(sw.address(), &sw, {}, {});
-  core::DataPlaneProgram dp(sw, {});
-  core::SwitchAgent agent(sched, dp, {.sfu_ip = sw.address()});
-  core::ControlChannel chan(sched, agent, {});
-
-  net::Endpoint a{net::Ipv4(10, 0, 0, 1), 40'000};
-  net::Endpoint b{net::Ipv4(10, 0, 0, 2), 41'000};
-  scallop::bench::WallTimer timer;
-  for (int m = 1; m <= meetings; ++m) {
-    core::MeetingId id = m;
-    core::ParticipantId p1 = 2 * m, p2 = 2 * m + 1;
-    chan.CreateMeeting(id);
-    chan.AddParticipant(id, p1, a, 0x1000u + m, 0x2000u + m, true, true);
-    chan.AddParticipant(id, p2, b, 0x3000u + m, 0x4000u + m, true, true);
-    chan.AddRecvLeg(id, p1, p2, a);
-    chan.AddRecvLeg(id, p2, p1, b);
-    chan.ForceDecodeTarget(id, p1, p2, 1);
-    chan.RemoveMeeting(id);
-    sched.RunAll();
-  }
-  double secs = timer.Seconds();
-  *commands = chan.stats().commands_sent;
-  return static_cast<double>(chan.stats().commands_sent) / secs;
-}
-
 }  // namespace
 
 int main() {
-  bench::Header("Perf: backend sim-s/wall-s + southbound commands");
+  bench::Header("Perf: backend sim-s/wall-s");
 
   const bool full = bench::FullScale();
   const int meetings = 8;
@@ -88,21 +55,14 @@ int main() {
                   duration_s, &ok);
   if (!ok) return 1;
 
-  uint64_t commands = 0;
-  double southbound = SouthboundRate(full ? 12'000 : 6'000, &commands);
-
-  std::printf(
-      "scallop: %.3g sim-s/wall-s   fleet{4}: %.3g   software: %.3g   "
-      "southbound: %.3g cmd/s (%llu commands)\n",
-      scallop_rate, fleet_rate, software_rate, southbound,
-      static_cast<unsigned long long>(commands));
+  std::printf("scallop: %.3g sim-s/wall-s   fleet{4}: %.3g   software: %.3g\n",
+              scallop_rate, fleet_rate, software_rate);
 
   scallop::bench::PerfReport report("backends");
   report.AddMetric("sim_s_per_wall_s_scallop", scallop_rate, "sim-s/wall-s");
   report.AddMetric("sim_s_per_wall_s_fleet", fleet_rate, "sim-s/wall-s");
   report.AddMetric("sim_s_per_wall_s_software", software_rate,
                    "sim-s/wall-s");
-  report.AddMetric("southbound_commands_per_sec", southbound, "commands/s");
   report.AddParam("meetings", meetings);
   report.AddParam("peers_per_meeting", peers);
   report.AddParam("duration_s", duration_s);

@@ -1,230 +1,107 @@
 #include "core/control_channel.hpp"
 
 #include <cstdio>
+#include <utility>
 
 namespace scallop::core {
 
-void MessageConduit::Send(ConduitStats& stats, std::function<void()> deliver,
-                          const char* name) {
-  if (trace_ == nullptr || name == nullptr) {
-    // Untraced path, kept verbatim: no extra branches, captures, or
-    // allocations when tracing is off.
-    ++stats.sent;
-    if (loss_rate_ > 0.0 && rng_.Bernoulli(loss_rate_)) {
-      ++stats.dropped;
-      return;
-    }
-    if (latency_ <= 0) {
-      // Inline delivery: byte-identical to the pre-channel direct call.
-      ++stats.delivered;
-      deliver();
-      return;
-    }
-    // Every message carries the same latency and the scheduler is FIFO
-    // among equal timestamps, so messages are delayed but never reordered.
-    sched_.After(latency_, [&stats, fn = std::move(deliver)] {
-      ++stats.delivered;
-      fn();
-    });
-    return;
-  }
-
-  // Traced mirror: identical RNG draws, counters, and scheduling, plus a
-  // sent -> (dropped | applied) event pair keyed by one correlation id.
-  const uint64_t corr = trace_->NextCorrelation();
-  const std::string base = name;
-  trace_->Emit(sched_.now(), trace_category_, trace_track_, base + ".sent",
-               corr);
-  ++stats.sent;
-  if (loss_rate_ > 0.0 && rng_.Bernoulli(loss_rate_)) {
-    ++stats.dropped;
-    trace_->Emit(sched_.now(), trace_category_, trace_track_,
-                 base + ".dropped", corr);
-    return;
-  }
+template <typename Fn>
+void MessageConduit::Deliver(ConduitStats& stats, Fn&& deliver,
+                             const char* name, uint64_t corr) {
   if (latency_ <= 0) {
+    // Inline delivery: byte-identical to the pre-channel direct call.
     ++stats.delivered;
-    trace_->Emit(sched_.now(), trace_category_, trace_track_,
-                 base + ".applied", corr);
+    Note(name, corr, ".applied");
     deliver();
     return;
   }
-  sched_.After(latency_, [this, &stats, fn = std::move(deliver), base, corr] {
+  // Every message carries the same latency and the scheduler is FIFO
+  // among equal timestamps, so messages are delayed but never reordered.
+  sched_.After(latency_, [this, &stats, fn = std::forward<Fn>(deliver), name,
+                          corr] {
     ++stats.delivered;
-    trace_->Emit(sched_.now(), trace_category_, trace_track_,
-                 base + ".applied", corr);
+    Note(name, corr, ".applied");
     fn();
   });
+}
+
+void MessageConduit::Transmit(ConduitStats& stats,
+                              std::function<void()> deliver, const char* name,
+                              uint64_t corr) {
+  ++stats.sent;
+  if (Lost()) {
+    ++stats.dropped;
+    Note(name, corr, ".dropped");
+    return;
+  }
+  Deliver(stats, std::move(deliver), name, corr);
+}
+
+void MessageConduit::Send(ConduitStats& stats, std::function<void()> deliver,
+                          const char* name) {
+  Transmit(stats, std::move(deliver), name, Open(name));
 }
 
 void MessageConduit::SendReliable(ConduitStats& stats,
                                   std::function<void()> deliver,
                                   std::function<bool()> still_wanted,
                                   const char* name) {
-  if (trace_ == nullptr || name == nullptr) {
-    // Untraced path, kept verbatim (see Send).
-    ++stats.sent;
-    // The message's and its ack's fates are decided up front (iid loss
-    // both ways); no draws happen on a lossless conduit, which keeps
-    // zero-loss packet histories byte-identical to plain Send.
-    const bool lost = loss_rate_ > 0.0 && rng_.Bernoulli(loss_rate_);
-    const bool ack_lost = loss_rate_ > 0.0 && rng_.Bernoulli(loss_rate_);
-    if (lost) {
-      ++stats.dropped;
-    } else if (latency_ <= 0) {
-      ++stats.delivered;
-      deliver();
-    } else {
-      sched_.After(latency_, [&stats, fn = deliver] {
-        ++stats.delivered;
-        fn();
-      });
-    }
-    if (!lost && !ack_lost) return;  // acked in time: done
-
-    // Ack timeout: one bounded retransmission. The message races messages
-    // sent after the original — exactly the reordering a real
-    // retransmitting channel exhibits — so the reliable vocabulary is
-    // idempotent on the receiver.
-    sched_.After(retransmit_timeout(), [this, &stats, fn = std::move(deliver),
-                                        wanted = std::move(still_wanted)] {
-      // A removal issued since the original send cancels the
-      // retransmission — re-delivering would resurrect state the sender
-      // tore down.
-      if (wanted != nullptr && !wanted()) return;
-      ++stats.retransmitted;
-      ++stats.sent;
-      if (loss_rate_ > 0.0 && rng_.Bernoulli(loss_rate_)) {
-        ++stats.dropped;
-        return;
-      }
-      if (latency_ <= 0) {
-        ++stats.delivered;
-        fn();
-        return;
-      }
-      sched_.After(latency_, [&stats, fn2 = std::move(fn)] {
-        ++stats.delivered;
-        fn2();
-      });
-    });
-    return;
-  }
-
-  // Traced mirror of the above: same draws, same scheduling, plus
-  // sent -> (dropped | applied) and a .retx marker when the bounded
-  // retransmission fires, all sharing one correlation id.
-  const uint64_t corr = trace_->NextCorrelation();
-  const std::string base = name;
-  trace_->Emit(sched_.now(), trace_category_, trace_track_, base + ".sent",
-               corr);
+  const uint64_t corr = Open(name);
   ++stats.sent;
-  const bool lost = loss_rate_ > 0.0 && rng_.Bernoulli(loss_rate_);
-  const bool ack_lost = loss_rate_ > 0.0 && rng_.Bernoulli(loss_rate_);
+  // The message's and its ack's fates are decided up front (iid loss both
+  // ways); no draws happen on a lossless conduit, which keeps zero-loss
+  // packet histories byte-identical to plain Send.
+  const bool lost = Lost();
+  const bool ack_lost = Lost();
   if (lost) {
     ++stats.dropped;
-    trace_->Emit(sched_.now(), trace_category_, trace_track_,
-                 base + ".dropped", corr);
-  } else if (latency_ <= 0) {
-    ++stats.delivered;
-    trace_->Emit(sched_.now(), trace_category_, trace_track_,
-                 base + ".applied", corr);
-    deliver();
+    Note(name, corr, ".dropped");
+  } else if (!ack_lost) {
+    Deliver(stats, std::move(deliver), name, corr);
+    return;  // acked in time: done
   } else {
-    sched_.After(latency_, [this, &stats, fn = deliver, base, corr] {
-      ++stats.delivered;
-      trace_->Emit(sched_.now(), trace_category_, trace_track_,
-                   base + ".applied", corr);
-      fn();
-    });
+    Deliver(stats, deliver, name, corr);  // keeps `deliver` for the resend
   }
-  if (!lost && !ack_lost) return;
 
-  sched_.After(retransmit_timeout(),
-               [this, &stats, fn = std::move(deliver),
-                wanted = std::move(still_wanted), base, corr] {
-                 if (wanted != nullptr && !wanted()) return;
-                 ++stats.retransmitted;
-                 ++stats.sent;
-                 trace_->Emit(sched_.now(), trace_category_, trace_track_,
-                              base + ".retx", corr);
-                 if (loss_rate_ > 0.0 && rng_.Bernoulli(loss_rate_)) {
-                   ++stats.dropped;
-                   trace_->Emit(sched_.now(), trace_category_, trace_track_,
-                                base + ".dropped", corr);
-                   return;
-                 }
-                 if (latency_ <= 0) {
-                   ++stats.delivered;
-                   trace_->Emit(sched_.now(), trace_category_, trace_track_,
-                                base + ".applied", corr);
-                   fn();
-                   return;
-                 }
-                 sched_.After(latency_, [this, &stats, fn2 = std::move(fn),
-                                         base, corr] {
-                   ++stats.delivered;
-                   trace_->Emit(sched_.now(), trace_category_, trace_track_,
-                                base + ".applied", corr);
-                   fn2();
-                 });
-               });
+  // Ack timeout: one bounded retransmission. The message races messages
+  // sent after the original — exactly the reordering a real
+  // retransmitting channel exhibits — so the reliable vocabulary is
+  // idempotent on the receiver.
+  sched_.After(retransmit_timeout(), [this, &stats, fn = std::move(deliver),
+                                      wanted = std::move(still_wanted), name,
+                                      corr]() mutable {
+    // A removal issued since the original send cancels the retransmission
+    // — re-delivering would resurrect state the sender tore down.
+    if (wanted != nullptr && !wanted()) return;
+    ++stats.retransmitted;
+    Note(name, corr, ".retx");
+    Transmit(stats, std::move(fn), name, corr);
+  });
 }
 
 bool MessageConduit::Transact(ConduitStats& stats, const char* name) {
-  if (trace_ == nullptr || name == nullptr) {
-    // Untraced path, kept verbatim (see Send).
-    ++stats.sent;
-    const bool lost = loss_rate_ > 0.0 && rng_.Bernoulli(loss_rate_);
-    const bool ack_lost = loss_rate_ > 0.0 && rng_.Bernoulli(loss_rate_);
-    if (lost) {
-      ++stats.dropped;
-    } else {
-      ++stats.delivered;
-    }
-    if (!lost && !ack_lost) return true;
-    ++stats.retransmitted;
-    ++stats.sent;
-    const bool retx_lost = loss_rate_ > 0.0 && rng_.Bernoulli(loss_rate_);
-    if (retx_lost) {
-      ++stats.dropped;
-      return !lost;
-    }
-    ++stats.delivered;
-    return true;
-  }
-
-  const uint64_t corr = trace_->NextCorrelation();
-  const std::string base = name;
-  trace_->Emit(sched_.now(), trace_category_, trace_track_, base + ".sent",
-               corr);
+  const uint64_t corr = Open(name);
   ++stats.sent;
-  const bool lost = loss_rate_ > 0.0 && rng_.Bernoulli(loss_rate_);
-  const bool ack_lost = loss_rate_ > 0.0 && rng_.Bernoulli(loss_rate_);
+  const bool lost = Lost();
+  const bool ack_lost = Lost();
   if (lost) {
     ++stats.dropped;
-    trace_->Emit(sched_.now(), trace_category_, trace_track_,
-                 base + ".dropped", corr);
+    Note(name, corr, ".dropped");
   } else {
     ++stats.delivered;
-    trace_->Emit(sched_.now(), trace_category_, trace_track_,
-                 base + ".applied", corr);
+    Note(name, corr, ".applied");
   }
   if (!lost && !ack_lost) return true;
   ++stats.retransmitted;
   ++stats.sent;
-  trace_->Emit(sched_.now(), trace_category_, trace_track_, base + ".retx",
-               corr);
-  const bool retx_lost = loss_rate_ > 0.0 && rng_.Bernoulli(loss_rate_);
-  if (retx_lost) {
+  Note(name, corr, ".retx");
+  if (Lost()) {
     ++stats.dropped;
-    trace_->Emit(sched_.now(), trace_category_, trace_track_,
-                 base + ".dropped", corr);
+    Note(name, corr, ".dropped");
     return !lost;
   }
   ++stats.delivered;
-  trace_->Emit(sched_.now(), trace_category_, trace_track_, base + ".applied",
-               corr);
+  Note(name, corr, ".applied");
   return true;
 }
 

@@ -88,7 +88,8 @@ class MessageConduit {
   // Delivers (or schedules, or drops) one fire-and-forget message.
   // `name`, when tracing is enabled, labels the message's trace events
   // ("<name>.sent" / ".dropped" / ".applied"); nullptr leaves the message
-  // untraced (e.g. telemetry heartbeats).
+  // untraced (e.g. telemetry heartbeats). Delayed deliveries keep the
+  // pointer, so it must outlive the message: pass a string literal.
   void Send(ConduitStats& stats, std::function<void()> deliver,
             const char* name = nullptr);
   // Acknowledged send: the receiver acks a delivered message (the ack
@@ -111,8 +112,11 @@ class MessageConduit {
 
   // Enables structured tracing of named messages on this conduit. The
   // track labels the conduit's lane in the exported timeline ("sw:<i>"
-  // southbound, "ew:<a>-<b>" east-west). Tracing never changes RNG draws
-  // or scheduling: the untraced path is byte-identical to pre-trace code.
+  // southbound, "ew:<a>-<b>" east-west). Send, SendReliable and Transact
+  // each have one body for both modes: their trace notes return at once
+  // when tracing is off or the message is unnamed, and an unnamed message
+  // never mints a correlation id, so tracing changes neither RNG draws,
+  // scheduling, nor the ids the rest of the trace sees.
   void set_trace(obs::TraceLog* trace, std::string track,
                  obs::Category category) {
     trace_ = trace;
@@ -132,6 +136,33 @@ class MessageConduit {
   static constexpr util::DurationUs kRetransmitMargin = util::Millis(20);
 
  private:
+  // One iid loss draw; a lossless conduit draws nothing.
+  bool Lost() { return loss_rate_ > 0.0 && rng_.Bernoulli(loss_rate_); }
+  // Records "<name><suffix>" under `corr`; free when untraced or unnamed.
+  void Note(const char* name, uint64_t corr, const char* suffix) {
+    if (trace_ == nullptr || name == nullptr) return;
+    trace_->Emit(sched_.now(), trace_category_, trace_track_,
+                 std::string(name) + suffix, corr);
+  }
+  // Mints the message's correlation id and notes ".sent"; 0 (and no id
+  // drawn from the shared counter) when untraced or unnamed.
+  uint64_t Open(const char* name) {
+    if (trace_ == nullptr || name == nullptr) return 0;
+    const uint64_t corr = trace_->NextCorrelation();
+    Note(name, corr, ".sent");
+    return corr;
+  }
+  // One transmission of a message: counts it, draws its fate, then drops
+  // or delivers it. Serves Send and the reliable retransmission alike.
+  void Transmit(ConduitStats& stats, std::function<void()> deliver,
+                const char* name, uint64_t corr);
+  // Delivers a message that survived its loss draw: inline at zero
+  // latency, else after the conduit latency. An lvalue `deliver` is
+  // copied only when scheduled, so the caller keeps it for a resend.
+  template <typename Fn>
+  void Deliver(ConduitStats& stats, Fn&& deliver, const char* name,
+               uint64_t corr);
+
   sim::Scheduler& sched_;
   util::DurationUs latency_;
   double loss_rate_;

@@ -1,7 +1,5 @@
 #include "core/federation.hpp"
 
-#include <cstdarg>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -14,16 +12,9 @@ namespace {
 // A controller is declared dead after this many silent heartbeat
 // intervals — the same miss threshold the fleet applies to switches.
 constexpr int kControllerMissThreshold = 3;
-
-// Formats a trace detail string; callers guard on tracing being on.
-std::string TraceDetail(const char* fmt, ...) {
-  char buf[160];
-  va_list ap;
-  va_start(ap, fmt);
-  vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  return buf;
-}
+// The plane's own transitions (lookups, controller deaths, adoptions,
+// border spans) share one trace track.
+constexpr const char* kTrack = "federation";
 }  // namespace
 
 FederatedControlPlane::FederatedControlPlane(sim::Scheduler& sched,
@@ -32,6 +23,7 @@ FederatedControlPlane::FederatedControlPlane(sim::Scheduler& sched,
   if (cfg_.regions < 1) cfg_.regions = 1;
   const size_t R = cfg_.regions;
   regions_.resize(R);
+  death_chain_.assign(R, 0);
   for (size_t r = 0; r < R; ++r) {
     Region& reg = regions_[r];
     reg.controller = std::make_unique<FleetController>();
@@ -67,7 +59,6 @@ FederatedControlPlane::~FederatedControlPlane() = default;
 
 void FederatedControlPlane::set_trace(obs::TraceLog* trace) {
   trace_ = trace;
-  death_chain_.assign(regions_.size(), 0);
   const size_t R = regions_.size();
   for (size_t r = 0; r < R; ++r) {
     regions_[r].controller->set_trace(
@@ -259,14 +250,10 @@ size_t FederatedControlPlane::ResolveOwner(size_t ingress, MeetingId meeting) {
   // ride the conduit (accounting; the authoritative answer is read from
   // the peer's shard synchronously, like the rest of the signaling path).
   ++stats_.directory_lookups_remote;
-  const uint64_t corr =
-      trace_ != nullptr ? trace_->NextCorrelation() : 0;
-  if (trace_ != nullptr) {
-    trace_->Emit(sched_.now(), obs::Category::kFederation, "federation",
-                 "lookup.begin", corr,
-                 TraceDetail("meeting=%u ingress=%zu",
-                             static_cast<unsigned>(meeting), ingress));
-  }
+  const uint64_t corr = obs::NextCorrelation(trace_);
+  obs::Emitf(trace_, sched_.now(), obs::Category::kFederation, kTrack,
+             "lookup.begin", corr, "meeting=%u ingress=%zu",
+             static_cast<unsigned>(meeting), ingress);
   size_t owner = SIZE_MAX;
   for (size_t q = 0; q < regions_.size(); ++q) {
     if (q == ingress || regions_[q].dead) continue;
@@ -279,44 +266,22 @@ size_t FederatedControlPlane::ResolveOwner(size_t ingress, MeetingId meeting) {
     }
   }
   if (owner != SIZE_MAX) in.owner_cache[meeting] = owner;
-  if (trace_ != nullptr) {
-    trace_->Emit(sched_.now(), obs::Category::kFederation, "federation",
-                 "lookup.end", corr,
-                 TraceDetail("meeting=%u owner=%lld",
-                             static_cast<unsigned>(meeting),
-                             owner == SIZE_MAX
-                                 ? -1LL
-                                 : static_cast<long long>(owner)));
-  }
+  obs::Emitf(trace_, sched_.now(), obs::Category::kFederation, kTrack,
+             "lookup.end", corr, "meeting=%u owner=%lld",
+             static_cast<unsigned>(meeting),
+             owner == SIZE_MAX ? -1LL : static_cast<long long>(owner));
   return owner;
 }
 
 FederatedControlPlane::JoinResult FederatedControlPlane::Join(
     MeetingId meeting, const sdp::SessionDescription& offer,
     SignalingClient* client) {
-  if (regions_.size() == 1) {
-    return regions_[0].controller->Join(meeting, offer, client);
-  }
-  const size_t ingress = NextIngress();
-  const size_t owner = ResolveOwner(ingress, meeting);
-  if (owner == SIZE_MAX) {
-    throw std::out_of_range(
-        "federation: meeting unknown to every live region (bad id, or its "
-        "owning controller is down and its shard not yet adopted)");
-  }
-  return regions_[owner].controller->Join(meeting, offer, client);
+  return JoinVia(SIZE_MAX, meeting, offer, client);
 }
 
 void FederatedControlPlane::Leave(MeetingId meeting,
                                   ParticipantId participant) {
-  if (regions_.size() == 1) {
-    regions_[0].controller->Leave(meeting, participant);
-    return;
-  }
-  const size_t ingress = NextIngress();
-  const size_t owner = ResolveOwner(ingress, meeting);
-  if (owner == SIZE_MAX) return;  // quiet, like FleetController::Leave
-  regions_[owner].controller->Leave(meeting, participant);
+  LeaveVia(SIZE_MAX, meeting, participant);
 }
 
 SignalingServer& FederatedControlPlane::ingress(size_t r) {
@@ -334,12 +299,7 @@ FederatedControlPlane::JoinResult FederatedControlPlane::JoinVia(
   if (regions_.size() == 1) {
     return regions_[0].controller->Join(meeting, offer, client);
   }
-  // Pinned ingress — a roamer enters at its access region, not the
-  // round-robin one (and does not advance the round-robin cursor). A
-  // dead access region falls back to round-robin: the client's traffic
-  // has to land somewhere.
-  const size_t ingress = regions_[r].dead ? NextIngress() : r;
-  const size_t owner = ResolveOwner(ingress, meeting);
+  const size_t owner = ResolveOwner(IngressFor(r), meeting);
   if (owner == SIZE_MAX) {
     throw std::out_of_range(
         "federation: meeting unknown to every live region (bad id, or its "
@@ -354,10 +314,22 @@ void FederatedControlPlane::LeaveVia(size_t r, MeetingId meeting,
     regions_[0].controller->Leave(meeting, participant);
     return;
   }
-  const size_t ingress = regions_[r].dead ? NextIngress() : r;
-  const size_t owner = ResolveOwner(ingress, meeting);
-  if (owner == SIZE_MAX) return;
+  const size_t owner = ResolveOwner(IngressFor(r), meeting);
+  if (owner == SIZE_MAX) return;  // quiet, like FleetController::Leave
   regions_[owner].controller->Leave(meeting, participant);
+}
+
+size_t FederatedControlPlane::IngressFor(size_t r) {
+  // Pinned ingress — a roamer enters at its access region, not the
+  // round-robin one (and does not advance the round-robin cursor). A
+  // dead access region falls back to round-robin: the client's traffic
+  // has to land somewhere.
+  return r < regions_.size() && !regions_[r].dead ? r : NextIngress();
+}
+
+bool FederatedControlPlane::HasLiveOwner(MeetingId meeting) const {
+  const size_t owner = OwnerRegionOf(meeting);
+  return owner != SIZE_MAX && !regions_[owner].dead;
 }
 
 // ---- forwarded fleet surface -----------------------------------------------
@@ -659,23 +631,19 @@ void FederatedControlPlane::CheckControllerPeers(size_t r) {
     const util::DurationUs gap = sched_.now() - reg.peer_last_seen[q];
     if (gap < 2 * interval + latency) continue;
     ++stats_.controller_heartbeats_missed;
-    if (trace_ != nullptr) {
-      // One death chain per observed peer: its first miss opens it, and
-      // the death + adoption events reuse it so the whole
-      // miss -> dead -> adopted sequence reads as one causal chain.
-      if (death_chain_[q] == 0) death_chain_[q] = trace_->NextCorrelation();
-      trace_->Emit(sched_.now(), obs::Category::kFederation, "federation",
-                   "controller.heartbeat_miss", death_chain_[q],
-                   TraceDetail("peer=%zu observer=%zu gap_us=%lld", q, r,
-                               static_cast<long long>(gap)));
-    }
+    // One death chain per observed peer: its first miss opens it, and the
+    // death + adoption events reuse it so the whole miss -> dead ->
+    // adopted sequence reads as one causal chain.
+    if (death_chain_[q] == 0) death_chain_[q] = obs::NextCorrelation(trace_);
+    obs::Emitf(trace_, sched_.now(), obs::Category::kFederation, kTrack,
+               "controller.heartbeat_miss", death_chain_[q],
+               "peer=%zu observer=%zu gap_us=%lld", q, r,
+               static_cast<long long>(gap));
     if (gap >= kControllerMissThreshold * interval + latency) {
       reg.peer_alive[q] = false;
-      if (trace_ != nullptr) {
-        trace_->Emit(sched_.now(), obs::Category::kFederation, "federation",
-                     "controller.dead", death_chain_[q],
-                     TraceDetail("peer=%zu observer=%zu", q, r));
-      }
+      obs::Emitf(trace_, sched_.now(), obs::Category::kFederation, kTrack,
+                 "controller.dead", death_chain_[q], "peer=%zu observer=%zu",
+                 q, r);
       if (may_adopt) AdoptRegion(r, q);
     }
   }
@@ -689,10 +657,8 @@ void FederatedControlPlane::KillController(size_t r) {
   reg.detector_task.reset();
   reg.controller->Shutdown();
   ++stats_.controllers_failed;
-  if (trace_ != nullptr) {
-    trace_->Emit(sched_.now(), obs::Category::kFederation, "federation",
-                 "controller.failed", 0, TraceDetail("region=%zu", r));
-  }
+  obs::Emitf(trace_, sched_.now(), obs::Category::kFederation, kTrack,
+             "controller.failed", 0, "region=%zu", r);
 }
 
 void FederatedControlPlane::AdoptRegion(size_t adopter, size_t dead) {
@@ -726,12 +692,9 @@ void FederatedControlPlane::AdoptRegion(size_t adopter, size_t dead) {
   d.adopted = true;
   ++stats_.shards_adopted;
   stats_.meetings_adopted += adopted;
-  if (trace_ != nullptr) {
-    trace_->Emit(sched_.now(), obs::Category::kFederation, "federation",
-                 "controller.adopted", death_chain_[dead],
-                 TraceDetail("dead=%zu adopter=%zu meetings=%zu", dead,
-                             adopter, adopted));
-  }
+  obs::Emitf(trace_, sched_.now(), obs::Category::kFederation, kTrack,
+             "controller.adopted", death_chain_[dead],
+             "dead=%zu adopter=%zu meetings=%zu", dead, adopter, adopted);
 }
 
 size_t FederatedControlPlane::OwnerRegionOf(MeetingId meeting) const {
@@ -789,13 +752,10 @@ size_t FederatedControlPlane::BorderGuestFor(size_t owner, MeetingId meeting) {
   own.local_to_global[guest] = global;
   own.border_guest[meeting] = guest;
   ++stats_.border_spans;
-  if (trace_ != nullptr) {
-    trace_->Emit(sched_.now(), obs::Category::kFederation, "federation",
-                 "federation.border_span", 0,
-                 TraceDetail("meeting=%u owner=%zu lender=%zu switch=%zu",
-                             static_cast<unsigned>(meeting), owner, lender,
-                             global));
-  }
+  obs::Emitf(trace_, sched_.now(), obs::Category::kFederation, kTrack,
+             "federation.border_span", 0,
+             "meeting=%u owner=%zu lender=%zu switch=%zu",
+             static_cast<unsigned>(meeting), owner, lender, global);
   return guest;
 }
 

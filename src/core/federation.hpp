@@ -240,10 +240,18 @@ class FederatedControlPlane : public SignalingServer {
   // dead ingress region falls back to round-robin. For R == 1 this is the
   // plane itself. The reference stays valid for the plane's lifetime.
   SignalingServer& ingress(size_t r);
+  // Join/Leave entering at region `r`; SIZE_MAX (what plain Join/Leave
+  // pass) or a dead `r` takes the round-robin ingress. JoinVia throws
+  // std::out_of_range when no live region owns the meeting (see
+  // HasLiveOwner); LeaveVia is quiet then.
   JoinResult JoinVia(size_t r, MeetingId meeting,
                      const sdp::SessionDescription& offer,
                      SignalingClient* client);
   void LeaveVia(size_t r, MeetingId meeting, ParticipantId participant);
+  // Whether a live region's directory holds the meeting. False between
+  // the owning controller's death and a peer's adoption of its shard —
+  // a join in that window has nowhere to go yet.
+  bool HasLiveOwner(MeetingId meeting) const;
 
   // ---- forwarded fleet surface (global switch indices) -------------------
   void SetPlacementPolicy(const PlacementPolicyConfig& policy);
@@ -352,6 +360,8 @@ class FederatedControlPlane : public SignalingServer {
   // region has it.
   size_t ResolveOwner(size_t ingress, MeetingId meeting);
   size_t NextIngress();
+  // The ingress region for JoinVia/LeaveVia (see there).
+  size_t IngressFor(size_t r);
   size_t LowestLiveRegion() const;
   void SendControllerHeartbeats(size_t from);
   void OnControllerHeartbeat(size_t at, size_t from);

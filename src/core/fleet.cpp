@@ -2,26 +2,10 @@
 
 #include <algorithm>
 #include <cstdarg>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
 namespace scallop::core {
-
-namespace {
-
-// Formats a trace detail string. Callers guard on trace() being set, so
-// the formatting cost is only paid when tracing is on.
-std::string TraceDetail(const char* fmt, ...) {
-  char buf[160];
-  va_list ap;
-  va_start(ap, fmt);
-  vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  return buf;
-}
-
-}  // namespace
 
 FleetController::FleetController()
     : directory_(std::make_unique<LocalDirectoryShard>()),
@@ -29,11 +13,14 @@ FleetController::FleetController()
 
 FleetController::~FleetController() = default;
 
-void FleetController::Trace(obs::Category category, const std::string& name,
-                            uint64_t corr, const std::string& detail) {
+void FleetController::Trace(obs::Category category, const char* name,
+                            const char* fmt, ...) {
   if (trace_ == nullptr || sched_ == nullptr) return;
-  trace_->Emit(sched_->now(), category, trace_track_, name,
-               corr != 0 ? corr : active_chain_, detail);
+  va_list ap;
+  va_start(ap, fmt);
+  obs::VEmitf(trace_, sched_->now(), category, trace_track_, name,
+              active_chain_, fmt, ap);
+  va_end(ap);
 }
 
 size_t FleetController::AddSwitch(ControlChannel& channel, net::Ipv4 sfu_ip,
@@ -230,11 +217,8 @@ size_t FleetController::AdoptShardFrom(FleetController& failed,
   // bookkeeping a MigrateMeeting re-home gets, so fleet-wide counters
   // show the takeover.
   stats_.placements_rebalanced += adopted;
-  if (trace_ != nullptr) {
-    Trace(obs::Category::kFleet, "fleet.shard_adopted", 0,
-          TraceDetail("meetings=%zu switches=%zu", adopted,
-                      switches_.size()));
-  }
+  Trace(obs::Category::kFleet, "fleet.shard_adopted",
+        "meetings=%zu switches=%zu", adopted, switches_.size());
   return adopted;
 }
 
@@ -272,11 +256,9 @@ void FleetController::SetInterSwitchLinkCapacity(size_t a, size_t b,
   // The capacity change opens a causal chain every replan collapse and
   // tree flip it forces rides.
   const uint64_t prev_chain = active_chain_;
-  if (trace_ != nullptr) {
-    active_chain_ = trace_->NextCorrelation();
-    Trace(obs::Category::kTopology, "topology.link_capacity", 0,
-          TraceDetail("link=%zu-%zu bps=%.0f", a, b, capacity_bps));
-  }
+  active_chain_ = obs::NextCorrelation(trace_);
+  Trace(obs::Category::kTopology, "topology.link_capacity",
+        "link=%zu-%zu bps=%.0f", a, b, capacity_bps);
   ReplanOverloadedLinks();
   active_chain_ = prev_chain;
 }
@@ -373,12 +355,9 @@ void FleetController::ReplanOverloadedLinks() {
         continue;
       }
       ++stats_.relay_replans;
-      if (trace_ != nullptr) {
-        Trace(obs::Category::kTopology, "topology.replan", 0,
-              TraceDetail("meeting=%u collapsed=%zu home=%zu",
-                          static_cast<unsigned>(meeting), child,
-                          st.placement.home));
-      }
+      Trace(obs::Category::kTopology, "topology.replan",
+            "meeting=%u collapsed=%zu home=%zu",
+            static_cast<unsigned>(meeting), child, st.placement.home);
       if (migration_cb_) migration_cb_(meeting, child, st.placement.home);
       TearDownSpan(st, child, /*switch_dead=*/false);
       st.frozen = true;
@@ -428,18 +407,12 @@ void FleetController::CheckHeartbeats() {
     const bool death = gap >= kHeartbeatMissThreshold * interval + latency;
     // The fatal miss opens a causal chain that the death and every
     // migration it forces ride; sub-threshold misses stay uncorrelated.
-    if (death && trace_ != nullptr) active_chain_ = trace_->NextCorrelation();
-    if (trace_ != nullptr) {
-      Trace(obs::Category::kFleet, "switch.heartbeat_miss", 0,
-            TraceDetail("switch=%zu gap_us=%lld", i,
-                        static_cast<long long>(gap)));
-    }
+    if (death) active_chain_ = obs::NextCorrelation(trace_);
+    Trace(obs::Category::kFleet, "switch.heartbeat_miss",
+          "switch=%zu gap_us=%lld", i, static_cast<long long>(gap));
     if (death) {
       ++stats_.switches_failed;
-      if (trace_ != nullptr) {
-        Trace(obs::Category::kFleet, "switch.dead", 0,
-              TraceDetail("switch=%zu", i));
-      }
+      Trace(obs::Category::kFleet, "switch.dead", "switch=%zu", i);
       OnSwitchDown(i);
       active_chain_ = 0;
     }
@@ -538,12 +511,10 @@ void FleetController::Rebalance() {
   if (pick == 0) return;
   ++stats_.rebalance_migrations;
   const uint64_t prev_chain = active_chain_;
-  if (trace_ != nullptr) {
-    active_chain_ = trace_->NextCorrelation();
-    Trace(obs::Category::kFleet, "rebalance.migrate", 0,
-          TraceDetail("meeting=%u from=%zu to=%zu",
-                      static_cast<unsigned>(pick), busiest, idlest));
-  }
+  active_chain_ = obs::NextCorrelation(trace_);
+  Trace(obs::Category::kFleet, "rebalance.migrate",
+        "meeting=%u from=%zu to=%zu", static_cast<unsigned>(pick), busiest,
+        idlest);
   MigrateMeeting(pick, idlest);
   active_chain_ = prev_chain;
 }
@@ -600,11 +571,8 @@ MeetingId FleetController::CreateMeeting() {
   directory_->Emplace(global, std::move(st));
   ++switches_[idx]->meetings;
   ++stats_.meetings_placed;
-  if (trace_ != nullptr) {
-    Trace(obs::Category::kPlacement, "placement.meeting_placed", 0,
-          TraceDetail("meeting=%u switch=%zu", static_cast<unsigned>(global),
-                      idx));
-  }
+  Trace(obs::Category::kPlacement, "placement.meeting_placed",
+        "meeting=%u switch=%zu", static_cast<unsigned>(global), idx);
   return global;
 }
 
@@ -640,11 +608,9 @@ RelaySpan& FleetController::EnsureSpan(MeetingState& st,
   st.placement.spans.push_back(std::move(span));
   ++switches_[switch_index]->meetings;
   ++stats_.relay_spans_installed;
-  if (trace_ != nullptr) {
-    Trace(obs::Category::kPlacement, "placement.span_installed", 0,
-          TraceDetail("switch=%zu parent=%zu home=%zu", switch_index, parent,
-                      st.placement.home));
-  }
+  Trace(obs::Category::kPlacement, "placement.span_installed",
+        "switch=%zu parent=%zu home=%zu", switch_index, parent,
+        st.placement.home);
 
   // Route every existing sender's stream into the new span along the
   // relay tree, so its first member immediately sees the whole meeting.
@@ -1219,12 +1185,9 @@ void FleetController::PlanSecondary(MeetingState& st, MeetingRelay& r) {
   // Both trees' load rides the backbone for as long as the protection
   // stands — residual-capacity planning must see the doubled footprint.
   topology_.AddLoad(t.path, t.load_bps);
-  if (trace_ != nullptr) {
-    Trace(obs::Category::kRedundancy, "redundancy.secondary_planned", 0,
-          TraceDetail("origin=%u edge=%zu-%zu hops=%zu",
-                      static_cast<unsigned>(t.origin), t.upstream,
-                      t.downstream, t.hops.size()));
-  }
+  Trace(obs::Category::kRedundancy, "redundancy.secondary_planned",
+        "origin=%u edge=%zu-%zu hops=%zu", static_cast<unsigned>(t.origin),
+        t.upstream, t.downstream, t.hops.size());
   st.secondaries.push_back(std::move(t));
   ++stats_.secondary_trees_installed;
 }
@@ -1246,12 +1209,9 @@ void FleetController::FlipRelay(MeetingState& st, MeetingRelay& r,
   SecondaryTree* old = ActiveOf(st, r);
   tree.active = true;  // before any erase below invalidates the reference
   ++stats_.tree_flips;
-  if (trace_ != nullptr) {
-    Trace(obs::Category::kRedundancy, "redundancy.tree_flip", 0,
-          TraceDetail("origin=%u edge=%zu-%zu",
-                      static_cast<unsigned>(r.origin), r.upstream,
-                      r.downstream));
-  }
+  Trace(obs::Category::kRedundancy, "redundancy.tree_flip",
+        "origin=%u edge=%zu-%zu", static_cast<unsigned>(r.origin),
+        r.upstream, r.downstream);
   if (old != nullptr) {
     // Second flip: the outgoing transport is itself a chain. Demote it to
     // a plain standby and tear it down like one.
@@ -1342,11 +1302,9 @@ void FleetController::HitlessMigrate(MeetingState& st, MeetingId meeting,
   // (which would drop sessions) fires.
   ++stats_.hitless_migrations;
   ++stats_.placements_rebalanced;
-  if (trace_ != nullptr) {
-    Trace(obs::Category::kRedundancy, "redundancy.hitless_migrate", 0,
-          TraceDetail("meeting=%u from=%zu to=%zu",
-                      static_cast<unsigned>(meeting), source, target));
-  }
+  Trace(obs::Category::kRedundancy, "redundancy.hitless_migrate",
+        "meeting=%u from=%zu to=%zu", static_cast<unsigned>(meeting), source,
+        target);
   EnsureProtection(st);
   if (hitless_cb_) hitless_cb_(meeting, source, target);
 }
@@ -1389,12 +1347,8 @@ void FleetController::MigrateMeeting(MeetingId meeting, size_t target_switch) {
     return;
   }
   const size_t source_switch = st.placement.home;
-  if (trace_ != nullptr) {
-    Trace(obs::Category::kFleet, "meeting.migrate", 0,
-          TraceDetail("meeting=%u from=%zu to=%zu",
-                      static_cast<unsigned>(meeting), source_switch,
-                      target_switch));
-  }
+  Trace(obs::Category::kFleet, "meeting.migrate", "meeting=%u from=%zu to=%zu",
+        static_cast<unsigned>(meeting), source_switch, target_switch);
   // Planned moves go make-before-break when hitless migration is on: the
   // target span is built and relaying before anything flips, and no
   // member ever re-signals. Forced moves (the source switch is dead, or
@@ -1454,11 +1408,8 @@ void FleetController::OnSwitchDown(size_t switch_index) {
       spanned.push_back(meeting);
     }
   }
-  if (trace_ != nullptr) {
-    Trace(obs::Category::kFleet, "switch.down", 0,
-          TraceDetail("switch=%zu homed=%zu spanned=%zu", switch_index,
-                      homed.size(), spanned.size()));
-  }
+  Trace(obs::Category::kFleet, "switch.down", "switch=%zu homed=%zu spanned=%zu",
+        switch_index, homed.size(), spanned.size());
   for (MeetingId meeting : homed) {
     size_t standby = LeastLoaded(switch_index);
     // With no live standby the meeting stays put and recovers only when
@@ -1472,11 +1423,8 @@ void FleetController::OnSwitchDown(size_t switch_index) {
     // let its members re-join — the policy re-plans them onto live
     // switches.
     MeetingState& st = *directory_->Find(meeting);
-    if (trace_ != nullptr) {
-      Trace(obs::Category::kFleet, "span.collapsed", 0,
-            TraceDetail("meeting=%u switch=%zu",
-                        static_cast<unsigned>(meeting), switch_index));
-    }
+    Trace(obs::Category::kFleet, "span.collapsed", "meeting=%u switch=%zu",
+          static_cast<unsigned>(meeting), switch_index);
     if (migration_cb_) {
       migration_cb_(meeting, switch_index, st.placement.home);
     }

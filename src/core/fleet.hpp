@@ -412,12 +412,13 @@ class FleetController : public SignalingServer,
   // A switch is declared dead after this many silent heartbeat intervals.
   static constexpr int kHeartbeatMissThreshold = 3;
 
-  // Null-guarded trace emission; `corr` 0 falls back to the chain id the
-  // surrounding control-loop step opened (active_chain_), so nested calls
-  // (OnSwitchDown -> MigrateMeeting -> TearDownSpan) stitch into one
-  // causal chain without threading ids through every signature.
-  void Trace(obs::Category category, const std::string& name,
-             uint64_t corr = 0, const std::string& detail = "");
+  // Null-safe printf-style trace emission on the controller's track. The
+  // event carries the chain id the surrounding control-loop step opened
+  // (active_chain_), so nested calls (OnSwitchDown -> MigrateMeeting ->
+  // TearDownSpan) stitch into one causal chain without threading ids
+  // through every signature.
+  void Trace(obs::Category category, const char* name, const char* fmt, ...)
+      __attribute__((format(printf, 4, 5)));
 
   std::vector<std::unique_ptr<Member>> switches_;
   // This controller's shard of the meeting store (placement, membership,

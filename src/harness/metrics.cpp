@@ -22,6 +22,204 @@ void Row(std::string& out, const char* fmt, ...) {
   out += buf;
 }
 
+// One scalar of a metrics section. Its CSV column name is also its
+// Summary key and its registry name (`<section>.<column>`).
+struct Field {
+  enum class Kind { kCount, kRatio, kLabel };
+  const char* column;
+  Kind kind;
+  uint64_t count = 0;
+  double ratio = 0.0;
+  const char* label = "";
+  // The CSV column appears only when nonzero: a counter added after the
+  // goldens were pinned, kept out of every run that never moves it.
+  bool csv_if_nonzero = false;
+};
+
+Field Count(const char* column, uint64_t value, bool csv_if_nonzero = false) {
+  return {column, Field::Kind::kCount, value, 0.0, "", csv_if_nonzero};
+}
+Field Ratio(const char* column, double value) {
+  return {column, Field::Kind::kRatio, 0, value};
+}
+// Labels render in the CSV and Summary; the registry holds numbers only.
+Field Label(const char* column, const std::string& value) {
+  return {column, Field::Kind::kLabel, 0, 0.0, value.c_str()};
+}
+
+std::string Cell(const Field& f) {
+  char buf[32];
+  switch (f.kind) {
+    case Field::Kind::kCount:
+      snprintf(buf, sizeof(buf), "%" PRIu64, f.count);
+      break;
+    case Field::Kind::kRatio:
+      snprintf(buf, sizeof(buf), "%.4f", f.ratio);
+      break;
+    case Field::Kind::kLabel:
+      return f.label;
+  }
+  return buf;
+}
+
+using Renderer = void (*)(const ScenarioMetrics&, std::string&);
+
+// One scalar section, declared once: the CSV, Summary() and RegisterInto
+// all render from it, under the same gate.
+struct Section {
+  const char* name;
+  bool rendered;
+  // CSV shape: one "<name>,<col>,<val>,..." row, or a header row naming
+  // the columns followed by one value row.
+  bool key_value;
+  std::vector<Field> fields;
+  // List tables the CSV prints right after this section's scalars.
+  Renderer csv_tables = nullptr;
+  // Appended to this section's Summary line.
+  Renderer summary_tail = nullptr;
+};
+
+void FleetTables(const ScenarioMetrics& m, std::string& out) {
+  Row(out,
+      "switch,index,alive,meetings,participants,packets_in,packets_out,"
+      "replicas\n");
+  for (const auto& s : m.switches) {
+    Row(out, "switch,%d,%d,%d,%d,%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
+        s.index, s.alive ? 1 : 0, s.meetings, s.participants, s.packets_in,
+        s.packets_out, s.replicas);
+  }
+  Row(out, "placement,meeting_index,switch,spans\n");
+  for (const auto& mm : m.meetings) {
+    Row(out, "placement,%d,%d,%d\n", mm.index, mm.placement, mm.spans);
+  }
+}
+
+void SwitchLoads(const ScenarioMetrics& m, std::string& out) {
+  out += "; load:";
+  for (const auto& s : m.switches) {
+    Row(out, " s%d=%d%s", s.index, s.participants, s.alive ? "" : "(down)");
+  }
+}
+
+void TopologyTables(const ScenarioMetrics& m, std::string& out) {
+  Row(out,
+      "toplink,a,b,latency_ms,capacity_bps,load_bps,utilization,"
+      "relay_packets,relay_bytes\n");
+  for (const auto& l : m.topology.links) {
+    Row(out, "toplink,%zu,%zu,%.2f,%.0f,%.0f,%.4f,%" PRIu64 ",%" PRIu64 "\n",
+        l.a, l.b, l.latency_s * 1e3, l.capacity_bps, l.load_bps,
+        l.utilization, l.relay_packets, l.relay_bytes);
+  }
+  Row(out, "treedepth,depth,meetings\n");
+  for (size_t d = 0; d < m.topology.depth_histogram.size(); ++d) {
+    Row(out, "treedepth,%zu,%d\n", d, m.topology.depth_histogram[d]);
+  }
+}
+
+// Every scalar section in CSV order. Each gate keeps a pre-existing CSV
+// byte-identical: multi-switch sections only on fleets, the rest only when
+// the spec configured the feature they count.
+std::vector<Section> Sections(const ScenarioMetrics& m) {
+  const bool fleet = !m.switches.empty();
+  const testbed::ControlPlaneCounters& c = m.control;
+  const testbed::FederationCounters& f = m.federation;
+  const testbed::RedundancyCounters& r = m.redundancy;
+  return {
+      {"aggregate", true, false,
+       {Count("switch_in", m.switch_packets_in),
+        Count("switch_out", m.switch_packets_out),
+        Count("replicas", m.switch_replicas),
+        Count("seq_rewritten", m.seq_rewritten),
+        Count("seq_dropped", m.seq_dropped),
+        Count("svc_suppressed", m.svc_suppressed),
+        Count("remb_filtered", m.remb_filtered),
+        Count("remb_forwarded", m.remb_forwarded),
+        Count("dt_changes", m.dt_changes),
+        Count("filter_flips", m.filter_flips),
+        Count("trees_built", m.trees_built),
+        Count("migrations", m.tree_migrations),
+        Count("cpu_packets", m.agent_cpu_packets),
+        Count("blackholed", m.blackholed)}},
+      {"fleet", fleet, true,
+       {Label("backend", m.backend),
+        Count("placements_rebalanced", m.placements_rebalanced)},
+       FleetTables, SwitchLoads},
+      {"cascade", fleet, false,
+       {Count("spans_installed", m.cascade.spans_installed),
+        Count("spans_removed", m.cascade.spans_removed),
+        Count("relay_packets", m.cascade.relay_packets),
+        Count("relay_bytes", m.cascade.relay_bytes),
+        Count("relay_dt_changes", m.cascade.relay_dt_changes)}},
+      {"topology", m.topology.configured, true,
+       {Count("links", m.topology.links.size()),
+        Ratio("max_utilization", m.topology.max_utilization),
+        Count("max_depth", m.topology.max_depth),
+        Count("replans", m.topology.relay_replans)},
+       TopologyTables},
+      {"control", m.control_plane, false,
+       {Count("commands_sent", c.commands_sent),
+        Count("commands_applied", c.commands_applied),
+        Count("commands_dropped", c.commands_dropped),
+        Count("events_sent", c.events_sent),
+        Count("events_delivered", c.events_delivered),
+        Count("events_dropped", c.events_dropped),
+        Count("heartbeats_seen", c.heartbeats_seen),
+        Count("heartbeats_missed", c.heartbeats_missed),
+        Count("load_reports", c.load_reports_seen),
+        Count("switches_failed", c.switches_failed),
+        Count("rebalance_migrations", c.rebalance_migrations),
+        Count("commands_retransmitted", c.commands_retransmitted,
+              /*csv_if_nonzero=*/true)}},
+      {"federation", f.configured, false,
+       {Count("regions", static_cast<uint64_t>(f.regions)),
+        Count("east_west_sent", f.messages_sent),
+        Count("east_west_delivered", f.messages_delivered),
+        Count("east_west_dropped", f.messages_dropped),
+        Count("east_west_retransmitted", f.messages_retransmitted),
+        Count("directory_lookups", f.directory_lookups),
+        Count("remote_lookups", f.directory_lookups_remote),
+        Count("announcements", f.directory_announcements),
+        Count("border_spans", f.border_spans),
+        Count("controller_heartbeats", f.controller_heartbeats_seen),
+        Count("controller_misses", f.controller_heartbeats_missed),
+        Count("controllers_failed", f.controllers_failed),
+        Count("shards_adopted", f.shards_adopted),
+        Count("meetings_adopted", f.meetings_adopted)}},
+      {"workload", m.workload, true,
+       {Count("roams_executed", m.roams_executed),
+        Count("roam_rehomings", m.roam_rehomings)}},
+      {"redundancy", r.configured, false,
+       {Count("secondary_trees_installed", r.secondary_trees_installed),
+        Count("secondary_trees_removed", r.secondary_trees_removed),
+        Count("tree_flips", r.tree_flips),
+        Count("relay_sources", r.relay_sources),
+        Count("relay_promotions", r.relay_promotions),
+        Count("redundant_relayed", r.redundant_relayed),
+        Count("duplicates_eliminated", r.duplicates_eliminated),
+        Count("hitless_migrations", r.hitless_migrations),
+        Count("hitless_moves_measured", m.hitless_moves_measured),
+        Count("hitless_frames_lost", m.hitless_frames_lost)}},
+      {"obs", m.trace_configured, true,
+       {Count("trace_events", m.trace_events),
+        Count("trace_evicted", m.trace_evicted)}},
+  };
+}
+
+void AppendCsv(const Section& s, std::string& out) {
+  std::string header = s.name;
+  std::string row = s.name;
+  for (const Field& f : s.fields) {
+    if (f.csv_if_nonzero && f.count == 0) continue;
+    std::string& names = s.key_value ? row : header;
+    names += ',';
+    names += f.column;
+    row += ',';
+    row += Cell(f);
+  }
+  if (!s.key_value) out += header + "\n";
+  out += row + "\n";
+}
+
 }  // namespace
 
 std::string ScenarioMetrics::ToCsv() const {
@@ -29,158 +227,10 @@ std::string ScenarioMetrics::ToCsv() const {
   Row(out, "scenario,%s,seed,%" PRIu64 ",duration_s,%.2f\n", scenario.c_str(),
       seed, duration_s);
 
-  Row(out,
-      "aggregate,switch_in,switch_out,replicas,seq_rewritten,seq_dropped,"
-      "svc_suppressed,remb_filtered,remb_forwarded,dt_changes,filter_flips,"
-      "trees_built,migrations,cpu_packets,blackholed\n");
-  Row(out,
-      "aggregate,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-      ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-      ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
-      switch_packets_in, switch_packets_out, switch_replicas, seq_rewritten,
-      seq_dropped, svc_suppressed, remb_filtered, remb_forwarded, dt_changes,
-      filter_flips, trees_built, tree_migrations, agent_cpu_packets,
-      blackholed);
-
-  // Multi-switch backends add a fleet section: per-switch state and the
-  // meeting -> switch placement map. Single-switch runs leave `switches`
-  // empty so their CSV stays byte-identical to the pre-backend-seam pin.
-  if (!switches.empty()) {
-    Row(out, "fleet,backend,%s,placements_rebalanced,%" PRIu64 "\n",
-        backend.c_str(), placements_rebalanced);
-    Row(out,
-        "switch,index,alive,meetings,participants,packets_in,packets_out,"
-        "replicas\n");
-    for (const auto& s : switches) {
-      Row(out, "switch,%d,%d,%d,%d,%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
-          s.index, s.alive ? 1 : 0, s.meetings, s.participants, s.packets_in,
-          s.packets_out, s.replicas);
-    }
-    Row(out, "placement,meeting_index,switch,spans\n");
-    for (const auto& m : meetings) {
-      Row(out, "placement,%d,%d,%d\n", m.index, m.placement, m.spans);
-    }
-    Row(out,
-        "cascade,spans_installed,spans_removed,relay_packets,relay_bytes,"
-        "relay_dt_changes\n");
-    Row(out,
-        "cascade,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        "\n",
-        cascade.spans_installed, cascade.spans_removed, cascade.relay_packets,
-        cascade.relay_bytes, cascade.relay_dt_changes);
-  }
-
-  // Backbone topology section: rendered only when the spec declared
-  // inter-switch links, so default full-mesh fleet CSVs keep their
-  // byte-identical golden pins.
-  if (topology.configured) {
-    Row(out,
-        "topology,links,%zu,max_utilization,%.4f,max_depth,%zu,replans,"
-        "%" PRIu64 "\n",
-        topology.links.size(), topology.max_utilization, topology.max_depth,
-        topology.relay_replans);
-    Row(out,
-        "toplink,a,b,latency_ms,capacity_bps,load_bps,utilization,"
-        "relay_packets,relay_bytes\n");
-    for (const auto& l : topology.links) {
-      Row(out,
-          "toplink,%zu,%zu,%.2f,%.0f,%.0f,%.4f,%" PRIu64 ",%" PRIu64 "\n",
-          l.a, l.b, l.latency_s * 1e3, l.capacity_bps, l.load_bps,
-          l.utilization, l.relay_packets, l.relay_bytes);
-    }
-    Row(out, "treedepth,depth,meetings\n");
-    for (size_t d = 0; d < topology.depth_histogram.size(); ++d) {
-      Row(out, "treedepth,%zu,%d\n", d, topology.depth_histogram[d]);
-    }
-  }
-
-  // Control-plane section: southbound command accounting, northbound
-  // telemetry, failure detection and rebalancer activity. Gated so the
-  // default single-switch CSV stays byte-identical to the pre-channel pin.
-  // The retransmission column only appears once a reliable command was
-  // actually resent — lossless runs (every golden pin) keep the exact
-  // pre-ack header and row bytes.
-  if (control_plane) {
-    Row(out,
-        "control,commands_sent,commands_applied,commands_dropped,"
-        "events_sent,events_delivered,events_dropped,heartbeats_seen,"
-        "heartbeats_missed,load_reports,switches_failed,"
-        "rebalance_migrations%s\n",
-        control.commands_retransmitted > 0 ? ",commands_retransmitted" : "");
-    Row(out,
-        "control,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64,
-        control.commands_sent, control.commands_applied,
-        control.commands_dropped, control.events_sent,
-        control.events_delivered, control.events_dropped,
-        control.heartbeats_seen, control.heartbeats_missed,
-        control.load_reports_seen, control.switches_failed,
-        control.rebalance_migrations);
-    if (control.commands_retransmitted > 0) {
-      Row(out, ",%" PRIu64, control.commands_retransmitted);
-    }
-    Row(out, "\n");
-  }
-
-  // Federation section: the east-west controller-to-controller plane.
-  // Gated on a federated backend (fleet{N,R>1}) so every single-region
-  // fleet golden keeps its exact bytes.
-  if (federation.configured) {
-    Row(out,
-        "federation,regions,east_west_sent,east_west_delivered,"
-        "east_west_dropped,east_west_retransmitted,directory_lookups,"
-        "remote_lookups,announcements,border_spans,controller_heartbeats,"
-        "controller_misses,controllers_failed,shards_adopted,"
-        "meetings_adopted\n");
-    Row(out,
-        "federation,%d,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
-        federation.regions, federation.messages_sent,
-        federation.messages_delivered, federation.messages_dropped,
-        federation.messages_retransmitted, federation.directory_lookups,
-        federation.directory_lookups_remote,
-        federation.directory_announcements, federation.border_spans,
-        federation.controller_heartbeats_seen,
-        federation.controller_heartbeats_missed,
-        federation.controllers_failed, federation.shards_adopted,
-        federation.meetings_adopted);
-  }
-
-  // Workload section (roaming): gated on the spec actually roaming
-  // someone, so roam-free scenarios keep their golden bytes.
-  if (workload) {
-    Row(out,
-        "workload,roams_executed,%" PRIu64 ",roam_rehomings,%" PRIu64 "\n",
-        roams_executed, roam_rehomings);
-  }
-
-  // Redundancy section: gated on the spec configuring dual trees or
-  // hitless migration, so every unprotected scenario keeps its golden
-  // bytes.
-  if (redundancy.configured) {
-    Row(out,
-        "redundancy,secondary_trees_installed,secondary_trees_removed,"
-        "tree_flips,relay_sources,relay_promotions,redundant_relayed,"
-        "duplicates_eliminated,hitless_migrations,hitless_moves_measured,"
-        "hitless_frames_lost\n");
-    Row(out,
-        "redundancy,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
-        redundancy.secondary_trees_installed,
-        redundancy.secondary_trees_removed, redundancy.tree_flips,
-        redundancy.relay_sources, redundancy.relay_promotions,
-        redundancy.redundant_relayed, redundancy.duplicates_eliminated,
-        redundancy.hitless_migrations, hitless_moves_measured,
-        hitless_frames_lost);
-  }
-
-  // Observability section: gated on the spec enabling tracing, so every
-  // untraced scenario keeps its golden bytes.
-  if (trace_configured) {
-    Row(out, "obs,trace_events,%" PRIu64 ",trace_evicted,%" PRIu64 "\n",
-        trace_events, trace_evicted);
+  for (const Section& s : Sections(*this)) {
+    if (!s.rendered) continue;
+    AppendCsv(s, out);
+    if (s.csv_tables != nullptr) s.csv_tables(*this, out);
   }
 
   Row(out, "meeting,index,id,final_design,participants_at_end\n");
@@ -244,160 +294,35 @@ std::string ScenarioMetrics::Summary() const {
       scenario.c_str(), backend.empty() ? "?" : backend.c_str(), seed,
       duration_s, peers.size(), streams.size(), decoded, WorstDeliveryFloor(),
       RewriteViolations(), freeze);
-  Row(out,
-      "    switch: %" PRIu64 " in / %" PRIu64 " out, %" PRIu64
-      " seq rewrites, %" PRIu64 " SVC drops; agent: %" PRIu64
-      " adaptations, %" PRIu64 " filter flips, %" PRIu64 " migrations\n",
-      switch_packets_in, switch_packets_out, seq_rewritten, svc_suppressed,
-      dt_changes, filter_flips, tree_migrations);
-  if (!switches.empty()) {
-    Row(out, "    fleet (%s): %zu switches, %" PRIu64
-             " meetings rebalanced; load:",
-        backend.c_str(), switches.size(), placements_rebalanced);
-    for (const auto& s : switches) {
-      Row(out, " s%d=%d%s", s.index, s.participants, s.alive ? "" : "(down)");
+  for (const Section& s : Sections(*this)) {
+    if (!s.rendered) continue;
+    out += "    ";
+    out += s.name;
+    out += ':';
+    for (const Field& f : s.fields) {
+      out += ' ';
+      out += f.column;
+      out += '=';
+      out += Cell(f);
     }
-    Row(out, "\n");
-  }
-  if (control_plane) {
-    Row(out,
-        "    control: %" PRIu64 " commands (%" PRIu64 " dropped), %" PRIu64
-        " heartbeats (%" PRIu64 " missed), %" PRIu64 " load reports, %" PRIu64
-        " switch failures, %" PRIu64 " rebalance moves\n",
-        control.commands_sent, control.commands_dropped,
-        control.heartbeats_seen, control.heartbeats_missed,
-        control.load_reports_seen, control.switches_failed,
-        control.rebalance_migrations);
-  }
-  if (federation.configured) {
-    Row(out,
-        "    federation: %d regions, %" PRIu64 " east-west messages (%" PRIu64
-        " dropped, %" PRIu64 " retransmitted), %" PRIu64 " lookups (%" PRIu64
-        " remote), %" PRIu64 " border spans, %" PRIu64
-        " controller failures, %" PRIu64 " shards adopted (%" PRIu64
-        " meetings)\n",
-        federation.regions, federation.messages_sent,
-        federation.messages_dropped, federation.messages_retransmitted,
-        federation.directory_lookups, federation.directory_lookups_remote,
-        federation.border_spans, federation.controllers_failed,
-        federation.shards_adopted, federation.meetings_adopted);
-  }
-  if (workload) {
-    Row(out,
-        "    workload: %" PRIu64 " roams executed, %" PRIu64
-        " re-homed onto their new region\n",
-        roams_executed, roam_rehomings);
-  }
-  if (redundancy.configured) {
-    Row(out,
-        "    redundancy: %" PRIu64 " secondary trees installed (%" PRIu64
-        " removed), %" PRIu64 " flips, %" PRIu64
-        " duplicates eliminated of %" PRIu64 " redundant packets; %" PRIu64
-        " hitless moves (%" PRIu64 " audited, %" PRIu64 " frames lost)\n",
-        redundancy.secondary_trees_installed,
-        redundancy.secondary_trees_removed, redundancy.tree_flips,
-        redundancy.duplicates_eliminated, redundancy.redundant_relayed,
-        redundancy.hitless_migrations, hitless_moves_measured,
-        hitless_frames_lost);
-  }
-  if (cascade.spans_installed > 0) {
-    Row(out,
-        "    cascade: %" PRIu64 " spans installed (%" PRIu64
-        " removed), %" PRIu64 " relay packets / %" PRIu64
-        " bytes across switches, %" PRIu64 " cross-switch DT switches\n",
-        cascade.spans_installed, cascade.spans_removed, cascade.relay_packets,
-        cascade.relay_bytes, cascade.relay_dt_changes);
-  }
-  if (topology.configured) {
-    uint64_t backbone_bytes = 0;
-    for (const auto& l : topology.links) backbone_bytes += l.relay_bytes;
-    Row(out,
-        "    topology: %zu backbone links, %" PRIu64
-        " relay bytes on the backbone, max link utilization %.1f%%, tree "
-        "depth max %zu, %" PRIu64 " overload re-plans\n",
-        topology.links.size(), backbone_bytes,
-        topology.max_utilization * 100.0, topology.max_depth,
-        topology.relay_replans);
-  }
-  if (trace_configured) {
-    Row(out,
-        "    trace: %" PRIu64 " events emitted, %" PRIu64
-        " evicted by the flight-recorder ring\n",
-        trace_events, trace_evicted);
+    if (s.summary_tail != nullptr) s.summary_tail(*this, out);
+    out += "\n";
   }
   return out;
 }
 
 void ScenarioMetrics::RegisterInto(obs::StatsRegistry& registry) const {
-  registry.Set("aggregate.switch_packets_in", switch_packets_in);
-  registry.Set("aggregate.switch_packets_out", switch_packets_out);
-  registry.Set("aggregate.switch_replicas", switch_replicas);
-  registry.Set("aggregate.seq_rewritten", seq_rewritten);
-  registry.Set("aggregate.seq_dropped", seq_dropped);
-  registry.Set("aggregate.svc_suppressed", svc_suppressed);
-  registry.Set("aggregate.dt_changes", dt_changes);
-  registry.Set("aggregate.filter_flips", filter_flips);
-  registry.Set("aggregate.trees_built", trees_built);
-  registry.Set("aggregate.tree_migrations", tree_migrations);
-  registry.Set("aggregate.blackholed", blackholed);
-  registry.Set("aggregate.rewrite_violations", RewriteViolations());
-  registry.Set("aggregate.delivery_floor", WorstDeliveryFloor());
-  if (!switches.empty()) {
-    registry.Set("fleet.switches", switches.size());
-    registry.Set("fleet.placements_rebalanced", placements_rebalanced);
-    registry.Set("cascade.spans_installed", cascade.spans_installed);
-    registry.Set("cascade.spans_removed", cascade.spans_removed);
-    registry.Set("cascade.relay_packets", cascade.relay_packets);
-    registry.Set("cascade.relay_bytes", cascade.relay_bytes);
-  }
-  if (control_plane) {
-    registry.Set("control.commands_sent", control.commands_sent);
-    registry.Set("control.commands_applied", control.commands_applied);
-    registry.Set("control.commands_dropped", control.commands_dropped);
-    registry.Set("control.commands_retransmitted",
-                 control.commands_retransmitted);
-    registry.Set("control.heartbeats_seen", control.heartbeats_seen);
-    registry.Set("control.heartbeats_missed", control.heartbeats_missed);
-    registry.Set("control.switches_failed", control.switches_failed);
-    registry.Set("control.rebalance_migrations", control.rebalance_migrations);
-  }
-  if (federation.configured) {
-    registry.Set("federation.regions",
-                 static_cast<uint64_t>(federation.regions));
-    registry.Set("federation.messages_sent", federation.messages_sent);
-    registry.Set("federation.messages_dropped", federation.messages_dropped);
-    registry.Set("federation.directory_lookups",
-                 federation.directory_lookups);
-    registry.Set("federation.remote_lookups",
-                 federation.directory_lookups_remote);
-    registry.Set("federation.border_spans", federation.border_spans);
-    registry.Set("federation.controllers_failed",
-                 federation.controllers_failed);
-    registry.Set("federation.shards_adopted", federation.shards_adopted);
-    registry.Set("federation.meetings_adopted", federation.meetings_adopted);
-  }
-  if (topology.configured) {
-    registry.Set("topology.links", topology.links.size());
-    registry.Set("topology.max_depth", topology.max_depth);
-    registry.Set("topology.relay_replans", topology.relay_replans);
-  }
-  if (workload) {
-    registry.Set("workload.roams_executed", roams_executed);
-    registry.Set("workload.roam_rehomings", roam_rehomings);
-  }
-  if (redundancy.configured) {
-    registry.Set("redundancy.secondary_trees_installed",
-                 redundancy.secondary_trees_installed);
-    registry.Set("redundancy.tree_flips", redundancy.tree_flips);
-    registry.Set("redundancy.duplicates_eliminated",
-                 redundancy.duplicates_eliminated);
-    registry.Set("redundancy.hitless_migrations",
-                 redundancy.hitless_migrations);
-    registry.Set("redundancy.hitless_frames_lost", hitless_frames_lost);
-  }
-  if (trace_configured) {
-    registry.Set("trace.events", trace_events);
-    registry.Set("trace.evicted", trace_evicted);
+  for (const Section& s : Sections(*this)) {
+    if (!s.rendered) continue;
+    for (const Field& f : s.fields) {
+      if (f.kind == Field::Kind::kLabel) continue;
+      std::string key = s.name;
+      key += '.';
+      key += f.column;
+      registry.Set(key, f.kind == Field::Kind::kRatio
+                            ? f.ratio
+                            : static_cast<double>(f.count));
+    }
   }
 }
 

@@ -161,12 +161,20 @@ struct ScenarioMetrics {
   uint64_t trace_events = 0;   // total emitted, before any ring eviction
   uint64_t trace_evicted = 0;  // dropped by the flight-recorder ring
 
+  // The scalar sections (aggregate, fleet, cascade, topology, control,
+  // federation, workload, redundancy, obs) are declared once in
+  // metrics.cpp; all three views below render from that declaration
+  // under the same gates.
+  //
   // Byte-stable rendering: identical spec + seed => identical string.
   std::string ToCsv() const;
-  // Human-oriented digest for benches/examples.
+  // Human-oriented digest for benches/examples: a lead line naming spec,
+  // backend and seed, then one "<section>: <column>=<value> ..." line per
+  // section the CSV rendered.
   std::string Summary() const;
-  // Publishes every aggregate this run rendered (same gating as the CSV
-  // sections) into the unified stats registry the trace exporter embeds.
+  // Publishes every numeric scalar the CSV rendered as
+  // "<section>.<column>" into the unified stats registry the trace
+  // exporter embeds.
   void RegisterInto(obs::StatsRegistry& registry) const;
 
   // Lowest min_frames_decoded over peers present at the end with at least

@@ -445,6 +445,14 @@ void ScenarioRunner::ScheduleSpec() {
 
 void ScenarioRunner::JoinSlot(Slot& slot) {
   if (slot.present) return;
+  if (!backend_->MeetingReachable(slot.meeting_id)) {
+    // Only a controller death opens this window, and the runner rejects
+    // those without a positive heartbeat interval, so the retry advances.
+    Slot* s = &slot;
+    backend_->sched().After(util::Seconds(spec_.control_heartbeat_s),
+                            [this, s] { ResumeSlot(*s); });
+    return;
+  }
   core::SignalingServer& door =
       slot.access_region >= 0
           ? backend_->RegionIngress(static_cast<size_t>(slot.access_region))
@@ -504,12 +512,10 @@ void ScenarioRunner::FailoverBegin() {
   in_failover_ = true;
   std::vector<core::MeetingId> affected = backend_->FailoverBegin();
   failover_affected_ = affected;
-  if (trace_ != nullptr) {
-    failover_corr_ = trace_->NextCorrelation();
-    trace_->Emit(backend_->sched().now(), obs::Category::kScheduler, "runner",
-                 "failover.begin", failover_corr_,
-                 "affected=" + std::to_string(affected.size()));
-  }
+  failover_corr_ = obs::NextCorrelation(trace_.get());
+  obs::Emitf(trace_.get(), backend_->sched().now(), obs::Category::kScheduler,
+             "runner", "failover.begin", failover_corr_, "affected=%zu",
+             affected.size());
   for (Slot& slot : slots_) {
     if (!slot.present) continue;
     if (std::find(affected.begin(), affected.end(), slot.meeting_id) ==
@@ -537,12 +543,10 @@ void ScenarioRunner::FailoverEnd() {
   // backend's signaling routes to whatever switch now hosts each meeting
   // (on a fleet, the live standby rather than the restarted victim).
   backend_->FailoverEnd();
-  if (trace_ != nullptr) {
-    trace_->Emit(backend_->sched().now(), obs::Category::kScheduler, "runner",
-                 "failover.end", failover_corr_,
-                 "returnees=" + std::to_string(failover_returnees_.size()));
-    failover_corr_ = 0;
-  }
+  obs::Emitf(trace_.get(), backend_->sched().now(), obs::Category::kScheduler,
+             "runner", "failover.end", failover_corr_, "returnees=%zu",
+             failover_returnees_.size());
+  failover_corr_ = 0;
   const double t = now_s();
   for (Slot* slot : failover_returnees_) {
     // A participant whose scheduled departure fell inside the blackout
@@ -553,6 +557,20 @@ void ScenarioRunner::FailoverEnd() {
   failover_returnees_.clear();
   failover_affected_.clear();
   in_failover_ = false;
+}
+
+bool ScenarioRunner::ResumeSlot(Slot& slot) {
+  if (ChurnedOut(slot.spec, now_s())) return false;
+  // Joining a meeting the blackout swallowed would sign the peer onto
+  // the dying switch.
+  if (in_failover_ &&
+      std::find(failover_affected_.begin(), failover_affected_.end(),
+                slot.meeting_id) != failover_affected_.end()) {
+    failover_returnees_.push_back(&slot);
+    return false;
+  }
+  JoinSlot(slot);
+  return slot.present;
 }
 
 void ScenarioRunner::ExecuteRoam(Slot& slot, int new_region) {
@@ -566,17 +584,7 @@ void ScenarioRunner::ExecuteRoam(Slot& slot, int new_region) {
   LeaveSlot(slot);  // leaves via the stored (old-region) signaling face
   const double resignal_s = std::max(0.0, spec_.rebalance_resignal_s);
   backend_->sched().After(util::Seconds(resignal_s), [this, s] {
-    // Same guards as a migration re-join: the spec's churn schedule wins,
-    // and a failover blackout that swallowed the meeting owns recovery.
-    if (ChurnedOut(s->spec, now_s())) return;
-    if (in_failover_ &&
-        std::find(failover_affected_.begin(), failover_affected_.end(),
-                  s->meeting_id) != failover_affected_.end()) {
-      failover_returnees_.push_back(s);
-      return;
-    }
-    JoinSlot(*s);
-    if (s->present) ++roam_rehomings_;
+    if (ResumeSlot(*s)) ++roam_rehomings_;
   });
 }
 
@@ -594,21 +602,8 @@ void ScenarioRunner::OnMeetingMoved(core::MeetingId meeting) {
     if (slot.meeting_id != meeting || !slot.present) continue;
     Slot* s = &slot;
     LeaveSlot(*s);
-    backend_->sched().After(util::Seconds(resignal_s), [this, s] {
-      // Honor the spec's churn schedule: someone whose permanent leave
-      // fell inside the re-signaling gap stays gone.
-      if (ChurnedOut(s->spec, now_s())) return;
-      // If a failover blackout started while this re-join was pending and
-      // swallowed the meeting, joining now would sign the peer onto the
-      // dying switch; hand it to the failover recovery instead.
-      if (in_failover_ &&
-          std::find(failover_affected_.begin(), failover_affected_.end(),
-                    s->meeting_id) != failover_affected_.end()) {
-        failover_returnees_.push_back(s);
-        return;
-      }
-      JoinSlot(*s);
-    });
+    backend_->sched().After(util::Seconds(resignal_s),
+                            [this, s] { ResumeSlot(*s); });
   }
 }
 

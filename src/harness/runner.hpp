@@ -89,7 +89,14 @@ class ScenarioRunner {
   };
 
   void ScheduleSpec();
+  // Joins now, or — while the meeting has no live owner (a dead region
+  // controller's shard awaiting adoption) — retries one controller
+  // heartbeat interval later via ResumeSlot.
   void JoinSlot(Slot& slot);
+  // A deferred (re-)join: the spec's churn schedule wins, and a failover
+  // blackout that swallowed the meeting hands the peer to the failover
+  // recovery instead. Returns whether the peer is now present.
+  bool ResumeSlot(Slot& slot);
   void LeaveSlot(Slot& slot);
   void FailoverBegin();
   void FailoverEnd();

@@ -1,11 +1,10 @@
 #include "obs/stats_registry.hpp"
 
-#include <cinttypes>
 #include <cstdio>
 
 namespace scallop::obs {
 
-void StatsRegistry::Set(const std::string& name, uint64_t value) {
+void StatsRegistry::Set(const std::string& name, double value) {
   for (auto& [existing, v] : entries_) {
     if (existing == name) {
       v = value;
@@ -15,7 +14,7 @@ void StatsRegistry::Set(const std::string& name, uint64_t value) {
   entries_.emplace_back(name, value);
 }
 
-uint64_t StatsRegistry::Get(const std::string& name) const {
+double StatsRegistry::Get(const std::string& name) const {
   for (const auto& [existing, v] : entries_) {
     if (existing == name) return v;
   }
@@ -26,7 +25,7 @@ std::string StatsRegistry::ToText() const {
   std::string out;
   char buf[256];
   for (const auto& [name, value] : entries_) {
-    snprintf(buf, sizeof(buf), "%s=%" PRIu64 "\n", name.c_str(), value);
+    snprintf(buf, sizeof(buf), "%s=%.15g\n", name.c_str(), value);
     out += buf;
   }
   return out;

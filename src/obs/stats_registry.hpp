@@ -1,10 +1,12 @@
-// Unified counter registry: one walkable name -> value view over the
+// Unified stats registry: one walkable name -> value view over the
 // scattered counter families (aggregate metrics, control-plane counters,
 // cascade counters, federation/topology/workload/redundancy stats, trace
-// totals). Summary(), the CSV writer, and the Chrome trace exporter all
-// read from the same registration instead of each hand-picking fields.
+// totals). ScenarioMetrics fills it from the same section declarations
+// its CSV and Summary() render, and the Chrome trace exporter embeds it.
 //
-// Entries keep insertion order so every rendered view is deterministic.
+// Values are doubles so ratios (link utilization) sit beside counters;
+// counters stay exact up to 2^53. Entries keep insertion order so every
+// rendered view is deterministic.
 #pragma once
 
 #include <cstdint>
@@ -16,22 +18,23 @@ namespace scallop::obs {
 
 class StatsRegistry {
  public:
-  // Registers or overwrites a counter. Insertion order is preserved;
+  // Registers or overwrites a value. Insertion order is preserved;
   // re-setting an existing name updates it in place.
-  void Set(const std::string& name, uint64_t value);
+  void Set(const std::string& name, double value);
 
   // Returns the value, or 0 when the name was never registered.
-  uint64_t Get(const std::string& name) const;
+  double Get(const std::string& name) const;
 
-  const std::vector<std::pair<std::string, uint64_t>>& entries() const {
+  const std::vector<std::pair<std::string, double>>& entries() const {
     return entries_;
   }
 
-  // One "name=value" line per entry, in registration order.
+  // One "name=value" line per entry (%.15g: integers print exactly), in
+  // registration order.
   std::string ToText() const;
 
  private:
-  std::vector<std::pair<std::string, uint64_t>> entries_;
+  std::vector<std::pair<std::string, double>> entries_;
 };
 
 }  // namespace scallop::obs

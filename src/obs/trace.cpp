@@ -88,6 +88,25 @@ void TraceLog::Emit(util::TimeUs t, Category category, const std::string& track,
   events_.push_back(TraceEvent{t, category, track, name, corr, detail});
 }
 
+void Emitf(TraceLog* log, util::TimeUs t, Category category,
+           std::string_view track, std::string_view name, uint64_t corr,
+           const char* fmt, ...) {
+  if (log == nullptr) return;
+  va_list ap;
+  va_start(ap, fmt);
+  VEmitf(log, t, category, track, name, corr, fmt, ap);
+  va_end(ap);
+}
+
+void VEmitf(TraceLog* log, util::TimeUs t, Category category,
+            std::string_view track, std::string_view name, uint64_t corr,
+            const char* fmt, va_list args) {
+  if (log == nullptr) return;
+  char detail[160];
+  vsnprintf(detail, sizeof(detail), fmt, args);
+  log->Emit(t, category, std::string(track), std::string(name), corr, detail);
+}
+
 std::string TraceLog::ToText() const {
   std::string out;
   for (const TraceEvent& e : events_) {
@@ -188,7 +207,7 @@ std::string TraceLog::ToChromeJson(const StatsRegistry* registry) const {
     for (const auto& [name, value] : registry->entries()) {
       if (!first_stat) out += ',';
       first_stat = false;
-      Append(out, "\"%s\":%" PRIu64, JsonEscape(name).c_str(), value);
+      Append(out, "\"%s\":%.15g", JsonEscape(name).c_str(), value);
     }
     out += "}}";
   }

@@ -21,11 +21,18 @@
 // Emit() takes an explicit timestamp rather than holding a scheduler
 // reference: the harness constructs the TraceLog before the backend (and
 // its scheduler) exists, and every emitter already knows the current time.
+//
+// Instrumented code holds a possibly-null TraceLog* and goes through the
+// null-safe free functions at the bottom of this header (Emitf,
+// NextCorrelation), so an untraced run pays one branch per site and never
+// formats a detail string.
 #pragma once
 
+#include <cstdarg>
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/time.hpp"
@@ -91,5 +98,20 @@ class TraceLog {
   uint64_t total_emitted_ = 0;
   uint64_t evicted_ = 0;
 };
+
+// Fresh correlation id, or 0 (uncorrelated) when tracing is off.
+inline uint64_t NextCorrelation(TraceLog* log) {
+  return log != nullptr ? log->NextCorrelation() : 0;
+}
+
+// The one printf-style emit entry point: formats `fmt` into the event's
+// detail and records it. A null `log` returns before any formatting.
+// VEmitf is the va_list form for wrappers that add their own defaults.
+void Emitf(TraceLog* log, util::TimeUs t, Category category,
+           std::string_view track, std::string_view name, uint64_t corr,
+           const char* fmt, ...) __attribute__((format(printf, 7, 8)));
+void VEmitf(TraceLog* log, util::TimeUs t, Category category,
+            std::string_view track, std::string_view name, uint64_t corr,
+            const char* fmt, va_list args);
 
 }  // namespace scallop::obs

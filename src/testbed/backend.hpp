@@ -206,6 +206,12 @@ class Backend {
   virtual core::SignalingServer& RegionIngress(size_t /*r*/) {
     return signaling();
   }
+  // Whether a Join into `meeting` can be served now. Only a federated
+  // fleet says no: between a controller's death and a peer's adoption of
+  // its shard, the meeting has no live owner.
+  virtual bool MeetingReachable(core::MeetingId /*meeting*/) const {
+    return true;
+  }
 
   // Advances to absolute simulation time `t_s` (no-op if already past).
   virtual void RunUntil(double t_s) = 0;

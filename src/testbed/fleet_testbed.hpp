@@ -65,6 +65,9 @@ class FleetTestbed : public Backend {
   core::SignalingServer& RegionIngress(size_t r) override {
     return federation_->ingress(r);
   }
+  bool MeetingReachable(core::MeetingId meeting) const override {
+    return federation_->HasLiveOwner(meeting);
+  }
   TopologySnapshot topology_snapshot() const override;
   void SetInterSwitchLinkCapacity(size_t a, size_t b,
                                   double capacity_bps) override;

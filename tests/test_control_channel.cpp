@@ -6,6 +6,7 @@
 // scenario: live rebalancing under skewed join load with no failover.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -215,6 +216,103 @@ TEST(ControlChannel, RelayLegNamingUnknownSenderIsAPureNoOp) {
   EXPECT_EQ(bed.agent.relay_count(), 1u);
   EXPECT_EQ(bed.agent.stats().relay_legs, 1u);
   EXPECT_NE(bed.dp.MutableFeedback(port), nullptr);
+}
+
+// ---- MessageConduit: one body for traced and untraced runs ---------------
+
+// Everything a conduit run shows its users: which message arrived when,
+// each Transact outcome, and the accounting.
+struct ConduitRun {
+  std::vector<std::pair<int, util::TimeUs>> deliveries;
+  std::vector<bool> transacts;
+  ConduitStats stats;
+};
+
+// Message i of DriveConduit is: a named Send (i % 4 == 0), an unnamed
+// Send like telemetry (1), a named SendReliable whose retransmission is
+// cancelled when i % 3 == 0 (2), or a named Transact (3).
+constexpr int kConduitMessages = 80;
+constexpr int kNamedConduitMessages = kConduitMessages * 3 / 4;
+
+ConduitRun DriveConduit(obs::TraceLog* trace) {
+  sim::Scheduler sched;
+  MessageConduit conduit(sched, util::Millis(5), /*loss_rate=*/0.3,
+                         /*seed=*/42);
+  if (trace != nullptr) {
+    conduit.set_trace(trace, "c", obs::Category::kControl);
+  }
+  ConduitRun run;
+  for (int i = 0; i < kConduitMessages; ++i) {
+    // 1 ms apart: later sends overlap earlier deliveries and resends.
+    sched.At(util::Millis(i), [&run, &sched, &conduit, i] {
+      auto record = [&run, &sched, i] {
+        run.deliveries.emplace_back(i, sched.now());
+      };
+      switch (i % 4) {
+        case 0: conduit.Send(run.stats, record, "cmd"); break;
+        case 1: conduit.Send(run.stats, record); break;
+        case 2:
+          conduit.SendReliable(run.stats, record,
+                               [i] { return i % 3 != 0; }, "rel");
+          break;
+        default: run.transacts.push_back(conduit.Transact(run.stats, "tx"));
+      }
+    });
+  }
+  sched.RunUntil(util::Seconds(1));
+  return run;
+}
+
+TEST(MessageConduit, TracingChangesNothingObservable) {
+  const ConduitRun plain = DriveConduit(nullptr);
+  obs::TraceLog trace;
+  const ConduitRun traced = DriveConduit(&trace);
+
+  // The run exercised the lossy paths: drops, resends, failed transacts.
+  EXPECT_GT(plain.stats.dropped, 0u);
+  EXPECT_GT(plain.stats.retransmitted, 0u);
+  EXPECT_FALSE(plain.deliveries.empty());
+  EXPECT_NE(std::count(plain.transacts.begin(), plain.transacts.end(), false),
+            0);
+
+  EXPECT_EQ(traced.deliveries, plain.deliveries);
+  EXPECT_EQ(traced.transacts, plain.transacts);
+  EXPECT_EQ(traced.stats.sent, plain.stats.sent);
+  EXPECT_EQ(traced.stats.delivered, plain.stats.delivered);
+  EXPECT_EQ(traced.stats.dropped, plain.stats.dropped);
+  EXPECT_EQ(traced.stats.retransmitted, plain.stats.retransmitted);
+}
+
+TEST(MessageConduit, TraceFollowsSentThenOutcomeUnderOneId) {
+  obs::TraceLog trace;
+  DriveConduit(&trace);
+
+  // Per correlation id, in log order: "sent (dropped|applied)" with an
+  // optional "retx (dropped|applied)" — the resend shares the command's id.
+  std::map<uint64_t, std::vector<std::string>> by_corr;
+  for (const obs::TraceEvent& e : trace.events()) {
+    ASSERT_NE(e.corr, 0u) << e.name;
+    const size_t dot = e.name.rfind('.');
+    ASSERT_NE(dot, std::string::npos) << e.name;
+    by_corr[e.corr].push_back(e.name.substr(dot + 1));
+    const std::string base = e.name.substr(0, dot);
+    EXPECT_TRUE(base == "cmd" || base == "rel" || base == "tx") << e.name;
+  }
+  for (const auto& [corr, steps] : by_corr) {
+    ASSERT_TRUE(steps.size() == 2 || steps.size() == 4) << "corr " << corr;
+    EXPECT_EQ(steps[0], "sent") << "corr " << corr;
+    EXPECT_TRUE(steps[1] == "dropped" || steps[1] == "applied");
+    if (steps.size() == 4) {
+      EXPECT_EQ(steps[2], "retx") << "corr " << corr;
+      EXPECT_TRUE(steps[3] == "dropped" || steps[3] == "applied");
+    }
+  }
+  // Only named messages draw ids, so they are exactly 1..named: an
+  // unnamed send would have shifted every later id.
+  ASSERT_EQ(by_corr.size(), static_cast<size_t>(kNamedConduitMessages));
+  EXPECT_EQ(by_corr.begin()->first, 1u);
+  EXPECT_EQ(by_corr.rbegin()->first,
+            static_cast<uint64_t>(kNamedConduitMessages));
 }
 
 // ---- fleet failure detection over heartbeats ----------------------------

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "harness/runner.hpp"
+#include "harness/workload.hpp"
 #include "testbed/fleet_testbed.hpp"
 #include "testbed/testbed.hpp"
 
@@ -171,6 +172,45 @@ TEST(Federation, ControllerDeathShardAdoption) {
   // No peer starved across the takeover.
   ExpectHealthy(m, 10);
   for (const auto& p : m.peers) EXPECT_TRUE(p.present_at_end);
+}
+
+TEST(Federation, JoinIntoOwnerlessMeetingRetriesUntilAdoption) {
+  // Regression: a join or re-signal reaching a meeting whose owning
+  // controller had died, before a peer adopted its shard, threw
+  // std::out_of_range out of FederatedControlPlane::Join and aborted the
+  // run. Joins spread to 0.6 x duration with the death at half time put
+  // joins and rebalance re-signals inside that window; they now retry one
+  // controller heartbeat later.
+  const double duration_s = 20.0;
+  WorkloadSpec w;
+  w.name = "fed-ownerless-join";
+  w.seed = 3;
+  w.duration_s = duration_s;
+  w.WithBackend(testbed::BackendChoice::Fleet(6, 2))
+      .WithGrid(6, 5)
+      .WithDiurnal(6.0, 12.0, 0.6, 0.4)
+      .WithFollowTheSun()
+      .WithRoaming(4, 0.6)
+      .WithFlashCrowd(1, 3)
+      .WithControlPlane(0.001, 0.0)
+      .WithPlacementPolicy(core::PlacementPolicyConfig::Cascade(4));
+  ScenarioSpec spec = w.Compile();
+  spec.WithRebalance(2.0, 2).WithControllerFailure(0.5 * duration_s, 1);
+  ScenarioRunner r(spec);
+  ScenarioMetrics m;
+  ASSERT_NO_THROW(m = r.Run());
+
+  EXPECT_EQ(m.federation.shards_adopted, 1u);
+  ExpectHealthy(m, 10);
+  // Every peer the spec keeps in its meeting to the end got there.
+  for (const auto& p : m.peers) {
+    const ParticipantSpec& ps =
+        spec.meetings[static_cast<size_t>(p.meeting)]
+            .participants[static_cast<size_t>(p.index)];
+    const bool left = ps.leave_at_s >= 0.0 && ps.rejoin_at_s < 0.0;
+    EXPECT_EQ(p.present_at_end, !left)
+        << "meeting " << p.meeting << " peer " << p.index;
+  }
 }
 
 }  // namespace

@@ -5,7 +5,14 @@
 // byte-identical metric output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "harness/runner.hpp"
+#include "obs/stats_registry.hpp"
 
 namespace scallop::harness {
 namespace {
@@ -349,6 +356,98 @@ TEST(Determinism, DifferentSeedsDiverge) {
     b = runner.Run().ToCsv();
   }
   EXPECT_NE(a, b);
+}
+
+TEST(Metrics, RegistryAndSummaryCoverEveryRenderedCsvScalar) {
+  // fleet{6,2} with every gated section switched on: declared backbone
+  // (topology), roaming (workload), hitless moves (redundancy), tracing
+  // (obs), plus the fleet/cascade/control/federation sections a federated
+  // fleet always renders.
+  ScenarioSpec spec = ScenarioSpec::Uniform("metrics-all", 2, 3, 3.0, 4);
+  spec.WithBackend(testbed::BackendChoice::Fleet(6, 2))
+      .WithControlPlane(0.001)
+      .WithInterSwitchLink(0, 1, 0.001)
+      .WithRoam(0, 0, 1.5, 1)
+      .WithHitlessMigration()
+      .WithTrace();
+  ScenarioRunner runner(spec);
+  const ScenarioMetrics& m = runner.Run();
+  // The backend label "fleet{6,2}" carries a comma of its own; mask it so
+  // the cells split.
+  std::string csv = m.ToCsv();
+  for (size_t at; (at = csv.find(m.backend)) != std::string::npos;) {
+    csv.replace(at, m.backend.size(), "fleet{6;2}");
+  }
+  const std::string summary = m.Summary();
+  obs::StatsRegistry registry;
+  m.RegisterInto(registry);
+
+  const char* kSections[] = {"aggregate", "fleet",    "cascade",
+                             "topology",  "control",  "federation",
+                             "workload",  "redundancy", "obs"};
+  std::vector<std::string> labels;  // non-numeric cells
+  for (const char* section : kSections) {
+    std::vector<std::vector<std::string>> rows;
+    std::istringstream in(csv);
+    std::string line;
+    while (std::getline(in, line)) {
+      std::vector<std::string> cells;
+      std::istringstream split(line);
+      std::string cell;
+      while (std::getline(split, cell, ',')) cells.push_back(cell);
+      if (cells[0] == section) {
+        rows.emplace_back(cells.begin() + 1, cells.end());
+      }
+    }
+    // Every section rendered, as a header + value row or one key,value row.
+    ASSERT_TRUE(rows.size() == 1 || rows.size() == 2) << section;
+    std::vector<std::pair<std::string, std::string>> scalars;
+    if (rows.size() == 2) {
+      ASSERT_EQ(rows[0].size(), rows[1].size()) << section;
+      for (size_t i = 0; i < rows[0].size(); ++i) {
+        scalars.emplace_back(rows[0][i], rows[1][i]);
+      }
+    } else {
+      ASSERT_EQ(rows[0].size() % 2, 0u) << section;
+      for (size_t i = 0; i < rows[0].size(); i += 2) {
+        scalars.emplace_back(rows[0][i], rows[0][i + 1]);
+      }
+    }
+    // The Summary shows the section, and the registry every numeric cell.
+    EXPECT_NE(summary.find("    " + std::string(section) + ":"),
+              std::string::npos)
+        << section << "\n" << summary;
+    for (const auto& [column, text] : scalars) {
+      const std::string key = std::string(section) + "." + column;
+      char* end = nullptr;
+      const double value = std::strtod(text.c_str(), &end);
+      if (end == text.c_str() || *end != '\0') {
+        labels.push_back(key);
+        continue;
+      }
+      const auto& entries = registry.entries();
+      const auto it = std::find_if(entries.begin(), entries.end(),
+                                   [&](const auto& e) { return e.first == key; });
+      ASSERT_NE(it, entries.end()) << key << " missing from the registry";
+      EXPECT_NEAR(it->second, value, 1e-4) << key;
+    }
+  }
+  // The backend label is the only text cell; it has no registry value.
+  EXPECT_EQ(labels, std::vector<std::string>{"fleet.backend"});
+
+  // No Summary line for a section the CSV left out: a plain scallop run
+  // renders only the aggregate section, and its Summary agrees.
+  ScenarioRunner plain(ScenarioSpec::Uniform("metrics-plain", 1, 2, 1.0, 4));
+  const ScenarioMetrics& pm = plain.Run();
+  const std::string plain_summary = pm.Summary();
+  for (const char* section : kSections) {
+    const bool in_csv =
+        pm.ToCsv().find("\n" + std::string(section) + ",") != std::string::npos;
+    const bool in_summary =
+        plain_summary.find("    " + std::string(section) + ":") !=
+        std::string::npos;
+    EXPECT_EQ(in_csv, in_summary) << section << "\n" << plain_summary;
+  }
 }
 
 }  // namespace

@@ -232,7 +232,7 @@ TEST(Workload, SummaryNamesSpecAndSeed) {
   EXPECT_NE(summary.find("planet-day"), std::string::npos);
   EXPECT_NE(summary.find("fleet{6,2}"), std::string::npos);
   EXPECT_NE(summary.find("seed=9"), std::string::npos);
-  EXPECT_NE(summary.find("roams executed"), std::string::npos);
+  EXPECT_NE(summary.find("roams_executed"), std::string::npos);
 }
 
 }  // namespace
