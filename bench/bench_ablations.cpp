@@ -174,9 +174,9 @@ int main() {
   client::Peer& p1 = bed.AddPeer();
   client::Peer& p2 = bed.AddPeer();
   client::Peer& p3 = bed.AddPeer();
-  p1.Join(bed.controller(), meeting);
-  p2.Join(bed.controller(), meeting);
-  p3.Join(bed.controller(), meeting);
+  p1.Join(bed.signaling(), meeting);
+  p2.Join(bed.signaling(), meeting);
+  p3.Join(bed.signaling(), meeting);
   double seconds = 30.0;
   bed.RunFor(seconds);
 

@@ -46,8 +46,8 @@ util::SampleSet RunScallop(double seconds) {
   client::Peer& a = bed.AddPeer();
   client::Peer& b = bed.AddPeer();
   auto meeting = bed.CreateMeeting();
-  a.Join(bed.controller(), meeting);
-  b.Join(bed.controller(), meeting);
+  a.Join(bed.signaling(), meeting);
+  b.Join(bed.signaling(), meeting);
   bed.RunFor(seconds);
   return rtt_ms;
 }

@@ -27,14 +27,16 @@ int main() {
   client::Peer& r12 = bed.AddPeer();
   client::Peer& r17 = bed.AddPeer();
   auto meeting = bed.CreateMeeting();
-  sender.Join(bed.controller(), meeting);
-  r12.Join(bed.controller(), meeting);
-  r17.Join(bed.controller(), meeting);
+  sender.Join(bed.signaling(), meeting);
+  r12.Join(bed.signaling(), meeting);
+  r17.Join(bed.signaling(), meeting);
+  // The agent numbers meetings switch-locally.
+  const core::MeetingId local = bed.fleet().PlacementDetail(meeting).second;
 
   bed.RunFor(kDrop1);
-  bed.agent().ForceDecodeTarget(meeting, r12.id(), sender.id(), 1);
+  bed.agent().ForceDecodeTarget(local, r12.id(), sender.id(), 1);
   bed.RunFor(kDrop2 - kDrop1);
-  bed.agent().ForceDecodeTarget(meeting, r17.id(), sender.id(), 1);
+  bed.agent().ForceDecodeTarget(local, r17.id(), sender.id(), 1);
   bed.RunFor(kTotal - kDrop2);
 
   const auto* rx12 = r12.video_receiver(sender.id());

@@ -83,9 +83,9 @@ int main() {
   });
 
   auto meeting = bed.CreateMeeting();
-  p1.Join(bed.controller(), meeting);
-  p2.Join(bed.controller(), meeting);
-  p3.Join(bed.controller(), meeting);
+  p1.Join(bed.signaling(), meeting);
+  p2.Join(bed.signaling(), meeting);
+  p3.Join(bed.signaling(), meeting);
   bed.RunFor(kDuration);
 
   auto get = [&](const std::string& k) { return counts[k]; };

@@ -24,7 +24,7 @@ int main() {
     auto meeting = bed.CreateMeeting();
     int size = 2 + m % 3;  // mix of 2-4 party meetings
     for (int p = 0; p < size; ++p) {
-      bed.AddPeer().Join(bed.controller(), meeting);
+      bed.AddPeer().Join(bed.signaling(), meeting);
     }
   }
   double seconds = bench::FullScale() ? 60.0 : 15.0;

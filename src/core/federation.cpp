@@ -29,28 +29,24 @@ FederatedControlPlane::FederatedControlPlane(sim::Scheduler& sched,
     reg.controller = std::make_unique<FleetController>();
     reg.peer_last_seen.assign(R, 0);
     reg.peer_alive.assign(R, true);
-    if (R > 1) {
-      // Disjoint id spaces: region r mints meeting ids r+1, r+1+R, ...
-      // (so (id-1) % R names the minting region) and relay
-      // pseudo-participants from a per-region base.
-      reg.controller->ConfigureIdSpace(
-          static_cast<MeetingId>(r) + 1, static_cast<MeetingId>(R),
-          0x4000'0000u + 60'000u +
-              static_cast<ParticipantId>(r) * 100'000u);
-      reg.controller->SetBorderSpanProvider(
-          [this, r](MeetingId meeting) { return BorderGuestFor(r, meeting); });
-    }
+    // Disjoint id spaces: region r mints meeting ids r+1, r+1+R, ...
+    // (so (id-1) % R names the minting region) and relay
+    // pseudo-participants from a per-region base. A lone region gets the
+    // controller's default numbering.
+    reg.controller->ConfigureIdSpace(
+        static_cast<MeetingId>(r) + 1, static_cast<MeetingId>(R),
+        0x4000'0000u + 60'000u + static_cast<ParticipantId>(r) * 100'000u);
+    reg.controller->SetBorderSpanProvider(
+        [this, r](MeetingId meeting) { return BorderGuestFor(r, meeting); });
   }
-  if (R > 1) {
-    // One conduit per unordered region pair: each east-west peering link
-    // gets its own RNG stream, like each southbound channel does.
-    conduits_.resize(R * R);
-    for (size_t a = 0; a < R; ++a) {
-      for (size_t b = a + 1; b < R; ++b) {
-        conduits_[a * R + b] = std::make_unique<MessageConduit>(
-            sched_, cfg_.east_west_latency, cfg_.east_west_loss,
-            cfg_.seed * 1'000'003 + 8191 + (a * R + b) * 104'729);
-      }
+  // One conduit per unordered region pair: each east-west peering link
+  // gets its own RNG stream, like each southbound channel does.
+  conduits_.resize(R * R);
+  for (size_t a = 0; a < R; ++a) {
+    for (size_t b = a + 1; b < R; ++b) {
+      conduits_[a * R + b] = std::make_unique<MessageConduit>(
+          sched_, cfg_.east_west_latency, cfg_.east_west_loss,
+          cfg_.seed * 1'000'003 + 8191 + (a * R + b) * 104'729);
     }
   }
 }
@@ -113,7 +109,7 @@ bool FederatedControlPlane::ToLocal(size_t r, size_t global_switch,
 size_t FederatedControlPlane::AddSwitch(ControlChannel& channel,
                                         net::Ipv4 sfu_ip) {
   const size_t global = owner_region_.size();
-  const size_t r = regions_.size() == 1 ? 0 : SliceOf(global);
+  const size_t r = SliceOf(global);
   const size_t local = regions_[r].controller->AddSwitch(channel, sfu_ip,
                                                          global);
   owner_region_.push_back(r);
@@ -127,6 +123,7 @@ size_t FederatedControlPlane::AddSwitch(ControlChannel& channel,
 }
 
 void FederatedControlPlane::Activate() {
+  // A lone region has no peers to heartbeat or watch.
   if (regions_.size() < 2 || cfg_.heartbeat_interval <= 0) return;
   for (size_t r = 0; r < regions_.size(); ++r) {
     Region& reg = regions_[r];
@@ -150,17 +147,17 @@ void FederatedControlPlane::Activate() {
 
 // ---- signaling -------------------------------------------------------------
 
-size_t FederatedControlPlane::PickOwnerRegion() const {
-  // The region holding the globally least-loaded owned live switch, the
-  // same participants-then-meetings comparison LeastLoadedLive applies
+std::pair<size_t, size_t> FederatedControlPlane::LeastLoadedOwnedSwitch(
+    size_t skip) const {
+  // The same participants-then-meetings comparison LeastLoadedLive applies
   // inside one fleet, weighted by each switch's capacity class (exact
   // no-op at the homogeneous default of 1.0).
-  size_t best = SIZE_MAX;
+  std::pair<size_t, size_t> best{SIZE_MAX, SIZE_MAX};
   double best_participants = std::numeric_limits<double>::infinity();
   double best_meetings = std::numeric_limits<double>::infinity();
   for (size_t r = 0; r < regions_.size(); ++r) {
     const Region& reg = regions_[r];
-    if (reg.dead) continue;
+    if (r == skip || reg.dead) continue;
     const FleetController& fc = *reg.controller;
     for (size_t l = 0; l < fc.switch_count(); ++l) {
       if (!fc.OwnsSwitch(l) || !fc.IsAlive(l)) continue;
@@ -171,47 +168,26 @@ size_t FederatedControlPlane::PickOwnerRegion() const {
           (p == best_participants && m < best_meetings)) {
         best_participants = p;
         best_meetings = m;
-        best = r;
+        best = {r, l};
       }
     }
   }
   return best;
 }
 
-MeetingId FederatedControlPlane::CreateMeeting() {
-  if (regions_.size() == 1) return regions_[0].controller->CreateMeeting();
-  const size_t owner = PickOwnerRegion();
-  if (owner == SIZE_MAX) {
-    throw std::runtime_error("federation: no live region to place on");
+MeetingId FederatedControlPlane::CreateMeetingIn(size_t r) {
+  size_t owner = r;
+  if (owner >= regions_.size() || regions_[owner].dead) {
+    owner = LeastLoadedOwnedSwitch().first;
+    if (owner == SIZE_MAX) {
+      throw std::runtime_error("federation: no live region to place on");
+    }
   }
   const MeetingId id = regions_[owner].controller->CreateMeeting();
   // Announce the new meeting to every live peer (reliably — a missed
   // announcement degrades the peer to a lookup round, but the ack/retx
   // machinery makes that rare), so their directory caches resolve Joins
   // without asking around.
-  for (size_t q = 0; q < regions_.size(); ++q) {
-    if (q == owner || regions_[q].dead) continue;
-    ConduitFor(owner, q).SendReliable(
-        ew_stats_,
-        [this, q, id, owner] {
-          if (!regions_[q].dead) regions_[q].owner_cache[id] = owner;
-        },
-        nullptr, "announce");
-    ++stats_.directory_announcements;
-  }
-  return id;
-}
-
-MeetingId FederatedControlPlane::CreateMeetingIn(size_t r) {
-  if (regions_.size() == 1) return regions_[0].controller->CreateMeeting();
-  size_t owner = r;
-  if (owner >= regions_.size() || regions_[owner].dead) {
-    owner = PickOwnerRegion();
-    if (owner == SIZE_MAX) {
-      throw std::runtime_error("federation: no live region to place on");
-    }
-  }
-  const MeetingId id = regions_[owner].controller->CreateMeeting();
   for (size_t q = 0; q < regions_.size(); ++q) {
     if (q == owner || regions_[q].dead) continue;
     ConduitFor(owner, q).SendReliable(
@@ -285,7 +261,6 @@ void FederatedControlPlane::Leave(MeetingId meeting,
 }
 
 SignalingServer& FederatedControlPlane::ingress(size_t r) {
-  if (regions_.size() == 1) return *this;
   if (ingress_faces_.empty()) ingress_faces_.resize(regions_.size());
   if (!ingress_faces_[r]) {
     ingress_faces_[r] = std::make_unique<RegionIngress>(*this, r);
@@ -296,9 +271,6 @@ SignalingServer& FederatedControlPlane::ingress(size_t r) {
 FederatedControlPlane::JoinResult FederatedControlPlane::JoinVia(
     size_t r, MeetingId meeting, const sdp::SessionDescription& offer,
     SignalingClient* client) {
-  if (regions_.size() == 1) {
-    return regions_[0].controller->Join(meeting, offer, client);
-  }
   const size_t owner = ResolveOwner(IngressFor(r), meeting);
   if (owner == SIZE_MAX) {
     throw std::out_of_range(
@@ -310,10 +282,6 @@ FederatedControlPlane::JoinResult FederatedControlPlane::JoinVia(
 
 void FederatedControlPlane::LeaveVia(size_t r, MeetingId meeting,
                                      ParticipantId participant) {
-  if (regions_.size() == 1) {
-    regions_[0].controller->Leave(meeting, participant);
-    return;
-  }
   const size_t owner = ResolveOwner(IngressFor(r), meeting);
   if (owner == SIZE_MAX) return;  // quiet, like FleetController::Leave
   regions_[owner].controller->Leave(meeting, participant);
@@ -358,11 +326,6 @@ void FederatedControlPlane::set_relay_stream_bps(double bps) {
 void FederatedControlPlane::ConfigureInterSwitchLink(size_t a, size_t b,
                                                      double latency_s,
                                                      double capacity_bps) {
-  if (regions_.size() == 1) {
-    regions_[0].controller->ConfigureInterSwitchLink(a, b, latency_s,
-                                                     capacity_bps);
-    return;
-  }
   global_topology_.EnsureNodes(switch_count());
   global_topology_.SetLink(a, b, latency_s, capacity_bps);
   // Each region's controller keeps a slice-local link-state view; only
@@ -378,21 +341,12 @@ void FederatedControlPlane::ConfigureInterSwitchLink(size_t a, size_t b,
 
 void FederatedControlPlane::SetInterSwitchLinkCapacity(size_t a, size_t b,
                                                        double capacity_bps) {
-  if (regions_.size() == 1) {
-    regions_[0].controller->SetInterSwitchLinkCapacity(a, b, capacity_bps);
-    return;
-  }
   global_topology_.SetLinkCapacity(a, b, capacity_bps);
   const size_t ra = owner_region_[a];
   if (ra == owner_region_[b] && !regions_[ra].dead) {
     regions_[ra].controller->SetInterSwitchLinkCapacity(
         owner_local_[a], owner_local_[b], capacity_bps);
   }
-}
-
-const InterSwitchTopology& FederatedControlPlane::topology() const {
-  return regions_.size() == 1 ? regions_[0].controller->topology()
-                              : global_topology_;
 }
 
 void FederatedControlPlane::EnableRebalancer(const RebalanceConfig& cfg) {
@@ -404,10 +358,6 @@ void FederatedControlPlane::EnableRebalancer(const RebalanceConfig& cfg) {
 void FederatedControlPlane::SetMigrationCallback(
     std::function<void(MeetingId, size_t, size_t)> cb) {
   migration_cb_ = std::move(cb);
-  if (regions_.size() == 1) {
-    regions_[0].controller->SetMigrationCallback(migration_cb_);
-    return;
-  }
   for (size_t r = 0; r < regions_.size(); ++r) {
     regions_[r].controller->SetMigrationCallback(
         [this, r](MeetingId meeting, size_t from, size_t to) {
@@ -426,10 +376,6 @@ void FederatedControlPlane::SetRedundancy(const RedundancyConfig& cfg) {
 void FederatedControlPlane::SetHitlessMigrationCallback(
     std::function<void(MeetingId, size_t, size_t)> cb) {
   hitless_cb_ = std::move(cb);
-  if (regions_.size() == 1) {
-    regions_[0].controller->SetHitlessMigrationCallback(hitless_cb_);
-    return;
-  }
   for (size_t r = 0; r < regions_.size(); ++r) {
     regions_[r].controller->SetHitlessMigrationCallback(
         [this, r](MeetingId meeting, size_t from, size_t to) {
@@ -448,9 +394,6 @@ void FederatedControlPlane::FreezeMeetings(
 }
 
 MeetingPlacement FederatedControlPlane::PlacementOf(MeetingId meeting) const {
-  if (regions_.size() == 1) {
-    return regions_[0].controller->PlacementOf(meeting);
-  }
   for (size_t r = 0; r < regions_.size(); ++r) {
     if (regions_[r].controller->directory().Find(meeting) == nullptr) {
       continue;
@@ -468,9 +411,6 @@ MeetingPlacement FederatedControlPlane::PlacementOf(MeetingId meeting) const {
 
 std::pair<size_t, MeetingId> FederatedControlPlane::PlacementDetail(
     MeetingId meeting) const {
-  if (regions_.size() == 1) {
-    return regions_[0].controller->PlacementDetail(meeting);
-  }
   for (size_t r = 0; r < regions_.size(); ++r) {
     if (regions_[r].controller->directory().Find(meeting) == nullptr) {
       continue;
@@ -484,7 +424,6 @@ std::pair<size_t, MeetingId> FederatedControlPlane::PlacementDetail(
 
 std::vector<MeetingRelay> FederatedControlPlane::RelaysOf(
     MeetingId meeting) const {
-  if (regions_.size() == 1) return regions_[0].controller->RelaysOf(meeting);
   for (size_t r = 0; r < regions_.size(); ++r) {
     if (regions_[r].controller->directory().Find(meeting) == nullptr) {
       continue;
@@ -507,9 +446,6 @@ bool FederatedControlPlane::IsAlive(size_t global_switch) const {
 }
 
 int FederatedControlPlane::LoadOf(size_t global_switch) const {
-  if (regions_.size() == 1) {
-    return regions_[0].controller->LoadOf(global_switch);
-  }
   // Owner plus borrowers: each region only counts members it placed on
   // the switch, so the per-region counts are disjoint and sum cleanly.
   int total = 0;
@@ -523,9 +459,6 @@ int FederatedControlPlane::LoadOf(size_t global_switch) const {
 }
 
 int FederatedControlPlane::MeetingsOn(size_t global_switch) const {
-  if (regions_.size() == 1) {
-    return regions_[0].controller->MeetingsOn(global_switch);
-  }
   int total = 0;
   for (size_t r = 0; r < regions_.size(); ++r) {
     size_t local;
@@ -547,9 +480,6 @@ void FederatedControlPlane::ReviveSwitch(size_t global_switch) {
 }
 
 double FederatedControlPlane::LinkLoad(size_t a, size_t b) const {
-  if (regions_.size() == 1) {
-    return regions_[0].controller->topology().LoadOf(a, b);
-  }
   double total = 0.0;
   for (size_t r = 0; r < regions_.size(); ++r) {
     size_t la, lb;
@@ -710,28 +640,9 @@ size_t FederatedControlPlane::BorderGuestFor(size_t owner, MeetingId meeting) {
   Region& own = regions_[owner];
   auto cached = own.border_guest.find(meeting);
   if (cached != own.border_guest.end()) return cached->second;
-  // Lender: the live peer holding the globally least-loaded owned live
-  // switch (the same comparison new meetings are placed with).
-  size_t lender = SIZE_MAX;
-  size_t lender_switch = SIZE_MAX;
-  int best_participants = std::numeric_limits<int>::max();
-  int best_meetings = std::numeric_limits<int>::max();
-  for (size_t q = 0; q < regions_.size(); ++q) {
-    if (q == owner || regions_[q].dead) continue;
-    const FleetController& fc = *regions_[q].controller;
-    for (size_t l = 0; l < fc.switch_count(); ++l) {
-      if (!fc.OwnsSwitch(l) || !fc.IsAlive(l)) continue;
-      const int p = fc.LoadOf(l);
-      const int m = fc.MeetingsOn(l);
-      if (p < best_participants ||
-          (p == best_participants && m < best_meetings)) {
-        best_participants = p;
-        best_meetings = m;
-        lender = q;
-        lender_switch = l;
-      }
-    }
-  }
+  // Lender: the live peer holding the least-loaded owned live switch,
+  // ranked exactly as new meetings are placed (capacity-weighted).
+  const auto [lender, lender_switch] = LeastLoadedOwnedSwitch(owner);
   if (lender == SIZE_MAX) return SIZE_MAX;
   // The border negotiation is a synchronous request/grant pair — the
   // span must be usable within this Join. Either message lost: no span

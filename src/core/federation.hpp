@@ -23,9 +23,11 @@
 //     switches — on controller death the lowest live peer adopts the
 //     orphaned shard (switches, directory, relay load) and life goes on.
 //
-// R == 1 is the degenerate federation: one region, no conduits, no
-// tasks, every call forwarded straight to the single FleetController —
-// byte-identical to the pre-federation fleet.
+// Every region count runs the same code. R == 1 is the federation of one:
+// its single region owns every switch, so slices, index maps and owner
+// lookups are identities, and with no peers there are no conduits,
+// announcements or heartbeat tasks — byte-identical to the
+// pre-federation fleet.
 #pragma once
 
 #include <cstdint>
@@ -184,7 +186,7 @@ struct FederationConfig {
   size_t regions = 1;
   // Total switches the fleet will register (fixes the region slices:
   // contiguous, sizes differing by at most one, remainder to the first
-  // regions). Only consulted when regions > 1.
+  // regions).
   size_t switches = 0;
   // East-west conduit characteristics (typically mirrored from the
   // southbound control-plane config).
@@ -221,24 +223,25 @@ class FederatedControlPlane : public SignalingServer {
   size_t AddSwitch(ControlChannel& channel, net::Ipv4 sfu_ip);
   // Starts east-west peering (controller heartbeats + the per-region
   // failure detectors). Call once, after every switch is registered.
-  // No-op for R == 1.
+  // No-op for R == 1, which has no peers.
   void Activate();
 
   // ---- signaling (any region can serve any meeting) ----------------------
-  MeetingId CreateMeeting();
-  // Follow-the-sun placement: mints the meeting in region `r` (announced
-  // east-west like CreateMeeting) so load genuinely lands where the spec
-  // says the day currently is. Falls back to the global least-loaded
-  // region when `r` is dead; identical to CreateMeeting for R == 1.
+  // Follow-the-sun placement: mints the meeting in region `r` so load
+  // genuinely lands where the spec says the day currently is, and
+  // announces it east-west to every live peer. An out-of-range or dead
+  // `r` (SIZE_MAX: no preference) takes the region holding the globally
+  // least-loaded owned live switch.
   MeetingId CreateMeetingIn(size_t r);
+  MeetingId CreateMeeting() { return CreateMeetingIn(SIZE_MAX); }
   JoinResult Join(MeetingId meeting, const sdp::SessionDescription& offer,
                   SignalingClient* client) override;
   void Leave(MeetingId meeting, ParticipantId participant) override;
   // Region-pinned signaling face for roaming clients: Joins/Leaves enter
   // the federation at region `r` (their current access region) instead of
   // the round-robin ingress, resolving the owner east-west from there. A
-  // dead ingress region falls back to round-robin. For R == 1 this is the
-  // plane itself. The reference stays valid for the plane's lifetime.
+  // dead ingress region falls back to round-robin. The reference stays
+  // valid for the plane's lifetime.
   SignalingServer& ingress(size_t r);
   // Join/Leave entering at region `r`; SIZE_MAX (what plain Join/Leave
   // pass) or a dead `r` takes the round-robin ingress. JoinVia throws
@@ -263,10 +266,10 @@ class FederatedControlPlane : public SignalingServer {
   void ConfigureInterSwitchLink(size_t a, size_t b, double latency_s,
                                 double capacity_bps);
   void SetInterSwitchLinkCapacity(size_t a, size_t b, double capacity_bps);
-  // R == 1: the single region's live view. R > 1: the plane's global
-  // link-state view (per-region controllers keep slice-local views; use
-  // LinkLoad for the federated load on a link).
-  const InterSwitchTopology& topology() const;
+  // The plane's global link-state view (per-region controllers keep
+  // slice-local views and the relay load they placed; use LinkLoad for
+  // the federated load on a link).
+  const InterSwitchTopology& topology() const { return global_topology_; }
   void EnableRebalancer(const RebalanceConfig& cfg);
   // Redundant dual relay trees + make-before-break migration: forwarded
   // to every region's controller. Off by default (classic behaviour).
@@ -351,9 +354,12 @@ class FederatedControlPlane : public SignalingServer {
   // The conduit between regions a and b (unordered pair; one per pair so
   // each peering link has its own RNG stream).
   MessageConduit& ConduitFor(size_t a, size_t b);
-  // Region that should own a new meeting: the one holding the globally
-  // least-loaded owned live switch.
-  size_t PickOwnerRegion() const;
+  // (region, controller-local index) of the owned live switch with the
+  // lowest capacity-weighted load (participants, then meetings) across
+  // live regions other than `skip`; {SIZE_MAX, SIZE_MAX} when none. New
+  // meetings go to its region; border spans borrow it.
+  std::pair<size_t, size_t> LeastLoadedOwnedSwitch(
+      size_t skip = SIZE_MAX) const;
   // Resolves which live region's directory holds `meeting` for an
   // ingress region: own shard, then verified cache, then a peer query
   // round (two east-west messages per peer asked). SIZE_MAX when no live
@@ -370,10 +376,10 @@ class FederatedControlPlane : public SignalingServer {
   // controllers. The lowest live region performs the adoption.
   void CheckControllerPeers(size_t r);
   void AdoptRegion(size_t adopter, size_t dead);
-  // Owner-side border-span planning hook: a guest switch (borrowed from
-  // the least-loaded live peer via a synchronous east-west negotiation)
-  // for `meeting` to span onto, as an owner-local index; SIZE_MAX when no
-  // peer can lend or the handshake is lost.
+  // Owner-side border-span planning hook: a guest switch for `meeting` to
+  // span onto (the least-loaded owned switch of a live peer region,
+  // borrowed via a synchronous east-west negotiation), as an owner-local
+  // index; SIZE_MAX when no peer can lend or the handshake is lost.
   size_t BorderGuestFor(size_t owner, MeetingId meeting);
   size_t ToGlobal(size_t r, size_t local) const;
   // Controller-local index of `global_switch` within region r (owned,
@@ -411,11 +417,11 @@ class FederatedControlPlane : public SignalingServer {
   // moves on adoption.
   std::vector<size_t> owner_region_;
   std::vector<size_t> owner_local_;
-  // Upper-triangle pair conduits (R > 1 only), indexed by PairIndex.
+  // Upper-triangle pair conduits (none for R == 1), indexed a * R + b.
   std::vector<std::unique_ptr<MessageConduit>> conduits_;
   ConduitStats ew_stats_;
-  // Global link-state view for R > 1 (per-region controllers only see
-  // their slice).
+  // Global link-state view (per-region controllers only see their
+  // slice).
   InterSwitchTopology global_topology_;
   std::function<void(MeetingId, size_t, size_t)> migration_cb_;
   std::function<void(MeetingId, size_t, size_t)> hitless_cb_;

@@ -760,8 +760,8 @@ FleetController::JoinResult FleetController::Join(
   // out of local capacity. Under a federation that overflow is worth a
   // cross-region border span: ask the plane for a guest switch to span
   // onto (the guest was registered via AddBorderSwitch and rides the
-  // ordinary RelaySpan mechanics below). Standalone fleets have no
-  // provider and behave exactly as before.
+  // ordinary RelaySpan mechanics below). A federation of one has no peer
+  // to lend, and a controller without a provider never asks.
   if (target == st.placement.home && border_provider_ != nullptr) {
     const int budget = policy_->SpanBudget();
     if (budget > 0 &&
@@ -1498,7 +1498,7 @@ std::pair<size_t, MeetingId> FleetController::PlacementDetail(
   return {rec->placement.home, rec->placement.local_meeting};
 }
 
-std::vector<FleetController::MeetingRelay> FleetController::RelaysOf(
+std::vector<MeetingRelay> FleetController::RelaysOf(
     MeetingId meeting) const {
   const MeetingRecord* rec = directory_->Find(meeting);
   return rec == nullptr ? std::vector<MeetingRelay>{} : rec->relays;

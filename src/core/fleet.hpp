@@ -281,10 +281,6 @@ class FleetController : public SignalingServer,
   }
   obs::TraceLog* trace() const { return trace_; }
 
-  // The relay type now lives at namespace scope (core::MeetingRelay, see
-  // federation.hpp) so directory records can carry it; the nested name
-  // stays valid for existing callers.
-  using MeetingRelay = scallop::core::MeetingRelay;
   // Relay wiring currently installed for a meeting (empty when
   // single-homed).
   std::vector<MeetingRelay> RelaysOf(MeetingId meeting) const;

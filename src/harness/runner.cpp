@@ -19,7 +19,14 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
       util::Seconds(spec_.control_load_report_s);
   base.placement = spec_.placement_policy;
   base.inter_switch_links = spec_.inter_switch_links;
-  if (spec_.backend.kind == testbed::BackendChoice::Kind::kFleet &&
+  // Scallop backends are fleet{N,R}; the single switch is fleet{1,1}.
+  // Backbone features need a second switch to span to, and region
+  // features a second region to roam between or fail over to.
+  const bool scallop_stack =
+      spec_.backend.kind == testbed::BackendChoice::Kind::kFleet;
+  const bool multi_switch = scallop_stack && spec_.backend.fleet_switches >= 2;
+  const bool federated = scallop_stack && spec_.backend.fleet_regions >= 2;
+  if (scallop_stack &&
       (spec_.backend.fleet_regions < 1 ||
        spec_.backend.fleet_regions > spec_.backend.fleet_switches)) {
     throw std::invalid_argument(
@@ -31,11 +38,11 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
   }
   if ((!spec_.inter_switch_links.empty() ||
        !spec_.topology_events.empty()) &&
-      spec_.backend.kind != testbed::BackendChoice::Kind::kFleet) {
+      !multi_switch) {
     throw std::invalid_argument(
         "ScenarioSpec '" + spec_.name +
-        "': inter-switch links model a fleet backbone — pick a fleet "
-        "backend");
+        "': inter-switch links model a fleet backbone — pick a fleet of at "
+        "least two switches");
   }
   for (const auto& l : spec_.inter_switch_links) {
     if (static_cast<int>(l.a) >= spec_.backend.fleet_switches ||
@@ -93,14 +100,13 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
     }
   }
 
-  // Heterogeneous capacities shape fleet load accounting; on any other
-  // backend they would silently do nothing.
-  if (!spec_.switch_capacities.empty() &&
-      spec_.backend.kind != testbed::BackendChoice::Kind::kFleet) {
+  // Heterogeneous capacities weigh placement choices between switches;
+  // with fewer than two switches they would silently do nothing.
+  if (!spec_.switch_capacities.empty() && !multi_switch) {
     throw std::invalid_argument(
         "ScenarioSpec '" + spec_.name +
         "': switch capacity classes shape fleet load accounting — pick a "
-        "fleet backend");
+        "fleet of at least two switches");
   }
   for (const auto& [sw, cls] : spec_.switch_capacities) {
     if (sw < 0 || sw >= spec_.backend.fleet_switches) {
@@ -125,9 +131,6 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
 
   // Roams and region-pinned meetings only mean anything when there are
   // regions to roam between — validated like WithControllerFailure.
-  const bool federated =
-      spec_.backend.kind == testbed::BackendChoice::Kind::kFleet &&
-      spec_.backend.fleet_regions >= 2;
   for (size_t mi = 0; mi < spec_.meetings.size(); ++mi) {
     const int region = spec_.meetings[mi].region;
     if (region < 0) continue;
@@ -188,14 +191,13 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
 
   // Redundant trees plan standby chains over link-disjoint backbone
   // paths and hitless migration re-roots inter-switch span trees — both
-  // are fleet-controller moves; on any other backend they would silently
-  // protect nothing.
-  if ((spec_.redundant_trees || spec_.hitless_migration) &&
-      spec_.backend.kind != testbed::BackendChoice::Kind::kFleet) {
+  // need a second switch; without one they would silently protect
+  // nothing.
+  if ((spec_.redundant_trees || spec_.hitless_migration) && !multi_switch) {
     throw std::invalid_argument(
         "ScenarioSpec '" + spec_.name +
         "': redundant trees / hitless migration re-plan inter-switch "
-        "relays — pick a fleet backend");
+        "relays — pick a fleet of at least two switches");
   }
   if (spec_.redundant_trees && spec_.inter_switch_links.empty()) {
     throw std::invalid_argument(
@@ -275,21 +277,20 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
     }
   }
 
-  // Fleet failover is driven by heartbeat loss, so the blackout must
+  // Switch failover is driven by heartbeat loss, so the blackout must
   // outlast worst-case detection: the last in-flight heartbeat lands
   // `latency` after the link dies, death needs 3 more silent intervals
   // plus `latency`, and the detector only looks every interval. A shorter
   // blackout would revive the victim before it was ever declared dead and
   // the drill would silently test nothing.
-  if (spec_.failover_at_s >= 0.0 &&
-      spec_.backend.kind == testbed::BackendChoice::Kind::kFleet) {
+  if (spec_.failover_at_s >= 0.0 && scallop_stack) {
     const double hb_s = util::ToSeconds(base.control.heartbeat_interval);
     // No heartbeats means no failure detection at all: the victim would
     // never be declared dead and the drill would strand its peers.
     if (hb_s <= 0.0) {
       throw std::invalid_argument(
           "ScenarioSpec '" + spec_.name +
-          "': a fleet failover needs a positive heartbeat interval — with "
+          "': a switch failover needs a positive heartbeat interval — with "
           "heartbeats disabled the dead switch is never detected");
     }
     const double detect_s = 4.0 * hb_s + 2.0 * spec_.control_latency_s;
@@ -307,8 +308,7 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
   // it needs a peer controller to notice the death (east-west heartbeats)
   // and adopt the shard, and enough runtime after the kill for detection.
   if (spec_.controller_failure_at_s >= 0.0) {
-    if (spec_.backend.kind != testbed::BackendChoice::Kind::kFleet ||
-        spec_.backend.fleet_regions < 2) {
+    if (!federated) {
       throw std::invalid_argument(
           "ScenarioSpec '" + spec_.name +
           "': a controller failure needs a federated fleet{N,R>=2} "
@@ -347,7 +347,7 @@ testbed::ScallopTestbed& ScenarioRunner::scallop() {
   auto* bed = dynamic_cast<testbed::ScallopTestbed*>(backend_.get());
   if (bed == nullptr) {
     throw std::logic_error("scenario '" + spec_.name + "' runs on backend " +
-                           backend_->Name() + ", not scallop");
+                           backend_->Name() + ", not a single switch");
   }
   return *bed;
 }
@@ -782,9 +782,9 @@ ScenarioMetrics ScenarioRunner::Collect() const {
   const util::TimeUs now = backend_->sched().now();
 
   // Placement rows accompany the switch breakdown: whenever the CSV will
-  // carry a fleet section (any fleet, even n=1), every meeting gets its
+  // carry a fleet section (more than one switch), every meeting gets its
   // hosting switch, so the two sections never contradict each other.
-  m.switches = backend_->SwitchBreakdown();
+  if (backend_->switch_count() > 1) m.switches = backend_->SwitchBreakdown();
   for (size_t mi = 0; mi < spec_.meetings.size(); ++mi) {
     MeetingMetrics mm;
     mm.index = static_cast<int>(mi);

@@ -1,10 +1,12 @@
 // Executes a ScenarioSpec deterministically on a conference backend
 // (testbed::Backend): builds the substrate the spec's `backend` field
-// names — single-switch Scallop stack, multi-switch fleet, or software
-// SFU — creates every meeting and participant, schedules
-// joins/leaves/link-degradations/failover as discrete events, samples a
-// timeline, and collects structured metrics. The same spec + seed always
-// produces byte-identical ToCsv() output.
+// names — the Scallop stack of N switches under R region controllers
+// (one switch by default) or the software SFU — creates every meeting
+// and participant, schedules joins/leaves/link-degradations/failover as
+// discrete events, samples a timeline, and collects structured metrics.
+// Features that need a second switch or region are validated against the
+// switch and region counts up front. The same spec + seed always produces
+// byte-identical ToCsv() output.
 #pragma once
 
 #include <functional>
@@ -13,10 +15,6 @@
 #include "harness/metrics.hpp"
 #include "harness/scenario.hpp"
 #include "obs/trace.hpp"
-
-namespace scallop::testbed {
-class FleetTestbed;
-}  // namespace scallop::testbed
 
 namespace scallop::harness {
 
@@ -47,8 +45,9 @@ class ScenarioRunner {
   testbed::Backend& backend() { return *backend_; }
   const testbed::Backend& backend() const { return *backend_; }
   // Substrate-specific introspection for tests/benches that inspect switch
-  // or fleet internals; throws std::logic_error when the spec selected a
-  // different backend.
+  // or fleet internals: scallop() is the single switch (fleet{1,1}),
+  // fleet() any Scallop backend including it. Each throws
+  // std::logic_error when the spec selected a backend it does not cover.
   testbed::ScallopTestbed& scallop();
   testbed::FleetTestbed& fleet();
   // Scenario-relative current time in seconds.

@@ -108,14 +108,14 @@ struct ScenarioSpec {
   std::vector<LinkEvent> link_events;
 
   // Switch failover: at this time the switch's forwarding state is lost
-  // and the controller re-signals every meeting onto the standby (in the
-  // single-switch simulation, the same switch restarted). Negative: never.
+  // and the controller re-signals every meeting onto the standby (on a
+  // single switch, the same switch restarted). Negative: never.
   double failover_at_s = -1.0;
   // Detection + re-signaling gap between state loss and the re-joins.
   // Must exceed the access-link RTT so in-flight pre-failover media drains
   // before the standby installs stream entries for the same (src, ssrc)
-  // keys — exactly as a real standby would only see live traffic. On the
-  // fleet backend it must also exceed the worst-case heartbeat-miss
+  // keys — exactly as a real standby would only see live traffic. On a
+  // Scallop backend it must also exceed the worst-case heartbeat-miss
   // detection time — 4 heartbeat intervals plus 2x the control latency
   // (in-flight last heartbeat + detection threshold + one detector tick)
   // — because failover is delivered as telemetry loss and the dead switch
@@ -135,7 +135,8 @@ struct ScenarioSpec {
   double control_heartbeat_s = 0.05;
   double control_load_report_s = 0.5;
   // True once WithControlPlane/WithRebalance was called; gates the
-  // control-plane CSV section (multi-switch backends always render it).
+  // control-plane CSV section (backends with more than one switch always
+  // render it).
   bool control_plane_configured = false;
   // Load-driven background rebalancer (fleet backend only): every
   // `rebalance_interval_s` the fleet migrates at most one meeting from
@@ -156,10 +157,11 @@ struct ScenarioSpec {
   double controller_failure_at_s = -1.0;
   int controller_failure_region = 0;
 
-  // Which forwarding substrate executes the scenario: the single-switch
-  // Scallop stack (default), a multi-switch fleet, or the software-SFU
-  // baseline. The whole spec vocabulary (links, churn, failover) runs
-  // unchanged on any backend.
+  // Which forwarding substrate executes the scenario: the Scallop stack
+  // of N switches under R region controllers (default: one switch, one
+  // region) or the software-SFU baseline. The whole spec vocabulary
+  // (links, churn, failover) runs unchanged on any backend; backbone
+  // features need at least two switches, region features two regions.
   testbed::BackendChoice backend;
 
   // Meeting-placement policy (fleet backend only): LeastLoaded (default)
@@ -169,9 +171,9 @@ struct ScenarioSpec {
   // backbone by path cost and residual link capacity.
   core::PlacementPolicyConfig placement_policy;
 
-  // Modeled inter-switch backbone (fleet backend only). Empty keeps the
-  // implicit full mesh — zero latency, unlimited capacity, byte-identical
-  // CSVs to the pre-topology harness. Declared links shape both the
+  // Modeled inter-switch backbone (fleets of two or more switches). Empty
+  // keeps the implicit full mesh — zero latency, unlimited capacity,
+  // byte-identical CSVs to the pre-topology harness. Declared links shape both the
   // controller's link-state view and the sim links relay traffic
   // physically crosses; `topology_events` reshape capacities mid-run.
   std::vector<core::InterSwitchLinkSpec> inter_switch_links;
@@ -185,11 +187,11 @@ struct ScenarioSpec {
   // construction).
   std::vector<CorrelatedFailureEvent> correlated_failures;
   // Heterogeneous fleets: (switch, capacity class) overrides; unlisted
-  // switches stay class 1.0 (fleet backend only; validated at
-  // construction).
+  // switches stay class 1.0 (fleets of two or more switches; validated
+  // at construction).
   std::vector<std::pair<int, double>> switch_capacities;
 
-  // Redundant dual relay trees (fleet backend with a declared backbone):
+  // Redundant dual relay trees (a fleet with a declared backbone):
   // every inter-switch relay gets a standby chain planned over a
   // link-disjoint backbone path, delivering a second copy the downstream
   // switch deduplicates by (origin, seq) — a backbone cut flips to the
@@ -197,9 +199,9 @@ struct ScenarioSpec {
   // per-stream dedup window (sequence numbers).
   bool redundant_trees = false;
   int redundancy_dedup_window = 512;
-  // Make-before-break migration (fleet backend): planned re-homes
-  // (rebalancer moves, MigrateMeeting) build the new span, flip, then
-  // drain — members keep their sessions and the runner measures
+  // Make-before-break migration (fleets of two or more switches): planned
+  // re-homes (rebalancer moves, MigrateMeeting) build the new span, flip,
+  // then drain — members keep their sessions and the runner measures
   // frames lost across each move (expected: 0).
   bool hitless_migration = false;
 

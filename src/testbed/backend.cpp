@@ -1,73 +1,29 @@
 #include "testbed/backend.hpp"
 
-#include <stdexcept>
-
-#include "testbed/fleet_testbed.hpp"
 #include "testbed/testbed.hpp"
 
 namespace scallop::testbed {
 
 std::string BackendChoice::Label() const {
-  switch (kind) {
-    case Kind::kScallop:
-      return "scallop";
-    case Kind::kFleet:
-      return fleet_regions > 1
-                 ? "fleet{" + std::to_string(fleet_switches) + "," +
-                       std::to_string(fleet_regions) + "}"
-                 : "fleet{" + std::to_string(fleet_switches) + "}";
-    case Kind::kSoftware:
-      return "software";
+  if (kind == Kind::kSoftware) return "software";
+  if (fleet_regions > 1) {
+    return "fleet{" + std::to_string(fleet_switches) + "," +
+           std::to_string(fleet_regions) + "}";
   }
-  return "unknown";
-}
-
-void Backend::AccumulateSwitchNode(BackendCounters& c,
-                                   const switchsim::Switch& sw,
-                                   const core::DataPlaneProgram& dp,
-                                   const core::SwitchAgent& agent) {
-  const auto& sw_stats = sw.stats();
-  c.switch_packets_in += sw_stats.packets_in;
-  c.switch_packets_out += sw_stats.packets_out;
-  c.switch_replicas += sw_stats.replicas;
-  const auto& dp_stats = dp.stats();
-  c.seq_rewritten += dp_stats.seq_rewritten;
-  c.seq_dropped += dp_stats.seq_dropped;
-  c.svc_suppressed += dp_stats.svc_suppressed;
-  c.remb_filtered += dp_stats.remb_filtered;
-  c.remb_forwarded += dp_stats.remb_forwarded;
-  const auto& agent_stats = agent.stats();
-  c.dt_changes += agent_stats.dt_changes;
-  c.filter_flips += agent_stats.filter_flips;
-  c.agent_cpu_packets += agent_stats.cpu_packets;
-  const auto& tree_stats = agent.tree_manager().stats();
-  c.trees_built += tree_stats.trees_built;
-  c.tree_migrations += tree_stats.migrations;
-}
-
-void Backend::AccumulateChannel(ControlPlaneCounters& c,
-                                const core::ControlChannelStats& s) {
-  c.commands_sent += s.commands_sent;
-  c.commands_applied += s.commands_applied;
-  c.commands_dropped += s.commands_dropped;
-  c.commands_retransmitted += s.commands_retransmitted;
-  c.events_sent += s.events_sent;
-  c.events_delivered += s.events_delivered;
-  c.events_dropped += s.events_dropped;
+  if (fleet_switches == 1) return "scallop";
+  return "fleet{" + std::to_string(fleet_switches) + "}";
 }
 
 std::unique_ptr<Backend> MakeBackend(const BackendChoice& choice,
                                      const TestbedConfig& cfg) {
-  switch (choice.kind) {
-    case BackendChoice::Kind::kScallop:
-      return std::make_unique<ScallopTestbed>(cfg);
-    case BackendChoice::Kind::kFleet:
-      return std::make_unique<FleetTestbed>(cfg, choice.fleet_switches,
-                                            choice.fleet_regions);
-    case BackendChoice::Kind::kSoftware:
-      return std::make_unique<SoftwareTestbed>(cfg);
+  if (choice.kind == BackendChoice::Kind::kSoftware) {
+    return std::make_unique<SoftwareTestbed>(cfg);
   }
-  throw std::invalid_argument("MakeBackend: unknown backend kind");
+  if (choice == BackendChoice::Scallop()) {
+    return std::make_unique<ScallopTestbed>(cfg);
+  }
+  return std::make_unique<FleetTestbed>(cfg, choice.fleet_switches,
+                                        choice.fleet_regions);
 }
 
 }  // namespace scallop::testbed

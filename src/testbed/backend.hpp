@@ -1,9 +1,10 @@
 // The conference-backend seam (SDN southbound abstraction, paper Appendix
 // A): one stable interface between experiment logic (ScenarioRunner, the
-// benches) and the forwarding substrate that executes it. Three substrates
-// implement it today — the single-switch Scallop stack, a multi-switch
-// fleet under one FleetController, and the software-SFU baseline — and new
-// ones (cascades, remote testbeds) drop in without touching experiments.
+// benches) and the forwarding substrate that executes it. Two substrates
+// implement it today — the Scallop stack of N switches under R region
+// controllers (FleetTestbed; the single-switch deployment is the fleet of
+// one, ScallopTestbed) and the software-SFU baseline — and new ones
+// (remote testbeds) drop in without touching experiments.
 #pragma once
 
 #include <functional>
@@ -24,24 +25,26 @@ struct TestbedConfig;
 // Which substrate a ScenarioSpec runs on. Value-type so specs stay
 // copyable declarative data.
 struct BackendChoice {
-  enum class Kind { kScallop, kFleet, kSoftware };
-  Kind kind = Kind::kScallop;
-  // Fleet only: number of switches (each with its own data plane, agent
-  // and SFU IP) under the control plane.
-  int fleet_switches = 2;
-  // Fleet only: per-region controllers the switches are sharded across.
-  // 1 (the default) is the classic single-FleetController fleet; R > 1
-  // federates them behind east-west peering (fleet{N,R}).
+  enum class Kind { kFleet, kSoftware };
+  Kind kind = Kind::kFleet;
+  // Scallop switches (each with its own data plane, agent and SFU IP)
+  // under the control plane. 1 (the default) is the single-switch
+  // deployment, labelled "scallop".
+  int fleet_switches = 1;
+  // Per-region controllers the switches are sharded across. 1 (the
+  // default) is one FleetController; R > 1 federates them behind
+  // east-west peering (fleet{N,R}).
   int fleet_regions = 1;
 
-  static BackendChoice Scallop() { return {}; }
+  static BackendChoice Scallop() { return Fleet(1); }
   static BackendChoice Fleet(int n_switches = 2, int regions = 1) {
     return {Kind::kFleet, n_switches, regions};
   }
   static BackendChoice Software() { return {Kind::kSoftware, 0}; }
 
-  // "scallop", "fleet{3}", "fleet{6,2}" or "software".
+  // "scallop" (fleet{1,1}), "fleet{3}", "fleet{6,2}" or "software".
   std::string Label() const;
+  bool operator==(const BackendChoice&) const = default;
 };
 
 // Forwarding/control-plane aggregates every backend can report; fields a
@@ -165,8 +168,8 @@ struct TopologySnapshot {
   uint64_t relay_replans = 0;  // link-overload subtree collapses
 };
 
-// Per-switch snapshot for multi-switch backends (single-switch backends
-// return an empty breakdown, which keeps their CSV rendering unchanged).
+// Per-switch snapshot (the runner renders it only for more than one
+// switch, which keeps single-switch CSVs unchanged).
 struct SwitchStatus {
   int index = 0;
   net::Ipv4 sfu_ip;
@@ -197,8 +200,8 @@ class Backend {
   virtual core::MeetingId CreateMeetingInRegion(int /*region*/) {
     return CreateMeeting();
   }
-  // The signaling entry point peers Join/Leave through (Scallop's
-  // controller, the fleet controller, or the software SFU).
+  // The signaling entry point peers Join/Leave through (the Scallop
+  // control plane or the software SFU).
   virtual core::SignalingServer& signaling() = 0;
   // The signaling face a client in access region `r` enters through
   // (roaming support). Everything but the federated fleet has exactly one
@@ -249,7 +252,7 @@ class Backend {
   }
   virtual size_t switch_count() const { return 1; }
   // The meeting's distribution plan: home switch plus any relay spans.
-  // Single-switch backends are trivially home-0 single-homed.
+  // Substrates without placement are trivially home-0 single-homed.
   virtual core::MeetingPlacement PlacementOf(core::MeetingId meeting) const {
     core::MeetingPlacement placement;
     placement.home = 0;
@@ -291,19 +294,6 @@ class Backend {
   virtual std::vector<SwitchStatus> SwitchBreakdown() const { return {}; }
 
  protected:
-  // Shared scallop-stack counter aggregation: single-switch and fleet
-  // backends fold each (switch, data plane, agent) node through the same
-  // mapping so their BackendCounters can never drift apart.
-  static void AccumulateSwitchNode(BackendCounters& c,
-                                   const switchsim::Switch& sw,
-                                   const core::DataPlaneProgram& dp,
-                                   const core::SwitchAgent& agent);
-
-  // Shared control-channel counter aggregation: single-switch and fleet
-  // backends fold each channel through the same mapping.
-  static void AccumulateChannel(ControlPlaneCounters& c,
-                                const core::ControlChannelStats& s);
-
   // Shared peer attachment: 10.0.x.y host addressing and seed derivation
   // in attachment order — the invariant all backends must preserve.
   static client::Peer& AttachPeer(

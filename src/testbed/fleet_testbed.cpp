@@ -122,26 +122,20 @@ TopologySnapshot FleetTestbed::topology_snapshot() const {
   const core::InterSwitchTopology& topo = federation_->topology();
   snap.configured = topo.explicit_topology();
   if (!snap.configured) return snap;
-  const bool federated = federation_->regions() > 1;
   for (const auto& link : topo.links()) {
     TopologyLinkStatus s;
     s.a = link.a;
     s.b = link.b;
     s.latency_s = link.latency_s;
     s.capacity_bps = link.capacity_bps;
-    if (federated) {
-      // The global view has no registered load of its own — each region's
-      // controller tracks the relay load it placed; sum the slices.
-      s.load_bps = federation_->LinkLoad(link.a, link.b);
-      s.utilization = link.capacity_bps > 0.0 &&
-                              link.capacity_bps <
-                                  core::InterSwitchTopology::kUnconstrained
-                          ? s.load_bps / link.capacity_bps
-                          : 0.0;
-    } else {
-      s.load_bps = link.relay_load_bps;
-      s.utilization = topo.UtilizationOf(link.a, link.b);
-    }
+    // The global view has no registered load of its own — each region's
+    // controller tracks the relay load it placed; sum the slices.
+    s.load_bps = federation_->LinkLoad(link.a, link.b);
+    s.utilization = link.capacity_bps > 0.0 &&
+                            link.capacity_bps <
+                                core::InterSwitchTopology::kUnconstrained
+                        ? s.load_bps / link.capacity_bps
+                        : 0.0;
     for (auto [from, to] :
          {std::pair{link.a, link.b}, std::pair{link.b, link.a}}) {
       const sim::Link* pl =
@@ -153,7 +147,6 @@ TopologySnapshot FleetTestbed::topology_snapshot() const {
     snap.max_utilization = std::max(snap.max_utilization, s.utilization);
     snap.links.push_back(s);
   }
-  if (!federated) snap.max_utilization = topo.MaxUtilization();
   snap.relay_replans = federation_->TotalFleetStats().relay_replans;
   for (core::MeetingId m : meetings_) {
     core::MeetingPlacement placement = federation_->PlacementOf(m);
@@ -191,15 +184,12 @@ client::Peer& FleetTestbed::AddPeer(const client::PeerConfig& base,
 }
 
 core::MeetingId FleetTestbed::CreateMeeting() {
-  core::MeetingId id = federation_->CreateMeeting();
-  meetings_.push_back(id);
-  return id;
+  return CreateMeetingInRegion(-1);
 }
 
 core::MeetingId FleetTestbed::CreateMeetingInRegion(int region) {
-  if (region < 0) return CreateMeeting();
-  core::MeetingId id =
-      federation_->CreateMeetingIn(static_cast<size_t>(region));
+  core::MeetingId id = federation_->CreateMeetingIn(
+      region < 0 ? SIZE_MAX : static_cast<size_t>(region));
   meetings_.push_back(id);
   return id;
 }
@@ -282,7 +272,23 @@ RedundancyCounters FleetTestbed::redundancy_counters() const {
 BackendCounters FleetTestbed::counters() const {
   BackendCounters c;
   for (const Node& node : nodes_) {
-    AccumulateSwitchNode(c, *node.sw, *node.dp, *node.agent);
+    const auto& sw_stats = node.sw->stats();
+    c.switch_packets_in += sw_stats.packets_in;
+    c.switch_packets_out += sw_stats.packets_out;
+    c.switch_replicas += sw_stats.replicas;
+    const auto& dp_stats = node.dp->stats();
+    c.seq_rewritten += dp_stats.seq_rewritten;
+    c.seq_dropped += dp_stats.seq_dropped;
+    c.svc_suppressed += dp_stats.svc_suppressed;
+    c.remb_filtered += dp_stats.remb_filtered;
+    c.remb_forwarded += dp_stats.remb_forwarded;
+    const auto& agent_stats = node.agent->stats();
+    c.dt_changes += agent_stats.dt_changes;
+    c.filter_flips += agent_stats.filter_flips;
+    c.agent_cpu_packets += agent_stats.cpu_packets;
+    const auto& tree_stats = node.agent->tree_manager().stats();
+    c.trees_built += tree_stats.trees_built;
+    c.tree_migrations += tree_stats.migrations;
   }
   c.placements_rebalanced =
       federation_->TotalFleetStats().placements_rebalanced;
@@ -305,7 +311,14 @@ CascadeCounters FleetTestbed::cascade_counters() const {
 ControlPlaneCounters FleetTestbed::control_counters() const {
   ControlPlaneCounters c;
   for (const Node& node : nodes_) {
-    AccumulateChannel(c, node.channel->stats());
+    const core::ControlChannelStats s = node.channel->stats();
+    c.commands_sent += s.commands_sent;
+    c.commands_applied += s.commands_applied;
+    c.commands_dropped += s.commands_dropped;
+    c.commands_retransmitted += s.commands_retransmitted;
+    c.events_sent += s.events_sent;
+    c.events_delivered += s.events_delivered;
+    c.events_dropped += s.events_dropped;
   }
   const core::FleetStats fs = federation_->TotalFleetStats();
   c.heartbeats_seen = fs.heartbeats_seen;

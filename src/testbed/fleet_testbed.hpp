@@ -1,17 +1,19 @@
-// Multi-switch testbed: N Scallop switches (each with its own data plane,
-// switch agent, southbound ControlChannel and SFU IP on datacenter links)
-// under a FederatedControlPlane of R per-region controllers — the paper's
-// Appendix A deployment shape, sharded. R = 1 (the default) is the classic
-// single-FleetController fleet, byte-for-byte; R > 1 slices the switches
-// across regions peered over an east-west message plane (directory
-// lookups, border-span negotiation, controller heartbeats + shard
-// adoption). Failover here means a real standby driven by telemetry loss:
-// FailoverBegin takes the victim's control link down, the owning region's
-// heartbeat-miss detector declares it dead and migrates its meetings to a
-// live switch, so recovering peers re-signal to the standby's SFU IP
-// instead of the restarted victim. With cfg.rebalance.enabled every
-// region additionally runs the load-driven background rebalancer over the
-// northbound SwitchLoadReports.
+// The Scallop stack, 1..N switches. Each switch gets its own data plane,
+// switch agent, southbound ControlChannel and SFU IP on datacenter links,
+// all under a FederatedControlPlane of R per-region controllers — the
+// paper's Appendix A deployment shape, sharded. The FleetTestbed
+// constructor is the one place a switch node is wired: the single-switch
+// deployment (ScallopTestbed, testbed.hpp) is fleet{1,1}, and R = 1 runs
+// the same federation code as R > 1 with one region and no peers. R > 1
+// slices the switches across regions peered over an east-west message
+// plane (directory lookups, border-span negotiation, controller
+// heartbeats + shard adoption). Failover means the victim's control link
+// goes dark: the owning region's heartbeat-miss detector declares it dead
+// and migrates its meetings to a live standby, so recovering peers
+// re-signal to the standby's SFU IP; with no standby (one switch) the
+// meetings stay put and recover on the restarted victim. With
+// cfg.rebalance.enabled every region additionally runs the load-driven
+// background rebalancer over the northbound SwitchLoadReports.
 #pragma once
 
 #include <memory>
@@ -23,7 +25,8 @@
 #include "core/fleet.hpp"
 #include "core/switch_agent.hpp"
 #include "switchsim/switch.hpp"
-#include "testbed/testbed.hpp"
+#include "testbed/backend.hpp"
+#include "testbed/config.hpp"
 
 namespace scallop::testbed {
 

@@ -20,72 +20,6 @@ client::Peer& Backend::AttachPeer(
   return *peers.back();
 }
 
-ScallopTestbed::ScallopTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
-  network_ = std::make_unique<sim::Network>(sched_, cfg_.seed);
-  switchsim::SwitchConfig sw_cfg;
-  sw_cfg.address = cfg_.sfu_ip;
-  switch_ = std::make_unique<switchsim::Switch>(sched_, *network_, sw_cfg);
-  dataplane_ =
-      std::make_unique<core::DataPlaneProgram>(*switch_, cfg_.dataplane);
-  core::AgentConfig agent_cfg = cfg_.agent;
-  agent_cfg.sfu_ip = cfg_.sfu_ip;
-  agent_ = std::make_unique<core::SwitchAgent>(sched_, *dataplane_, agent_cfg);
-  core::ControlChannelConfig ctrl_cfg = cfg_.control;
-  ctrl_cfg.seed = cfg_.seed * 1'000'003 + 17;
-  channel_ = std::make_unique<core::ControlChannel>(sched_, *agent_, ctrl_cfg);
-  if (cfg_.trace != nullptr) channel_->EnableTrace(cfg_.trace, 0);
-  controller_ = std::make_unique<core::Controller>(*channel_, cfg_.sfu_ip);
-  network_->Attach(cfg_.sfu_ip, switch_.get(), cfg_.sfu_uplink,
-                   cfg_.sfu_downlink);
-}
-
-client::Peer& ScallopTestbed::AddPeer() {
-  return AddPeer(cfg_.client_uplink, cfg_.client_downlink);
-}
-
-client::Peer& ScallopTestbed::AddPeer(const sim::LinkConfig& up,
-                                      const sim::LinkConfig& down) {
-  return AddPeer(cfg_.peer, up, down);
-}
-
-client::Peer& ScallopTestbed::AddPeer(const client::PeerConfig& base,
-                                      const sim::LinkConfig& up,
-                                      const sim::LinkConfig& down) {
-  return AttachPeer(sched_, *network_, cfg_.seed, next_host_, peers_, base,
-                    up, down);
-}
-
-core::MeetingId ScallopTestbed::CreateMeeting() {
-  core::MeetingId id = controller_->CreateMeeting();
-  meetings_.push_back(id);
-  return id;
-}
-
-void ScallopTestbed::RunFor(double seconds) {
-  sched_.RunUntil(sched_.now() + util::Seconds(seconds));
-}
-
-void ScallopTestbed::RunUntil(double t_s) {
-  sched_.RunUntil(util::Seconds(t_s));
-}
-
-BackendCounters ScallopTestbed::counters() const {
-  BackendCounters c;
-  AccumulateSwitchNode(c, *switch_, *dataplane_, *agent_);
-  return c;
-}
-
-ControlPlaneCounters ScallopTestbed::control_counters() const {
-  ControlPlaneCounters c;
-  AccumulateChannel(c, channel_->stats());
-  return c;
-}
-
-std::string ScallopTestbed::TreeDesignOf(core::MeetingId meeting) const {
-  auto design = agent_->tree_manager().CurrentDesign(meeting);
-  return design.has_value() ? core::TreeDesignName(*design) : "none";
-}
-
 SoftwareTestbed::SoftwareTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
   network_ = std::make_unique<sim::Network>(sched_, cfg_.seed);
   sfu::SoftwareSfuConfig sfu_cfg = cfg_.software;

@@ -1,136 +1,39 @@
-// Experiment scaffolding: assembles the full Scallop stack (switch + data
-// plane + agent + controller) or the software-SFU baseline, attaches Peer
-// clients with per-client link shapes, and runs the event simulation.
-// Both testbeds implement the testbed::Backend interface (backend.hpp) so
-// the ScenarioRunner and benches drive them interchangeably; the
-// multi-switch FleetTestbed lives in fleet_testbed.hpp.
+// Experiment scaffolding: the single-switch Scallop deployment and the
+// software-SFU baseline. ScallopTestbed is the fleet of one — a
+// FleetTestbed (fleet_testbed.hpp) with one switch under one region's
+// controller — plus the index-free accessors single-switch experiments
+// read. SoftwareTestbed wires the split-proxy SFU instead. Both implement
+// the testbed::Backend interface (backend.hpp), so the ScenarioRunner and
+// the benches drive them interchangeably; TestbedConfig (config.hpp) holds
+// the knobs every testbed is built from.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "client/peer.hpp"
-#include "core/control_channel.hpp"
-#include "core/controller.hpp"
-#include "core/dataplane.hpp"
-#include "core/fleet.hpp"
-#include "core/switch_agent.hpp"
 #include "sfu/software_sfu.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
-#include "switchsim/switch.hpp"
 #include "testbed/backend.hpp"
+#include "testbed/config.hpp"
+#include "testbed/fleet_testbed.hpp"
 
 namespace scallop::testbed {
 
-struct TestbedConfig {
-  uint64_t seed = 1;
-  net::Ipv4 sfu_ip{100, 64, 0, 1};
-  // Default client access links: 20/20 Mb/s, 5 ms one way, light jitter —
-  // a realistic campus access path, which is what the adaptation and loss
-  // experiments exercise. The paper's physical testbed wires clients to
-  // the switch over direct 1 Gb/s links; latency-measurement benches
-  // (e.g. bench_fig19) override these with that shape so the SFU stage
-  // dominates, exactly as in the paper.
-  sim::LinkConfig client_uplink{.rate_bps = 20e6,
-                                .prop_delay = util::Millis(5),
-                                .jitter_stddev = 200};
-  sim::LinkConfig client_downlink{.rate_bps = 20e6,
-                                  .prop_delay = util::Millis(5),
-                                  .jitter_stddev = 200};
-  // SFU datacenter links.
-  sim::LinkConfig sfu_uplink{.rate_bps = 0, .prop_delay = util::Millis(1)};
-  sim::LinkConfig sfu_downlink{.rate_bps = 0, .prop_delay = util::Millis(1)};
-  core::DataPlaneConfig dataplane;
-  core::AgentConfig agent;          // sfu_ip is overwritten
-  sfu::SoftwareSfuConfig software;  // address is overwritten
-  client::PeerConfig peer;          // address/seed overwritten per peer
-  // Southbound control channel between controller(s) and switch agent(s);
-  // the seed is overwritten (derived from `seed` and the switch index).
-  // Defaults are zero latency / zero loss: inline dispatch, byte-identical
-  // to the old direct-call wiring.
-  core::ControlChannelConfig control;
-  // Fleet-only: the load-driven background rebalancer (off by default).
-  core::RebalanceConfig rebalance;
-  // Fleet-only: the meeting-placement policy (default LeastLoaded keeps
-  // the classic single-homed behaviour; Cascade splits large meetings
-  // across switches with relay spans; TopologyAware plans relay trees
-  // over the modeled backbone).
-  core::PlacementPolicyConfig placement;
-  // Fleet-only: the modeled inter-switch backbone. Empty (the default)
-  // keeps the implicit full mesh — zero latency, unlimited capacity,
-  // byte-identical to the pre-topology fleets. Declared links become both
-  // the FleetController's link-state view and dedicated sim::Network
-  // links that relay traffic physically crosses (multi-hop when spans
-  // connect non-adjacent switches).
-  std::vector<core::InterSwitchLinkSpec> inter_switch_links;
-  // Fleet-only: per-switch capacity classes, indexed by global switch;
-  // missing entries default to 1.0 (homogeneous). A class-2 switch
-  // carries twice the load of a class-1 switch before the placement
-  // policies and the rebalancer consider it equally busy.
-  std::vector<double> switch_capacity_classes;
-  // Fleet-only: redundant dual relay trees and/or make-before-break
-  // (hitless) migration. Defaults keep everything off — byte-identical
-  // to the classic break-before-make fleet.
-  core::RedundancyConfig redundancy;
-  // Structured event tracing (obs::TraceLog): when set, every southbound
-  // channel, fleet controller, and east-west conduit the testbed builds
-  // emits into it. Null (the default) keeps every traced path on its
-  // byte-identical untraced branch. Not owned.
-  obs::TraceLog* trace = nullptr;
-};
-
-class ScallopTestbed : public Backend {
+// One Scallop switch programmed by its controller (paper §5): fleet{1,1}.
+// Signaling enters through signaling(); the switch's own Controller is
+// fleet().controller(0), which numbers meetings switch-locally (see
+// PlacementDetail for the id a global meeting has there).
+class ScallopTestbed : public FleetTestbed {
  public:
-  explicit ScallopTestbed(const TestbedConfig& cfg = {});
+  explicit ScallopTestbed(const TestbedConfig& cfg = {})
+      : FleetTestbed(cfg, 1, 1) {}
 
-  // Adds a peer with the default (or given) link shapes.
-  client::Peer& AddPeer();
-  client::Peer& AddPeer(const sim::LinkConfig& up, const sim::LinkConfig& down);
-  client::Peer& AddPeer(const client::PeerConfig& base,
-                        const sim::LinkConfig& up,
-                        const sim::LinkConfig& down) override;
-
-  core::MeetingId CreateMeeting() override;
-  void RunFor(double seconds);
-  // Advances to absolute simulation time `t_s` (no-op if already past);
-  // the natural stepper for schedule-driven harnesses.
-  void RunUntil(double t_s) override;
-
-  sim::Scheduler& sched() override { return sched_; }
-  sim::Network& network() override { return *network_; }
-  switchsim::Switch& sw() { return *switch_; }
-  core::DataPlaneProgram& dataplane() { return *dataplane_; }
-  core::SwitchAgent& agent() { return *agent_; }
-  core::ControlChannel& channel() { return *channel_; }
-  core::Controller& controller() { return *controller_; }
-  std::vector<std::unique_ptr<client::Peer>>& peers() override {
-    return peers_;
-  }
-
-  // testbed::Backend
-  std::string Name() const override { return "scallop"; }
-  core::SignalingServer& signaling() override { return *controller_; }
-  // Single-switch failover: the one switch's forwarding state is lost, so
-  // every meeting is affected and recovery re-signals onto the restarted
-  // switch (the standby role in a one-switch deployment).
-  std::vector<core::MeetingId> FailoverBegin() override { return meetings_; }
-  BackendCounters counters() const override;
-  ControlPlaneCounters control_counters() const override;
-  std::string TreeDesignOf(core::MeetingId meeting) const override;
-
- private:
-  TestbedConfig cfg_;
-  sim::Scheduler sched_;
-  std::unique_ptr<sim::Network> network_;
-  std::unique_ptr<switchsim::Switch> switch_;
-  std::unique_ptr<core::DataPlaneProgram> dataplane_;
-  std::unique_ptr<core::SwitchAgent> agent_;
-  std::unique_ptr<core::ControlChannel> channel_;
-  std::unique_ptr<core::Controller> controller_;
-  std::vector<std::unique_ptr<client::Peer>> peers_;
-  std::vector<core::MeetingId> meetings_;
-  int next_host_ = 1;
+  switchsim::Switch& sw() { return FleetTestbed::sw(0); }
+  core::DataPlaneProgram& dataplane() { return FleetTestbed::dataplane(0); }
+  core::SwitchAgent& agent() { return FleetTestbed::agent(0); }
+  core::ControlChannel& channel() { return FleetTestbed::channel(0); }
 };
 
 class SoftwareTestbed : public Backend {

@@ -24,16 +24,16 @@ TEST(PeerTest, JoinNegotiatesLegsBothWays) {
   Peer& b = bed.AddPeer();
   Peer& c = bed.AddPeer();
   auto meeting = bed.CreateMeeting();
-  a.Join(bed.controller(), meeting);
+  a.Join(bed.signaling(), meeting);
   EXPECT_TRUE(a.remote_senders().empty());
-  b.Join(bed.controller(), meeting);
+  b.Join(bed.signaling(), meeting);
   EXPECT_EQ(a.remote_senders().size(), 1u);
   EXPECT_EQ(b.remote_senders().size(), 1u);
-  c.Join(bed.controller(), meeting);
+  c.Join(bed.signaling(), meeting);
   EXPECT_EQ(a.remote_senders().size(), 2u);
   EXPECT_EQ(c.remote_senders().size(), 2u);
-  EXPECT_GT(bed.controller().stats().legs_negotiated, 4u);
-  EXPECT_GT(bed.controller().stats().candidates_rewritten, 0u);
+  EXPECT_GT(bed.fleet().controller(0).stats().legs_negotiated, 4u);
+  EXPECT_GT(bed.fleet().controller(0).stats().candidates_rewritten, 0u);
 }
 
 TEST(PeerTest, EndMeetingNotifiesRemainingMembers) {
@@ -47,13 +47,13 @@ TEST(PeerTest, EndMeetingNotifiesRemainingMembers) {
   Peer& b = bed.AddPeer();
   Peer& c = bed.AddPeer();
   auto meeting = bed.CreateMeeting();
-  a.Join(bed.controller(), meeting);
-  b.Join(bed.controller(), meeting);
-  c.Join(bed.controller(), meeting);
+  a.Join(bed.signaling(), meeting);
+  b.Join(bed.signaling(), meeting);
+  c.Join(bed.signaling(), meeting);
   bed.RunFor(2.0);
   ASSERT_EQ(a.remote_senders().size(), 2u);
 
-  bed.controller().EndMeeting(meeting);
+  bed.fleet().EndMeeting(meeting);
   EXPECT_TRUE(a.remote_senders().empty());
   EXPECT_TRUE(b.remote_senders().empty());
   EXPECT_TRUE(c.remote_senders().empty());
@@ -73,8 +73,8 @@ TEST(PeerTest, MediaCadencesMatchTable1) {
   Peer& a = bed.AddPeer();
   Peer& b = bed.AddPeer();
   auto meeting = bed.CreateMeeting();
-  a.Join(bed.controller(), meeting);
-  b.Join(bed.controller(), meeting);
+  a.Join(bed.signaling(), meeting);
+  b.Join(bed.signaling(), meeting);
   bed.RunFor(20.0);
 
   double rtp_per_s = static_cast<double>(a.stats().rtp_sent) / 20.0;
@@ -94,8 +94,8 @@ TEST(PeerTest, RembControlsEncoderTarget) {
   Peer& a = bed.AddPeer();
   Peer& b = bed.AddPeer();
   auto meeting = bed.CreateMeeting();
-  a.Join(bed.controller(), meeting);
-  b.Join(bed.controller(), meeting);
+  a.Join(bed.signaling(), meeting);
+  b.Join(bed.signaling(), meeting);
   bed.RunFor(10.0);
   // The forwarded REMB from B raised A's target toward B's estimate.
   EXPECT_GT(a.stats().remb_received, 5u);
@@ -112,8 +112,8 @@ TEST(PeerTest, PliTriggersKeyFrameWithStructure) {
   lossy.loss_rate = 0.30;
   Peer& b = bed.AddPeer(cfg.client_uplink, lossy);
   auto meeting = bed.CreateMeeting();
-  a.Join(bed.controller(), meeting);
-  b.Join(bed.controller(), meeting);
+  a.Join(bed.signaling(), meeting);
+  b.Join(bed.signaling(), meeting);
   bed.RunFor(20.0);
 
   EXPECT_GT(a.stats().pli_received, 0u);
@@ -131,8 +131,8 @@ TEST(PeerTest, RetransmitsFromHistoryOnNack) {
   lossy.loss_rate = 0.05;
   Peer& b = bed.AddPeer(cfg.client_uplink, lossy);
   auto meeting = bed.CreateMeeting();
-  a.Join(bed.controller(), meeting);
-  b.Join(bed.controller(), meeting);
+  a.Join(bed.signaling(), meeting);
+  b.Join(bed.signaling(), meeting);
   bed.RunFor(15.0);
   EXPECT_GT(a.stats().nack_received, 0u);
   EXPECT_GT(a.stats().retransmissions_sent, 0u);
@@ -147,9 +147,9 @@ TEST(PeerTest, LeaveTearsDownLegsEverywhere) {
   Peer& b = bed.AddPeer();
   Peer& c = bed.AddPeer();
   auto meeting = bed.CreateMeeting();
-  a.Join(bed.controller(), meeting);
-  b.Join(bed.controller(), meeting);
-  c.Join(bed.controller(), meeting);
+  a.Join(bed.signaling(), meeting);
+  b.Join(bed.signaling(), meeting);
+  c.Join(bed.signaling(), meeting);
   bed.RunFor(5.0);
   c.Leave();
   bed.RunFor(2.0);
@@ -176,15 +176,15 @@ TEST(PeerTest, RejoinAfterLeaveRestartsCleanMedia) {
   Peer& b = bed.AddPeer();
   Peer& c = bed.AddPeer();
   auto meeting = bed.CreateMeeting();
-  a.Join(bed.controller(), meeting);
-  b.Join(bed.controller(), meeting);
-  c.Join(bed.controller(), meeting);
+  a.Join(bed.signaling(), meeting);
+  b.Join(bed.signaling(), meeting);
+  c.Join(bed.signaling(), meeting);
   bed.RunFor(5.0);
 
   c.Leave();
   EXPECT_TRUE(c.remote_senders().empty());  // decoders torn down
   bed.RunFor(2.0);
-  c.Join(bed.controller(), meeting);
+  c.Join(bed.signaling(), meeting);
   bed.RunFor(8.0);
 
   // The rejoiner decodes everyone again (fresh legs, PLI-driven resync).
@@ -214,8 +214,8 @@ TEST(PeerTest, AudioOnlyParticipant) {
   listener.send_video = false;
   Peer& b = bed.AddPeer(listener, cfg.client_uplink, cfg.client_downlink);
   auto meeting = bed.CreateMeeting();
-  a.Join(bed.controller(), meeting);
-  b.Join(bed.controller(), meeting);
+  a.Join(bed.signaling(), meeting);
+  b.Join(bed.signaling(), meeting);
   bed.RunFor(8.0);
   // B receives A's video; A receives only audio from B.
   EXPECT_GT(b.video_receiver(a.id())->stats().frames_decoded, 200u);

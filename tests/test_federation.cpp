@@ -139,6 +139,36 @@ TEST(Federation, BorderSpanCarriesCrossRegionOverflow) {
   ExpectHealthy(m, 10);
 }
 
+TEST(Federation, BorderSpanLendsTheCapacityWeightedLeastLoadedSwitch) {
+  // The border planner ranks lender switches the way new meetings are
+  // placed: load divided by capacity class. Region 1 hosts a 1-party
+  // meeting on switch 2 (class 1) and a 2-party one on switch 3 (class 4),
+  // so switch 3 is the idler lender (2/4 < 1/1) although it carries more
+  // raw load. Meeting 0's fifth joiner overflows region 0's two Cascade(2)
+  // switches and must be spanned onto switch 3.
+  ScenarioSpec spec = FederatedSpec("fed-border-capacity", 4, 2, 3, 1, 3.0);
+  spec.meetings[0].participants.resize(6);
+  spec.meetings[2].participants.resize(2);
+  for (int k = 0; k < 6; ++k) spec.WithJoin(0, k, 0.5 + 0.1 * k);
+  spec.WithPlacementPolicy(core::PlacementPolicyConfig::Cascade(2))
+      .WithMeetingRegion(0, 0)
+      .WithMeetingRegion(1, 1)
+      .WithMeetingRegion(2, 1)
+      .WithSwitchCapacity(3, 4.0);
+  ScenarioRunner r(spec);
+  const ScenarioMetrics& m = r.Run();
+  ASSERT_GE(m.federation.border_spans, 1u);
+
+  auto& fed = r.fleet().federation();
+  ASSERT_EQ(fed.PlacementOf(r.meeting_id(1)).home, 2u);
+  ASSERT_EQ(fed.PlacementOf(r.meeting_id(2)).home, 3u);
+  const core::MeetingPlacement placement = fed.PlacementOf(r.meeting_id(0));
+  ASSERT_TRUE(placement.valid());
+  EXPECT_NE(placement.SpanOn(3), nullptr) << m.ToCsv();
+  EXPECT_EQ(placement.SpanOn(2), nullptr) << m.ToCsv();
+  ExpectHealthy(m, 10);
+}
+
 TEST(Federation, ControllerDeathShardAdoption) {
   // fleet{6,2}: region 1's controller dies mid-run. Its switches keep
   // forwarding; region 0 notices via east-west heartbeat loss, adopts the

@@ -8,11 +8,14 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/runner.hpp"
 #include "obs/stats_registry.hpp"
+#include "testbed/testbed.hpp"
 
 namespace scallop::harness {
 namespace {
@@ -147,7 +150,7 @@ TEST(ScenarioRunner, TimelineSamplesAtTheConfiguredCadence) {
 
 TEST(ScenarioSpec, BackendDefaultsToScallopAndIsFluent) {
   ScenarioSpec spec = ScenarioSpec::Uniform("backends", 1, 2, 2.0);
-  EXPECT_EQ(spec.backend.kind, testbed::BackendChoice::Kind::kScallop);
+  EXPECT_EQ(spec.backend, testbed::BackendChoice::Scallop());
   EXPECT_EQ(spec.backend.Label(), "scallop");
   spec.WithBackend(testbed::BackendChoice::Fleet(3));
   EXPECT_EQ(spec.backend.kind, testbed::BackendChoice::Kind::kFleet);
@@ -158,10 +161,12 @@ TEST(ScenarioSpec, BackendDefaultsToScallopAndIsFluent) {
 TEST(ScenarioRunner, BackendAccessorsMatchTheChosenSubstrate) {
   ScenarioSpec spec = ScenarioSpec::Uniform("accessors", 1, 2, 1.0);
   {
+    // The single switch is a fleet of one: both views reach it.
     ScenarioRunner runner(spec);
     EXPECT_EQ(runner.backend().Name(), "scallop");
+    EXPECT_EQ(runner.backend().switch_count(), 1u);
     EXPECT_NO_THROW(runner.scallop());
-    EXPECT_THROW(runner.fleet(), std::logic_error);
+    EXPECT_EQ(&runner.scallop().sw(), &runner.fleet().sw(0));
   }
   {
     spec.WithBackend(testbed::BackendChoice::Fleet(2));
@@ -171,6 +176,69 @@ TEST(ScenarioRunner, BackendAccessorsMatchTheChosenSubstrate) {
     EXPECT_NO_THROW(runner.fleet());
     EXPECT_THROW(runner.scallop(), std::logic_error);
   }
+  {
+    spec.WithBackend(testbed::BackendChoice::Software());
+    ScenarioRunner runner(spec);
+    EXPECT_THROW(runner.scallop(), std::logic_error);
+    EXPECT_THROW(runner.fleet(), std::logic_error);
+  }
+}
+
+// The single switch is a fleet of one. The repo benchmark reaches every
+// switch of a Scallop backend through one FleetTestbed cast, and a scallop
+// CSV keeps its single-switch shape.
+TEST(ScenarioRunner, SingleSwitchIsAFleetOfOne) {
+  EXPECT_EQ(testbed::BackendChoice::Scallop(),
+            testbed::BackendChoice::Fleet(1));
+  EXPECT_EQ(testbed::BackendChoice::Fleet(1).Label(), "scallop");
+
+  // The backends of the repo benchmark's four workloads, with their switch
+  // counts (0: no Scallop switch at all).
+  const std::pair<testbed::BackendChoice, size_t> workloads[] = {
+      {testbed::BackendChoice::Scallop(), 1},
+      {testbed::BackendChoice::Software(), 0},
+      {testbed::BackendChoice::Fleet(12), 12},
+      {testbed::BackendChoice::Fleet(6, 2), 6},
+  };
+  for (const auto& [choice, switches] : workloads) {
+    ScenarioSpec spec = ScenarioSpec::Uniform("seam", 1, 2, 1.0);
+    spec.WithBackend(choice);
+    ScenarioRunner runner(spec);
+    auto* fleet = dynamic_cast<testbed::FleetTestbed*>(&runner.backend());
+    if (switches == 0) {
+      EXPECT_EQ(fleet, nullptr) << choice.Label();
+      continue;
+    }
+    ASSERT_NE(fleet, nullptr) << choice.Label();
+    EXPECT_EQ(fleet->switch_count(), switches) << choice.Label();
+  }
+
+  ScenarioSpec spec = ScenarioSpec::Uniform("fleet-of-one", 1, 3, 2.0);
+  {
+    ScenarioRunner runner(spec);
+    EXPECT_EQ(&runner.scallop().sw(), &runner.fleet().sw(0));
+    const std::string csv = runner.Run().ToCsv();
+    for (const char* row : {"fleet,", "switch,", "placement,", "cascade,"}) {
+      EXPECT_EQ(csv.find(std::string("\n") + row), std::string::npos)
+          << row << " row on a single switch:\n"
+          << csv;
+    }
+  }
+  {
+    // The switch's telemetry feeds the control row like any fleet's.
+    spec.WithControlPlane(0.001);
+    ScenarioRunner runner(spec);
+    const ScenarioMetrics& m = runner.Run();
+    EXPECT_NE(m.ToCsv().find("\ncontrol,"), std::string::npos);
+    EXPECT_GT(m.control.heartbeats_seen, 0u);
+  }
+
+  // One signaling door: at R = 1 a Join into a meeting no region owns
+  // still fails loudly.
+  testbed::ScallopTestbed bed;
+  client::Peer& peer = bed.AddPeer();
+  const core::MeetingId unknown = bed.CreateMeeting() + 100;
+  EXPECT_THROW(peer.Join(bed.signaling(), unknown), std::out_of_range);
 }
 
 TEST(ScenarioSpec, InterSwitchLinksValidateTheirEndpoints) {

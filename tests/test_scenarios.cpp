@@ -184,7 +184,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(testbed::BackendChoice::Scallop(),
                       testbed::BackendChoice::Fleet(2)),
     [](const ::testing::TestParamInfo<testbed::BackendChoice>& info) {
-      return info.param.kind == testbed::BackendChoice::Kind::kScallop
+      return info.param == testbed::BackendChoice::Scallop()
                  ? "scallop"
                  : "fleet" + std::to_string(info.param.fleet_switches);
     });
