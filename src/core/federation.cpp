@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/fleet.hpp"
-
 namespace scallop::core {
 
 namespace {
@@ -75,7 +73,7 @@ MessageConduit& FederatedControlPlane::ConduitFor(size_t a, size_t b) {
   return *conduits_[a * regions_.size() + b];
 }
 
-size_t FederatedControlPlane::SliceOf(size_t global_switch) const {
+size_t FederatedControlPlane::SliceOf(size_t switch_index) const {
   const size_t R = regions_.size();
   const size_t n = cfg_.switches > 0 ? cfg_.switches : R;
   const size_t base = n / R;
@@ -83,43 +81,25 @@ size_t FederatedControlPlane::SliceOf(size_t global_switch) const {
   size_t start = 0;
   for (size_t r = 0; r < R; ++r) {
     const size_t size = base + (r < rem ? 1 : 0);
-    if (global_switch < start + size) return r;
+    if (switch_index < start + size) return r;
     start += size;
   }
   return R - 1;
 }
 
-size_t FederatedControlPlane::ToGlobal(size_t r, size_t local) const {
-  const std::vector<size_t>& l2g = regions_[r].local_to_global;
-  return local < l2g.size() ? l2g[local] : SIZE_MAX;
-}
-
-bool FederatedControlPlane::ToLocal(size_t r, size_t global_switch,
-                                    size_t* local) const {
-  const std::vector<size_t>& l2g = regions_[r].local_to_global;
-  for (size_t l = 0; l < l2g.size(); ++l) {
-    if (l2g[l] == global_switch) {
-      *local = l;
-      return true;
-    }
-  }
-  return false;
-}
-
 size_t FederatedControlPlane::AddSwitch(ControlChannel& channel,
                                         net::Ipv4 sfu_ip) {
-  const size_t global = owner_region_.size();
-  const size_t r = SliceOf(global);
-  const size_t local = regions_[r].controller->AddSwitch(channel, sfu_ip,
-                                                         global);
-  owner_region_.push_back(r);
-  owner_local_.push_back(local);
-  Region& reg = regions_[r];
-  if (local >= reg.local_to_global.size()) {
-    reg.local_to_global.resize(local + 1, SIZE_MAX);
+  const size_t index = owner_region_.size();
+  const size_t owner = SliceOf(index);
+  owner_region_.push_back(owner);
+  FleetController& fc = *regions_[owner].controller;
+  fc.AddSwitch(channel, sfu_ip);
+  for (size_t r = 0; r < regions_.size(); ++r) {
+    if (r != owner) {
+      regions_[r].controller->AddSwitch(channel, sfu_ip, &fc.controller(index));
+    }
   }
-  reg.local_to_global[local] = global;
-  return global;
+  return index;
 }
 
 void FederatedControlPlane::Activate() {
@@ -159,16 +139,16 @@ std::pair<size_t, size_t> FederatedControlPlane::LeastLoadedOwnedSwitch(
     const Region& reg = regions_[r];
     if (r == skip || reg.dead) continue;
     const FleetController& fc = *reg.controller;
-    for (size_t l = 0; l < fc.switch_count(); ++l) {
-      if (!fc.OwnsSwitch(l) || !fc.IsAlive(l)) continue;
-      const double cls = fc.CapacityClassOf(l);
-      const double p = fc.LoadOf(l) / cls;
-      const double m = fc.MeetingsOn(l) / cls;
+    for (size_t i = 0; i < fc.switch_count(); ++i) {
+      if (!fc.OwnsSwitch(i) || !fc.IsAlive(i)) continue;
+      const double cls = fc.CapacityClassOf(i);
+      const double p = fc.LoadOf(i) / cls;
+      const double m = fc.MeetingsOn(i) / cls;
       if (p < best_participants ||
           (p == best_participants && m < best_meetings)) {
         best_participants = p;
         best_meetings = m;
-        best = {r, l};
+        best = {r, i};
       }
     }
   }
@@ -212,12 +192,12 @@ size_t FederatedControlPlane::NextIngress() {
 size_t FederatedControlPlane::ResolveOwner(size_t ingress, MeetingId meeting) {
   ++stats_.directory_lookups;
   Region& in = regions_[ingress];
-  if (in.controller->directory().Find(meeting) != nullptr) return ingress;
+  if (in.controller->OwnsMeeting(meeting)) return ingress;
   auto cached = in.owner_cache.find(meeting);
   if (cached != in.owner_cache.end()) {
     const size_t owner = cached->second;
     if (!regions_[owner].dead &&
-        regions_[owner].controller->directory().Find(meeting) != nullptr) {
+        regions_[owner].controller->OwnsMeeting(meeting)) {
       return owner;
     }
     in.owner_cache.erase(cached);  // stale: the owner died or lost it
@@ -236,8 +216,7 @@ size_t FederatedControlPlane::ResolveOwner(size_t ingress, MeetingId meeting) {
     MessageConduit& conduit = ConduitFor(ingress, q);
     conduit.Send(ew_stats_, [] {}, "lookup.query");
     conduit.Send(ew_stats_, [] {}, "lookup.response");
-    if (owner == SIZE_MAX &&
-        regions_[q].controller->directory().Find(meeting) != nullptr) {
+    if (owner == SIZE_MAX && regions_[q].controller->OwnsMeeting(meeting)) {
       owner = q;
     }
   }
@@ -309,14 +288,11 @@ void FederatedControlPlane::SetPlacementPolicy(
   }
 }
 
-void FederatedControlPlane::SetSwitchCapacity(size_t global_switch,
+void FederatedControlPlane::SetSwitchCapacity(size_t switch_index,
                                               double capacity_class) {
-  if (global_switch >= owner_region_.size()) {
-    throw std::out_of_range("federation: SetSwitchCapacity index");
+  for (Region& reg : regions_) {
+    reg.controller->SetSwitchCapacity(switch_index, capacity_class);
   }
-  const size_t r = owner_region_[global_switch];
-  regions_[r].controller->SetSwitchCapacity(owner_local_[global_switch],
-                                            capacity_class);
 }
 
 void FederatedControlPlane::set_relay_stream_bps(double bps) {
@@ -328,14 +304,13 @@ void FederatedControlPlane::ConfigureInterSwitchLink(size_t a, size_t b,
                                                      double capacity_bps) {
   global_topology_.EnsureNodes(switch_count());
   global_topology_.SetLink(a, b, latency_s, capacity_bps);
-  // Each region's controller keeps a slice-local link-state view; only
-  // links wholly inside one region reach it (cross-region links are the
-  // plane's to know — border spans ride the guest mechanism, not the
-  // regional planner).
+  // Each region's controller learns only the links wholly inside its
+  // slice (cross-region links are the plane's to know — border spans ride
+  // the guest mechanism, not the regional planner).
   const size_t ra = owner_region_[a];
   if (ra == owner_region_[b]) {
-    regions_[ra].controller->ConfigureInterSwitchLink(
-        owner_local_[a], owner_local_[b], latency_s, capacity_bps);
+    regions_[ra].controller->ConfigureInterSwitchLink(a, b, latency_s,
+                                                      capacity_bps);
   }
 }
 
@@ -344,8 +319,7 @@ void FederatedControlPlane::SetInterSwitchLinkCapacity(size_t a, size_t b,
   global_topology_.SetLinkCapacity(a, b, capacity_bps);
   const size_t ra = owner_region_[a];
   if (ra == owner_region_[b] && !regions_[ra].dead) {
-    regions_[ra].controller->SetInterSwitchLinkCapacity(
-        owner_local_[a], owner_local_[b], capacity_bps);
+    regions_[ra].controller->SetInterSwitchLinkCapacity(a, b, capacity_bps);
   }
 }
 
@@ -356,15 +330,8 @@ void FederatedControlPlane::EnableRebalancer(const RebalanceConfig& cfg) {
 }
 
 void FederatedControlPlane::SetMigrationCallback(
-    std::function<void(MeetingId, size_t, size_t)> cb) {
-  migration_cb_ = std::move(cb);
-  for (size_t r = 0; r < regions_.size(); ++r) {
-    regions_[r].controller->SetMigrationCallback(
-        [this, r](MeetingId meeting, size_t from, size_t to) {
-          if (!migration_cb_) return;
-          migration_cb_(meeting, ToGlobal(r, from), ToGlobal(r, to));
-        });
-  }
+    FleetController::MigrationCallback cb) {
+  for (Region& reg : regions_) reg.controller->SetMigrationCallback(cb);
 }
 
 void FederatedControlPlane::SetRedundancy(const RedundancyConfig& cfg) {
@@ -374,15 +341,8 @@ void FederatedControlPlane::SetRedundancy(const RedundancyConfig& cfg) {
 }
 
 void FederatedControlPlane::SetHitlessMigrationCallback(
-    std::function<void(MeetingId, size_t, size_t)> cb) {
-  hitless_cb_ = std::move(cb);
-  for (size_t r = 0; r < regions_.size(); ++r) {
-    regions_[r].controller->SetHitlessMigrationCallback(
-        [this, r](MeetingId meeting, size_t from, size_t to) {
-          if (!hitless_cb_) return;
-          hitless_cb_(meeting, ToGlobal(r, from), ToGlobal(r, to));
-        });
-  }
+    FleetController::MigrationCallback cb) {
+  for (Region& reg : regions_) reg.controller->SetHitlessMigrationCallback(cb);
 }
 
 void FederatedControlPlane::FreezeMeetings(
@@ -394,98 +354,60 @@ void FederatedControlPlane::FreezeMeetings(
 }
 
 MeetingPlacement FederatedControlPlane::PlacementOf(MeetingId meeting) const {
-  for (size_t r = 0; r < regions_.size(); ++r) {
-    if (regions_[r].controller->directory().Find(meeting) == nullptr) {
-      continue;
-    }
-    MeetingPlacement p = regions_[r].controller->PlacementOf(meeting);
-    p.home = ToGlobal(r, p.home);
-    for (RelaySpan& span : p.spans) {
-      span.switch_index = ToGlobal(r, span.switch_index);
-      if (span.parent != SIZE_MAX) span.parent = ToGlobal(r, span.parent);
-    }
-    return p;
-  }
-  return {};
+  const size_t r = OwnerRegionOf(meeting);
+  return r == SIZE_MAX ? MeetingPlacement{}
+                       : regions_[r].controller->PlacementOf(meeting);
 }
 
 std::pair<size_t, MeetingId> FederatedControlPlane::PlacementDetail(
     MeetingId meeting) const {
-  for (size_t r = 0; r < regions_.size(); ++r) {
-    if (regions_[r].controller->directory().Find(meeting) == nullptr) {
-      continue;
-    }
-    auto [home, local_meeting] = regions_[r].controller->PlacementDetail(
-        meeting);
-    return {ToGlobal(r, home), local_meeting};
-  }
-  return {SIZE_MAX, 0};
+  const size_t r = OwnerRegionOf(meeting);
+  return r == SIZE_MAX ? std::pair<size_t, MeetingId>{SIZE_MAX, 0}
+                       : regions_[r].controller->PlacementDetail(meeting);
 }
 
 std::vector<MeetingRelay> FederatedControlPlane::RelaysOf(
     MeetingId meeting) const {
-  for (size_t r = 0; r < regions_.size(); ++r) {
-    if (regions_[r].controller->directory().Find(meeting) == nullptr) {
-      continue;
-    }
-    std::vector<MeetingRelay> relays = regions_[r].controller->RelaysOf(
-        meeting);
-    for (MeetingRelay& relay : relays) {
-      relay.upstream = ToGlobal(r, relay.upstream);
-      relay.downstream = ToGlobal(r, relay.downstream);
-      for (size_t& hop : relay.backbone_path) hop = ToGlobal(r, hop);
-    }
-    return relays;
-  }
-  return {};
+  const size_t r = OwnerRegionOf(meeting);
+  return r == SIZE_MAX ? std::vector<MeetingRelay>{}
+                       : regions_[r].controller->RelaysOf(meeting);
 }
 
-bool FederatedControlPlane::IsAlive(size_t global_switch) const {
-  const size_t r = owner_region_[global_switch];
-  return regions_[r].controller->IsAlive(owner_local_[global_switch]);
+bool FederatedControlPlane::IsAlive(size_t switch_index) const {
+  return regions_[owner_region_[switch_index]].controller->IsAlive(
+      switch_index);
 }
 
-int FederatedControlPlane::LoadOf(size_t global_switch) const {
-  // Owner plus borrowers: each region only counts members it placed on
-  // the switch, so the per-region counts are disjoint and sum cleanly.
+int FederatedControlPlane::LoadOf(size_t switch_index) const {
   int total = 0;
-  for (size_t r = 0; r < regions_.size(); ++r) {
-    size_t local;
-    if (ToLocal(r, global_switch, &local)) {
-      total += regions_[r].controller->LoadOf(local);
-    }
+  for (const Region& reg : regions_) {
+    if (!reg.adopted) total += reg.controller->LoadOf(switch_index);
   }
   return total;
 }
 
-int FederatedControlPlane::MeetingsOn(size_t global_switch) const {
+int FederatedControlPlane::MeetingsOn(size_t switch_index) const {
   int total = 0;
-  for (size_t r = 0; r < regions_.size(); ++r) {
-    size_t local;
-    if (ToLocal(r, global_switch, &local)) {
-      total += regions_[r].controller->MeetingsOn(local);
-    }
+  for (const Region& reg : regions_) {
+    if (!reg.adopted) total += reg.controller->MeetingsOn(switch_index);
   }
   return total;
 }
 
-net::Ipv4 FederatedControlPlane::SfuIpOf(size_t global_switch) const {
-  const size_t r = owner_region_[global_switch];
-  return regions_[r].controller->SfuIpOf(owner_local_[global_switch]);
+net::Ipv4 FederatedControlPlane::SfuIpOf(size_t switch_index) const {
+  return regions_[owner_region_[switch_index]].controller->SfuIpOf(
+      switch_index);
 }
 
-void FederatedControlPlane::ReviveSwitch(size_t global_switch) {
-  const size_t r = owner_region_[global_switch];
-  regions_[r].controller->ReviveSwitch(owner_local_[global_switch]);
+void FederatedControlPlane::ReviveSwitch(size_t switch_index) {
+  regions_[owner_region_[switch_index]].controller->ReviveSwitch(
+      switch_index);
 }
 
 double FederatedControlPlane::LinkLoad(size_t a, size_t b) const {
   double total = 0.0;
-  for (size_t r = 0; r < regions_.size(); ++r) {
-    size_t la, lb;
-    if (ToLocal(r, a, &la) && ToLocal(r, b, &lb)) {
-      total += regions_[r].controller->topology().LoadOf(la, lb);
-    }
+  for (const Region& reg : regions_) {
+    if (!reg.adopted) total += reg.controller->topology().LoadOf(a, b);
   }
   return total;
 }
@@ -592,31 +514,15 @@ void FederatedControlPlane::KillController(size_t r) {
 }
 
 void FederatedControlPlane::AdoptRegion(size_t adopter, size_t dead) {
-  Region& a = regions_[adopter];
   Region& d = regions_[dead];
   if (d.adopted) return;
-  std::vector<size_t> old_to_new;
   const size_t adopted =
-      a.controller->AdoptShardFrom(*d.controller, &old_to_new);
-  // Re-point the plane's global mappings: every switch the dead region
-  // knew now answers to the adopter; ownership transfers only for
-  // switches the dead region actually owned (borrowed guests stay with
-  // their owners).
-  for (size_t i = 0; i < d.local_to_global.size() && i < old_to_new.size();
-       ++i) {
-    const size_t global = d.local_to_global[i];
-    const size_t new_local = old_to_new[i];
-    if (global == SIZE_MAX || new_local == SIZE_MAX) continue;
-    if (new_local >= a.local_to_global.size()) {
-      a.local_to_global.resize(new_local + 1, SIZE_MAX);
-    }
-    a.local_to_global[new_local] = global;
-    if (owner_region_[global] == dead) {
-      owner_region_[global] = adopter;
-      owner_local_[global] = new_local;
-    }
+      regions_[adopter].controller->AdoptShardFrom(*d.controller);
+  // Only the switches the dead region owned change hands; ones it
+  // borrowed stay with their owners.
+  for (size_t& owner : owner_region_) {
+    if (owner == dead) owner = adopter;
   }
-  d.local_to_global.clear();
   d.owner_cache.clear();
   d.border_guest.clear();
   d.adopted = true;
@@ -629,9 +535,7 @@ void FederatedControlPlane::AdoptRegion(size_t adopter, size_t dead) {
 
 size_t FederatedControlPlane::OwnerRegionOf(MeetingId meeting) const {
   for (size_t r = 0; r < regions_.size(); ++r) {
-    if (regions_[r].controller->directory().Find(meeting) != nullptr) {
-      return r;
-    }
+    if (regions_[r].controller->OwnsMeeting(meeting)) return r;
   }
   return SIZE_MAX;
 }
@@ -642,7 +546,7 @@ size_t FederatedControlPlane::BorderGuestFor(size_t owner, MeetingId meeting) {
   if (cached != own.border_guest.end()) return cached->second;
   // Lender: the live peer holding the least-loaded owned live switch,
   // ranked exactly as new meetings are placed (capacity-weighted).
-  const auto [lender, lender_switch] = LeastLoadedOwnedSwitch(owner);
+  const auto [lender, guest] = LeastLoadedOwnedSwitch(owner);
   if (lender == SIZE_MAX) return SIZE_MAX;
   // The border negotiation is a synchronous request/grant pair — the
   // span must be usable within this Join. Either message lost: no span
@@ -652,21 +556,13 @@ size_t FederatedControlPlane::BorderGuestFor(size_t owner, MeetingId meeting) {
       !ConduitFor(lender, owner).Transact(ew_stats_, "border_grant")) {
     return SIZE_MAX;
   }
-  FleetController& lc = *regions_[lender].controller;
-  const size_t guest = own.controller->AddBorderSwitch(
-      lc.ChannelOf(lender_switch), lc.controller(lender_switch),
-      lc.SfuIpOf(lender_switch));
-  const size_t global = ToGlobal(lender, lender_switch);
-  if (guest >= own.local_to_global.size()) {
-    own.local_to_global.resize(guest + 1, SIZE_MAX);
-  }
-  own.local_to_global[guest] = global;
+  // The owner already holds a non-owned slot for the guest.
   own.border_guest[meeting] = guest;
   ++stats_.border_spans;
   obs::Emitf(trace_, sched_.now(), obs::Category::kFederation, kTrack,
              "federation.border_span", 0,
              "meeting=%u owner=%zu lender=%zu switch=%zu",
-             static_cast<unsigned>(meeting), owner, lender, global);
+             static_cast<unsigned>(meeting), owner, lender, guest);
   return guest;
 }
 

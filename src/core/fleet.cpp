@@ -8,10 +8,19 @@
 namespace scallop::core {
 
 FleetController::FleetController()
-    : directory_(std::make_unique<LocalDirectoryShard>()),
-      policy_(std::make_unique<LeastLoadedPolicy>()) {}
+    : policy_(std::make_unique<LeastLoadedPolicy>()) {}
 
 FleetController::~FleetController() = default;
+
+MeetingRecord* FleetController::Find(MeetingId meeting) {
+  auto it = meetings_.find(meeting);
+  return it == meetings_.end() ? nullptr : &it->second;
+}
+
+const MeetingRecord* FleetController::Find(MeetingId meeting) const {
+  auto it = meetings_.find(meeting);
+  return it == meetings_.end() ? nullptr : &it->second;
+}
 
 void FleetController::Trace(obs::Category category, const char* name,
                             const char* fmt, ...) {
@@ -24,28 +33,34 @@ void FleetController::Trace(obs::Category category, const char* name,
 }
 
 size_t FleetController::AddSwitch(ControlChannel& channel, net::Ipv4 sfu_ip,
-                                  size_t id_space) {
+                                  Controller* owner) {
+  const size_t index = switches_.size();
   auto member = std::make_unique<Member>();
-  // Disjoint participant-id range per switch: without it, two switch
-  // controllers both counting from 1 could hand out the same id, and a
-  // stale Leave for a participant migrated off one switch would pass the
-  // membership guard and kick a live, unrelated member on another. Under
-  // a federation `id_space` is the switch's *global* index, keeping the
-  // ranges disjoint across regions too.
-  constexpr ParticipantId kIdStride = 1'000'000;
-  if (id_space == SIZE_MAX) id_space = switches_.size();
   member->channel = &channel;
-  member->owned_controller = std::make_unique<Controller>(
-      channel, sfu_ip, static_cast<ParticipantId>(id_space) * kIdStride + 1);
-  member->controller = member->owned_controller.get();
+  if (owner == nullptr) {
+    // Disjoint participant-id range per switch: without it, two switch
+    // controllers both counting from 1 could hand out the same id, and a
+    // stale Leave for a participant migrated off one switch would pass
+    // the membership guard and kick a live, unrelated member on another.
+    // Every region numbers switches alike, so the ranges are disjoint
+    // across regions too.
+    constexpr ParticipantId kIdStride = 1'000'000;
+    member->owned_controller = std::make_unique<Controller>(
+        channel, sfu_ip, static_cast<ParticipantId>(index) * kIdStride + 1);
+  }
+  member->controller =
+      owner != nullptr ? owner : member->owned_controller.get();
   member->sfu_ip = sfu_ip;
   if (sched_ == nullptr) sched_ = &channel.sched();
   member->last_heartbeat = sched_->now();
   switches_.push_back(std::move(member));
-  const size_t index = switches_.size() - 1;
   topology_.EnsureNodes(switches_.size());
-  channel.Subscribe(this, index);
-  ArmFailureDetector(channel);
+  // A non-owned slot's telemetry goes to its owner, which also watches
+  // the switch's heartbeats.
+  if (owner == nullptr) {
+    channel.Subscribe(this, index);
+    ArmFailureDetector(channel);
+  }
   return index;
 }
 
@@ -68,29 +83,6 @@ void FleetController::ArmFailureDetector(const ControlChannel& channel) {
       });
 }
 
-size_t FleetController::AddBorderSwitch(ControlChannel& channel,
-                                        Controller& controller,
-                                        net::Ipv4 sfu_ip) {
-  for (size_t i = 0; i < switches_.size(); ++i) {
-    if (switches_[i]->channel == &channel) return i;
-  }
-  auto member = std::make_unique<Member>();
-  member->channel = &channel;
-  member->controller = &controller;  // the lender's, not ours
-  member->owned = false;
-  member->sfu_ip = sfu_ip;
-  // Guests are never policy-placed (Loads() reports them dead) and never
-  // failure-detected here — the owner watches its own switch. No
-  // telemetry subscription either: the channel's sink stays pointed at
-  // the owner.
-  member->alive = true;
-  if (sched_ == nullptr) sched_ = &channel.sched();
-  member->last_heartbeat = sched_->now();
-  switches_.push_back(std::move(member));
-  topology_.EnsureNodes(switches_.size());
-  return switches_.size() - 1;
-}
-
 void FleetController::ConfigureIdSpace(MeetingId first_meeting,
                                        MeetingId meeting_stride,
                                        ParticipantId relay_id_base) {
@@ -110,109 +102,44 @@ void FleetController::Shutdown() {
   rebalance_task_.reset();
 }
 
-size_t FleetController::AdoptShardFrom(FleetController& failed,
-                                       std::vector<size_t>* old_to_new) {
-  // Map each of the dead controller's switch slots into this fleet:
-  // switches both controllers know (border guests lent either way) merge
-  // into the existing slot; everything else is appended.
-  std::vector<size_t> remap(failed.switches_.size(), SIZE_MAX);
-  for (size_t i = 0; i < failed.switches_.size(); ++i) {
-    std::unique_ptr<Member>& slot = failed.switches_[i];
-    if (slot == nullptr || slot->channel == nullptr) continue;
-    size_t existing = SIZE_MAX;
-    for (size_t j = 0; j < switches_.size(); ++j) {
-      if (switches_[j]->channel == slot->channel) {
-        existing = j;
-        break;
-      }
-    }
-    if (existing != SIZE_MAX) {
-      Member& mine = *switches_[existing];
-      // The per-switch bookkeeping is disjoint (each controller only
-      // counts members it placed), so the counts fold additively.
-      mine.participants += slot->participants;
-      mine.meetings += slot->meetings;
-      if (slot->owned) {
-        // We were the borrower and the switch's real owner died: take
-        // over its per-switch controller (sessions and id spaces
-        // survive) and re-point its telemetry and failure detection.
-        mine.owned_controller = std::move(slot->owned_controller);
-        mine.controller = mine.owned_controller.get();
-        mine.owned = true;
-        mine.alive = slot->alive;
-        mine.last_report = slot->last_report;
-        mine.report_seen = false;  // stale reports predate the handoff
-        mine.last_heartbeat = sched_ != nullptr ? sched_->now() : 0;
-        mine.channel->Subscribe(this, existing);
-        ArmFailureDetector(*mine.channel);
-      }
-      remap[i] = existing;
-    } else {
-      const size_t index = switches_.size();
-      switches_.push_back(std::move(slot));
-      Member& moved = *switches_.back();
-      moved.last_heartbeat = sched_ != nullptr ? sched_->now() : 0;
-      moved.report_seen = false;
-      if (moved.owned) {
-        moved.channel->Subscribe(this, index);
-        ArmFailureDetector(*moved.channel);
-      }
-      remap[i] = index;
-    }
+size_t FleetController::AdoptShardFrom(FleetController& failed) {
+  // Both controllers number every switch alike, so the shard moves over
+  // slot for slot.
+  for (size_t i = 0; i < switches_.size() && i < failed.switches_.size();
+       ++i) {
+    Member& mine = *switches_[i];
+    Member& theirs = *failed.switches_[i];
+    // Each controller only counts members it placed, so the per-switch
+    // counts fold additively.
+    mine.participants += theirs.participants;
+    mine.meetings += theirs.meetings;
+    if (!theirs.owned()) continue;
+    // The dead peer owned this switch: take over its per-switch
+    // controller (sessions and id spaces survive) and re-point its
+    // telemetry and failure detection here.
+    mine.owned_controller = std::move(theirs.owned_controller);
+    mine.controller = mine.owned_controller.get();
+    mine.alive = theirs.alive;
+    mine.last_report = theirs.last_report;
+    mine.report_seen = false;  // stale reports predate the handoff
+    mine.last_heartbeat = sched_ != nullptr ? sched_->now() : 0;
+    mine.channel->Subscribe(this, i);
+    ArmFailureDetector(*mine.channel);
   }
-  topology_.EnsureNodes(switches_.size());
 
-  auto remapped = [&remap](size_t idx) {
-    if (idx == SIZE_MAX) return SIZE_MAX;  // preserve "home" sentinels
-    return idx < remap.size() && remap[idx] != SIZE_MAX ? remap[idx] : idx;
-  };
-
-  // Adopt the meeting records wholesale: remap every switch index and
-  // re-register the relay load on *our* link-state view (the dead
-  // controller's view dies with it).
-  size_t adopted = 0;
-  for (MeetingId id : failed.directory_->Ids()) {
-    MeetingRecord* rec = failed.directory_->Find(id);
-    if (rec == nullptr || directory_->Find(id) != nullptr) continue;
-    MeetingRecord moved = std::move(*rec);
-    moved.placement.home = remapped(moved.placement.home);
-    for (RelaySpan& span : moved.placement.spans) {
-      span.switch_index = remapped(span.switch_index);
-      span.parent = remapped(span.parent);
-    }
-    for (auto& [pid, info] : moved.members) {
-      info.home_switch = remapped(info.home_switch);
-    }
-    for (MeetingRelay& r : moved.relays) {
-      r.upstream = remapped(r.upstream);
-      r.downstream = remapped(r.downstream);
-      for (size_t& hop : r.backbone_path) hop = remapped(hop);
+  // The meeting records move unchanged; their relay load re-registers on
+  // *our* link-state view (the dead controller's view dies with it).
+  for (const auto& [id, rec] : failed.meetings_) {
+    for (const MeetingRelay& r : rec.relays) {
       topology_.AddLoad(r.backbone_path, r.load_bps);
     }
-    for (SecondaryTree& t : moved.secondaries) {
-      t.upstream = remapped(t.upstream);
-      t.downstream = remapped(t.downstream);
-      for (size_t& hop : t.path) hop = remapped(hop);
-      for (ProtectionHop& h : t.hops) {
-        h.upstream = remapped(h.upstream);
-        h.downstream = remapped(h.downstream);
-      }
-      // Chains own their registered load (active or standby alike).
+    // Chains own their registered load (active or standby alike).
+    for (const SecondaryTree& t : rec.secondaries) {
       topology_.AddLoad(t.path, t.load_bps);
     }
-    if (!moved.protection_meetings.empty()) {
-      std::map<size_t, MeetingId> pms;
-      for (const auto& [sw, local] : moved.protection_meetings) {
-        pms[remapped(sw)] = local;
-      }
-      moved.protection_meetings = std::move(pms);
-    }
-    directory_->Emplace(id, std::move(moved));
-    ++adopted;
   }
-  for (MeetingId id : failed.directory_->Ids()) failed.directory_->Erase(id);
-  failed.switches_.clear();
-  if (old_to_new != nullptr) *old_to_new = std::move(remap);
+  const size_t adopted = failed.meetings_.size();
+  meetings_.merge(failed.meetings_);
   // Each adopted meeting was re-homed to a new controller — the same
   // bookkeeping a MigrateMeeting re-home gets, so fleet-wide counters
   // show the takeover.
@@ -284,7 +211,7 @@ void FleetController::ReplanOverloadedLinks() {
                      std::pair<size_t, size_t> link) {
     return path_crosses(CurrentRelayPath(st, r), link);
   };
-  for (size_t guard = directory_->size() * switches_.size() + 1; guard > 0;
+  for (size_t guard = meetings_.size() * switches_.size() + 1; guard > 0;
        --guard) {
     const auto overloaded = topology_.OverloadedLinks();
     if (overloaded.empty()) return;
@@ -295,8 +222,7 @@ void FleetController::ReplanOverloadedLinks() {
     // re-evaluate the overload set before touching more state.
     if (redundancy_.redundant_trees) {
       bool changed = false;
-      for (MeetingId meeting : directory_->Ids()) {
-        MeetingState& st = *directory_->Find(meeting);
+      for (auto& [meeting, st] : meetings_) {
         for (MeetingRelay& r : st.relays) {
           for (const auto& link : overloaded) {
             if (!crosses(st, r, link)) continue;
@@ -334,8 +260,7 @@ void FleetController::ReplanOverloadedLinks() {
       if (changed) continue;
     }
     bool collapsed = false;
-    for (MeetingId meeting : directory_->Ids()) {
-      MeetingState& st = *directory_->Find(meeting);
+    for (auto& [meeting, st] : meetings_) {
       size_t child = SIZE_MAX;
       for (const MeetingRelay& r : st.relays) {
         for (const auto& link : overloaded) {
@@ -358,7 +283,7 @@ void FleetController::ReplanOverloadedLinks() {
       Trace(obs::Category::kTopology, "topology.replan",
             "meeting=%u collapsed=%zu home=%zu",
             static_cast<unsigned>(meeting), child, st.placement.home);
-      if (migration_cb_) migration_cb_(meeting, child, st.placement.home);
+      if (migration_cb_) migration_cb_(meeting);
       TearDownSpan(st, child, /*switch_dead=*/false);
       st.frozen = true;
       collapsed = true;
@@ -390,9 +315,9 @@ void FleetController::CheckHeartbeats() {
   if (dead_) return;
   for (size_t i = 0; i < switches_.size(); ++i) {
     Member& m = *switches_[i];
-    // Border guests are the owner's to watch; their heartbeats go to the
+    // Non-owned slots are the owner's to watch; their heartbeats go to the
     // owner's sink, so judging them here would always "miss".
-    if (!m.owned || !m.alive || m.channel == nullptr) continue;
+    if (!m.owned() || !m.alive || m.channel == nullptr) continue;
     const util::DurationUs interval = m.channel->config().heartbeat_interval;
     if (interval <= 0) continue;
     // The detector is calibrated to the channel: a heartbeat is only late
@@ -438,13 +363,13 @@ void FleetController::EnableRebalancer(const RebalanceConfig& cfg) {
 
 void FleetController::FreezeMeetings(const std::vector<MeetingId>& meetings) {
   for (MeetingId meeting : meetings) {
-    MeetingRecord* rec = directory_->Find(meeting);
+    MeetingRecord* rec = Find(meeting);
     if (rec != nullptr) rec->frozen = true;
   }
 }
 
 bool FleetController::IsFrozen(MeetingId meeting) const {
-  const MeetingRecord* rec = directory_->Find(meeting);
+  const MeetingRecord* rec = Find(meeting);
   return rec != nullptr && rec->frozen;
 }
 
@@ -487,8 +412,7 @@ void FleetController::Rebalance() {
   const util::TimeUs now = sched_->now();
   MeetingId pick = 0;
   int pick_size = std::numeric_limits<int>::max();
-  for (MeetingId meeting : directory_->Ids()) {
-    const MeetingState& st = *directory_->Find(meeting);
+  for (const auto& [meeting, st] : meetings_) {
     if (st.placement.home != busiest) continue;
     if (st.placement.spans_switches()) continue;
     if (st.frozen) continue;
@@ -529,9 +453,9 @@ std::vector<SwitchLoad> FleetController::Loads() const {
   std::vector<SwitchLoad> loads;
   loads.reserve(switches_.size());
   for (const auto& sw : switches_) {
-    // Border guests are invisible to the placement policy (reported not
+    // Non-owned slots are invisible to the placement policy (reported not
     // alive): only the border-span planner may target them.
-    loads.push_back(SwitchLoad{sw->owned && sw->alive, sw->participants,
+    loads.push_back(SwitchLoad{sw->owned() && sw->alive, sw->participants,
                                sw->meetings, sw->capacity_class});
   }
   return loads;
@@ -565,10 +489,9 @@ MeetingId FleetController::CreateMeeting() {
   MeetingId local = switches_[idx]->controller->CreateMeeting();
   MeetingId global = next_meeting_;
   next_meeting_ += meeting_stride_;
-  MeetingState st;
+  MeetingState& st = meetings_[global];
   st.placement.home = idx;
   st.placement.local_meeting = local;
-  directory_->Emplace(global, std::move(st));
   ++switches_[idx]->meetings;
   ++stats_.meetings_placed;
   Trace(obs::Category::kPlacement, "placement.meeting_placed",
@@ -748,7 +671,7 @@ FleetController::JoinResult FleetController::Join(
   if (dead_) {
     throw std::runtime_error("FleetController: controller is down");
   }
-  MeetingState* found = directory_->Find(meeting);
+  MeetingState* found = Find(meeting);
   if (found == nullptr) {
     throw std::out_of_range("FleetController: unknown meeting");
   }
@@ -759,9 +682,9 @@ FleetController::JoinResult FleetController::Join(
   // The policy falling back to an already-full home switch means it is
   // out of local capacity. Under a federation that overflow is worth a
   // cross-region border span: ask the plane for a guest switch to span
-  // onto (the guest was registered via AddBorderSwitch and rides the
-  // ordinary RelaySpan mechanics below). A federation of one has no peer
-  // to lend, and a controller without a provider never asks.
+  // onto (one of our non-owned slots; it rides the ordinary RelaySpan
+  // mechanics below). A federation of one has no peer to lend, and a
+  // controller without a provider never asks.
   if (target == st.placement.home && border_provider_ != nullptr) {
     const int budget = policy_->SpanBudget();
     if (budget > 0 &&
@@ -875,7 +798,7 @@ void FleetController::EraseParticipantFromPlacement(MeetingState& st,
 
 void FleetController::Leave(MeetingId meeting, ParticipantId participant) {
   if (dead_) return;  // the crashed controller can no longer sign anyone out
-  MeetingState* found = directory_->Find(meeting);
+  MeetingState* found = Find(meeting);
   if (found == nullptr) return;
   MeetingState& st = *found;
   // Membership guard: a participant who never joined (or already left —
@@ -1125,8 +1048,8 @@ void FleetController::PlanSecondary(MeetingState& st, MeetingRelay& r) {
     const Member& m = *switches_[sw];
     if (!m.alive || m.channel == nullptr) return;
     // Interior hops park state in switch-local protection meetings, which
-    // needs the switch's own controller — not a borrowed border guest's.
-    if (i > 0 && i + 1 < path.size() && !m.owned) return;
+    // needs the switch's own controller — not a non-owned slot's.
+    if (i > 0 && i + 1 < path.size() && !m.owned()) return;
   }
 
   SecondaryTree t;
@@ -1306,11 +1229,11 @@ void FleetController::HitlessMigrate(MeetingState& st, MeetingId meeting,
         "meeting=%u from=%zu to=%zu", static_cast<unsigned>(meeting), source,
         target);
   EnsureProtection(st);
-  if (hitless_cb_) hitless_cb_(meeting, source, target);
+  if (hitless_cb_) hitless_cb_(meeting);
 }
 
 void FleetController::EndMeeting(MeetingId meeting) {
-  MeetingState* found = directory_->Find(meeting);
+  MeetingState* found = Find(meeting);
   if (found == nullptr) return;
   MeetingState& st = *found;
 
@@ -1336,11 +1259,11 @@ void FleetController::EndMeeting(MeetingId meeting) {
   sw.participants -= static_cast<int>(st.members.size());
   --sw.meetings;
   sw.controller->EndMeeting(st.placement.local_meeting);
-  directory_->Erase(meeting);
+  meetings_.erase(meeting);
 }
 
 void FleetController::MigrateMeeting(MeetingId meeting, size_t target_switch) {
-  MeetingState* found = directory_->Find(meeting);
+  MeetingState* found = Find(meeting);
   if (found == nullptr) return;
   MeetingState& st = *found;
   if (st.placement.home == target_switch && !st.placement.spans_switches()) {
@@ -1355,14 +1278,14 @@ void FleetController::MigrateMeeting(MeetingId meeting, size_t target_switch) {
   // the meeting already spans and must collapse) stay classic.
   if (redundancy_.hitless_migration && !st.placement.spans_switches() &&
       target_switch < switches_.size() && IsAlive(source_switch) &&
-      IsAlive(target_switch) && switches_[target_switch]->owned) {
+      IsAlive(target_switch) && switches_[target_switch]->owned()) {
     HitlessMigrate(st, meeting, target_switch);
     return;
   }
   // Let the substrate/harness drop the members' sessions first (they must
   // re-signal onto the target); anything still joined afterwards is
   // drained below.
-  if (migration_cb_) migration_cb_(meeting, source_switch, target_switch);
+  if (migration_cb_) migration_cb_(meeting);
 
   // The migration collapses the meeting to a single fresh home; if it was
   // cascaded, the spans go too — the policy re-plans them as members
@@ -1400,8 +1323,7 @@ void FleetController::OnSwitchDown(size_t switch_index) {
   if (!m.alive) return;  // already declared dead: migrate exactly once
   m.alive = false;
   std::vector<MeetingId> homed, spanned;
-  for (MeetingId meeting : directory_->Ids()) {
-    const MeetingState& st = *directory_->Find(meeting);
+  for (const auto& [meeting, st] : meetings_) {
     if (st.placement.home == switch_index) {
       homed.push_back(meeting);
     } else if (st.placement.SpanOn(switch_index) != nullptr) {
@@ -1422,12 +1344,10 @@ void FleetController::OnSwitchDown(size_t switch_index) {
     // Only a span died: the home (hub) survives, so collapse the span and
     // let its members re-join — the policy re-plans them onto live
     // switches.
-    MeetingState& st = *directory_->Find(meeting);
+    MeetingState& st = *Find(meeting);
     Trace(obs::Category::kFleet, "span.collapsed", "meeting=%u switch=%zu",
           static_cast<unsigned>(meeting), switch_index);
-    if (migration_cb_) {
-      migration_cb_(meeting, switch_index, st.placement.home);
-    }
+    if (migration_cb_) migration_cb_(meeting);
     TearDownSpan(st, switch_index, /*switch_dead=*/true);
     st.frozen = true;
   }
@@ -1437,8 +1357,7 @@ void FleetController::OnSwitchDown(size_t switch_index) {
   // that avoids it — the chain was already delivering duplicate copies,
   // so receivers never see a gap. Standby chains the dead switch was
   // part of are gone; drop their surviving wiring quietly.
-  for (MeetingId meeting : directory_->Ids()) {
-    MeetingState& st = *directory_->Find(meeting);
+  for (auto& [meeting, st] : meetings_) {
     for (MeetingRelay& r : st.relays) {
       if (r.upstream == switch_index || r.downstream == switch_index) {
         continue;  // the classic span handling owned this relay's fate
@@ -1487,26 +1406,26 @@ bool FleetController::IsAlive(size_t switch_index) const {
 }
 
 MeetingPlacement FleetController::PlacementOf(MeetingId meeting) const {
-  const MeetingRecord* rec = directory_->Find(meeting);
+  const MeetingRecord* rec = Find(meeting);
   return rec == nullptr ? MeetingPlacement{} : rec->placement;
 }
 
 std::pair<size_t, MeetingId> FleetController::PlacementDetail(
     MeetingId meeting) const {
-  const MeetingRecord* rec = directory_->Find(meeting);
+  const MeetingRecord* rec = Find(meeting);
   if (rec == nullptr) return {SIZE_MAX, 0};
   return {rec->placement.home, rec->placement.local_meeting};
 }
 
 std::vector<MeetingRelay> FleetController::RelaysOf(
     MeetingId meeting) const {
-  const MeetingRecord* rec = directory_->Find(meeting);
+  const MeetingRecord* rec = Find(meeting);
   return rec == nullptr ? std::vector<MeetingRelay>{} : rec->relays;
 }
 
 std::vector<SecondaryTree> FleetController::SecondariesOf(
     MeetingId meeting) const {
-  const MeetingRecord* rec = directory_->Find(meeting);
+  const MeetingRecord* rec = Find(meeting);
   return rec == nullptr ? std::vector<SecondaryTree>{} : rec->secondaries;
 }
 
@@ -1524,7 +1443,7 @@ net::Ipv4 FleetController::SfuIpOf(size_t switch_index) const {
 
 bool FleetController::IsMember(MeetingId meeting,
                                ParticipantId participant) const {
-  const MeetingRecord* rec = directory_->Find(meeting);
+  const MeetingRecord* rec = Find(meeting);
   return rec != nullptr && rec->members.count(participant) > 0;
 }
 

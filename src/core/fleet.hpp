@@ -34,11 +34,100 @@
 #include <utility>
 #include <vector>
 
+#include "core/control_channel.hpp"
 #include "core/controller.hpp"
-#include "core/federation.hpp"
 #include "core/placement.hpp"
+#include "core/redundancy.hpp"
 
 namespace scallop::core {
+
+// One installed inter-switch relay: `origin`'s stream crossing one tree
+// edge from `upstream` to `downstream`. On multi-level plans a stream
+// reaches distant spans through a chain of these, one per hop.
+struct MeetingRelay {
+  ParticipantId origin = 0;           // the real sender being carried
+  size_t upstream = SIZE_MAX;         // switch forwarding the stream
+  size_t downstream = SIZE_MAX;       // switch receiving it
+  ParticipantId upstream_sender = 0;  // origin or its relay sender there
+  ParticipantId relay_receiver = 0;   // pseudo-receiver on upstream
+  ParticipantId relay_sender = 0;     // pseudo-sender on downstream
+  uint16_t upstream_port = 0;         // relay leg port (media source)
+  uint16_t downstream_port = 0;       // relay uplink port (media dest)
+  uint32_t video_ssrc = 0;
+  uint32_t audio_ssrc = 0;
+  bool sends_video = false;
+  bool sends_audio = false;
+  // Backbone switches the hop physically crosses (upstream..downstream
+  // over the topology's shortest path) and the per-stream load estimate
+  // registered on each of those links while the relay is installed.
+  std::vector<size_t> backbone_path;
+  double load_bps = 0.0;
+};
+
+// One hop of a secondary (protection) relay chain. Interior hops park a
+// dedicated relay sender in a switch-local *protection meeting* (invisible
+// to placement — it carries no members); the terminal hop attaches to the
+// protected primary relay sender as an extra source instead, merging the
+// two trees behind one (origin, seq) dedup window.
+struct ProtectionHop {
+  size_t upstream = SIZE_MAX;
+  size_t downstream = SIZE_MAX;
+  ParticipantId sender_on_upstream = 0;  // id the stream is known by there
+  ParticipantId relay_receiver = 0;      // pseudo-receiver on upstream
+  ParticipantId relay_sender = 0;  // pseudo-sender downstream (interior) or
+                                   // the protected relay sender (terminal)
+  uint16_t upstream_port = 0;      // relay leg port (secondary media source)
+  uint16_t downstream_port = 0;
+  bool terminal = false;  // attaches to the primary relay via AddRelaySource
+};
+
+// A secondary relay tree protecting one primary relay (origin's stream on
+// the tree edge upstream -> downstream): a chain of ProtectionHops along a
+// link-disjoint (or maximally disjoint) backbone path. `active` flips true
+// when the secondary has been promoted to primary (make-before-break): its
+// terminal leg then belongs to the relay record and its registered load is
+// accounted under the relay's backbone path.
+struct SecondaryTree {
+  ParticipantId origin = 0;
+  size_t upstream = SIZE_MAX;
+  size_t downstream = SIZE_MAX;
+  ParticipantId protected_relay = 0;  // primary relay sender at downstream
+  std::vector<size_t> path;           // switch chain upstream..downstream
+  std::vector<ProtectionHop> hops;
+  double load_bps = 0.0;
+  bool active = false;
+};
+
+// One meeting member as the controller tracks it.
+struct MeetingMemberInfo {
+  size_t home_switch = SIZE_MAX;
+  SignalingClient* client = nullptr;
+  SenderIntent intent;  // what the member sends (parsed from its offer)
+};
+
+// Everything a controller knows about one meeting: the distribution
+// plan, the membership roster, the installed relay wiring, and the
+// rebalancer's per-meeting hysteresis. Self-contained on purpose — every
+// regional controller numbers the switches alike, so a dead controller's
+// records move to its adopter unchanged.
+struct MeetingRecord {
+  MeetingPlacement placement;
+  std::map<ParticipantId, MeetingMemberInfo> members;
+  std::vector<MeetingRelay> relays;
+  // Redundant dual relay trees: one secondary per protected relay, plus
+  // the switch-local protection meetings hosting interior chain hops
+  // (switch index -> switch-local meeting id). Both empty whenever
+  // redundancy is off.
+  std::vector<SecondaryTree> secondaries;
+  std::map<size_t, MeetingId> protection_meetings;
+  // Mid-renegotiation (failover blackout / migration re-signal window):
+  // the rebalancer must not touch the meeting. Cleared on re-Join.
+  bool frozen = false;
+  // Rebalancer hysteresis: when the meeting last migrated (valid only
+  // once `migrated_once` is set).
+  bool migrated_once = false;
+  util::TimeUs last_migrated = 0;
+};
 
 struct FleetStats {
   uint64_t meetings_placed = 0;
@@ -76,25 +165,21 @@ class FleetController : public SignalingServer,
   FleetController();
   ~FleetController() override;
 
-  // Registers a switch via its southbound channel; subscribes to its
-  // northbound telemetry and arms the heartbeat failure detector for the
-  // channel. Returns the switch's index in the fleet. `id_space` seeds
-  // the per-switch controller's participant-id stride (default: the
-  // fleet-local index); a federation passes the *global* switch index so
-  // ids stay unique across regions.
+  // Registers a switch via its southbound channel at the next index.
+  // Without `owner` this controller owns the switch: it builds the
+  // per-switch Controller (participant ids minted from index * 1'000'000
+  // + 1, so ranges stay disjoint fleet-wide), subscribes to the channel's
+  // northbound telemetry and arms the heartbeat failure detector for it.
+  // With `owner` (the owning region's per-switch Controller, under a
+  // federation) the slot is *non-owned*: it shares that Controller, takes
+  // no telemetry subscription, is never failure-detected here and looks
+  // dead to the placement policy — only border spans target it. Returns
+  // the switch's index.
   size_t AddSwitch(ControlChannel& channel, net::Ipv4 sfu_ip,
-                   size_t id_space = SIZE_MAX);
-  // Registers a *borrowed* switch: another region's switch this
-  // controller may open border spans on. Shares the lender's Controller
-  // object (so session and id-space state stay with the owner), takes no
-  // telemetry subscription and is never failure-detected or
-  // policy-placed here — only the border-span planner targets it.
-  // Idempotent per channel; returns the (possibly existing) index.
-  size_t AddBorderSwitch(ControlChannel& channel, Controller& controller,
-                         net::Ipv4 sfu_ip);
+                   Controller* owner = nullptr);
   // Arms the heartbeat failure detector for `channel` if its heartbeat
   // cadence needs one and no equal-or-finer detector is already running.
-  // Idempotent — AddSwitch calls it per channel, and shard adoption
+  // Idempotent — AddSwitch calls it per owned channel, and shard adoption
   // re-arms it on the adopter.
   void ArmFailureDetector(const ControlChannel& channel);
   // Partitions the global id spaces for federation: this controller
@@ -104,19 +189,20 @@ class FleetController : public SignalingServer,
   void ConfigureIdSpace(MeetingId first_meeting, MeetingId meeting_stride,
                         ParticipantId relay_id_base);
   // Whether this controller owns switch `switch_index` (false for
-  // borrowed border guests).
+  // non-owned slots).
   bool OwnsSwitch(size_t switch_index) const {
-    return switches_[switch_index]->owned;
+    return switches_[switch_index]->owned();
   }
-  ControlChannel& ChannelOf(size_t switch_index) {
-    return *switches_[switch_index]->channel;
+  // Whether this controller holds the meeting's record.
+  bool OwnsMeeting(MeetingId meeting) const {
+    return meetings_.count(meeting) > 0;
   }
 
   // ---- federation hooks ---------------------------------------------------
   // Owner-side border-span planner: when the placement policy's budget
   // says the home switch is full and the policy has nowhere local left,
-  // Join asks the provider for a guest switch (registered via
-  // AddBorderSwitch) to span onto; SIZE_MAX declines.
+  // Join asks the provider for a guest switch (a non-owned slot) to span
+  // onto; SIZE_MAX declines.
   void SetBorderSpanProvider(std::function<size_t(MeetingId)> provider) {
     border_provider_ = std::move(provider);
   }
@@ -125,19 +211,13 @@ class FleetController : public SignalingServer,
   // peer to adopt.
   void Shutdown();
   bool IsShutdown() const { return dead_; }
-  // Takes over a dead peer's shard: its switches (merging slots for
-  // switches both controllers know — border guests — and transferring
-  // per-switch Controller ownership where the dead peer owned them), its
-  // whole meeting directory (switch indices remapped), and the relay
-  // load those meetings registered. Telemetry subscriptions and the
-  // failure detector are re-pointed here. Returns the number of meeting
-  // records adopted; `old_to_new` (optional) receives the dead
-  // controller's local index -> adopter local index map.
-  size_t AdoptShardFrom(FleetController& failed,
-                        std::vector<size_t>* old_to_new = nullptr);
-  // The sharded meeting store (owner's view; see MeetingDirectory).
-  MeetingDirectory& directory() { return *directory_; }
-  const MeetingDirectory& directory() const { return *directory_; }
+  // Takes over a dead peer's shard. Both controllers number every switch
+  // alike: the peer's owned slots change hands in ascending order
+  // (per-switch Controller, telemetry subscription, failure detector),
+  // its per-switch counts fold into ours, and its meeting records move
+  // unchanged, their relay load re-registered on this controller's
+  // link-state view. Returns the number of meeting records adopted.
+  size_t AdoptShardFrom(FleetController& failed);
 
   // Swaps the placement policy (default: LeastLoadedPolicy, the classic
   // single-homed behaviour). Takes effect for future placements. The
@@ -193,10 +273,10 @@ class FleetController : public SignalingServer,
   // registered switch; decisions use the latest SwitchLoadReports).
   void EnableRebalancer(const RebalanceConfig& cfg);
 
-  // Invoked just before a meeting is migrated (rebalance or failure), so
-  // the substrate/harness can drop and re-signal its members first.
-  using MigrationCallback =
-      std::function<void(MeetingId meeting, size_t from, size_t to)>;
+  // Invoked just before a meeting is migrated (rebalance or failure) or
+  // loses a collapsed span, so the substrate/harness can drop and
+  // re-signal its members first.
+  using MigrationCallback = std::function<void(MeetingId meeting)>;
   void SetMigrationCallback(MigrationCallback cb) {
     migration_cb_ = std::move(cb);
   }
@@ -291,26 +371,30 @@ class FleetController : public SignalingServer,
  private:
   struct Member {
     ControlChannel* channel = nullptr;
-    // Set (and owning) for switches this controller manages; border
-    // guests borrow the lender's controller instead.
+    // Set (and owning) for switches this controller manages; non-owned
+    // slots share the owning region's controller instead.
     std::unique_ptr<Controller> owned_controller;
     Controller* controller = nullptr;
-    bool owned = true;  // false: borrowed border guest
     net::Ipv4 sfu_ip;
     int participants = 0;
     int meetings = 0;
-    // Relative forwarding capacity (SetSwitchCapacity); travels with the
-    // Member on shard adoption so heterogeneity survives controller death.
+    // Relative forwarding capacity (SetSwitchCapacity); set on every
+    // region's slot, so heterogeneity survives controller death.
     double capacity_class = 1.0;
     bool alive = true;
     util::TimeUs last_heartbeat = 0;
     SwitchLoadReport last_report;
     bool report_seen = false;
+
+    bool owned() const { return owned_controller != nullptr; }
   };
 
   using MemberInfo = MeetingMemberInfo;
   using MeetingState = MeetingRecord;
 
+  // The meeting's record; nullptr when this controller does not hold it.
+  MeetingState* Find(MeetingId meeting);
+  const MeetingState* Find(MeetingId meeting) const;
   // Switch-local meeting id on `switch_index` (home or a span).
   MeetingId LocalMeetingOn(const MeetingState& st, size_t switch_index) const;
   std::vector<SwitchLoad> Loads() const;
@@ -417,9 +501,9 @@ class FleetController : public SignalingServer,
       __attribute__((format(printf, 4, 5)));
 
   std::vector<std::unique_ptr<Member>> switches_;
-  // This controller's shard of the meeting store (placement, membership,
-  // relay wiring, rebalance hysteresis per record).
-  std::unique_ptr<MeetingDirectory> directory_;
+  // The meeting records this controller placed (or adopted): placement,
+  // membership, relay wiring, rebalance hysteresis.
+  std::map<MeetingId, MeetingState> meetings_;
   MeetingId next_meeting_ = 1;
   // Meeting ids advance by this much per CreateMeeting: 1 standalone, R
   // under an R-region federation (region r mints r+1, r+1+R, ...).

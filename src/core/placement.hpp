@@ -35,6 +35,7 @@ struct RelaySpan {
   MeetingId local_meeting = 0;
   size_t parent = SIZE_MAX;  // SIZE_MAX: the home switch
   std::vector<ParticipantId> participants;
+  bool operator==(const RelaySpan&) const = default;
 };
 
 // A meeting's full distribution plan: a relay *tree* rooted at the home
@@ -48,6 +49,7 @@ struct MeetingPlacement {
 
   bool valid() const { return home != SIZE_MAX; }
   bool spans_switches() const { return !spans.empty(); }
+  bool operator==(const MeetingPlacement&) const = default;
 
   // The span covering a switch (nullptr for the home switch / unknown).
   const RelaySpan* SpanOn(size_t switch_index) const;

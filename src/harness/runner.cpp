@@ -225,13 +225,9 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
 
   backend_ = testbed::MakeBackend(spec_.backend, base);
   backend_->SetMeetingMovedCallback(
-      [this](core::MeetingId meeting, size_t /*from*/, size_t /*to*/) {
-        OnMeetingMoved(meeting);
-      });
+      [this](core::MeetingId meeting) { OnMeetingMoved(meeting); });
   backend_->SetMeetingMovedHitlessCallback(
-      [this](core::MeetingId meeting, size_t /*from*/, size_t /*to*/) {
-        OnMeetingMovedHitless(meeting);
-      });
+      [this](core::MeetingId meeting) { OnMeetingMovedHitless(meeting); });
 
   for (size_t mi = 0; mi < spec_.meetings.size(); ++mi) {
     meeting_ids_.push_back(

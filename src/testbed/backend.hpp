@@ -238,7 +238,7 @@ class Backend {
   // and re-signals the meeting's peers. Substrates that never migrate
   // ignore it.
   virtual void SetMeetingMovedCallback(
-      std::function<void(core::MeetingId, size_t from, size_t to)>) {}
+      std::function<void(core::MeetingId)>) {}
 
   // ---- introspection for metrics ----------------------------------------
   virtual BackendCounters counters() const = 0;
@@ -268,7 +268,7 @@ class Backend {
   // its members (make-before-break). The harness measures frame
   // continuity across the move. Substrates that never migrate ignore it.
   virtual void SetMeetingMovedHitlessCallback(
-      std::function<void(core::MeetingId, size_t from, size_t to)>) {}
+      std::function<void(core::MeetingId)>) {}
   // East-west federation aggregates (unconfigured everywhere but
   // fleet{N,R>1}).
   virtual FederationCounters federation_counters() const { return {}; }

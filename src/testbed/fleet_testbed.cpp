@@ -242,12 +242,12 @@ void FleetTestbed::FailoverEnd() {
 }
 
 void FleetTestbed::SetMeetingMovedCallback(
-    std::function<void(core::MeetingId, size_t, size_t)> cb) {
+    std::function<void(core::MeetingId)> cb) {
   federation_->SetMigrationCallback(std::move(cb));
 }
 
 void FleetTestbed::SetMeetingMovedHitlessCallback(
-    std::function<void(core::MeetingId, size_t, size_t)> cb) {
+    std::function<void(core::MeetingId)> cb) {
   federation_->SetHitlessMigrationCallback(std::move(cb));
 }
 

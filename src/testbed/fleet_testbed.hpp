@@ -22,7 +22,6 @@
 #include "core/control_channel.hpp"
 #include "core/dataplane.hpp"
 #include "core/federation.hpp"
-#include "core/fleet.hpp"
 #include "core/switch_agent.hpp"
 #include "switchsim/switch.hpp"
 #include "testbed/backend.hpp"
@@ -77,9 +76,9 @@ class FleetTestbed : public Backend {
   std::vector<core::MeetingId> FailoverBegin() override;
   void FailoverEnd() override;
   void SetMeetingMovedCallback(
-      std::function<void(core::MeetingId, size_t, size_t)> cb) override;
+      std::function<void(core::MeetingId)> cb) override;
   void SetMeetingMovedHitlessCallback(
-      std::function<void(core::MeetingId, size_t, size_t)> cb) override;
+      std::function<void(core::MeetingId)> cb) override;
   RedundancyCounters redundancy_counters() const override;
   BackendCounters counters() const override;
   ControlPlaneCounters control_counters() const override;

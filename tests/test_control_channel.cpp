@@ -466,10 +466,9 @@ TEST(FleetRebalance, HysteresisNoMeetingMovesTwiceWithinOneInterval) {
   testbed::FleetTestbed bed(cfg, 2);
 
   std::map<core::MeetingId, std::vector<double>> moves;
-  bed.SetMeetingMovedCallback(
-      [&](core::MeetingId m, size_t, size_t) {
-        moves[m].push_back(util::ToSeconds(bed.sched().now()));
-      });
+  bed.SetMeetingMovedCallback([&](core::MeetingId m) {
+    moves[m].push_back(util::ToSeconds(bed.sched().now()));
+  });
 
   // m1 (2 peers) and m3 (1 peer) both live on switch 0; m2 (empty) on
   // switch 1 — a 3-vs-0 split the eager rebalancer starts chewing on.

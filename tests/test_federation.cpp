@@ -1,12 +1,15 @@
-// Federated control plane (fleet{N,R}): per-region controllers over a
-// sharded meeting directory, peered east-west for directory lookups,
-// cross-region border spans and controller-death shard adoption. The
-// plane with R = 1 must be byte-identical to the classic single-
-// FleetController fleet; everything federated is exercised at R > 1.
+// Federated control plane (fleet{N,R}): per-region controllers, each
+// holding the records of the meetings it placed, peered east-west for
+// directory lookups, cross-region border spans and controller-death
+// shard adoption. The plane with R = 1 must be byte-identical to the
+// classic single-FleetController fleet; everything federated is
+// exercised at R > 1.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "harness/runner.hpp"
 #include "harness/workload.hpp"
@@ -139,14 +142,14 @@ TEST(Federation, BorderSpanCarriesCrossRegionOverflow) {
   ExpectHealthy(m, 10);
 }
 
-TEST(Federation, BorderSpanLendsTheCapacityWeightedLeastLoadedSwitch) {
-  // The border planner ranks lender switches the way new meetings are
-  // placed: load divided by capacity class. Region 1 hosts a 1-party
-  // meeting on switch 2 (class 1) and a 2-party one on switch 3 (class 4),
-  // so switch 3 is the idler lender (2/4 < 1/1) although it carries more
-  // raw load. Meeting 0's fifth joiner overflows region 0's two Cascade(2)
-  // switches and must be spanned onto switch 3.
-  ScenarioSpec spec = FederatedSpec("fed-border-capacity", 4, 2, 3, 1, 3.0);
+// The border planner ranks lender switches the way new meetings are
+// placed: load divided by capacity class. Region 1 hosts a 1-party
+// meeting on switch 2 (class 1) and a 2-party one on switch 3 (class 4),
+// so switch 3 is the idler lender (2/4 < 1/1) although it carries more
+// raw load. Meeting 0's fifth joiner overflows region 0's two Cascade(2)
+// switches and must be spanned onto switch 3.
+ScenarioSpec BorderCapacitySpec(std::string name, double duration_s) {
+  ScenarioSpec spec = FederatedSpec(std::move(name), 4, 2, 3, 1, duration_s);
   spec.meetings[0].participants.resize(6);
   spec.meetings[2].participants.resize(2);
   for (int k = 0; k < 6; ++k) spec.WithJoin(0, k, 0.5 + 0.1 * k);
@@ -155,7 +158,11 @@ TEST(Federation, BorderSpanLendsTheCapacityWeightedLeastLoadedSwitch) {
       .WithMeetingRegion(1, 1)
       .WithMeetingRegion(2, 1)
       .WithSwitchCapacity(3, 4.0);
-  ScenarioRunner r(spec);
+  return spec;
+}
+
+TEST(Federation, BorderSpanLendsTheCapacityWeightedLeastLoadedSwitch) {
+  ScenarioRunner r(BorderCapacitySpec("fed-border-capacity", 3.0));
   const ScenarioMetrics& m = r.Run();
   ASSERT_GE(m.federation.border_spans, 1u);
 
@@ -167,6 +174,34 @@ TEST(Federation, BorderSpanLendsTheCapacityWeightedLeastLoadedSwitch) {
   EXPECT_NE(placement.SpanOn(3), nullptr) << m.ToCsv();
   EXPECT_EQ(placement.SpanOn(2), nullptr) << m.ToCsv();
   ExpectHealthy(m, 10);
+}
+
+TEST(Federation, AdoptedBorderGuestKeepsItsCapacityClass) {
+  // Regression: region 0 borrows switch 3 (class 4) as a border guest,
+  // then adopts it with region 1's shard when that controller dies. The
+  // takeover used to land in the borrowed slot without the switch's
+  // capacity class, so the adopter weighed it at 1.0 from then on.
+  ScenarioSpec spec = BorderCapacitySpec("fed-border-adopt", 4.0);
+  spec.WithControllerFailure(2.0, 1);
+  ScenarioRunner r(spec);
+  r.RunUntil(2.0);
+  auto& fed = r.fleet().federation();
+  ASSERT_GE(fed.federation_stats().border_spans, 1u);
+  std::vector<core::MeetingPlacement> before;
+  for (int mi = 0; mi < 3; ++mi) {
+    before.push_back(fed.PlacementOf(r.meeting_id(mi)));
+  }
+
+  const ScenarioMetrics& m = r.Run();
+  ASSERT_EQ(m.federation.shards_adopted, 1u);
+  EXPECT_EQ(fed.region(0).CapacityClassOf(3), 4.0);
+  // Adoption moves records, never re-plans them.
+  for (int mi = 0; mi < 3; ++mi) {
+    EXPECT_EQ(fed.PlacementOf(r.meeting_id(mi)), before[mi])
+        << "meeting " << mi;
+  }
+  ExpectHealthy(m, 10);
+  for (const auto& p : m.peers) EXPECT_TRUE(p.present_at_end);
 }
 
 TEST(Federation, ControllerDeathShardAdoption) {

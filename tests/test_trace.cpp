@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -203,6 +204,31 @@ TEST(ObsTrace, DeterministicOnFederatedFleet) {
   ASSERT_NE(a.trace(), nullptr);
   EXPECT_GT(a.trace()->size(), 0u);
   EXPECT_EQ(a.trace()->ToText(), b.trace()->ToText());
+}
+
+TEST(ObsTrace, RegionTracksNameGlobalSwitchIds) {
+  // Every region numbers switches the way the testbed, the CSV and the
+  // sw:<i> command tracks do, so each region's placements name switches
+  // in its own slice of fleet{6,2}: {0,1,2} for region 0, {3,4,5} for
+  // region 1.
+  ScenarioRunner runner(FederatedFailureSpec());
+  runner.Run();
+  ASSERT_NE(runner.trace(), nullptr);
+  std::istringstream in(runner.trace()->ToText());
+  std::string line;
+  std::set<size_t> placing_regions;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string t, category, track, event, corr, meeting, sw;
+    fields >> t >> category >> track >> event >> corr >> meeting >> sw;
+    if (event != "placement.meeting_placed") continue;
+    ASSERT_EQ(track.rfind("region:", 0), 0u) << line;
+    ASSERT_EQ(sw.rfind("switch=", 0), 0u) << line;
+    const size_t region = std::stoul(track.substr(7));
+    EXPECT_EQ(std::stoul(sw.substr(7)) / 3, region) << line;
+    placing_regions.insert(region);
+  }
+  EXPECT_EQ(placing_regions, (std::set<size_t>{0, 1}));
 }
 
 TEST(ObsTrace, TracingOffKeepsCsvByteIdentical) {
