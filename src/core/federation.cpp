@@ -24,7 +24,7 @@ FederatedControlPlane::FederatedControlPlane(sim::Scheduler& sched,
   death_chain_.assign(R, 0);
   for (size_t r = 0; r < R; ++r) {
     Region& reg = regions_[r];
-    reg.controller = std::make_unique<FleetController>();
+    reg.controller = std::make_unique<FleetController>(table_, r);
     reg.peer_last_seen.assign(R, 0);
     reg.peer_alive.assign(R, true);
     // Disjoint id spaces: region r mints meeting ids r+1, r+1+R, ...
@@ -36,6 +36,8 @@ FederatedControlPlane::FederatedControlPlane(sim::Scheduler& sched,
         0x4000'0000u + 60'000u + static_cast<ParticipantId>(r) * 100'000u);
     reg.controller->SetBorderSpanProvider(
         [this, r](MeetingId meeting) { return BorderGuestFor(r, meeting); });
+    reg.controller->SetSwitchDownHandler(
+        [this](size_t i) { LoseSwitchEverywhere(i); });
   }
   // One conduit per unordered region pair: each east-west peering link
   // gets its own RNG stream, like each southbound channel does.
@@ -89,17 +91,8 @@ size_t FederatedControlPlane::SliceOf(size_t switch_index) const {
 
 size_t FederatedControlPlane::AddSwitch(ControlChannel& channel,
                                         net::Ipv4 sfu_ip) {
-  const size_t index = owner_region_.size();
-  const size_t owner = SliceOf(index);
-  owner_region_.push_back(owner);
-  FleetController& fc = *regions_[owner].controller;
-  fc.AddSwitch(channel, sfu_ip);
-  for (size_t r = 0; r < regions_.size(); ++r) {
-    if (r != owner) {
-      regions_[r].controller->AddSwitch(channel, sfu_ip, &fc.controller(index));
-    }
-  }
-  return index;
+  return regions_[SliceOf(table_.size())].controller->AddSwitch(channel,
+                                                                 sfu_ip);
 }
 
 void FederatedControlPlane::Activate() {
@@ -136,14 +129,12 @@ std::pair<size_t, size_t> FederatedControlPlane::LeastLoadedOwnedSwitch(
   double best_participants = std::numeric_limits<double>::infinity();
   double best_meetings = std::numeric_limits<double>::infinity();
   for (size_t r = 0; r < regions_.size(); ++r) {
-    const Region& reg = regions_[r];
-    if (r == skip || reg.dead) continue;
-    const FleetController& fc = *reg.controller;
-    for (size_t i = 0; i < fc.switch_count(); ++i) {
-      if (!fc.OwnsSwitch(i) || !fc.IsAlive(i)) continue;
-      const double cls = fc.CapacityClassOf(i);
-      const double p = fc.LoadOf(i) / cls;
-      const double m = fc.MeetingsOn(i) / cls;
+    if (r == skip || regions_[r].dead) continue;
+    for (size_t i = 0; i < table_.size(); ++i) {
+      const SwitchTable::Record& sw = table_[i];
+      if (sw.owner != r || !sw.alive) continue;
+      const double p = sw.participants / sw.capacity_class;
+      const double m = sw.meetings / sw.capacity_class;
       if (p < best_participants ||
           (p == best_participants && m < best_meetings)) {
         best_participants = p;
@@ -288,38 +279,15 @@ void FederatedControlPlane::SetPlacementPolicy(
   }
 }
 
-void FederatedControlPlane::SetSwitchCapacity(size_t switch_index,
-                                              double capacity_class) {
-  for (Region& reg : regions_) {
-    reg.controller->SetSwitchCapacity(switch_index, capacity_class);
-  }
-}
-
 void FederatedControlPlane::set_relay_stream_bps(double bps) {
   for (Region& reg : regions_) reg.controller->set_relay_stream_bps(bps);
 }
 
-void FederatedControlPlane::ConfigureInterSwitchLink(size_t a, size_t b,
-                                                     double latency_s,
-                                                     double capacity_bps) {
-  global_topology_.EnsureNodes(switch_count());
-  global_topology_.SetLink(a, b, latency_s, capacity_bps);
-  // Each region's controller learns only the links wholly inside its
-  // slice (cross-region links are the plane's to know — border spans ride
-  // the guest mechanism, not the regional planner).
-  const size_t ra = owner_region_[a];
-  if (ra == owner_region_[b]) {
-    regions_[ra].controller->ConfigureInterSwitchLink(a, b, latency_s,
-                                                      capacity_bps);
-  }
-}
-
 void FederatedControlPlane::SetInterSwitchLinkCapacity(size_t a, size_t b,
                                                        double capacity_bps) {
-  global_topology_.SetLinkCapacity(a, b, capacity_bps);
-  const size_t ra = owner_region_[a];
-  if (ra == owner_region_[b] && !regions_[ra].dead) {
-    regions_[ra].controller->SetInterSwitchLinkCapacity(a, b, capacity_bps);
+  table_.topology().SetLinkCapacity(a, b, capacity_bps);
+  for (Region& reg : regions_) {
+    if (!reg.dead) reg.controller->OnLinkCapacityChanged(a, b, capacity_bps);
   }
 }
 
@@ -373,43 +341,9 @@ std::vector<MeetingRelay> FederatedControlPlane::RelaysOf(
                        : regions_[r].controller->RelaysOf(meeting);
 }
 
-bool FederatedControlPlane::IsAlive(size_t switch_index) const {
-  return regions_[owner_region_[switch_index]].controller->IsAlive(
-      switch_index);
-}
-
-int FederatedControlPlane::LoadOf(size_t switch_index) const {
-  int total = 0;
-  for (const Region& reg : regions_) {
-    if (!reg.adopted) total += reg.controller->LoadOf(switch_index);
-  }
-  return total;
-}
-
-int FederatedControlPlane::MeetingsOn(size_t switch_index) const {
-  int total = 0;
-  for (const Region& reg : regions_) {
-    if (!reg.adopted) total += reg.controller->MeetingsOn(switch_index);
-  }
-  return total;
-}
-
-net::Ipv4 FederatedControlPlane::SfuIpOf(size_t switch_index) const {
-  return regions_[owner_region_[switch_index]].controller->SfuIpOf(
-      switch_index);
-}
-
 void FederatedControlPlane::ReviveSwitch(size_t switch_index) {
-  regions_[owner_region_[switch_index]].controller->ReviveSwitch(
+  regions_[RegionOfSwitch(switch_index)].controller->ReviveSwitch(
       switch_index);
-}
-
-double FederatedControlPlane::LinkLoad(size_t a, size_t b) const {
-  double total = 0.0;
-  for (const Region& reg : regions_) {
-    if (!reg.adopted) total += reg.controller->topology().LoadOf(a, b);
-  }
-  return total;
 }
 
 FleetStats FederatedControlPlane::TotalFleetStats() const {
@@ -516,13 +450,10 @@ void FederatedControlPlane::KillController(size_t r) {
 void FederatedControlPlane::AdoptRegion(size_t adopter, size_t dead) {
   Region& d = regions_[dead];
   if (d.adopted) return;
-  const size_t adopted =
-      regions_[adopter].controller->AdoptShardFrom(*d.controller);
   // Only the switches the dead region owned change hands; ones it
   // borrowed stay with their owners.
-  for (size_t& owner : owner_region_) {
-    if (owner == dead) owner = adopter;
-  }
+  const size_t adopted =
+      regions_[adopter].controller->AdoptShardFrom(*d.controller);
   d.owner_cache.clear();
   d.border_guest.clear();
   d.adopted = true;
@@ -540,10 +471,27 @@ size_t FederatedControlPlane::OwnerRegionOf(MeetingId meeting) const {
   return SIZE_MAX;
 }
 
+void FederatedControlPlane::LoseSwitchEverywhere(size_t switch_index) {
+  // A region only homes meetings on switches it owns: the owner migrates
+  // them, the rest only collapse border spans.
+  const size_t owner = RegionOfSwitch(switch_index);
+  if (!regions_[owner].dead) {
+    regions_[owner].controller->LoseSwitch(switch_index);
+  }
+  for (size_t r = 0; r < regions_.size(); ++r) {
+    if (r != owner && !regions_[r].dead) {
+      regions_[r].controller->LoseSwitch(switch_index);
+    }
+  }
+}
+
 size_t FederatedControlPlane::BorderGuestFor(size_t owner, MeetingId meeting) {
   Region& own = regions_[owner];
   auto cached = own.border_guest.find(meeting);
-  if (cached != own.border_guest.end()) return cached->second;
+  if (cached != own.border_guest.end()) {
+    if (table_[cached->second].alive) return cached->second;
+    own.border_guest.erase(cached);  // the guest died: borrow another
+  }
   // Lender: the live peer holding the least-loaded owned live switch,
   // ranked exactly as new meetings are placed (capacity-weighted).
   const auto [lender, guest] = LeastLoadedOwnedSwitch(owner);
@@ -556,7 +504,6 @@ size_t FederatedControlPlane::BorderGuestFor(size_t owner, MeetingId meeting) {
       !ConduitFor(lender, owner).Transact(ew_stats_, "border_grant")) {
     return SIZE_MAX;
   }
-  // The owner already holds a non-owned slot for the guest.
   own.border_guest[meeting] = guest;
   ++stats_.border_spans;
   obs::Emitf(trace_, sched_.now(), obs::Category::kFederation, kTrack,

@@ -3,17 +3,17 @@
 // controllers, each owning a contiguous slice of the switch fleet,
 // replacing the single FleetController monolith at the top of the stack.
 //
-// One switch numbering serves the whole plane. Every regional
-// FleetController registers every switch at its global index: the region
-// whose slice holds the switch owns that slot (per-switch Controller,
-// telemetry subscription, failure detector), and every other region gets
-// a non-owned slot sharing the owner's Controller — dead to its placement
-// policy, never failure-detected, targeted only by border spans. Meeting
-// records, policy load vectors, trace details, callbacks and this API
-// all use the same index, so nothing translates between regions.
+// The regions share one network information base, as Onix does: the
+// plane owns a single SwitchTable (one record per switch plus the one
+// backbone view) and builds every regional FleetController over it. A
+// switch's table index is its index everywhere: on this API, in meeting
+// records, policy load vectors and trace details. Only the owning region
+// watches a switch and homes meetings there; other regions reach it
+// through border spans alone. A dead switch is dead for every region.
 //
-// Each region holds the meeting records it placed; the plane reads them
-// only through their owner (or hands them over on adoption). Controllers
+// A region keeps only its own state: the meeting records it placed (the
+// plane reads them only through their owner, or hands them over on
+// adoption), its id spaces, rebalancer, detector and stats. Controllers
 // peer over MessageConduits carrying the same latency/loss/ack semantics
 // as the southbound ControlChannel: meeting announcements and directory
 // lookups (so any region can serve a Join for a meeting it does not
@@ -22,13 +22,13 @@
 // riding the existing RelaySpan mechanics), and controller-to-controller
 // heartbeats feeding the same miss-threshold failure detector the fleet
 // already points at switches — on controller death the lowest live peer
-// adopts the orphaned shard (owned switches, meeting records, relay
-// load) and life goes on.
+// adopts the orphaned shard (switch ownership and meeting records) and
+// life goes on.
 //
 // Every region count runs the same code. R == 1 is the federation of one:
-// its single region owns every switch and owner lookups are identities,
-// and with no peers there are no conduits, announcements or heartbeat
-// tasks — byte-identical to the pre-federation fleet.
+// its single region owns every switch, the table is exactly a standalone
+// fleet's, and with no peers there are no conduits, announcements or
+// heartbeat tasks — byte-identical to the pre-federation fleet.
 #pragma once
 
 #include <cstdint>
@@ -73,17 +73,16 @@ struct FederationStats {
   uint64_t meetings_adopted = 0;              // records moved by adoption
 };
 
-// R regional FleetControllers behind one SignalingServer face. Switch
-// indices are the testbed's numbering everywhere — on this API and inside
-// every region.
+// R regional FleetControllers over one shared SwitchTable, behind one
+// SignalingServer face. Switch indices are the testbed's numbering
+// everywhere — on this API and inside every region.
 class FederatedControlPlane : public SignalingServer {
  public:
   FederatedControlPlane(sim::Scheduler& sched, const FederationConfig& cfg);
   ~FederatedControlPlane() override;
 
-  // Registers the next switch (index = registration order) with every
-  // regional controller: owned by the region whose slice holds it,
-  // a non-owned slot everywhere else. Returns the index.
+  // Registers the next switch (index = registration order) in the shared
+  // table, owned by the region whose slice holds it. Returns the index.
   size_t AddSwitch(ControlChannel& channel, net::Ipv4 sfu_ip);
   // Starts east-west peering (controller heartbeats + the per-region
   // failure detectors). Call once, after every switch is registered.
@@ -122,18 +121,23 @@ class FederatedControlPlane : public SignalingServer {
 
   // ---- forwarded fleet surface -------------------------------------------
   void SetPlacementPolicy(const PlacementPolicyConfig& policy);
-  // Heterogeneous fleets: writes a switch's capacity class into every
-  // region's slot (see FleetController::SetSwitchCapacity), so a region
-  // that borrows or adopts the switch weighs it the same.
-  void SetSwitchCapacity(size_t switch_index, double capacity_class);
+  // Heterogeneous fleets: one capacity class per switch, in the shared
+  // table (see SwitchTable::SetCapacity).
+  void SetSwitchCapacity(size_t switch_index, double capacity_class) {
+    table_.SetCapacity(switch_index, capacity_class);
+  }
   void set_relay_stream_bps(double bps);
+  // Declares a backbone link on the shared view every region plans over.
   void ConfigureInterSwitchLink(size_t a, size_t b, double latency_s,
-                                double capacity_bps);
+                                double capacity_bps) {
+    table_.topology().SetLink(a, b, latency_s, capacity_bps);
+  }
+  // Reshapes a link once, then has every live region re-plan its relays
+  // off overloaded links (FleetController::OnLinkCapacityChanged).
   void SetInterSwitchLinkCapacity(size_t a, size_t b, double capacity_bps);
-  // The plane's global link-state view (per-region controllers only learn
-  // links wholly inside their slice, plus the relay load they placed; use
-  // LinkLoad for the federated load on a link).
-  const InterSwitchTopology& topology() const { return global_topology_; }
+  // The shared link-state view: every declared link and all the relay
+  // load any region registered on it.
+  const InterSwitchTopology& topology() const { return table_.topology(); }
   void EnableRebalancer(const RebalanceConfig& cfg);
   // Redundant dual relay trees + make-before-break migration: forwarded
   // to every region's controller. Off by default (classic behaviour).
@@ -147,16 +151,15 @@ class FederatedControlPlane : public SignalingServer {
   MeetingPlacement PlacementOf(MeetingId meeting) const;
   std::pair<size_t, MeetingId> PlacementDetail(MeetingId meeting) const;
   std::vector<MeetingRelay> RelaysOf(MeetingId meeting) const;
-  bool IsAlive(size_t switch_index) const;
-  net::Ipv4 SfuIpOf(size_t switch_index) const;
+  bool IsAlive(size_t switch_index) const { return table_[switch_index].alive; }
   void ReviveSwitch(size_t switch_index);
-  // Participants and meetings on a switch, and the relay load registered
-  // on backbone link a-b: sums of every region's own bookkeeping (each
-  // counts only what it placed), skipping regions whose shard was
-  // adopted — their counts and relay load moved to the adopter.
-  int LoadOf(size_t switch_index) const;
-  int MeetingsOn(size_t switch_index) const;
-  double LinkLoad(size_t a, size_t b) const;
+  // Participants and meetings on a switch, whichever region placed them.
+  int LoadOf(size_t switch_index) const {
+    return table_[switch_index].participants;
+  }
+  int MeetingsOn(size_t switch_index) const {
+    return table_[switch_index].meetings;
+  }
   // Sum of every region's FleetStats (dead regions included — their
   // history happened).
   FleetStats TotalFleetStats() const;
@@ -173,11 +176,11 @@ class FederatedControlPlane : public SignalingServer {
   // when unknown.
   size_t OwnerRegionOf(MeetingId meeting) const;
   size_t RegionOfSwitch(size_t switch_index) const {
-    return owner_region_[switch_index];
+    return table_[switch_index].owner;
   }
 
   size_t regions() const { return regions_.size(); }
-  size_t switch_count() const { return owner_region_.size(); }
+  size_t switch_count() const { return table_.size(); }
   FleetController& region(size_t r) { return *regions_[r].controller; }
   const FleetController& region(size_t r) const {
     return *regions_[r].controller;
@@ -207,7 +210,7 @@ class FederatedControlPlane : public SignalingServer {
     // the owner's shard on use.
     std::map<MeetingId, size_t> owner_cache;
     // Border guests this region (as meeting owner) negotiated:
-    // meeting -> guest switch index.
+    // meeting -> guest switch index. A dead guest is dropped on use.
     std::map<MeetingId, size_t> border_guest;
     std::unique_ptr<sim::PeriodicTask> hb_task;
     std::unique_ptr<sim::PeriodicTask> detector_task;
@@ -239,6 +242,9 @@ class FederatedControlPlane : public SignalingServer {
   // controllers. The lowest live region performs the adoption.
   void CheckControllerPeers(size_t r);
   void AdoptRegion(size_t adopter, size_t dead);
+  // Every region's switch-down handler: LoseSwitch on the owner first,
+  // then on every other live region in order.
+  void LoseSwitchEverywhere(size_t switch_index);
   // Owner-side border-span planning hook: a guest switch for `meeting` to
   // span onto (the least-loaded owned switch of a live peer region,
   // borrowed via a synchronous east-west negotiation); SIZE_MAX when no
@@ -268,18 +274,14 @@ class FederatedControlPlane : public SignalingServer {
 
   sim::Scheduler& sched_;
   FederationConfig cfg_;
+  SwitchTable table_;  // shared by every region; declared before them
   std::vector<Region> regions_;
   // One facade per region, built lazily by ingress(); unique_ptrs so
   // handed-out references survive vector growth.
   std::vector<std::unique_ptr<RegionIngress>> ingress_faces_;
-  // Switch index -> owning region. Ownership moves on adoption.
-  std::vector<size_t> owner_region_;
   // Upper-triangle pair conduits (none for R == 1), indexed a * R + b.
   std::vector<std::unique_ptr<MessageConduit>> conduits_;
   ConduitStats ew_stats_;
-  // Global link-state view (per-region controllers only see their
-  // slice).
-  InterSwitchTopology global_topology_;
   size_t next_ingress_ = 0;
   FederationStats stats_;
   obs::TraceLog* trace_ = nullptr;

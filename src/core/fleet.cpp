@@ -7,8 +7,40 @@
 
 namespace scallop::core {
 
+size_t SwitchTable::Add(ControlChannel& channel, net::Ipv4 sfu_ip,
+                        size_t owner) {
+  const size_t index = records_.size();
+  Record& rec = records_.emplace_back();
+  rec.channel = &channel;
+  // Disjoint participant-id range per switch: without it, two switch
+  // controllers both counting from 1 could hand out the same id, and a
+  // stale Leave for a participant migrated off one switch would pass the
+  // membership guard and kick a live, unrelated member on another.
+  constexpr ParticipantId kIdStride = 1'000'000;
+  rec.controller = std::make_unique<Controller>(
+      channel, sfu_ip, static_cast<ParticipantId>(index) * kIdStride + 1);
+  rec.sfu_ip = sfu_ip;
+  rec.owner = owner;
+  rec.last_heartbeat = channel.sched().now();
+  topology_.EnsureNodes(records_.size());
+  return index;
+}
+
+void SwitchTable::SetCapacity(size_t index, double capacity_class) {
+  if (index >= records_.size()) {
+    throw std::out_of_range("SwitchTable: SetCapacity index");
+  }
+  if (capacity_class <= 0.0) {
+    throw std::invalid_argument("SwitchTable: capacity class must be positive");
+  }
+  records_[index].capacity_class = capacity_class;
+}
+
 FleetController::FleetController()
-    : policy_(std::make_unique<LeastLoadedPolicy>()) {}
+    : own_table_(std::make_unique<SwitchTable>()), table_(*own_table_) {}
+
+FleetController::FleetController(SwitchTable& table, size_t region)
+    : table_(table), region_(region) {}
 
 FleetController::~FleetController() = default;
 
@@ -32,35 +64,11 @@ void FleetController::Trace(obs::Category category, const char* name,
   va_end(ap);
 }
 
-size_t FleetController::AddSwitch(ControlChannel& channel, net::Ipv4 sfu_ip,
-                                  Controller* owner) {
-  const size_t index = switches_.size();
-  auto member = std::make_unique<Member>();
-  member->channel = &channel;
-  if (owner == nullptr) {
-    // Disjoint participant-id range per switch: without it, two switch
-    // controllers both counting from 1 could hand out the same id, and a
-    // stale Leave for a participant migrated off one switch would pass
-    // the membership guard and kick a live, unrelated member on another.
-    // Every region numbers switches alike, so the ranges are disjoint
-    // across regions too.
-    constexpr ParticipantId kIdStride = 1'000'000;
-    member->owned_controller = std::make_unique<Controller>(
-        channel, sfu_ip, static_cast<ParticipantId>(index) * kIdStride + 1);
-  }
-  member->controller =
-      owner != nullptr ? owner : member->owned_controller.get();
-  member->sfu_ip = sfu_ip;
+size_t FleetController::AddSwitch(ControlChannel& channel, net::Ipv4 sfu_ip) {
+  const size_t index = table_.Add(channel, sfu_ip, region_);
   if (sched_ == nullptr) sched_ = &channel.sched();
-  member->last_heartbeat = sched_->now();
-  switches_.push_back(std::move(member));
-  topology_.EnsureNodes(switches_.size());
-  // A non-owned slot's telemetry goes to its owner, which also watches
-  // the switch's heartbeats.
-  if (owner == nullptr) {
-    channel.Subscribe(this, index);
-    ArmFailureDetector(channel);
-  }
+  channel.Subscribe(this, index);
+  ArmFailureDetector(channel);
   return index;
 }
 
@@ -103,41 +111,20 @@ void FleetController::Shutdown() {
 }
 
 size_t FleetController::AdoptShardFrom(FleetController& failed) {
-  // Both controllers number every switch alike, so the shard moves over
-  // slot for slot.
-  for (size_t i = 0; i < switches_.size() && i < failed.switches_.size();
-       ++i) {
-    Member& mine = *switches_[i];
-    Member& theirs = *failed.switches_[i];
-    // Each controller only counts members it placed, so the per-switch
-    // counts fold additively.
-    mine.participants += theirs.participants;
-    mine.meetings += theirs.meetings;
-    if (!theirs.owned()) continue;
-    // The dead peer owned this switch: take over its per-switch
-    // controller (sessions and id spaces survive) and re-point its
-    // telemetry and failure detection here.
-    mine.owned_controller = std::move(theirs.owned_controller);
-    mine.controller = mine.owned_controller.get();
-    mine.alive = theirs.alive;
-    mine.last_report = theirs.last_report;
-    mine.report_seen = false;  // stale reports predate the handoff
-    mine.last_heartbeat = sched_ != nullptr ? sched_->now() : 0;
-    mine.channel->Subscribe(this, i);
-    ArmFailureDetector(*mine.channel);
+  // The dead peer's switches change owner; their telemetry and failure
+  // detection re-point here. The per-switch Controllers (sessions and id
+  // spaces), counts and liveness stay where they are, in the table.
+  for (size_t i = 0; i < table_.size(); ++i) {
+    Member& sw = table_[i];
+    if (sw.owner != failed.region_) continue;
+    sw.owner = region_;
+    sw.report_seen = false;  // stale reports predate the handoff
+    sw.last_heartbeat = sched_ != nullptr ? sched_->now() : 0;
+    sw.channel->Subscribe(this, i);
+    ArmFailureDetector(*sw.channel);
   }
-
-  // The meeting records move unchanged; their relay load re-registers on
-  // *our* link-state view (the dead controller's view dies with it).
-  for (const auto& [id, rec] : failed.meetings_) {
-    for (const MeetingRelay& r : rec.relays) {
-      topology_.AddLoad(r.backbone_path, r.load_bps);
-    }
-    // Chains own their registered load (active or standby alike).
-    for (const SecondaryTree& t : rec.secondaries) {
-      topology_.AddLoad(t.path, t.load_bps);
-    }
-  }
+  // The meeting records move unchanged; their relay load is already on
+  // the shared link-state view.
   const size_t adopted = failed.meetings_.size();
   meetings_.merge(failed.meetings_);
   // Each adopted meeting was re-homed to a new controller — the same
@@ -145,14 +132,14 @@ size_t FleetController::AdoptShardFrom(FleetController& failed) {
   // show the takeover.
   stats_.placements_rebalanced += adopted;
   Trace(obs::Category::kFleet, "fleet.shard_adopted",
-        "meetings=%zu switches=%zu", adopted, switches_.size());
+        "meetings=%zu switches=%zu", adopted, table_.size());
   return adopted;
 }
 
 void FleetController::SetPlacementPolicy(
     std::unique_ptr<PlacementPolicy> policy) {
   if (policy != nullptr) policy_ = std::move(policy);
-  policy_->BindTopology(&topology_);
+  policy_->BindTopology(&topology());
   policy_->SetStreamEstimate(relay_stream_bps_);
   policy_->SetRedundancyFactor(redundancy_.redundant_trees ? 2.0 : 1.0);
 }
@@ -170,16 +157,8 @@ void FleetController::set_relay_stream_bps(double bps) {
   policy_->SetStreamEstimate(bps);
 }
 
-void FleetController::ConfigureInterSwitchLink(size_t a, size_t b,
-                                               double latency_s,
-                                               double capacity_bps) {
-  topology_.EnsureNodes(switches_.size());
-  topology_.SetLink(a, b, latency_s, capacity_bps);
-}
-
-void FleetController::SetInterSwitchLinkCapacity(size_t a, size_t b,
-                                                 double capacity_bps) {
-  topology_.SetLinkCapacity(a, b, capacity_bps);
+void FleetController::OnLinkCapacityChanged(size_t a, size_t b,
+                                            double capacity_bps) {
   // The capacity change opens a causal chain every replan collapse and
   // tree flip it forces rides.
   const uint64_t prev_chain = active_chain_;
@@ -211,9 +190,9 @@ void FleetController::ReplanOverloadedLinks() {
                      std::pair<size_t, size_t> link) {
     return path_crosses(CurrentRelayPath(st, r), link);
   };
-  for (size_t guard = meetings_.size() * switches_.size() + 1; guard > 0;
+  for (size_t guard = meetings_.size() * table_.size() + 1; guard > 0;
        --guard) {
-    const auto overloaded = topology_.OverloadedLinks();
+    const auto overloaded = topology().OverloadedLinks();
     if (overloaded.empty()) return;
     // Make-before-break first: a primary relay crossing an overloaded
     // link whose standby secondary avoids it flips instead of collapsing
@@ -298,14 +277,14 @@ void FleetController::ReplanOverloadedLinks() {
 void FleetController::OnHeartbeat(size_t switch_index) {
   if (dead_) return;  // telemetry into a crashed controller goes nowhere
   ++stats_.heartbeats_seen;
-  switches_[switch_index]->last_heartbeat = sched_->now();
+  table_[switch_index].last_heartbeat = sched_->now();
 }
 
 void FleetController::OnLoadReport(size_t switch_index,
                                    const SwitchLoadReport& report) {
   if (dead_) return;
   ++stats_.load_reports_seen;
-  Member& m = *switches_[switch_index];
+  Member& m = table_[switch_index];
   m.last_report = report;
   m.report_seen = true;
   m.last_heartbeat = sched_->now();  // a load report proves liveness too
@@ -313,11 +292,11 @@ void FleetController::OnLoadReport(size_t switch_index,
 
 void FleetController::CheckHeartbeats() {
   if (dead_) return;
-  for (size_t i = 0; i < switches_.size(); ++i) {
-    Member& m = *switches_[i];
-    // Non-owned slots are the owner's to watch; their heartbeats go to the
-    // owner's sink, so judging them here would always "miss".
-    if (!m.owned() || !m.alive || m.channel == nullptr) continue;
+  for (size_t i = 0; i < table_.size(); ++i) {
+    Member& m = table_[i];
+    // Other regions' switches are theirs to watch; their heartbeats go to
+    // the owner's sink, so judging them here would always "miss".
+    if (!OwnsSwitch(i) || !m.alive) continue;
     const util::DurationUs interval = m.channel->config().heartbeat_interval;
     if (interval <= 0) continue;
     // The detector is calibrated to the channel: a heartbeat is only late
@@ -377,7 +356,8 @@ void FleetController::Rebalance() {
   if (dead_) return;
   // Decisions run on the *reported* load — what the northbound telemetry
   // says — not on the fleet's own bookkeeping; a switch that never
-  // reported (or is dead) does not participate. Reported participants are
+  // reported, is dead, or is another region's does not participate (the
+  // table, reports included, is shared). Reported participants are
   // weighted by each switch's capacity class, so a big switch legitimately
   // carrying more load is not mistaken for an overloaded one; with every
   // class at 1.0 the comparisons are byte-identical to the unweighted
@@ -385,11 +365,10 @@ void FleetController::Rebalance() {
   size_t busiest = SIZE_MAX, idlest = SIZE_MAX;
   double busiest_load = -1.0,
          idlest_load = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < switches_.size(); ++i) {
-    const Member& m = *switches_[i];
-    if (!m.alive || !m.report_seen) continue;
-    const double cls = m.capacity_class > 0.0 ? m.capacity_class : 1.0;
-    const double weighted = m.last_report.participants / cls;
+  for (size_t i = 0; i < table_.size(); ++i) {
+    const Member& m = table_[i];
+    if (!OwnsSwitch(i) || !m.alive || !m.report_seen) continue;
+    const double weighted = m.last_report.participants / m.capacity_class;
     if (weighted > busiest_load) {
       busiest_load = weighted;
       busiest = i;
@@ -421,10 +400,8 @@ void FleetController::Rebalance() {
       continue;
     }
     const int size = static_cast<int>(st.members.size());
-    const double busiest_cls = switches_[busiest]->capacity_class > 0.0
-                                   ? switches_[busiest]->capacity_class
-                                   : 1.0;
-    if (size <= 0 || size / busiest_cls >= busiest_load - idlest_load) {
+    if (size <= 0 || size / table_[busiest].capacity_class >=
+                         busiest_load - idlest_load) {
       continue;
     }
     if (size < pick_size) {
@@ -451,31 +428,15 @@ size_t FleetController::LeastLoaded(size_t exclude) const {
 
 std::vector<SwitchLoad> FleetController::Loads() const {
   std::vector<SwitchLoad> loads;
-  loads.reserve(switches_.size());
-  for (const auto& sw : switches_) {
-    // Non-owned slots are invisible to the placement policy (reported not
-    // alive): only the border-span planner may target them.
-    loads.push_back(SwitchLoad{sw->owned() && sw->alive, sw->participants,
-                               sw->meetings, sw->capacity_class});
+  loads.reserve(table_.size());
+  for (size_t i = 0; i < table_.size(); ++i) {
+    // Other regions' switches are invisible to the placement policy
+    // (reported not alive): only the border-span planner may target them.
+    const Member& sw = table_[i];
+    loads.push_back(SwitchLoad{OwnsSwitch(i) && sw.alive, sw.participants,
+                               sw.meetings, sw.capacity_class});
   }
   return loads;
-}
-
-void FleetController::SetSwitchCapacity(size_t switch_index,
-                                        double capacity_class) {
-  if (switch_index >= switches_.size()) {
-    throw std::out_of_range("FleetController: SetSwitchCapacity index");
-  }
-  if (capacity_class <= 0.0) {
-    throw std::invalid_argument(
-        "FleetController: capacity class must be positive");
-  }
-  switches_[switch_index]->capacity_class = capacity_class;
-}
-
-double FleetController::CapacityClassOf(size_t switch_index) const {
-  const double cls = switches_[switch_index]->capacity_class;
-  return cls > 0.0 ? cls : 1.0;
 }
 
 MeetingId FleetController::CreateMeeting() {
@@ -486,13 +447,13 @@ MeetingId FleetController::CreateMeeting() {
   if (idx == SIZE_MAX) {
     throw std::runtime_error("FleetController: no live switch to place on");
   }
-  MeetingId local = switches_[idx]->controller->CreateMeeting();
+  MeetingId local = table_[idx].controller->CreateMeeting();
   MeetingId global = next_meeting_;
   next_meeting_ += meeting_stride_;
   MeetingState& st = meetings_[global];
   st.placement.home = idx;
   st.placement.local_meeting = local;
-  ++switches_[idx]->meetings;
+  ++table_[idx].meetings;
   ++stats_.meetings_placed;
   Trace(obs::Category::kPlacement, "placement.meeting_placed",
         "meeting=%u switch=%zu", static_cast<unsigned>(global), idx);
@@ -527,9 +488,9 @@ RelaySpan& FleetController::EnsureSpan(MeetingState& st,
   RelaySpan span;
   span.switch_index = switch_index;
   span.parent = parent == st.placement.home ? SIZE_MAX : parent;
-  span.local_meeting = switches_[switch_index]->controller->CreateMeeting();
+  span.local_meeting = table_[switch_index].controller->CreateMeeting();
   st.placement.spans.push_back(std::move(span));
-  ++switches_[switch_index]->meetings;
+  ++table_[switch_index].meetings;
   ++stats_.relay_spans_installed;
   Trace(obs::Category::kPlacement, "placement.span_installed",
         "switch=%zu parent=%zu home=%zu", switch_index, parent,
@@ -592,8 +553,8 @@ ParticipantId FleetController::EnsureRelay(MeetingState& st, size_t upstream,
       return r.relay_sender;
     }
   }
-  Member& up = *switches_[upstream];
-  Member& down = *switches_[downstream];
+  Member& up = table_[upstream];
+  Member& down = table_[downstream];
 
   MeetingRelay r;
   r.origin = origin;
@@ -626,9 +587,9 @@ ParticipantId FleetController::EnsureRelay(MeetingState& st, size_t upstream,
   // Register the hop's estimated stream load on every backbone link its
   // media physically crosses, so residual-capacity planning and the
   // overload re-planner see this relay.
-  r.backbone_path = topology_.RelayPath(upstream, downstream);
+  r.backbone_path = topology().RelayPath(upstream, downstream);
   r.load_bps = relay_stream_bps_;
-  topology_.AddLoad(r.backbone_path, r.load_bps);
+  topology().AddLoad(r.backbone_path, r.load_bps);
 
   // Real members already homed downstream open receive legs toward the
   // relay sender, exactly as they would for a local joiner.
@@ -677,12 +638,12 @@ FleetController::JoinResult FleetController::Join(
   }
   MeetingState& st = *found;
   size_t target = policy_->PlaceParticipant(st.placement, Loads());
-  if (target >= switches_.size()) target = st.placement.home;
+  if (target >= table_.size()) target = st.placement.home;
 
   // The policy falling back to an already-full home switch means it is
   // out of local capacity. Under a federation that overflow is worth a
   // cross-region border span: ask the plane for a guest switch to span
-  // onto (one of our non-owned slots; it rides the ordinary RelaySpan
+  // onto (one a peer region owns; it rides the ordinary RelaySpan
   // mechanics below). A federation of one has no peer to lend, and a
   // controller without a provider never asks.
   if (target == st.placement.home && border_provider_ != nullptr) {
@@ -690,7 +651,7 @@ FleetController::JoinResult FleetController::Join(
     if (budget > 0 &&
         static_cast<int>(st.placement.home_participants.size()) >= budget) {
       const size_t guest = border_provider_(meeting);
-      if (guest < switches_.size() && guest != st.placement.home) {
+      if (guest < table_.size() && guest != st.placement.home) {
         target = guest;
       }
     }
@@ -704,8 +665,8 @@ FleetController::JoinResult FleetController::Join(
   }
 
   JoinResult result =
-      switches_[target]->controller->Join(local, offer, client);
-  ++switches_[target]->participants;
+      table_[target].controller->Join(local, offer, client);
+  ++table_[target].participants;
 
   MemberInfo info;
   info.home_switch = target;
@@ -724,10 +685,10 @@ FleetController::JoinResult FleetController::Join(
   for (const MeetingRelay& r : st.relays) {
     if (r.downstream != target) continue;
     net::Endpoint leg_local = client->AllocateLocalLeg(r.relay_sender);
-    uint16_t port = switches_[target]->channel->AddRecvLeg(
+    uint16_t port = table_[target].channel->AddRecvLeg(
         local, result.participant, r.relay_sender, leg_local);
     client->OnRemoteLegReady(r.relay_sender, r.video_ssrc, r.audio_ssrc,
-                             net::Endpoint{switches_[target]->sfu_ip, port});
+                             net::Endpoint{table_[target].sfu_ip, port});
   }
 
   // And this participant's own media must reach every other switch the
@@ -748,7 +709,7 @@ FleetController::JoinResult FleetController::Join(
 }
 
 void FleetController::UnregisterRelayLoad(const MeetingRelay& relay) {
-  topology_.RemoveLoad(relay.backbone_path, relay.load_bps);
+  topology().RemoveLoad(relay.backbone_path, relay.load_bps);
 }
 
 void FleetController::RemoveSenderRelays(MeetingState& st,
@@ -777,9 +738,9 @@ void FleetController::RemoveSenderRelays(MeetingState& st,
         info.client->OnRemoteSenderLeft(r.relay_sender);
       }
     }
-    switches_[r.downstream]->channel->RemoveParticipant(
+    table_[r.downstream].channel->RemoveParticipant(
         LocalMeetingOn(st, r.downstream), r.relay_sender);
-    switches_[r.upstream]->channel->RemoveParticipant(
+    table_[r.upstream].channel->RemoveParticipant(
         LocalMeetingOn(st, r.upstream), r.relay_receiver);
     it = st.relays.erase(it);
   }
@@ -812,8 +773,8 @@ void FleetController::Leave(MeetingId meeting, ParticipantId participant) {
   // drop their legs toward the relayed stream before any state vanishes.
   RemoveSenderRelays(st, participant);
 
-  --switches_[at]->participants;
-  switches_[at]->controller->Leave(LocalMeetingOn(st, at), participant);
+  --table_[at].participants;
+  table_[at].controller->Leave(LocalMeetingOn(st, at), participant);
   EraseParticipantFromPlacement(st, participant);
   st.members.erase(mit);
 
@@ -879,7 +840,7 @@ void FleetController::TearDownSpan(MeetingState& st, size_t switch_index,
   // meeting end): drain their load and membership. Their relay wiring is
   // removed with the span's relays below.
   for (ParticipantId p : dropped) {
-    --switches_[switch_index]->participants;
+    --table_[switch_index].participants;
     st.members.erase(p);
   }
 
@@ -930,7 +891,7 @@ void FleetController::TearDownSpan(MeetingState& st, size_t switch_index,
   }
   for (auto& [sw, ids] : removals) {
     if (sw == switch_index && switch_dead) continue;  // state died with it
-    switches_[sw]->channel->RemoveRelaySpan(LocalMeetingOn(st, sw), ids);
+    table_[sw].channel->RemoveRelaySpan(LocalMeetingOn(st, sw), ids);
   }
   // Now that every relay-removal command referencing them is dispatched,
   // drained protection meetings can go.
@@ -939,8 +900,8 @@ void FleetController::TearDownSpan(MeetingState& st, size_t switch_index,
   // End the span-local meeting: the controller notifies any members it
   // still tracks, and RemoveMeeting clears remaining agent state
   // (including the span's relay senders).
-  switches_[switch_index]->controller->EndMeeting(local);
-  --switches_[switch_index]->meetings;
+  table_[switch_index].controller->EndMeeting(local);
+  --table_[switch_index].meetings;
   auto& spans = st.placement.spans;
   spans.erase(std::remove_if(spans.begin(), spans.end(),
                              [&](const RelaySpan& s) {
@@ -989,8 +950,8 @@ MeetingId FleetController::ProtectionMeetingOn(MeetingState& st,
                                                size_t switch_index) {
   auto it = st.protection_meetings.find(switch_index);
   if (it != st.protection_meetings.end()) return it->second;
-  MeetingId local = switches_[switch_index]->controller->CreateMeeting();
-  ++switches_[switch_index]->meetings;
+  MeetingId local = table_[switch_index].controller->CreateMeeting();
+  ++table_[switch_index].meetings;
   st.protection_meetings[switch_index] = local;
   return local;
 }
@@ -1009,10 +970,10 @@ void FleetController::GcProtectionMeetings(MeetingState& st) {
       ++it;
       continue;
     }
-    if (switches_[sw]->alive) {
-      switches_[sw]->controller->EndMeeting(it->second);
+    if (table_[sw].alive) {
+      table_[sw].controller->EndMeeting(it->second);
     }
-    --switches_[sw]->meetings;
+    --table_[sw].meetings;
     it = st.protection_meetings.erase(it);
   }
 }
@@ -1021,7 +982,7 @@ void FleetController::EnsureProtection(MeetingState& st) {
   if (!redundancy_.redundant_trees) return;
   // An implicit full mesh has no declared links to be disjoint from (and
   // no physical backbone routes for the chain to diverge over).
-  if (!topology_.explicit_topology()) return;
+  if (!topology().explicit_topology()) return;
   for (MeetingRelay& r : st.relays) {
     if (SecondaryOf(st, r) != nullptr) continue;
     PlanSecondary(st, r);
@@ -1029,7 +990,7 @@ void FleetController::EnsureProtection(MeetingState& st) {
 }
 
 void FleetController::PlanSecondary(MeetingState& st, MeetingRelay& r) {
-  if (!redundancy_.redundant_trees || !topology_.explicit_topology()) return;
+  if (!redundancy_.redundant_trees || !topology().explicit_topology()) return;
   // Be disjoint from the relay's *current* transport — its own backbone
   // path, or the promoted chain's if a flip already happened.
   const std::vector<size_t>& current = CurrentRelayPath(st, r);
@@ -1037,19 +998,13 @@ void FleetController::PlanSecondary(MeetingState& st, MeetingRelay& r) {
   for (size_t i = 0; i + 1 < current.size(); ++i) {
     avoid.emplace_back(current[i], current[i + 1]);
   }
-  const std::vector<size_t> path = topology_.DisjointPath(
+  const std::vector<size_t> path = topology().DisjointPath(
       r.upstream, r.downstream, avoid, relay_stream_bps_);
   // No useful secondary: unreachable, or the "disjoint" path is the
   // current transport itself (a bridge link with no way around it).
   if (path.size() < 2 || path == current) return;
-  for (size_t i = 0; i < path.size(); ++i) {
-    const size_t sw = path[i];
-    if (sw >= switches_.size()) return;
-    const Member& m = *switches_[sw];
-    if (!m.alive || m.channel == nullptr) return;
-    // Interior hops park state in switch-local protection meetings, which
-    // needs the switch's own controller — not a non-owned slot's.
-    if (i > 0 && i + 1 < path.size() && !m.owned()) return;
+  for (size_t sw : path) {
+    if (sw >= table_.size() || !table_[sw].alive) return;
   }
 
   SecondaryTree t;
@@ -1063,8 +1018,8 @@ void FleetController::PlanSecondary(MeetingState& st, MeetingRelay& r) {
   ParticipantId carried = r.upstream_sender;
   for (size_t i = 0; i + 1 < path.size(); ++i) {
     const size_t a = path[i], b = path[i + 1];
-    Member& up = *switches_[a];
-    Member& down = *switches_[b];
+    Member& up = table_[a];
+    Member& down = table_[b];
     ProtectionHop h;
     h.upstream = a;
     h.downstream = b;
@@ -1102,12 +1057,12 @@ void FleetController::PlanSecondary(MeetingState& st, MeetingRelay& r) {
   // The primary's own forwarding leg gets the same pin, for the same
   // reason; it was created in this scheduler instant, so no estimate has
   // adapted it yet and both trees start on identical numbering.
-  switches_[r.upstream]->channel->ForceDecodeTarget(
+  table_[r.upstream].channel->ForceDecodeTarget(
       LocalMeetingOn(st, r.upstream), r.relay_receiver, r.upstream_sender, 2);
 
   // Both trees' load rides the backbone for as long as the protection
   // stands — residual-capacity planning must see the doubled footprint.
-  topology_.AddLoad(t.path, t.load_bps);
+  topology().AddLoad(t.path, t.load_bps);
   Trace(obs::Category::kRedundancy, "redundancy.secondary_planned",
         "origin=%u edge=%zu-%zu hops=%zu", static_cast<unsigned>(t.origin),
         t.upstream, t.downstream, t.hops.size());
@@ -1118,12 +1073,12 @@ void FleetController::PlanSecondary(MeetingState& st, MeetingRelay& r) {
 void FleetController::FlipRelay(MeetingState& st, MeetingRelay& r,
                                 SecondaryTree& tree) {
   const ProtectionHop& term = tree.hops.back();
-  const net::Endpoint new_src{switches_[term.upstream]->sfu_ip,
+  const net::Endpoint new_src{table_[term.upstream].sfu_ip,
                               term.upstream_port};
   // Promote at the merge point: the secondary source becomes the relay
   // sender's primary (the data plane forwarded first-arrivals from either
   // tree all along, so receivers never see a seam).
-  switches_[r.downstream]->channel->PromoteRelaySource(
+  table_[r.downstream].channel->PromoteRelaySource(
       LocalMeetingOn(st, r.downstream), r.relay_sender, new_src);
   // Drain the old transport. The relay record keeps its logical identity
   // (the tree edge, its ids, the merge-point sender) — only the physical
@@ -1146,8 +1101,8 @@ void FleetController::FlipRelay(MeetingState& st, MeetingRelay& r,
     GcProtectionMeetings(st);
   } else {
     // First flip: the outgoing transport is the relay's own leg.
-    if (switches_[r.upstream]->alive) {
-      switches_[r.upstream]->channel->RemoveParticipant(
+    if (table_[r.upstream].alive) {
+      table_[r.upstream].channel->RemoveParticipant(
           LocalMeetingOn(st, r.upstream), r.relay_receiver);
     }
     UnregisterRelayLoad(r);
@@ -1169,24 +1124,24 @@ void FleetController::TearDownSecondary(MeetingState& st,
       // sender's primary feed now; it dies with the relay sender itself,
       // not as a detachable secondary source.
       if (!tree.active && h.downstream != dead_switch &&
-          switches_[h.downstream]->alive) {
-        switches_[h.downstream]->channel->RemoveRelaySource(
+          table_[h.downstream].alive) {
+        table_[h.downstream].channel->RemoveRelaySource(
             LocalMeetingOn(st, h.downstream), h.relay_sender,
-            net::Endpoint{switches_[h.upstream]->sfu_ip, h.upstream_port});
+            net::Endpoint{table_[h.upstream].sfu_ip, h.upstream_port});
       }
-    } else if (h.downstream != dead_switch && switches_[h.downstream]->alive) {
+    } else if (h.downstream != dead_switch && table_[h.downstream].alive) {
       // Interior senders live in the switch's protection meeting, even
       // when that switch also hosts a span of the plan.
-      switches_[h.downstream]->channel->RemoveParticipant(
+      table_[h.downstream].channel->RemoveParticipant(
           ProtectionMeetingOn(st, h.downstream), h.relay_sender);
     }
-    if (h.upstream != dead_switch && switches_[h.upstream]->alive) {
+    if (h.upstream != dead_switch && table_[h.upstream].alive) {
       const MeetingId lm = i == 0 ? LocalMeetingOn(st, h.upstream)
                                   : ProtectionMeetingOn(st, h.upstream);
-      switches_[h.upstream]->channel->RemoveParticipant(lm, h.relay_receiver);
+      table_[h.upstream].channel->RemoveParticipant(lm, h.relay_receiver);
     }
   }
-  topology_.RemoveLoad(tree.path, tree.load_bps);
+  topology().RemoveLoad(tree.path, tree.load_bps);
   ++stats_.secondary_trees_removed;
 }
 
@@ -1253,7 +1208,7 @@ void FleetController::EndMeeting(MeetingId meeting) {
   }
   GcProtectionMeetings(st);
 
-  Member& sw = *switches_[st.placement.home];
+  Member& sw = table_[st.placement.home];
   // Drain members still joined at meeting end so the freed switch
   // actually looks free to placement.
   sw.participants -= static_cast<int>(st.members.size());
@@ -1277,8 +1232,8 @@ void FleetController::MigrateMeeting(MeetingId meeting, size_t target_switch) {
   // member ever re-signals. Forced moves (the source switch is dead, or
   // the meeting already spans and must collapse) stay classic.
   if (redundancy_.hitless_migration && !st.placement.spans_switches() &&
-      target_switch < switches_.size() && IsAlive(source_switch) &&
-      IsAlive(target_switch) && switches_[target_switch]->owned()) {
+      target_switch < table_.size() && IsAlive(source_switch) &&
+      IsAlive(target_switch) && OwnsSwitch(target_switch)) {
     HitlessMigrate(st, meeting, target_switch);
     return;
   }
@@ -1298,14 +1253,14 @@ void FleetController::MigrateMeeting(MeetingId meeting, size_t target_switch) {
   // The old switch-local meeting is over (state wiped by the restart, or
   // torn down on a live source); current members' sessions go with it —
   // they re-Join and land on the target.
-  Member& from = *switches_[st.placement.home];
+  Member& from = table_[st.placement.home];
   from.participants -= static_cast<int>(st.members.size());
   st.members.clear();
   st.placement.home_participants.clear();
   from.controller->EndMeeting(st.placement.local_meeting);
   --from.meetings;
 
-  Member& to = *switches_[target_switch];
+  Member& to = table_[target_switch];
   MeetingId local = to.controller->CreateMeeting();
   ++to.meetings;
   st.placement.home = target_switch;
@@ -1319,9 +1274,13 @@ void FleetController::MigrateMeeting(MeetingId meeting, size_t target_switch) {
 }
 
 void FleetController::OnSwitchDown(size_t switch_index) {
-  Member& m = *switches_[switch_index];
+  Member& m = table_[switch_index];
   if (!m.alive) return;  // already declared dead: migrate exactly once
   m.alive = false;
+  switch_down_(switch_index);
+}
+
+void FleetController::LoseSwitch(size_t switch_index) {
   std::vector<MeetingId> homed, spanned;
   for (const auto& [meeting, st] : meetings_) {
     if (st.placement.home == switch_index) {
@@ -1330,8 +1289,13 @@ void FleetController::OnSwitchDown(size_t switch_index) {
       spanned.push_back(meeting);
     }
   }
-  Trace(obs::Category::kFleet, "switch.down", "switch=%zu homed=%zu spanned=%zu",
-        switch_index, homed.size(), spanned.size());
+  // The owner records the death; a borrower's trace shows only the spans
+  // it collapses.
+  if (OwnsSwitch(switch_index)) {
+    Trace(obs::Category::kFleet, "switch.down",
+          "switch=%zu homed=%zu spanned=%zu", switch_index, homed.size(),
+          spanned.size());
+  }
   for (MeetingId meeting : homed) {
     size_t standby = LeastLoaded(switch_index);
     // With no live standby the meeting stays put and recovers only when
@@ -1394,15 +1358,11 @@ void FleetController::OnSwitchDown(size_t switch_index) {
 }
 
 void FleetController::ReviveSwitch(size_t switch_index) {
-  Member& m = *switches_[switch_index];
+  Member& m = table_[switch_index];
   m.alive = true;
   // Restart the liveness clock: the grace period before fresh heartbeats
   // arrive must not count as misses and instantly re-kill the switch.
   if (sched_ != nullptr) m.last_heartbeat = sched_->now();
-}
-
-bool FleetController::IsAlive(size_t switch_index) const {
-  return switches_[switch_index]->alive;
 }
 
 MeetingPlacement FleetController::PlacementOf(MeetingId meeting) const {
@@ -1429,27 +1389,10 @@ std::vector<SecondaryTree> FleetController::SecondariesOf(
   return rec == nullptr ? std::vector<SecondaryTree>{} : rec->secondaries;
 }
 
-int FleetController::LoadOf(size_t switch_index) const {
-  return switches_[switch_index]->participants;
-}
-
-int FleetController::MeetingsOn(size_t switch_index) const {
-  return switches_[switch_index]->meetings;
-}
-
-net::Ipv4 FleetController::SfuIpOf(size_t switch_index) const {
-  return switches_[switch_index]->sfu_ip;
-}
-
 bool FleetController::IsMember(MeetingId meeting,
                                ParticipantId participant) const {
   const MeetingRecord* rec = Find(meeting);
   return rec != nullptr && rec->members.count(participant) > 0;
-}
-
-const SwitchLoadReport& FleetController::ReportedLoadOf(
-    size_t switch_index) const {
-  return switches_[switch_index]->last_report;
 }
 
 }  // namespace scallop::core

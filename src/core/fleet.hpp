@@ -108,8 +108,8 @@ struct MeetingMemberInfo {
 // Everything a controller knows about one meeting: the distribution
 // plan, the membership roster, the installed relay wiring, and the
 // rebalancer's per-meeting hysteresis. Self-contained on purpose — every
-// regional controller numbers the switches alike, so a dead controller's
-// records move to its adopter unchanged.
+// regional controller indexes the same switch table, so a dead
+// controller's records move to its adopter unchanged.
 struct MeetingRecord {
   MeetingPlacement placement;
   std::map<ParticipantId, MeetingMemberInfo> members;
@@ -147,6 +147,56 @@ struct FleetStats {
   uint64_t hitless_migrations = 0;    // make-before-break re-homes
 };
 
+// The switch facts the whole control plane shares, one copy of each
+// (Onix-style network information base, SDN survey arXiv:1406.0440): a
+// record per switch at its registration index, and the backbone
+// link-state view. A standalone FleetController owns its own table; a
+// FederatedControlPlane owns one and builds every region over it.
+class SwitchTable {
+ public:
+  struct Record {
+    ControlChannel* channel = nullptr;
+    // The switch's own per-switch controller; built at registration and
+    // never moves, whichever region owns the switch.
+    std::unique_ptr<Controller> controller;
+    net::Ipv4 sfu_ip;
+    // The region that watches the switch and may home meetings there;
+    // rewritten when a peer adopts the region's shard.
+    size_t owner = 0;
+    // Real participants homed here and switch-local meetings (homes, spans
+    // and protection meetings), counted across every region.
+    int participants = 0;
+    int meetings = 0;
+    double capacity_class = 1.0;  // SetCapacity
+    bool alive = true;
+    util::TimeUs last_heartbeat = 0;
+    SwitchLoadReport last_report;
+    bool report_seen = false;
+  };
+
+  // Registers a switch at the next index, owned by region `owner`. Its
+  // Controller mints participant ids from index * 1'000'000 + 1, so the
+  // ranges are disjoint across the whole plane. Returns the index.
+  size_t Add(ControlChannel& channel, net::Ipv4 sfu_ip, size_t owner);
+  // Heterogeneous fleets: declares a switch's relative forwarding
+  // capacity. Placement and the rebalancer weigh every load comparison by
+  // it (a class-2 switch absorbs twice the participants before looking as
+  // busy as a class-1 one); the default 1.0 everywhere keeps decisions
+  // byte-identical to the unweighted fleet. Must be positive.
+  void SetCapacity(size_t index, double capacity_class);
+
+  Record& operator[](size_t index) { return records_[index]; }
+  const Record& operator[](size_t index) const { return records_[index]; }
+  size_t size() const { return records_.size(); }
+  // Every declared backbone link and all the relay load registered on it.
+  InterSwitchTopology& topology() { return topology_; }
+  const InterSwitchTopology& topology() const { return topology_; }
+
+ private:
+  std::vector<Record> records_;
+  InterSwitchTopology topology_;
+};
+
 // Load-driven background rebalancer knobs (EnableRebalancer).
 struct RebalanceConfig {
   bool enabled = false;
@@ -162,21 +212,18 @@ struct RebalanceConfig {
 class FleetController : public SignalingServer,
                         public ControlChannel::EventSink {
  public:
+  // A standalone controller over a switch table of its own.
   FleetController();
+  // Region `region` of a federation, over the plane's shared table.
+  FleetController(SwitchTable& table, size_t region);
   ~FleetController() override;
 
-  // Registers a switch via its southbound channel at the next index.
-  // Without `owner` this controller owns the switch: it builds the
-  // per-switch Controller (participant ids minted from index * 1'000'000
-  // + 1, so ranges stay disjoint fleet-wide), subscribes to the channel's
+  // Registers a switch via its southbound channel at the next table
+  // index, owned by this controller: it subscribes to the channel's
   // northbound telemetry and arms the heartbeat failure detector for it.
-  // With `owner` (the owning region's per-switch Controller, under a
-  // federation) the slot is *non-owned*: it shares that Controller, takes
-  // no telemetry subscription, is never failure-detected here and looks
-  // dead to the placement policy — only border spans target it. Returns
+  // Every other region sees the switch through the shared table. Returns
   // the switch's index.
-  size_t AddSwitch(ControlChannel& channel, net::Ipv4 sfu_ip,
-                   Controller* owner = nullptr);
+  size_t AddSwitch(ControlChannel& channel, net::Ipv4 sfu_ip);
   // Arms the heartbeat failure detector for `channel` if its heartbeat
   // cadence needs one and no equal-or-finer detector is already running.
   // Idempotent — AddSwitch calls it per owned channel, and shard adoption
@@ -188,10 +235,10 @@ class FleetController : public SignalingServer,
   // the classic relay base) reproduce the single-controller numbering.
   void ConfigureIdSpace(MeetingId first_meeting, MeetingId meeting_stride,
                         ParticipantId relay_id_base);
-  // Whether this controller owns switch `switch_index` (false for
-  // non-owned slots).
+  // Whether this controller owns switch `switch_index`: it watches the
+  // switch, and its placement policy and rebalancer may use it.
   bool OwnsSwitch(size_t switch_index) const {
-    return switches_[switch_index]->owned();
+    return table_[switch_index].owner == region_;
   }
   // Whether this controller holds the meeting's record.
   bool OwnsMeeting(MeetingId meeting) const {
@@ -201,22 +248,28 @@ class FleetController : public SignalingServer,
   // ---- federation hooks ---------------------------------------------------
   // Owner-side border-span planner: when the placement policy's budget
   // says the home switch is full and the policy has nowhere local left,
-  // Join asks the provider for a guest switch (a non-owned slot) to span
-  // onto; SIZE_MAX declines.
+  // Join asks the provider for a guest switch (one another region owns)
+  // to span onto; SIZE_MAX declines.
   void SetBorderSpanProvider(std::function<size_t(MeetingId)> provider) {
     border_provider_ = std::move(provider);
+  }
+  // Switch-death fan-out: once OnSwitchDown has marked a switch dead in
+  // the table, `handler` has every live region LoseSwitch it. Default:
+  // this controller alone.
+  void SetSwitchDownHandler(std::function<void(size_t)> handler) {
+    switch_down_ = std::move(handler);
   }
   // Controller death: cancels the periodic tasks and refuses new work
   // (signaling throws, telemetry is ignored). State is left intact for a
   // peer to adopt.
   void Shutdown();
   bool IsShutdown() const { return dead_; }
-  // Takes over a dead peer's shard. Both controllers number every switch
-  // alike: the peer's owned slots change hands in ascending order
-  // (per-switch Controller, telemetry subscription, failure detector),
-  // its per-switch counts fold into ours, and its meeting records move
-  // unchanged, their relay load re-registered on this controller's
-  // link-state view. Returns the number of meeting records adopted.
+  // Takes over a dead peer's shard; both controllers share the switch
+  // table. First the peer's switches change owner in ascending order, each
+  // re-pointing its telemetry subscription and failure detection here;
+  // then its meeting records move over unchanged. Counts, liveness and
+  // registered relay load already live in the table. Returns the number
+  // of meeting records adopted.
   size_t AdoptShardFrom(FleetController& failed);
 
   // Swaps the placement policy (default: LeastLoadedPolicy, the classic
@@ -227,18 +280,18 @@ class FleetController : public SignalingServer,
   const PlacementPolicy& placement_policy() const { return *policy_; }
 
   // ---- inter-switch topology (backbone link-state view) ------------------
-  // Default: implicit full mesh with zero latency and unlimited capacity
-  // (classic hub-and-spoke plans are unchanged). Declaring a link flips
-  // the view to an explicit backbone; relay wiring then registers its
-  // estimated per-stream load along each relay's backbone path, and a
-  // capacity cut that overloads a link collapses the subtrees riding it
-  // so the policy re-plans them (ReplanOverloadedLinks).
-  InterSwitchTopology& topology() { return topology_; }
-  const InterSwitchTopology& topology() const { return topology_; }
-  void ConfigureInterSwitchLink(size_t a, size_t b, double latency_s,
-                                double capacity_bps);
-  // Mid-run capacity change; triggers a re-plan of overloaded links.
-  void SetInterSwitchLinkCapacity(size_t a, size_t b, double capacity_bps);
+  // The switch table's one view of the whole backbone, shared by every
+  // region. Default: implicit full mesh with zero latency and unlimited
+  // capacity (classic hub-and-spoke plans are unchanged). Declaring a link
+  // (SetLink) flips the view to an explicit backbone; relay wiring then
+  // registers its estimated per-stream load along each relay's backbone
+  // path, and a capacity cut that overloads a link collapses the subtrees
+  // riding it so the policy re-plans them (OnLinkCapacityChanged).
+  InterSwitchTopology& topology() { return table_.topology(); }
+  const InterSwitchTopology& topology() const { return table_.topology(); }
+  // Mid-run capacity change already written to topology(): re-plans this
+  // controller's relays off overloaded links, on one causal chain.
+  void OnLinkCapacityChanged(size_t a, size_t b, double capacity_bps);
   // Control-plane estimate of one relayed stream's bandwidth (defaults to
   // the paper's 2.3 Mb/s mean including audio + overhead). Forwarded to
   // the placement policy so admission and registered load always agree.
@@ -303,19 +356,22 @@ class FleetController : public SignalingServer,
   bool IsFrozen(MeetingId meeting) const;
 
   // ---- failure handling / migration -------------------------------------
-  // Marks the switch dead. Meetings homed on it migrate to the
-  // least-loaded live standby (no-op per meeting when no standby exists);
-  // meetings merely spanning onto it have that span collapsed — the
-  // span's members re-join and the policy re-plans them onto live
-  // switches. Members of migrated/collapsed meetings are dropped — their
-  // sessions died with the switch — and must re-Join. Idempotent: a
-  // switch already marked dead is left alone, so heartbeat detection can
-  // never migrate a dead switch's meetings twice.
+  // Marks the switch dead in the table, then hands it to the switch-down
+  // handler (LoseSwitch on every live region). Idempotent: a switch
+  // already marked dead is left alone, so heartbeat detection can never
+  // migrate a dead switch's meetings twice.
   void OnSwitchDown(size_t switch_index);
+  // Drops this controller's stake in a switch the table marks dead.
+  // Meetings homed on it (only ever on a switch it owns) migrate to the
+  // least-loaded live standby it owns (no-op per meeting when none
+  // exists); spans onto it collapse — their members re-join and the
+  // policy re-plans them onto live switches. Members of migrated or
+  // collapsed meetings are dropped with their sessions and must re-Join.
+  void LoseSwitch(size_t switch_index);
   // Brings a switch back (restarted, empty). Meetings migrated away stay
   // on their standby; the revived switch only receives new placements.
   void ReviveSwitch(size_t switch_index);
-  bool IsAlive(size_t switch_index) const;
+  bool IsAlive(size_t switch_index) const { return table_[switch_index].alive; }
   // Re-homes one meeting onto `target_switch`: tears the meeting down
   // everywhere it currently lives (home, spans, relay wiring), creates a
   // fresh single-homed meeting on the target, and drops current members
@@ -323,30 +379,32 @@ class FleetController : public SignalingServer,
   // arrive). Increments placements_rebalanced.
   void MigrateMeeting(MeetingId meeting, size_t target_switch);
 
-  // Heterogeneous fleets: declares a switch's relative forwarding
-  // capacity. Placement and the rebalancer weigh every load comparison by
-  // it (a class-2 switch absorbs twice the participants before looking as
-  // busy as a class-1 one); the default 1.0 everywhere keeps decisions
-  // byte-identical to the unweighted fleet. Must be positive.
-  void SetSwitchCapacity(size_t switch_index, double capacity_class);
-  double CapacityClassOf(size_t switch_index) const;
+  // Relative forwarding capacity (SwitchTable::SetCapacity).
+  double CapacityClassOf(size_t switch_index) const {
+    return table_[switch_index].capacity_class;
+  }
 
-  size_t switch_count() const { return switches_.size(); }
+  size_t switch_count() const { return table_.size(); }
   // The meeting's distribution plan (home switch + relay spans); an
   // invalid placement (home == SIZE_MAX) when unknown.
   MeetingPlacement PlacementOf(MeetingId meeting) const;
   // (home switch index, home-switch-local meeting id); {SIZE_MAX, 0} if
   // unknown.
   std::pair<size_t, MeetingId> PlacementDetail(MeetingId meeting) const;
-  // Current participant load of a switch (real participants homed there).
-  int LoadOf(size_t switch_index) const;
-  int MeetingsOn(size_t switch_index) const;
-  net::Ipv4 SfuIpOf(size_t switch_index) const;
+  // Current participant load of a switch (real participants homed there,
+  // by any region).
+  int LoadOf(size_t switch_index) const {
+    return table_[switch_index].participants;
+  }
+  int MeetingsOn(size_t switch_index) const {
+    return table_[switch_index].meetings;
+  }
+  net::Ipv4 SfuIpOf(size_t switch_index) const {
+    return table_[switch_index].sfu_ip;
+  }
   bool IsMember(MeetingId meeting, ParticipantId participant) const;
-  // Latest northbound load report (zeros until one arrives).
-  const SwitchLoadReport& ReportedLoadOf(size_t switch_index) const;
   Controller& controller(size_t switch_index) {
-    return *switches_[switch_index]->controller;
+    return *table_[switch_index].controller;
   }
   const FleetStats& stats() const { return stats_; }
 
@@ -369,26 +427,7 @@ class FleetController : public SignalingServer,
   std::vector<SecondaryTree> SecondariesOf(MeetingId meeting) const;
 
  private:
-  struct Member {
-    ControlChannel* channel = nullptr;
-    // Set (and owning) for switches this controller manages; non-owned
-    // slots share the owning region's controller instead.
-    std::unique_ptr<Controller> owned_controller;
-    Controller* controller = nullptr;
-    net::Ipv4 sfu_ip;
-    int participants = 0;
-    int meetings = 0;
-    // Relative forwarding capacity (SetSwitchCapacity); set on every
-    // region's slot, so heterogeneity survives controller death.
-    double capacity_class = 1.0;
-    bool alive = true;
-    util::TimeUs last_heartbeat = 0;
-    SwitchLoadReport last_report;
-    bool report_seen = false;
-
-    bool owned() const { return owned_controller != nullptr; }
-  };
-
+  using Member = SwitchTable::Record;
   using MemberInfo = MeetingMemberInfo;
   using MeetingState = MeetingRecord;
 
@@ -500,7 +539,10 @@ class FleetController : public SignalingServer,
   void Trace(obs::Category category, const char* name, const char* fmt, ...)
       __attribute__((format(printf, 4, 5)));
 
-  std::vector<std::unique_ptr<Member>> switches_;
+  std::unique_ptr<SwitchTable> own_table_;  // standalone only
+  SwitchTable& table_;
+  // This controller's region: it owns the switches whose record names it.
+  size_t region_ = 0;
   // The meeting records this controller placed (or adopted): placement,
   // membership, relay wiring, rebalance hysteresis.
   std::map<MeetingId, MeetingState> meetings_;
@@ -521,12 +563,15 @@ class FleetController : public SignalingServer,
   std::unique_ptr<sim::PeriodicTask> rebalance_task_;
   bool dead_ = false;  // Shutdown() called (controller crashed)
   std::function<size_t(MeetingId)> border_provider_;
+  std::function<void(size_t)> switch_down_ = [this](size_t switch_index) {
+    LoseSwitch(switch_index);
+  };
   RebalanceConfig rebalance_cfg_;
   MigrationCallback migration_cb_;
   MigrationCallback hitless_cb_;
   RedundancyConfig redundancy_;
-  std::unique_ptr<PlacementPolicy> policy_;
-  InterSwitchTopology topology_;
+  std::unique_ptr<PlacementPolicy> policy_ =
+      std::make_unique<LeastLoadedPolicy>();
   // Per-stream relay bandwidth estimate registered on backbone links
   // (paper: 2.3 Mb/s mean 720p stream including audio + overhead).
   double relay_stream_bps_ = 2.3e6;

@@ -128,9 +128,7 @@ TopologySnapshot FleetTestbed::topology_snapshot() const {
     s.b = link.b;
     s.latency_s = link.latency_s;
     s.capacity_bps = link.capacity_bps;
-    // The global view has no registered load of its own — each region's
-    // controller tracks the relay load it placed; sum the slices.
-    s.load_bps = federation_->LinkLoad(link.a, link.b);
+    s.load_bps = topo.LoadOf(link.a, link.b);
     s.utilization = link.capacity_bps > 0.0 &&
                             link.capacity_bps <
                                 core::InterSwitchTopology::kUnconstrained

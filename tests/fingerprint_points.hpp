@@ -128,6 +128,24 @@ inline std::vector<FingerprintPoint> AllFingerprintPoints() {
     add("ctrlfail/fleet6x2" + tag, ctrlfail);
   }
 
+  // Federated backbone across a controller death: region 1's meeting
+  // borrows region 0's switch 0 over a linear 0-1-2-3 backbone, then
+  // region 0 adopts the shard. The topology rows pin per-link relay load
+  // before and after the adoption.
+  for (uint64_t seed : {uint64_t{1}, uint64_t{7}}) {
+    ScenarioSpec fedbackbone =
+        ScenarioSpec::Uniform("fp-fedbackbone", 1, 3, 2.0, seed);
+    fedbackbone.sample_interval_s = 0.5;
+    fedbackbone.WithBackend(testbed::BackendChoice::Fleet(4, 2));
+    fedbackbone.WithControlPlane(0.001);
+    fedbackbone.WithPlacementPolicy(core::PlacementPolicyConfig::Cascade(1));
+    fedbackbone.WithInterSwitchLink(0, 1, 0.001, 20e6)
+        .WithInterSwitchLink(1, 2, 0.001, 20e6)
+        .WithInterSwitchLink(2, 3, 0.001, 20e6);
+    fedbackbone.WithMeetingRegion(0, 1).WithControllerFailure(1.0, 1);
+    add("fedbackbone/fleet4x2/s" + std::to_string(seed), fedbackbone);
+  }
+
   // ---- Workload-generator families (one point per generator minimum). --
   auto workload = [](const std::string& name, uint64_t seed,
                      double duration_s) {

@@ -6,6 +6,7 @@
 // exercised at R > 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -202,6 +203,138 @@ TEST(Federation, AdoptedBorderGuestKeepsItsCapacityClass) {
   }
   ExpectHealthy(m, 10);
   for (const auto& p : m.peers) EXPECT_TRUE(p.present_at_end);
+}
+
+TEST(Federation, EveryRegionSeesTheSameSwitchState) {
+  // One switch table serves every region: whichever region asks, a
+  // switch's load, meeting count, liveness and capacity class are the
+  // plane's — including region 0's border member on region 1's switch 3,
+  // and across region 1's death and adoption.
+  ScenarioSpec spec = BorderCapacitySpec("fed-same-state", 4.0);
+  spec.WithControllerFailure(2.0, 1);
+  ScenarioRunner r(spec);
+  auto& fed = r.fleet().federation();
+  auto expect_same_state = [&](const char* when) {
+    for (size_t i = 0; i < fed.switch_count(); ++i) {
+      const double cls = i == 3 ? 4.0 : 1.0;
+      for (size_t reg = 0; reg < fed.regions(); ++reg) {
+        if (!fed.RegionAlive(reg)) continue;
+        const core::FleetController& fc = fed.region(reg);
+        EXPECT_EQ(fc.LoadOf(i), fed.LoadOf(i))
+            << when << " switch " << i << " region " << reg;
+        EXPECT_EQ(fc.MeetingsOn(i), fed.MeetingsOn(i))
+            << when << " switch " << i << " region " << reg;
+        EXPECT_EQ(fc.IsAlive(i), fed.IsAlive(i))
+            << when << " switch " << i << " region " << reg;
+        EXPECT_EQ(fc.CapacityClassOf(i), cls)
+            << when << " switch " << i << " region " << reg;
+      }
+    }
+  };
+  r.RunUntil(1.5);
+  ASSERT_GE(fed.federation_stats().border_spans, 1u);
+  ASSERT_NE(fed.PlacementOf(r.meeting_id(0)).SpanOn(3), nullptr);
+  expect_same_state("at 1.5 s");
+
+  const ScenarioMetrics& m = r.Run();
+  ASSERT_EQ(m.federation.shards_adopted, 1u);
+  expect_same_state("at the end");
+  ExpectHealthy(m, 10);
+}
+
+TEST(Federation, BorrowerDropsADeadBorderGuest) {
+  // Cascade(1) puts one member per switch: region 0's 4-party meeting
+  // borrows a region 1 switch for its third joiner. That guest's control
+  // link goes dark at 1 s. Its owner declares it dead; the borrower must
+  // see the death too, collapse its span there, and never home the
+  // fourth joiner (2 s) on the dead guest.
+  ScenarioSpec spec = FederatedSpec("fed-dead-guest", 4, 2, 1, 4, 4.0);
+  spec.WithControlPlane(0.001, 0.0);
+  spec.WithPlacementPolicy(core::PlacementPolicyConfig::Cascade(1));
+  spec.WithMeetingRegion(0, 0);
+  const double joins[] = {0.2, 0.3, 0.4, 2.0};
+  for (int k = 0; k < 4; ++k) spec.WithJoin(0, k, joins[k]);
+  ScenarioRunner r(spec);
+  auto& fed = r.fleet().federation();
+  const core::MeetingId meeting = r.meeting_id(0);
+
+  r.RunUntil(1.0);
+  size_t guest = SIZE_MAX;
+  for (const core::RelaySpan& span : fed.PlacementOf(meeting).spans) {
+    if (fed.RegionOfSwitch(span.switch_index) != 0) guest = span.switch_index;
+  }
+  ASSERT_NE(guest, SIZE_MAX) << "no border span by 1 s";
+  r.fleet().channel(guest).set_link_up(false);
+
+  r.RunUntil(1.9);
+  EXPECT_FALSE(fed.IsAlive(guest));
+  EXPECT_FALSE(fed.region(0).IsAlive(guest));
+
+  const ScenarioMetrics& m = r.Run();
+  const core::MeetingPlacement placement = fed.PlacementOf(meeting);
+  ASSERT_TRUE(placement.valid());
+  EXPECT_NE(placement.home, guest);
+  EXPECT_EQ(placement.SpanOn(guest), nullptr) << m.ToCsv();
+  EXPECT_EQ(fed.LoadOf(guest), 0);
+  ExpectHealthy(m, 10);
+}
+
+// A 3-party meeting minted in region 1 on a linear 0-1-2-3 backbone:
+// Cascade(1) homes it on switch 2, spans switch 3, and borrows region 0's
+// switch 0 for the third member, so relays cross the region border.
+// Region 1's controller dies at 1 s and region 0 adopts the shard.
+ScenarioSpec BackboneAdoptSpec(std::string name, uint64_t seed) {
+  ScenarioSpec spec = FederatedSpec(std::move(name), 4, 2, 1, 3, 2.0);
+  spec.seed = seed;
+  spec.WithControlPlane(0.001, 0.0);
+  spec.WithPlacementPolicy(core::PlacementPolicyConfig::Cascade(1));
+  spec.WithInterSwitchLink(0, 1, 0.001, 20e6)
+      .WithInterSwitchLink(1, 2, 0.001, 20e6)
+      .WithInterSwitchLink(2, 3, 0.001, 20e6);
+  spec.WithMeetingRegion(0, 1).WithControllerFailure(1.0, 1);
+  return spec;
+}
+
+TEST(Federation, AdopterKeepsTheDeadRegionsBackboneLoad) {
+  ScenarioRunner r(BackboneAdoptSpec("fed-backbone-adopt", 1));
+  auto& fed = r.fleet().federation();
+  const core::MeetingId meeting = r.meeting_id(0);
+  // Every backbone link carries exactly the load of the relays whose path
+  // crosses it — cross-region relays included, whoever holds the record.
+  auto expect_link_loads_match_relays = [&](const char* when) {
+    const std::vector<core::MeetingRelay> relays = fed.RelaysOf(meeting);
+    ASSERT_FALSE(relays.empty()) << when;
+    for (const core::MeetingRelay& relay : relays) {
+      EXPECT_FALSE(relay.backbone_path.empty())
+          << when << " relay " << relay.upstream << "->" << relay.downstream;
+    }
+    for (const auto& link : fed.topology().links()) {
+      double expected = 0.0;
+      for (const core::MeetingRelay& relay : relays) {
+        const std::vector<size_t>& path = relay.backbone_path;
+        for (size_t i = 0; i + 1 < path.size(); ++i) {
+          if (std::min(path[i], path[i + 1]) == link.a &&
+              std::max(path[i], path[i + 1]) == link.b) {
+            expected += relay.load_bps;
+          }
+        }
+      }
+      EXPECT_DOUBLE_EQ(fed.topology().LoadOf(link.a, link.b), expected)
+          << when << " link " << link.a << "-" << link.b;
+    }
+  };
+
+  r.RunUntil(0.9);
+  ASSERT_EQ(fed.OwnerRegionOf(meeting), 1u);
+  expect_link_loads_match_relays("at 0.9 s");
+
+  const ScenarioMetrics& m = r.Run();
+  ASSERT_EQ(m.federation.shards_adopted, 1u);
+  ASSERT_EQ(fed.OwnerRegionOf(meeting), 0u);
+  expect_link_loads_match_relays("after the adoption");
+  EXPECT_EQ(fed.region(0).topology().RelayPath(2, 3),
+            (std::vector<size_t>{2, 3}));
+  ExpectHealthy(m, 10);
 }
 
 TEST(Federation, ControllerDeathShardAdoption) {
