@@ -205,13 +205,6 @@ void ControlChannel::ForceDecodeTarget(MeetingId meeting,
   }, "force_decode_target");
 }
 
-void ControlChannel::UnpinDecodeTarget(ParticipantId receiver,
-                                       ParticipantId sender) {
-  Dispatch([this, receiver, sender] {
-    agent_.UnpinDecodeTarget(receiver, sender);
-  }, "unpin_decode_target");
-}
-
 uint16_t ControlChannel::AddRelaySender(MeetingId meeting, ParticipantId id,
                                         net::Endpoint upstream_src,
                                         uint32_t video_ssrc,

@@ -206,7 +206,6 @@ class ControlChannel {
                       ParticipantId sender, net::Endpoint receiver_client);
   void ForceDecodeTarget(MeetingId meeting, ParticipantId receiver,
                          ParticipantId sender, int dt);
-  void UnpinDecodeTarget(ParticipantId receiver, ParticipantId sender);
 
   // ---- southbound relay commands (cascading SFUs, paper Appendix A) -----
   // Registers a remote sender whose media arrives from another switch's

@@ -31,8 +31,9 @@ class SignalingClient {
 };
 
 // Sender intent parsed from an SDP offer: which media the participant
-// sends, with which ssrcs, from where. Shared by Controller::Join and the
-// FleetController's member bookkeeping so the two can never drift.
+// sends, with which ssrcs, from where. Shared by Controller::Join, the
+// FleetController's member bookkeeping and SoftwareSfu::Join so they can
+// never drift.
 struct SenderIntent {
   net::Endpoint media_src;
   uint32_t video_ssrc = 0;

@@ -24,13 +24,13 @@ FederatedControlPlane::FederatedControlPlane(sim::Scheduler& sched,
   death_chain_.assign(R, 0);
   for (size_t r = 0; r < R; ++r) {
     Region& reg = regions_[r];
-    reg.controller = std::make_unique<FleetController>(table_, r);
+    reg.controller = std::make_unique<FleetController>(table_, settings_, r);
     reg.peer_last_seen.assign(R, 0);
     reg.peer_alive.assign(R, true);
     // Disjoint id spaces: region r mints meeting ids r+1, r+1+R, ...
     // (so (id-1) % R names the minting region) and relay
-    // pseudo-participants from a per-region base. A lone region gets the
-    // controller's default numbering.
+    // pseudo-participants from a per-region base (region 0's is the
+    // classic single-controller base).
     reg.controller->ConfigureIdSpace(
         static_cast<MeetingId>(r) + 1, static_cast<MeetingId>(R),
         0x4000'0000u + 60'000u + static_cast<ParticipantId>(r) * 100'000u);
@@ -39,6 +39,7 @@ FederatedControlPlane::FederatedControlPlane(sim::Scheduler& sched,
     reg.controller->SetSwitchDownHandler(
         [this](size_t i) { LoseSwitchEverywhere(i); });
   }
+  BindPolicy();
   // One conduit per unordered region pair: each east-west peering link
   // gets its own RNG stream, like each southbound channel does.
   conduits_.resize(R * R);
@@ -270,17 +271,28 @@ bool FederatedControlPlane::HasLiveOwner(MeetingId meeting) const {
   return owner != SIZE_MAX && !regions_[owner].dead;
 }
 
-// ---- forwarded fleet surface -----------------------------------------------
+// ---- plane-wide settings ---------------------------------------------------
+
+void FederatedControlPlane::BindPolicy() {
+  PlacementPolicy& policy = *settings_.policy;
+  policy.BindTopology(&table_.topology());
+  policy.SetStreamEstimate(settings_.relay_stream_bps);
+  // Protected meetings put two trees' worth of stream load on the
+  // backbone; admission must budget for both or the second tree's
+  // registered load overshoots links the planner thought had headroom.
+  policy.SetRedundancyFactor(settings_.redundancy.redundant_trees ? 2.0
+                                                                  : 1.0);
+}
 
 void FederatedControlPlane::SetPlacementPolicy(
     const PlacementPolicyConfig& policy) {
-  for (Region& reg : regions_) {
-    reg.controller->SetPlacementPolicy(policy.Make());
-  }
+  settings_.policy = policy.Make();
+  BindPolicy();
 }
 
 void FederatedControlPlane::set_relay_stream_bps(double bps) {
-  for (Region& reg : regions_) reg.controller->set_relay_stream_bps(bps);
+  settings_.relay_stream_bps = bps;
+  BindPolicy();
 }
 
 void FederatedControlPlane::SetInterSwitchLinkCapacity(size_t a, size_t b,
@@ -292,26 +304,23 @@ void FederatedControlPlane::SetInterSwitchLinkCapacity(size_t a, size_t b,
 }
 
 void FederatedControlPlane::EnableRebalancer(const RebalanceConfig& cfg) {
-  for (Region& reg : regions_) {
-    if (!reg.dead) reg.controller->EnableRebalancer(cfg);
+  if (cfg.interval <= 0) {
+    throw std::invalid_argument(
+        "federation: the rebalancer needs a positive interval");
   }
-}
-
-void FederatedControlPlane::SetMigrationCallback(
-    FleetController::MigrationCallback cb) {
-  for (Region& reg : regions_) reg.controller->SetMigrationCallback(cb);
+  settings_.rebalance = cfg;
+  // Each live region runs its own rebalancer task over the one config.
+  for (Region& reg : regions_) {
+    if (!reg.dead) reg.controller->EnableRebalancer();
+  }
 }
 
 void FederatedControlPlane::SetRedundancy(const RedundancyConfig& cfg) {
-  for (Region& reg : regions_) {
-    if (!reg.dead) reg.controller->SetRedundancy(cfg);
-  }
+  settings_.redundancy = cfg;
+  BindPolicy();
 }
 
-void FederatedControlPlane::SetHitlessMigrationCallback(
-    FleetController::MigrationCallback cb) {
-  for (Region& reg : regions_) reg.controller->SetHitlessMigrationCallback(cb);
-}
+// ---- fleet state -----------------------------------------------------------
 
 void FederatedControlPlane::FreezeMeetings(
     const std::vector<MeetingId>& meetings) {

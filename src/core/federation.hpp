@@ -11,6 +11,11 @@
 // watches a switch and homes meetings there; other regions reach it
 // through border spans alone. A dead switch is dead for every region.
 //
+// Policy is set once for the whole plane, as a logically centralized
+// controller sets it (paper §5, Appendix A): the plane owns one
+// FleetSettings record, its setters write it, and every region reads it
+// through a const reference.
+//
 // A region keeps only its own state: the meeting records it placed (the
 // plane reads them only through their owner, or hands them over on
 // adoption), its id spaces, rebalancer, detector and stats. Controllers
@@ -26,9 +31,9 @@
 // life goes on.
 //
 // Every region count runs the same code. R == 1 is the federation of one:
-// its single region owns every switch, the table is exactly a standalone
-// fleet's, and with no peers there are no conduits, announcements or
-// heartbeat tasks — byte-identical to the pre-federation fleet.
+// its single region owns every switch, and with no peers there are no
+// conduits, announcements or heartbeat tasks — byte-identical to the
+// pre-federation fleet.
 #pragma once
 
 #include <cstdint>
@@ -119,13 +124,17 @@ class FederatedControlPlane : public SignalingServer {
   // a join in that window has nowhere to go yet.
   bool HasLiveOwner(MeetingId meeting) const;
 
-  // ---- forwarded fleet surface -------------------------------------------
+  // ---- plane-wide settings (the one FleetSettings record) ------------------
+  // Builds the one placement policy every region places with; takes
+  // effect for future placements.
   void SetPlacementPolicy(const PlacementPolicyConfig& policy);
   // Heterogeneous fleets: one capacity class per switch, in the shared
   // table (see SwitchTable::SetCapacity).
   void SetSwitchCapacity(size_t switch_index, double capacity_class) {
     table_.SetCapacity(switch_index, capacity_class);
   }
+  // Control-plane estimate of one relayed stream's bandwidth; the policy
+  // shares it, so admission and registered load always agree.
   void set_relay_stream_bps(double bps);
   // Declares a backbone link on the shared view every region plans over.
   void ConfigureInterSwitchLink(size_t a, size_t b, double latency_s,
@@ -138,15 +147,23 @@ class FederatedControlPlane : public SignalingServer {
   // The shared link-state view: every declared link and all the relay
   // load any region registered on it.
   const InterSwitchTopology& topology() const { return table_.topology(); }
+  // Stores the rebalancer config and starts every live region's own
+  // rebalancer task. Throws std::invalid_argument unless the interval is
+  // positive (a positive interval is what turns the rebalancer on).
   void EnableRebalancer(const RebalanceConfig& cfg);
-  // Redundant dual relay trees + make-before-break migration: forwarded
-  // to every region's controller. Off by default (classic behaviour).
+  // Redundant dual relay trees + make-before-break migration. Off by
+  // default (classic behaviour). Must be set before meetings span;
+  // applies to relays installed afterwards.
   void SetRedundancy(const RedundancyConfig& cfg);
-  // Fired after a hitless (make-before-break) migration completes; unlike
-  // the migration callback, members were never dropped. Both are handed
-  // to every region's controller.
-  void SetHitlessMigrationCallback(FleetController::MigrationCallback cb);
-  void SetMigrationCallback(FleetController::MigrationCallback cb);
+  // See MeetingMovedCallback / MeetingMovedHitlessCallback (fleet.hpp).
+  void SetMigrationCallback(MeetingMovedCallback cb) {
+    settings_.on_moved = std::move(cb);
+  }
+  void SetHitlessMigrationCallback(MeetingMovedHitlessCallback cb) {
+    settings_.on_moved_hitless = std::move(cb);
+  }
+
+  // ---- fleet state ---------------------------------------------------------
   void FreezeMeetings(const std::vector<MeetingId>& meetings);
   MeetingPlacement PlacementOf(MeetingId meeting) const;
   std::pair<size_t, MeetingId> PlacementDetail(MeetingId meeting) const;
@@ -251,6 +268,9 @@ class FederatedControlPlane : public SignalingServer {
   // peer can lend or the handshake is lost.
   size_t BorderGuestFor(size_t owner, MeetingId meeting);
   size_t SliceOf(size_t switch_index) const;
+  // The one place the policy is bound: the shared topology, the
+  // relay-stream estimate and the redundancy factor.
+  void BindPolicy();
 
   // The region-pinned SignalingServer face behind ingress(): a thin
   // forwarder so a client object (Peer) can hold "my access region" as a
@@ -274,7 +294,8 @@ class FederatedControlPlane : public SignalingServer {
 
   sim::Scheduler& sched_;
   FederationConfig cfg_;
-  SwitchTable table_;  // shared by every region; declared before them
+  SwitchTable table_;        // shared by every region; declared before them
+  FleetSettings settings_;  // likewise
   std::vector<Region> regions_;
   // One facade per region, built lazily by ingress(); unique_ptrs so
   // handed-out references survive vector growth.

@@ -36,11 +36,9 @@ void SwitchTable::SetCapacity(size_t index, double capacity_class) {
   records_[index].capacity_class = capacity_class;
 }
 
-FleetController::FleetController()
-    : own_table_(std::make_unique<SwitchTable>()), table_(*own_table_) {}
-
-FleetController::FleetController(SwitchTable& table, size_t region)
-    : table_(table), region_(region) {}
+FleetController::FleetController(SwitchTable& table,
+                                 const FleetSettings& settings, size_t region)
+    : table_(table), settings_(settings), region_(region) {}
 
 FleetController::~FleetController() = default;
 
@@ -136,27 +134,6 @@ size_t FleetController::AdoptShardFrom(FleetController& failed) {
   return adopted;
 }
 
-void FleetController::SetPlacementPolicy(
-    std::unique_ptr<PlacementPolicy> policy) {
-  if (policy != nullptr) policy_ = std::move(policy);
-  policy_->BindTopology(&topology());
-  policy_->SetStreamEstimate(relay_stream_bps_);
-  policy_->SetRedundancyFactor(redundancy_.redundant_trees ? 2.0 : 1.0);
-}
-
-void FleetController::SetRedundancy(const RedundancyConfig& cfg) {
-  redundancy_ = cfg;
-  // Protected meetings put two trees' worth of stream load on the
-  // backbone; admission must budget for both or the second tree's
-  // registered load overshoots links the planner thought had headroom.
-  policy_->SetRedundancyFactor(cfg.redundant_trees ? 2.0 : 1.0);
-}
-
-void FleetController::set_relay_stream_bps(double bps) {
-  relay_stream_bps_ = bps;
-  policy_->SetStreamEstimate(bps);
-}
-
 void FleetController::OnLinkCapacityChanged(size_t a, size_t b,
                                             double capacity_bps) {
   // The capacity change opens a causal chain every replan collapse and
@@ -199,7 +176,7 @@ void FleetController::ReplanOverloadedLinks() {
     // — receivers keep a continuous stream and only then does the old
     // path drain. Each flip relieves the link of the primary's load, so
     // re-evaluate the overload set before touching more state.
-    if (redundancy_.redundant_trees) {
+    if (settings_.redundancy.redundant_trees) {
       bool changed = false;
       for (auto& [meeting, st] : meetings_) {
         for (MeetingRelay& r : st.relays) {
@@ -262,7 +239,9 @@ void FleetController::ReplanOverloadedLinks() {
       Trace(obs::Category::kTopology, "topology.replan",
             "meeting=%u collapsed=%zu home=%zu",
             static_cast<unsigned>(meeting), child, st.placement.home);
-      if (migration_cb_) migration_cb_(meeting);
+      if (settings_.on_moved) {
+        settings_.on_moved(meeting, SubtreeMembers(st, child));
+      }
       TearDownSpan(st, child, /*switch_dead=*/false);
       st.frozen = true;
       collapsed = true;
@@ -323,18 +302,13 @@ void FleetController::CheckHeartbeats() {
   }
 }
 
-void FleetController::EnableRebalancer(const RebalanceConfig& cfg) {
+void FleetController::EnableRebalancer() {
   if (sched_ == nullptr) {
     throw std::logic_error(
         "FleetController: EnableRebalancer needs a registered switch");
   }
-  rebalance_cfg_ = cfg;
-  rebalance_cfg_.enabled = true;
-  if (rebalance_cfg_.cooldown <= 0) {
-    rebalance_cfg_.cooldown = rebalance_cfg_.interval;
-  }
   rebalance_task_ = std::make_unique<sim::PeriodicTask>(
-      *sched_, rebalance_cfg_.interval, [this] {
+      *sched_, settings_.rebalance.interval, [this] {
         Rebalance();
         return true;
       });
@@ -379,11 +353,13 @@ void FleetController::Rebalance() {
     }
   }
   if (busiest == SIZE_MAX || idlest == SIZE_MAX || busiest == idlest) return;
-  if (busiest_load - idlest_load < rebalance_cfg_.imbalance_threshold) return;
+  if (busiest_load - idlest_load < settings_.rebalance.imbalance_threshold) {
+    return;
+  }
 
   // Pick the smallest migratable meeting on the overloaded switch whose
   // move strictly shrinks the gap (so the pair cannot swap roles and
-  // ping-pong), skipping meetings still in their post-move cooldown,
+  // ping-pong), skipping meetings moved less than one interval ago,
   // meetings mid-renegotiation (failover blackout / re-signal window —
   // their members are down and moving them again would strand the
   // re-joins), and cascaded meetings (their load is already spread by the
@@ -396,7 +372,7 @@ void FleetController::Rebalance() {
     if (st.placement.spans_switches()) continue;
     if (st.frozen) continue;
     if (st.migrated_once &&
-        now - st.last_migrated < rebalance_cfg_.cooldown) {
+        now - st.last_migrated < settings_.rebalance.interval) {
       continue;
     }
     const int size = static_cast<int>(st.members.size());
@@ -443,7 +419,7 @@ MeetingId FleetController::CreateMeeting() {
   if (dead_) {
     throw std::runtime_error("FleetController: controller is down");
   }
-  size_t idx = policy_->PlaceMeeting(Loads());
+  size_t idx = settings_.policy->PlaceMeeting(Loads());
   if (idx == SIZE_MAX) {
     throw std::runtime_error("FleetController: no live switch to place on");
   }
@@ -480,7 +456,8 @@ RelaySpan& FleetController::EnsureSpan(MeetingState& st,
   }
   // The policy parents the new span onto the tree (home by default —
   // hub-and-spoke; a topology-aware policy may hang it off another span).
-  size_t parent = policy_->ChooseSpanParent(st.placement, switch_index);
+  size_t parent =
+      settings_.policy->ChooseSpanParent(st.placement, switch_index);
   const bool parent_on_plan =
       parent == st.placement.home || st.placement.SpanOn(parent) != nullptr;
   if (!parent_on_plan || parent == switch_index) parent = st.placement.home;
@@ -588,7 +565,7 @@ ParticipantId FleetController::EnsureRelay(MeetingState& st, size_t upstream,
   // media physically crosses, so residual-capacity planning and the
   // overload re-planner see this relay.
   r.backbone_path = topology().RelayPath(upstream, downstream);
-  r.load_bps = relay_stream_bps_;
+  r.load_bps = settings_.relay_stream_bps;
   topology().AddLoad(r.backbone_path, r.load_bps);
 
   // Real members already homed downstream open receive legs toward the
@@ -637,7 +614,7 @@ FleetController::JoinResult FleetController::Join(
     throw std::out_of_range("FleetController: unknown meeting");
   }
   MeetingState& st = *found;
-  size_t target = policy_->PlaceParticipant(st.placement, Loads());
+  size_t target = settings_.policy->PlaceParticipant(st.placement, Loads());
   if (target >= table_.size()) target = st.placement.home;
 
   // The policy falling back to an already-full home switch means it is
@@ -647,7 +624,7 @@ FleetController::JoinResult FleetController::Join(
   // mechanics below). A federation of one has no peer to lend, and a
   // controller without a provider never asks.
   if (target == st.placement.home && border_provider_ != nullptr) {
-    const int budget = policy_->SpanBudget();
+    const int budget = settings_.policy->SpanBudget();
     if (budget > 0 &&
         static_cast<int>(st.placement.home_participants.size()) >= budget) {
       const size_t guest = border_provider_(meeting);
@@ -745,6 +722,23 @@ void FleetController::RemoveSenderRelays(MeetingState& st,
     it = st.relays.erase(it);
   }
   GcProtectionMeetings(st);
+}
+
+std::vector<ParticipantId> FleetController::SubtreeMembers(
+    const MeetingState& st, size_t root) const {
+  std::vector<ParticipantId> ids;
+  for (const RelaySpan& span : st.placement.spans) {
+    // Walk up from the span; the span count bounds the walk.
+    size_t at = span.switch_index;
+    for (size_t hop = 0; hop <= st.placement.spans.size() && at != SIZE_MAX;
+         ++hop, at = st.placement.ParentOf(at)) {
+      if (at != root) continue;
+      ids.insert(ids.end(), span.participants.begin(),
+                 span.participants.end());
+      break;
+    }
+  }
+  return ids;
 }
 
 void FleetController::EraseParticipantFromPlacement(MeetingState& st,
@@ -979,7 +973,7 @@ void FleetController::GcProtectionMeetings(MeetingState& st) {
 }
 
 void FleetController::EnsureProtection(MeetingState& st) {
-  if (!redundancy_.redundant_trees) return;
+  if (!settings_.redundancy.redundant_trees) return;
   // An implicit full mesh has no declared links to be disjoint from (and
   // no physical backbone routes for the chain to diverge over).
   if (!topology().explicit_topology()) return;
@@ -990,7 +984,10 @@ void FleetController::EnsureProtection(MeetingState& st) {
 }
 
 void FleetController::PlanSecondary(MeetingState& st, MeetingRelay& r) {
-  if (!redundancy_.redundant_trees || !topology().explicit_topology()) return;
+  if (!settings_.redundancy.redundant_trees ||
+      !topology().explicit_topology()) {
+    return;
+  }
   // Be disjoint from the relay's *current* transport — its own backbone
   // path, or the promoted chain's if a flip already happened.
   const std::vector<size_t>& current = CurrentRelayPath(st, r);
@@ -999,7 +996,7 @@ void FleetController::PlanSecondary(MeetingState& st, MeetingRelay& r) {
     avoid.emplace_back(current[i], current[i + 1]);
   }
   const std::vector<size_t> path = topology().DisjointPath(
-      r.upstream, r.downstream, avoid, relay_stream_bps_);
+      r.upstream, r.downstream, avoid, settings_.relay_stream_bps);
   // No useful secondary: unreachable, or the "disjoint" path is the
   // current transport itself (a bridge link with no way around it).
   if (path.size() < 2 || path == current) return;
@@ -1013,7 +1010,7 @@ void FleetController::PlanSecondary(MeetingState& st, MeetingRelay& r) {
   t.downstream = r.downstream;
   t.protected_relay = r.relay_sender;
   t.path = path;
-  t.load_bps = relay_stream_bps_;
+  t.load_bps = settings_.relay_stream_bps;
 
   ParticipantId carried = r.upstream_sender;
   for (size_t i = 0; i + 1 < path.size(); ++i) {
@@ -1036,7 +1033,7 @@ void FleetController::PlanSecondary(MeetingState& st, MeetingRelay& r) {
       h.relay_sender = r.relay_sender;
       h.downstream_port = r.downstream_port;
       down.channel->AddRelaySource(LocalMeetingOn(st, b), r.relay_sender,
-                                   src, redundancy_.dedup_window);
+                                   src, settings_.redundancy.dedup_window);
     } else {
       h.relay_sender = NextRelayId();
       h.downstream_port = down.channel->AddRelaySender(
@@ -1184,7 +1181,7 @@ void FleetController::HitlessMigrate(MeetingState& st, MeetingId meeting,
         "meeting=%u from=%zu to=%zu", static_cast<unsigned>(meeting), source,
         target);
   EnsureProtection(st);
-  if (hitless_cb_) hitless_cb_(meeting);
+  if (settings_.on_moved_hitless) settings_.on_moved_hitless(meeting);
 }
 
 void FleetController::EndMeeting(MeetingId meeting) {
@@ -1231,7 +1228,8 @@ void FleetController::MigrateMeeting(MeetingId meeting, size_t target_switch) {
   // target span is built and relaying before anything flips, and no
   // member ever re-signals. Forced moves (the source switch is dead, or
   // the meeting already spans and must collapse) stay classic.
-  if (redundancy_.hitless_migration && !st.placement.spans_switches() &&
+  if (settings_.redundancy.hitless_migration &&
+      !st.placement.spans_switches() &&
       target_switch < table_.size() && IsAlive(source_switch) &&
       IsAlive(target_switch) && OwnsSwitch(target_switch)) {
     HitlessMigrate(st, meeting, target_switch);
@@ -1240,7 +1238,12 @@ void FleetController::MigrateMeeting(MeetingId meeting, size_t target_switch) {
   // Let the substrate/harness drop the members' sessions first (they must
   // re-signal onto the target); anything still joined afterwards is
   // drained below.
-  if (migration_cb_) migration_cb_(meeting);
+  if (settings_.on_moved) {
+    std::vector<ParticipantId> dropped;
+    dropped.reserve(st.members.size());
+    for (const auto& [pid, info] : st.members) dropped.push_back(pid);
+    settings_.on_moved(meeting, dropped);
+  }
 
   // The migration collapses the meeting to a single fresh home; if it was
   // cascaded, the spans go too — the policy re-plans them as members
@@ -1311,11 +1314,13 @@ void FleetController::LoseSwitch(size_t switch_index) {
     MeetingState& st = *Find(meeting);
     Trace(obs::Category::kFleet, "span.collapsed", "meeting=%u switch=%zu",
           static_cast<unsigned>(meeting), switch_index);
-    if (migration_cb_) migration_cb_(meeting);
+    if (settings_.on_moved) {
+      settings_.on_moved(meeting, SubtreeMembers(st, switch_index));
+    }
     TearDownSpan(st, switch_index, /*switch_dead=*/true);
     st.frozen = true;
   }
-  if (!redundancy_.enabled()) return;
+  if (!settings_.redundancy.enabled()) return;
   // Instant fallback: relays whose current transport merely *transits*
   // the dead switch (both endpoints survive) flip onto a standby chain
   // that avoids it — the chain was already delivering duplicate copies,

@@ -14,9 +14,15 @@
 //   * load rebalancing (opt-in, EnableRebalancer) — when the *reported*
 //     participant load of the busiest live switch exceeds the idlest by
 //     the imbalance threshold, one meeting is re-homed via MigrateMeeting,
-//     with a per-meeting cooldown so placements don't ping-pong, skipping
-//     meetings whose members are mid-renegotiation (failover blackout or
-//     a live migration's re-signaling window).
+//     with a one-interval per-meeting cooldown so placements don't
+//     ping-pong, skipping meetings whose members are mid-renegotiation
+//     (failover blackout or a live migration's re-signaling window).
+//
+// Every controller is one region of a FederatedControlPlane
+// (federation.hpp), which owns the two things all regions share: the
+// SwitchTable and the FleetSettings record (placement policy, relay-stream
+// estimate, redundancy and rebalance configs, move callbacks). A region
+// reads both and keeps copies of neither.
 //
 // Placement is a first-class plan (core::MeetingPlacement): a pluggable
 // PlacementPolicy homes each meeting and participant; when a meeting
@@ -150,8 +156,8 @@ struct FleetStats {
 // The switch facts the whole control plane shares, one copy of each
 // (Onix-style network information base, SDN survey arXiv:1406.0440): a
 // record per switch at its registration index, and the backbone
-// link-state view. A standalone FleetController owns its own table; a
-// FederatedControlPlane owns one and builds every region over it.
+// link-state view. The FederatedControlPlane owns one and builds every
+// region over it.
 class SwitchTable {
  public:
   struct Record {
@@ -197,25 +203,54 @@ class SwitchTable {
   InterSwitchTopology topology_;
 };
 
-// Load-driven background rebalancer knobs (EnableRebalancer).
+// Load-driven background rebalancer knobs. A positive interval turns the
+// rebalancer on (FederatedControlPlane::EnableRebalancer); a meeting that
+// just moved is left alone for one interval, so successive ticks cannot
+// bounce it back while load reports still reflect the pre-move world.
 struct RebalanceConfig {
-  bool enabled = false;
-  util::DurationUs interval = util::Seconds(2);
+  util::DurationUs interval = 0;  // 0: off
   // Minimum (busiest - idlest) reported participant gap before acting.
   int imbalance_threshold = 2;
-  // A meeting that just moved is left alone this long (0 means one
-  // rebalance interval), so successive ticks cannot bounce it back while
-  // load reports still reflect the pre-move world.
-  util::DurationUs cooldown = 0;
+};
+
+// Invoked just before a meeting is migrated (rebalance or failure) or
+// loses a collapsed span, with the ids of the members whose sessions die
+// with it — every member on a migration, only those homed on the
+// collapsed subtree on a span collapse — so the substrate/harness can
+// drop and re-signal exactly those first.
+using MeetingMovedCallback = std::function<void(
+    MeetingId meeting, const std::vector<ParticipantId>& dropped)>;
+// Fired after a hitless migration completes. Members keep their sessions,
+// so nothing needs re-signaling; the harness uses it to measure frames
+// lost during the planned move.
+using MeetingMovedHitlessCallback = std::function<void(MeetingId meeting)>;
+
+// The control-plane settings every region applies, stored once: the
+// FederatedControlPlane owns the record and each region holds a const
+// reference, so a region can never disagree with its plane.
+struct FleetSettings {
+  // Every region's placement policy (default LeastLoaded, the classic
+  // single-homed behaviour), bound by FederatedControlPlane::BindPolicy.
+  std::unique_ptr<PlacementPolicy> policy =
+      std::make_unique<LeastLoadedPolicy>();
+  // Per-stream relay bandwidth estimate registered on backbone links
+  // (paper: 2.3 Mb/s mean 720p stream including audio + overhead).
+  double relay_stream_bps = 2.3e6;
+  // Redundant dual relay trees and/or make-before-break (hitless)
+  // migration; the defaults keep the classic break-before-make fleet.
+  RedundancyConfig redundancy;
+  RebalanceConfig rebalance;
+  MeetingMovedCallback on_moved;
+  MeetingMovedHitlessCallback on_moved_hitless;
 };
 
 class FleetController : public SignalingServer,
                         public ControlChannel::EventSink {
  public:
-  // A standalone controller over a switch table of its own.
-  FleetController();
-  // Region `region` of a federation, over the plane's shared table.
-  FleetController(SwitchTable& table, size_t region);
+  // Region `region` of a federation, over the plane's shared table and
+  // settings record (both outlive the controller).
+  FleetController(SwitchTable& table, const FleetSettings& settings,
+                  size_t region);
   ~FleetController() override;
 
   // Registers a switch via its southbound channel at the next table
@@ -231,8 +266,7 @@ class FleetController : public SignalingServer,
   void ArmFailureDetector(const ControlChannel& channel);
   // Partitions the global id spaces for federation: this controller
   // mints meeting ids `first_meeting, first_meeting + stride, ...` and
-  // relay pseudo-participant ids from `relay_id_base`. Defaults (1, 1,
-  // the classic relay base) reproduce the single-controller numbering.
+  // relay pseudo-participant ids from `relay_id_base`.
   void ConfigureIdSpace(MeetingId first_meeting, MeetingId meeting_stride,
                         ParticipantId relay_id_base);
   // Whether this controller owns switch `switch_index`: it watches the
@@ -254,8 +288,7 @@ class FleetController : public SignalingServer,
     border_provider_ = std::move(provider);
   }
   // Switch-death fan-out: once OnSwitchDown has marked a switch dead in
-  // the table, `handler` has every live region LoseSwitch it. Default:
-  // this controller alone.
+  // the table, `handler` has every live region LoseSwitch it.
   void SetSwitchDownHandler(std::function<void(size_t)> handler) {
     switch_down_ = std::move(handler);
   }
@@ -263,7 +296,6 @@ class FleetController : public SignalingServer,
   // (signaling throws, telemetry is ignored). State is left intact for a
   // peer to adopt.
   void Shutdown();
-  bool IsShutdown() const { return dead_; }
   // Takes over a dead peer's shard; both controllers share the switch
   // table. First the peer's switches change owner in ascending order, each
   // re-pointing its telemetry subscription and failure detection here;
@@ -271,13 +303,6 @@ class FleetController : public SignalingServer,
   // registered relay load already live in the table. Returns the number
   // of meeting records adopted.
   size_t AdoptShardFrom(FleetController& failed);
-
-  // Swaps the placement policy (default: LeastLoadedPolicy, the classic
-  // single-homed behaviour). Takes effect for future placements. The
-  // fleet's InterSwitchTopology is bound into the policy so
-  // topology-aware planners see the live link-state view.
-  void SetPlacementPolicy(std::unique_ptr<PlacementPolicy> policy);
-  const PlacementPolicy& placement_policy() const { return *policy_; }
 
   // ---- inter-switch topology (backbone link-state view) ------------------
   // The switch table's one view of the whole backbone, shared by every
@@ -292,11 +317,10 @@ class FleetController : public SignalingServer,
   // Mid-run capacity change already written to topology(): re-plans this
   // controller's relays off overloaded links, on one causal chain.
   void OnLinkCapacityChanged(size_t a, size_t b, double capacity_bps);
-  // Control-plane estimate of one relayed stream's bandwidth (defaults to
-  // the paper's 2.3 Mb/s mean including audio + overhead). Forwarded to
-  // the placement policy so admission and registered load always agree.
-  void set_relay_stream_bps(double bps);
-  double relay_stream_bps() const { return relay_stream_bps_; }
+  // Control-plane estimate of one relayed stream's bandwidth (the
+  // plane's FleetSettings::relay_stream_bps, which the placement policy
+  // shares, so admission and registered load always agree).
+  double relay_stream_bps() const { return settings_.relay_stream_bps; }
   // Collapses the child subtree of every tree edge whose backbone path
   // crosses an overloaded link, so members re-join and the policy
   // re-plans them with the updated link-state view.
@@ -322,32 +346,10 @@ class FleetController : public SignalingServer,
   void OnLoadReport(size_t switch_index,
                     const SwitchLoadReport& report) override;
 
-  // Starts the periodic load-driven rebalancer (requires at least one
-  // registered switch; decisions use the latest SwitchLoadReports).
-  void EnableRebalancer(const RebalanceConfig& cfg);
-
-  // Invoked just before a meeting is migrated (rebalance or failure) or
-  // loses a collapsed span, so the substrate/harness can drop and
-  // re-signal its members first.
-  using MigrationCallback = std::function<void(MeetingId meeting)>;
-  void SetMigrationCallback(MigrationCallback cb) {
-    migration_cb_ = std::move(cb);
-  }
-
-  // ---- redundant dual relay trees (opt-in) --------------------------------
-  // Enables secondary relay trees over link-disjoint backbone paths and/or
-  // make-before-break (hitless) migration. With the config at its defaults
-  // the fleet behaves byte-identically to the classic break-before-make
-  // controller. Must be set before meetings span; applies to relays
-  // installed afterwards.
-  void SetRedundancy(const RedundancyConfig& cfg);
-  const RedundancyConfig& redundancy() const { return redundancy_; }
-  // Fired after a hitless migration completes. Members keep their
-  // sessions, so unlike MigrationCallback nothing needs re-signaling; the
-  // harness uses it to measure frames lost during the planned move.
-  void SetHitlessMigrationCallback(MigrationCallback cb) {
-    hitless_cb_ = std::move(cb);
-  }
+  // Starts this region's periodic load-driven rebalancer at the plane's
+  // FleetSettings::rebalance cadence (requires at least one registered
+  // switch; decisions use the latest SwitchLoadReports).
+  void EnableRebalancer();
 
   // Marks meetings as mid-renegotiation (failover blackout): the load
   // rebalancer leaves them alone until a member re-joins. MigrateMeeting
@@ -410,7 +412,7 @@ class FleetController : public SignalingServer,
 
   // Enables structured tracing of fleet-level transitions (heartbeat
   // misses, switch deaths, migrations, replans, redundancy flips) on
-  // `track` ("fleet" standalone, "region:<r>" under a federation).
+  // `track` ("fleet" for a plane of one region, "region:<r>" otherwise).
   // Southbound command tracing is per-channel (ControlChannel::
   // EnableTrace); this covers the control loops above the channels.
   void set_trace(obs::TraceLog* trace, std::string track) {
@@ -476,6 +478,10 @@ class FleetController : public SignalingServer,
   // there (their sessions are gone).
   void TearDownSpan(MeetingState& st, size_t switch_index, bool switch_dead);
   void EraseParticipantFromPlacement(MeetingState& st, ParticipantId p);
+  // Members homed on `root`'s span and every span below it in the relay
+  // tree: the sessions a collapse of that subtree drops.
+  std::vector<ParticipantId> SubtreeMembers(const MeetingState& st,
+                                            size_t root) const;
   ParticipantId NextRelayId();
 
   // ---- redundant dual relay trees -----------------------------------------
@@ -539,16 +545,16 @@ class FleetController : public SignalingServer,
   void Trace(obs::Category category, const char* name, const char* fmt, ...)
       __attribute__((format(printf, 4, 5)));
 
-  std::unique_ptr<SwitchTable> own_table_;  // standalone only
   SwitchTable& table_;
+  const FleetSettings& settings_;
   // This controller's region: it owns the switches whose record names it.
   size_t region_ = 0;
   // The meeting records this controller placed (or adopted): placement,
   // membership, relay wiring, rebalance hysteresis.
   std::map<MeetingId, MeetingState> meetings_;
   MeetingId next_meeting_ = 1;
-  // Meeting ids advance by this much per CreateMeeting: 1 standalone, R
-  // under an R-region federation (region r mints r+1, r+1+R, ...).
+  // Meeting ids advance by this much per CreateMeeting: R under an
+  // R-region federation (region r mints r+1, r+1+R, ...).
   MeetingId meeting_stride_ = 1;
   // Relay pseudo-participant ids: a dedicated range far above any switch
   // controller's stride (switch i mints from i*1'000'000 + 1), offset so
@@ -563,18 +569,7 @@ class FleetController : public SignalingServer,
   std::unique_ptr<sim::PeriodicTask> rebalance_task_;
   bool dead_ = false;  // Shutdown() called (controller crashed)
   std::function<size_t(MeetingId)> border_provider_;
-  std::function<void(size_t)> switch_down_ = [this](size_t switch_index) {
-    LoseSwitch(switch_index);
-  };
-  RebalanceConfig rebalance_cfg_;
-  MigrationCallback migration_cb_;
-  MigrationCallback hitless_cb_;
-  RedundancyConfig redundancy_;
-  std::unique_ptr<PlacementPolicy> policy_ =
-      std::make_unique<LeastLoadedPolicy>();
-  // Per-stream relay bandwidth estimate registered on backbone links
-  // (paper: 2.3 Mb/s mean 720p stream including audio + overhead).
-  double relay_stream_bps_ = 2.3e6;
+  std::function<void(size_t)> switch_down_;
   FleetStats stats_;
   obs::TraceLog* trace_ = nullptr;
   std::string trace_track_;

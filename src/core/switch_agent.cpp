@@ -783,11 +783,6 @@ void SwitchAgent::ForceDecodeTarget(MeetingId meeting, ParticipantId receiver,
   ApplyDecodeTarget(it->second, sender, std::clamp(dt, 0, 2));
 }
 
-void SwitchAgent::UnpinDecodeTarget(ParticipantId receiver,
-                                    ParticipantId sender) {
-  pinned_dt_.erase({receiver, sender});
-}
-
 int SwitchAgent::DecodeTargetOf(ParticipantId receiver,
                                 ParticipantId sender) const {
   auto it = participants_.find(receiver);

@@ -149,11 +149,11 @@ class SwitchAgent {
   void SetDecodeTargetPolicy(SelectDecodeTargetFn fn) {
     select_dt_ = std::move(fn);
   }
-  // Forces and pins a decode target (scripted experiments and tests); the
-  // automatic policy no longer touches the pair until Unpin is called.
+  // Forces and pins a decode target (scripted experiments, tests and
+  // redundant relay chains); the automatic policy never touches the pair
+  // again.
   void ForceDecodeTarget(MeetingId meeting, ParticipantId receiver,
                          ParticipantId sender, int dt);
-  void UnpinDecodeTarget(ParticipantId receiver, ParticipantId sender);
 
   const AgentStats& stats() const { return stats_; }
   const AgentConfig& config() const { return cfg_; }

@@ -151,69 +151,6 @@ std::vector<size_t> InterSwitchTopology::ShortestPath(size_t from,
   return Unwind(prev, from, to);
 }
 
-std::vector<size_t> InterSwitchTopology::WidestPath(size_t from,
-                                                    size_t to) const {
-  if (from >= nodes_ || to >= nodes_) return {};
-  if (from == to) return {from};
-  if (!explicit_) return {from, to};
-
-  // Maximize the bottleneck residual (Dijkstra with max-min relaxation);
-  // latency breaks ties so constrained backbones still prefer short
-  // paths, then fewest hops and lowest predecessor index — without the
-  // last two clauses a (width, latency) tie fell to whichever link the
-  // map happened to iterate first, and disjoint secondary planning leans
-  // on this being stable.
-  const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> width(nodes_, -1.0);
-  std::vector<double> lat(nodes_, inf);
-  std::vector<size_t> hops(nodes_, SIZE_MAX);
-  std::vector<size_t> prev(nodes_, SIZE_MAX);
-  std::vector<bool> done(nodes_, false);
-  width[from] = kUnconstrained;
-  lat[from] = 0.0;
-  hops[from] = 0;
-  for (size_t round = 0; round < nodes_; ++round) {
-    size_t u = SIZE_MAX;
-    for (size_t i = 0; i < nodes_; ++i) {
-      if (done[i] || width[i] < 0.0) continue;
-      if (u == SIZE_MAX || width[i] > width[u] ||
-          (width[i] == width[u] && lat[i] < lat[u]) ||
-          (width[i] == width[u] && lat[i] == lat[u] && hops[i] < hops[u])) {
-        u = i;
-      }
-    }
-    if (u == SIZE_MAX) break;
-    done[u] = true;
-    if (u == to) break;
-    for (const auto& [key, link] : links_) {
-      size_t v;
-      if (link.a == u) {
-        v = link.b;
-      } else if (link.b == u) {
-        v = link.a;
-      } else {
-        continue;
-      }
-      const double residual = link.capacity_bps <= 0.0
-                                  ? kUnconstrained
-                                  : link.capacity_bps - link.relay_load_bps;
-      const double nw = std::min(width[u], residual);
-      const double nl = lat[u] + link.latency_s;
-      const size_t nh = hops[u] + 1;
-      if (nw > width[v] || (nw == width[v] && nl < lat[v]) ||
-          (nw == width[v] && nl == lat[v] && nh < hops[v]) ||
-          (nw == width[v] && nl == lat[v] && nh == hops[v] &&
-           u < prev[v])) {
-        width[v] = nw;
-        lat[v] = nl;
-        hops[v] = nh;
-        prev[v] = u;
-      }
-    }
-  }
-  return Unwind(prev, from, to);
-}
-
 std::vector<size_t> InterSwitchTopology::DisjointPath(
     size_t from, size_t to,
     const std::vector<std::pair<size_t, size_t>>& avoid,

@@ -76,11 +76,6 @@ class InterSwitchTopology {
   // index break ties, so results are deterministic). Returns the inclusive
   // node sequence; empty when unreachable; {from} when from == to.
   std::vector<size_t> ShortestPath(size_t from, size_t to) const;
-  // Maximum-bottleneck-residual path ("widest"): maximizes the smallest
-  // residual relay capacity along the path, breaking ties by latency,
-  // then fewest hops, then lowest predecessor index — fully deterministic
-  // regardless of link declaration order.
-  std::vector<size_t> WidestPath(size_t from, size_t to) const;
   // Maximally link-disjoint path from `from` to `to` relative to `avoid`
   // (typically the primary tree's links). Lexicographic Dijkstra: fewest
   // shared avoided links first, then widest bottleneck residual, then

@@ -10,15 +10,9 @@
 namespace scallop::harness {
 
 ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
-  testbed::TestbedConfig base = spec_.base;
-  base.seed = spec_.seed;
-  base.control.latency = util::Seconds(spec_.control_latency_s);
-  base.control.loss_rate = spec_.control_loss;
-  base.control.heartbeat_interval = util::Seconds(spec_.control_heartbeat_s);
-  base.control.load_report_interval =
-      util::Seconds(spec_.control_load_report_s);
-  base.placement = spec_.placement_policy;
-  base.inter_switch_links = spec_.inter_switch_links;
+  // Every testbed knob lives in spec.base; the runner validates it against
+  // the backend and only stamps in the seed and its own trace log.
+  const testbed::TestbedConfig& cfg = spec_.base;
   // Scallop backends are fleet{N,R}; the single switch is fleet{1,1}.
   // Backbone features need a second switch to span to, and region
   // features a second region to roam between or fail over to.
@@ -36,15 +30,14 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
         "} needs 1 <= regions <= switches — every region must own at "
         "least one switch");
   }
-  if ((!spec_.inter_switch_links.empty() ||
-       !spec_.topology_events.empty()) &&
+  if ((!cfg.inter_switch_links.empty() || !spec_.topology_events.empty()) &&
       !multi_switch) {
     throw std::invalid_argument(
         "ScenarioSpec '" + spec_.name +
         "': inter-switch links model a fleet backbone — pick a fleet of at "
         "least two switches");
   }
-  for (const auto& l : spec_.inter_switch_links) {
+  for (const auto& l : cfg.inter_switch_links) {
     if (static_cast<int>(l.a) >= spec_.backend.fleet_switches ||
         static_cast<int>(l.b) >= spec_.backend.fleet_switches) {
       throw std::out_of_range(
@@ -58,7 +51,7 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
   // pair failing silently would make the capacity drill test nothing).
   for (const TopologyEvent& ev : spec_.topology_events) {
     const bool declared = std::any_of(
-        spec_.inter_switch_links.begin(), spec_.inter_switch_links.end(),
+        cfg.inter_switch_links.begin(), cfg.inter_switch_links.end(),
         [&](const core::InterSwitchLinkSpec& l) {
           return (static_cast<int>(l.a) == ev.a &&
                   static_cast<int>(l.b) == ev.b) ||
@@ -85,7 +78,7 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
     }
     for (const auto& [a, b] : ev.links) {
       const bool declared = std::any_of(
-          spec_.inter_switch_links.begin(), spec_.inter_switch_links.end(),
+          cfg.inter_switch_links.begin(), cfg.inter_switch_links.end(),
           [a = a, b = b](const core::InterSwitchLinkSpec& l) {
             return (static_cast<int>(l.a) == a && static_cast<int>(l.b) == b) ||
                    (static_cast<int>(l.a) == b && static_cast<int>(l.b) == a);
@@ -102,13 +95,13 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
 
   // Heterogeneous capacities weigh placement choices between switches;
   // with fewer than two switches they would silently do nothing.
-  if (!spec_.switch_capacities.empty() && !multi_switch) {
+  if (!cfg.switch_capacities.empty() && !multi_switch) {
     throw std::invalid_argument(
         "ScenarioSpec '" + spec_.name +
         "': switch capacity classes shape fleet load accounting — pick a "
         "fleet of at least two switches");
   }
-  for (const auto& [sw, cls] : spec_.switch_capacities) {
+  for (const auto& [sw, cls] : cfg.switch_capacities) {
     if (sw < 0 || sw >= spec_.backend.fleet_switches) {
       throw std::out_of_range(
           "ScenarioSpec '" + spec_.name + "': switch capacity for switch " +
@@ -121,14 +114,6 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
           " needs a positive capacity class");
     }
   }
-  if (!spec_.switch_capacities.empty()) {
-    base.switch_capacity_classes.assign(
-        static_cast<size_t>(spec_.backend.fleet_switches), 1.0);
-    for (const auto& [sw, cls] : spec_.switch_capacities) {
-      base.switch_capacity_classes[static_cast<size_t>(sw)] = cls;
-    }
-  }
-
   // Roams and region-pinned meetings only mean anything when there are
   // regions to roam between — validated like WithControllerFailure.
   for (size_t mi = 0; mi < spec_.meetings.size(); ++mi) {
@@ -183,39 +168,32 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
     }
   }
 
-  if (spec_.rebalance_interval_s > 0.0) {
-    base.rebalance.enabled = true;
-    base.rebalance.interval = util::Seconds(spec_.rebalance_interval_s);
-    base.rebalance.imbalance_threshold = spec_.rebalance_threshold;
-  }
-
   // Redundant trees plan standby chains over link-disjoint backbone
   // paths and hitless migration re-roots inter-switch span trees — both
   // need a second switch; without one they would silently protect
   // nothing.
-  if ((spec_.redundant_trees || spec_.hitless_migration) && !multi_switch) {
+  if (cfg.redundancy.enabled() && !multi_switch) {
     throw std::invalid_argument(
         "ScenarioSpec '" + spec_.name +
         "': redundant trees / hitless migration re-plan inter-switch "
         "relays — pick a fleet of at least two switches");
   }
-  if (spec_.redundant_trees && spec_.inter_switch_links.empty()) {
+  if (cfg.redundancy.redundant_trees && cfg.inter_switch_links.empty()) {
     throw std::invalid_argument(
         "ScenarioSpec '" + spec_.name +
         "': redundant trees need a declared backbone to plan link-"
         "disjoint paths over — the implicit full mesh has no links to be "
         "disjoint from (WithInterSwitchLink)");
   }
-  if (spec_.redundant_trees && spec_.redundancy_dedup_window <= 0) {
+  if (cfg.redundancy.redundant_trees && cfg.redundancy.dedup_window <= 0) {
     throw std::invalid_argument(
         "ScenarioSpec '" + spec_.name +
         "': the dedup window must be positive — merge switches cannot "
         "eliminate duplicates they are not allowed to remember");
   }
-  base.redundancy.redundant_trees = spec_.redundant_trees;
-  base.redundancy.dedup_window = spec_.redundancy_dedup_window;
-  base.redundancy.hitless_migration = spec_.hitless_migration;
 
+  testbed::TestbedConfig base = cfg;
+  base.seed = spec_.seed;
   // The trace log must exist before the backend: every channel/controller/
   // conduit captures the raw pointer at construction.
   if (spec_.trace_enabled) {
@@ -225,7 +203,10 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
 
   backend_ = testbed::MakeBackend(spec_.backend, base);
   backend_->SetMeetingMovedCallback(
-      [this](core::MeetingId meeting) { OnMeetingMoved(meeting); });
+      [this](core::MeetingId meeting,
+             const std::vector<core::ParticipantId>& dropped) {
+        OnMeetingMoved(meeting, dropped);
+      });
   backend_->SetMeetingMovedHitlessCallback(
       [this](core::MeetingId meeting) { OnMeetingMovedHitless(meeting); });
 
@@ -280,7 +261,7 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
   // blackout would revive the victim before it was ever declared dead and
   // the drill would silently test nothing.
   if (spec_.failover_at_s >= 0.0 && scallop_stack) {
-    const double hb_s = util::ToSeconds(base.control.heartbeat_interval);
+    const double hb_s = util::ToSeconds(cfg.control.heartbeat_interval);
     // No heartbeats means no failure detection at all: the victim would
     // never be declared dead and the drill would strand its peers.
     if (hb_s <= 0.0) {
@@ -289,7 +270,8 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
           "': a switch failover needs a positive heartbeat interval — with "
           "heartbeats disabled the dead switch is never detected");
     }
-    const double detect_s = 4.0 * hb_s + 2.0 * spec_.control_latency_s;
+    const double detect_s =
+        4.0 * hb_s + 2.0 * util::ToSeconds(cfg.control.latency);
     if (spec_.failover_blackout_s <= detect_s) {
       throw std::invalid_argument(
           "ScenarioSpec '" + spec_.name + "': failover_blackout_s (" +
@@ -320,7 +302,7 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec) : spec_(spec) {
           std::to_string(spec_.backend.fleet_switches) + "," +
           std::to_string(spec_.backend.fleet_regions) + "}");
     }
-    if (util::ToSeconds(base.control.heartbeat_interval) <= 0.0) {
+    if (util::ToSeconds(cfg.control.heartbeat_interval) <= 0.0) {
       throw std::invalid_argument(
           "ScenarioSpec '" + spec_.name +
           "': a controller failure needs a positive heartbeat interval — "
@@ -445,7 +427,7 @@ void ScenarioRunner::JoinSlot(Slot& slot) {
     // Only a controller death opens this window, and the runner rejects
     // those without a positive heartbeat interval, so the retry advances.
     Slot* s = &slot;
-    backend_->sched().After(util::Seconds(spec_.control_heartbeat_s),
+    backend_->sched().After(spec_.base.control.heartbeat_interval,
                             [this, s] { ResumeSlot(*s); });
     return;
   }
@@ -584,7 +566,8 @@ void ScenarioRunner::ExecuteRoam(Slot& slot, int new_region) {
   });
 }
 
-void ScenarioRunner::OnMeetingMoved(core::MeetingId meeting) {
+void ScenarioRunner::OnMeetingMoved(
+    core::MeetingId meeting, const std::vector<core::ParticipantId>& dropped) {
   // During the failover blackout the affected meetings' peers were already
   // torn down, and FailoverEnd re-joins them after the drain; a second
   // re-signal here would race it.
@@ -596,6 +579,12 @@ void ScenarioRunner::OnMeetingMoved(core::MeetingId meeting) {
   const double resignal_s = std::max(0.0, spec_.rebalance_resignal_s);
   for (Slot& slot : slots_) {
     if (slot.meeting_id != meeting || !slot.present) continue;
+    // Members on live switches kept their sessions: only the dropped ones
+    // leave and re-signal.
+    if (std::find(dropped.begin(), dropped.end(), slot.peer->id()) ==
+        dropped.end()) {
+      continue;
+    }
     Slot* s = &slot;
     LeaveSlot(*s);
     backend_->sched().After(util::Seconds(resignal_s),

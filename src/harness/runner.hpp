@@ -99,11 +99,13 @@ class ScenarioRunner {
   void LeaveSlot(Slot& slot);
   void FailoverBegin();
   void FailoverEnd();
-  // Live migration (rebalancer or heartbeat-detected failure): drop the
-  // meeting's peers now and re-signal them onto the new placement after
-  // the re-negotiation delay. Meetings already being handled by the
-  // failover protocol are left to it.
-  void OnMeetingMoved(core::MeetingId meeting);
+  // Live migration (rebalancer or heartbeat-detected failure) or a
+  // collapsed relay span: drop the present peers whose sessions died
+  // (`dropped`) now and re-signal them onto the new placement after the
+  // re-negotiation delay. Meetings already being handled by the failover
+  // protocol are left to it.
+  void OnMeetingMoved(core::MeetingId meeting,
+                      const std::vector<core::ParticipantId>& dropped);
   // Make-before-break migration: members kept their sessions, so nothing
   // re-signals — instead the runner audits the move by snapshotting every
   // live (sender, receiver) leg in the meeting and re-checking one second

@@ -42,14 +42,6 @@ LinkProfile LinkProfile::Asymmetric(double up_bps, double down_bps) {
   return p;
 }
 
-LinkProfile LinkProfile::HighLatency(util::DurationUs one_way) {
-  LinkProfile p = Default();
-  p.name = "high-latency";
-  p.up.prop_delay = one_way;
-  p.down.prop_delay = one_way;
-  return p;
-}
-
 ScenarioSpec ScenarioSpec::Uniform(std::string name, int meetings,
                                    int participants, double duration_s,
                                    uint64_t seed) {
@@ -113,25 +105,25 @@ ScenarioSpec& ScenarioSpec::WithControllerFailure(double at_s, int region) {
 ScenarioSpec& ScenarioSpec::WithControlPlane(double latency_s, double loss,
                                              double heartbeat_s,
                                              double load_report_s) {
-  control_latency_s = latency_s;
-  control_loss = loss;
-  control_heartbeat_s = heartbeat_s;
-  control_load_report_s = load_report_s;
+  base.control.latency = util::Seconds(latency_s);
+  base.control.loss_rate = loss;
+  base.control.heartbeat_interval = util::Seconds(heartbeat_s);
+  base.control.load_report_interval = util::Seconds(load_report_s);
   control_plane_configured = true;
   return *this;
 }
 
 ScenarioSpec& ScenarioSpec::WithRebalance(double interval_s,
                                           int imbalance_threshold) {
-  rebalance_interval_s = interval_s;
-  rebalance_threshold = imbalance_threshold;
+  base.rebalance.interval = util::Seconds(interval_s);
+  base.rebalance.imbalance_threshold = imbalance_threshold;
   control_plane_configured = true;
   return *this;
 }
 
 ScenarioSpec& ScenarioSpec::WithPlacementPolicy(
     core::PlacementPolicyConfig policy) {
-  placement_policy = policy;
+  base.placement = policy;
   return *this;
 }
 
@@ -142,7 +134,7 @@ ScenarioSpec& ScenarioSpec::WithInterSwitchLink(int a, int b,
     throw std::invalid_argument(
         "ScenarioSpec: inter-switch link needs two distinct switch indices");
   }
-  inter_switch_links.push_back(core::InterSwitchLinkSpec{
+  base.inter_switch_links.push_back(core::InterSwitchLinkSpec{
       static_cast<size_t>(a), static_cast<size_t>(b), latency_s,
       capacity_bps});
   return *this;
@@ -168,7 +160,7 @@ ScenarioSpec& ScenarioSpec::WithMeetingRegion(int meeting, int region) {
 
 ScenarioSpec& ScenarioSpec::WithSwitchCapacity(int switch_index,
                                                double capacity_class) {
-  switch_capacities.emplace_back(switch_index, capacity_class);
+  base.switch_capacities.emplace_back(switch_index, capacity_class);
   return *this;
 }
 
@@ -180,13 +172,13 @@ ScenarioSpec& ScenarioSpec::WithCorrelatedFailure(
 }
 
 ScenarioSpec& ScenarioSpec::WithRedundantTrees(int dedup_window) {
-  redundant_trees = true;
-  redundancy_dedup_window = dedup_window;
+  base.redundancy.redundant_trees = true;
+  base.redundancy.dedup_window = dedup_window;
   return *this;
 }
 
 ScenarioSpec& ScenarioSpec::WithHitlessMigration() {
-  hitless_migration = true;
+  base.redundancy.hitless_migration = true;
   return *this;
 }
 

@@ -6,6 +6,13 @@
 // deterministically from a seed. The style follows how SDN-multicast
 // evaluations sweep topology/churn/loss grids (arXiv:1508.03592,
 // arXiv:1809.03412): one spec type, many grid points.
+//
+// Every testbed knob has one home, the spec's `base` TestbedConfig: the
+// control-plane helpers below (WithControlPlane, WithRebalance,
+// WithPlacementPolicy, WithInterSwitchLink, WithSwitchCapacity,
+// WithRedundantTrees, WithHitlessMigration) write `base` directly, and
+// writing `base` by hand is exactly as good. The spec's own fields are the
+// experiment: its grid, events and drills.
 #pragma once
 
 #include <string>
@@ -32,8 +39,6 @@ struct LinkProfile {
   static LinkProfile Constrained(double down_bps);
   // ADSL-style asymmetric capacity.
   static LinkProfile Asymmetric(double up_bps, double down_bps);
-  // High-latency access (e.g. cross-continent or satellite).
-  static LinkProfile HighLatency(util::DurationUs one_way);
 };
 
 // One participant in one meeting. Times are scenario-relative seconds;
@@ -123,29 +128,12 @@ struct ScenarioSpec {
   // construction rather than letting the drill silently test nothing.
   double failover_blackout_s = 0.25;
 
-  // Southbound control-plane shape: per-message latency and iid loss on
-  // every controller <-> switch command/event. Defaults (0/0) dispatch
-  // inline and leave backend behavior byte-identical. The heartbeat /
-  // load-report cadences shape the northbound telemetry — failure
-  // detection scales with the heartbeat interval (a switch is declared
-  // dead after 3 silent intervals), so slower heartbeats need longer
-  // failover blackouts (validated at construction).
-  double control_latency_s = 0.0;
-  double control_loss = 0.0;
-  double control_heartbeat_s = 0.05;
-  double control_load_report_s = 0.5;
   // True once WithControlPlane/WithRebalance was called; gates the
   // control-plane CSV section (backends with more than one switch always
   // render it).
   bool control_plane_configured = false;
-  // Load-driven background rebalancer (fleet backend only): every
-  // `rebalance_interval_s` the fleet migrates at most one meeting from
-  // the busiest to the idlest switch when their reported participant
-  // loads differ by at least `rebalance_threshold`. Negative: disabled.
-  double rebalance_interval_s = -1.0;
-  int rebalance_threshold = 2;
-  // Client re-negotiation delay between a live migration and the members'
-  // re-joins onto the target switch.
+  // Client re-negotiation delay between a live migration (or a collapsed
+  // span) and the dropped members' re-joins onto the new placement.
   double rebalance_resignal_s = 0.1;
 
   // Mid-run controller failure (federated fleet{N,R>1} only): at this
@@ -164,46 +152,17 @@ struct ScenarioSpec {
   // features need at least two switches, region features two regions.
   testbed::BackendChoice backend;
 
-  // Meeting-placement policy (fleet backend only): LeastLoaded (default)
-  // single-homes every meeting; Cascade(max_participants_per_switch)
-  // splits large meetings across switches with inter-switch relay spans;
-  // TopologyAware(max) plans multi-level relay trees over the modeled
-  // backbone by path cost and residual link capacity.
-  core::PlacementPolicyConfig placement_policy;
-
-  // Modeled inter-switch backbone (fleets of two or more switches). Empty
-  // keeps the implicit full mesh — zero latency, unlimited capacity,
-  // byte-identical CSVs to the pre-topology harness. Declared links shape both the
-  // controller's link-state view and the sim links relay traffic
-  // physically crosses; `topology_events` reshape capacities mid-run.
-  std::vector<core::InterSwitchLinkSpec> inter_switch_links;
+  // Mid-run reshapes of links declared in base.inter_switch_links
+  // (validated at construction).
   std::vector<TopologyEvent> topology_events;
 
   // Roaming participants (federated fleet only; validated at
   // construction).
   std::vector<RoamEvent> roams;
   // Correlated backbone failures — each cuts its whole named link set at
-  // one instant (links must be declared above; validated at
-  // construction).
+  // one instant (links must be declared in base.inter_switch_links;
+  // validated at construction).
   std::vector<CorrelatedFailureEvent> correlated_failures;
-  // Heterogeneous fleets: (switch, capacity class) overrides; unlisted
-  // switches stay class 1.0 (fleets of two or more switches; validated
-  // at construction).
-  std::vector<std::pair<int, double>> switch_capacities;
-
-  // Redundant dual relay trees (a fleet with a declared backbone):
-  // every inter-switch relay gets a standby chain planned over a
-  // link-disjoint backbone path, delivering a second copy the downstream
-  // switch deduplicates by (origin, seq) — a backbone cut flips to the
-  // standby with no frame gap. `redundancy_dedup_window` bounds the
-  // per-stream dedup window (sequence numbers).
-  bool redundant_trees = false;
-  int redundancy_dedup_window = 512;
-  // Make-before-break migration (fleets of two or more switches): planned
-  // re-homes (rebalancer moves, MigrateMeeting) build the new span, flip,
-  // then drain — members keep their sessions and the runner measures
-  // frames lost across each move (expected: 0).
-  bool hitless_migration = false;
 
   // Structured event tracing (obs::TraceLog): when enabled the runner
   // owns a trace log that every southbound channel, fleet controller and
@@ -213,8 +172,10 @@ struct ScenarioSpec {
   bool trace_enabled = false;
   size_t trace_ring = 0;
 
-  // Underlying testbed knobs (encoder rates, agent policy, ...). The
-  // testbed seed is overwritten with `seed` above; per-participant link
+  // Every testbed knob (encoder rates, agent policy, control plane,
+  // placement, backbone, capacities, redundancy, ...), validated against
+  // `backend` at construction. The testbed seed is overwritten with `seed`
+  // above and the trace log with the runner's own; per-participant link
   // shapes come from their LinkProfile, not from the base config.
   testbed::TestbedConfig base;
 
@@ -236,14 +197,23 @@ struct ScenarioSpec {
   // Kills one region's controller mid-run (requires a fleet{N,R>=2}
   // backend and an armed control plane; validated at construction).
   ScenarioSpec& WithControllerFailure(double at_s, int region = 0);
+  // Writes base.control: southbound latency and iid loss (0/0 dispatch
+  // inline) and the heartbeat / load-report cadences. A switch is declared
+  // dead after 3 silent heartbeat intervals, so slower heartbeats need
+  // longer failover blackouts (validated at construction).
   ScenarioSpec& WithControlPlane(double latency_s, double loss = 0.0,
                                  double heartbeat_s = 0.05,
                                  double load_report_s = 0.5);
+  // Writes base.rebalance: every `interval_s` (> 0 turns it on) the fleet
+  // moves at most one meeting from the busiest to the idlest switch when
+  // their reported loads differ by at least `imbalance_threshold`.
   ScenarioSpec& WithRebalance(double interval_s, int imbalance_threshold = 2);
+  // Writes base.placement (LeastLoaded, Cascade or TopologyAware; see
+  // core::PlacementPolicyConfig).
   ScenarioSpec& WithPlacementPolicy(core::PlacementPolicyConfig policy);
-  // Declares one inter-switch backbone link (fleet backend; capacity_bps
-  // <= 0 means unconstrained). The first call switches the fleet from the
-  // implicit full mesh to the declared backbone.
+  // Appends one backbone link to base.inter_switch_links (fleet backend;
+  // capacity_bps <= 0 means unconstrained). The first call switches the
+  // fleet from the implicit full mesh to the declared backbone.
   ScenarioSpec& WithInterSwitchLink(int a, int b, double latency_s,
                                     double capacity_bps = 0.0);
   // Reshapes a declared link's capacity at `at_s`.
@@ -255,15 +225,18 @@ struct ScenarioSpec {
                          int new_region);
   // Pins the region a meeting is minted in (follow-the-sun).
   ScenarioSpec& WithMeetingRegion(int meeting, int region);
-  // Overrides one switch's capacity class (heterogeneous fleets).
+  // Appends a (switch, capacity class) override to base.switch_capacities
+  // (heterogeneous fleets; validated at construction).
   ScenarioSpec& WithSwitchCapacity(int switch_index, double capacity_class);
   // Cuts a set of declared backbone links at once.
   ScenarioSpec& WithCorrelatedFailure(double at_s,
                                       std::vector<std::pair<int, int>> links);
-  // Enables redundant dual relay trees (fleet backend; a declared backbone
-  // is required for disjoint planning — validated at construction).
+  // Writes base.redundancy: a standby chain per relay over a link-disjoint
+  // backbone path, deduplicated within `dedup_window` sequence numbers, so
+  // a cut flips with no frame gap (needs a declared backbone; validated).
   ScenarioSpec& WithRedundantTrees(int dedup_window = 512);
-  // Enables make-before-break (hitless) migration for planned re-homes.
+  // Writes base.redundancy: planned re-homes go make-before-break, and the
+  // runner measures frames lost across each move (expected: 0).
   ScenarioSpec& WithHitlessMigration();
   // Enables structured event tracing. `ring_capacity` > 0 keeps only the
   // newest events (flight-recorder mode); 0 keeps everything.

@@ -124,8 +124,8 @@ ScenarioSpec WorkloadSpec::Compile() const {
   ScenarioSpec spec =
       ScenarioSpec::Uniform(name, meetings, participants, duration_s, seed);
   spec.sample_interval_s = sample_interval_s;
-  spec.backend = backend;
-  spec.placement_policy = placement_policy;
+  spec.WithBackend(backend);
+  spec.WithPlacementPolicy(placement_policy);
   if (control_latency_s >= 0.0) {
     spec.WithControlPlane(control_latency_s, control_loss);
   }
@@ -246,16 +246,19 @@ std::string DescribeSpec(const ScenarioSpec& spec) {
   std::string out;
   Row(out, "scenario %s seed %" PRIu64 " duration %.6f sample %.6f\n",
       spec.name.c_str(), spec.seed, spec.duration_s, spec.sample_interval_s);
+  const testbed::TestbedConfig& base = spec.base;
   Row(out, "backend %s placement %s\n", spec.backend.Label().c_str(),
-      spec.placement_policy.Label().c_str());
+      base.placement.Label().c_str());
   Row(out,
       "control configured %d latency %.6f loss %.6f heartbeat %.6f "
       "load_report %.6f\n",
-      spec.control_plane_configured ? 1 : 0, spec.control_latency_s,
-      spec.control_loss, spec.control_heartbeat_s, spec.control_load_report_s);
+      spec.control_plane_configured ? 1 : 0,
+      util::ToSeconds(base.control.latency), base.control.loss_rate,
+      util::ToSeconds(base.control.heartbeat_interval),
+      util::ToSeconds(base.control.load_report_interval));
   Row(out, "rebalance interval %.6f threshold %d resignal %.6f\n",
-      spec.rebalance_interval_s, spec.rebalance_threshold,
-      spec.rebalance_resignal_s);
+      util::ToSeconds(base.rebalance.interval),
+      base.rebalance.imbalance_threshold, spec.rebalance_resignal_s);
   Row(out, "failover at %.6f blackout %.6f\n", spec.failover_at_s,
       spec.failover_blackout_s);
   Row(out, "controller_failure at %.6f region %d\n",
@@ -280,7 +283,7 @@ std::string DescribeSpec(const ScenarioSpec& spec) {
         ev.at_s, ev.meeting, ev.participant, ev.uplink ? 1 : 0, ev.rate_bps,
         ev.loss_rate, ev.prop_delay, ev.jitter_stddev);
   }
-  for (const core::InterSwitchLinkSpec& l : spec.inter_switch_links) {
+  for (const core::InterSwitchLinkSpec& l : base.inter_switch_links) {
     Row(out, "isl %zu %zu latency %.6f capacity %.0f\n", l.a, l.b,
         l.latency_s, l.capacity_bps);
   }
@@ -297,7 +300,7 @@ std::string DescribeSpec(const ScenarioSpec& spec) {
     for (const auto& [a, b] : ev.links) Row(out, " (%d,%d)", a, b);
     Row(out, "\n");
   }
-  for (const auto& [sw, cls] : spec.switch_capacities) {
+  for (const auto& [sw, cls] : base.switch_capacities) {
     Row(out, "capacity switch %d class %.6f\n", sw, cls);
   }
   return out;

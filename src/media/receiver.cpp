@@ -17,18 +17,6 @@ void PerSecondSeries::AddOutOfOrder(int64_t second, double value) {
   }
 }
 
-std::vector<std::pair<int64_t, double>> PerSecondSeries::Series() const {
-  if (by_second_.empty()) return {};
-  std::vector<std::pair<int64_t, double>> out;
-  int64_t next = by_second_.front().first;
-  for (const auto& [second, sum] : by_second_) {
-    for (; next < second; ++next) out.emplace_back(next, 0.0);
-    out.emplace_back(second, sum);
-    next = second + 1;
-  }
-  return out;
-}
-
 double PerSecondSeries::SumInSecond(int64_t second) const {
   auto it = std::lower_bound(
       by_second_.begin(), by_second_.end(), second,

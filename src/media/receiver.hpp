@@ -40,8 +40,6 @@ class PerSecondSeries {
     }
     AddOutOfOrder(second, value);
   }
-  // (second, sum-in-that-second); seconds with no samples yield 0.
-  std::vector<std::pair<int64_t, double>> Series() const;
   double SumInSecond(int64_t second) const;
 
  private:

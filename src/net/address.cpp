@@ -25,8 +25,4 @@ std::string Endpoint::ToString() const {
   return addr.ToString() + ":" + std::to_string(port);
 }
 
-std::string FiveTuple::ToString() const {
-  return src.ToString() + "->" + dst.ToString();
-}
-
 }  // namespace scallop::net

@@ -36,16 +36,6 @@ struct Endpoint {
   auto operator<=>(const Endpoint&) const = default;
 };
 
-// Bidirectional flow key (protocol implied UDP in this codebase).
-struct FiveTuple {
-  Endpoint src;
-  Endpoint dst;
-
-  FiveTuple Reversed() const { return {dst, src}; }
-  std::string ToString() const;
-  auto operator<=>(const FiveTuple&) const = default;
-};
-
 }  // namespace scallop::net
 
 namespace std {
@@ -60,14 +50,6 @@ struct hash<scallop::net::Endpoint> {
   size_t operator()(const scallop::net::Endpoint& e) const noexcept {
     return std::hash<uint64_t>{}(
         (static_cast<uint64_t>(e.addr.value()) << 16) ^ e.port);
-  }
-};
-template <>
-struct hash<scallop::net::FiveTuple> {
-  size_t operator()(const scallop::net::FiveTuple& t) const noexcept {
-    size_t h1 = std::hash<scallop::net::Endpoint>{}(t.src);
-    size_t h2 = std::hash<scallop::net::Endpoint>{}(t.dst);
-    return h1 ^ (h2 * 0x9e3779b97f4a7c15ULL);
   }
 };
 }  // namespace std

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 
 namespace scallop::rtp {
 
@@ -38,7 +37,5 @@ inline PayloadKind Classify(std::span<const uint8_t> payload) {
   }
   return PayloadKind::kUnknown;
 }
-
-std::string PayloadKindName(PayloadKind k);
 
 }  // namespace scallop::rtp

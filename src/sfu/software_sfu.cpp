@@ -37,16 +37,14 @@ SoftwareSfu::JoinResult SoftwareSfu::Join(core::MeetingId meeting,
   p.id = next_participant_++;
   p.meeting = meeting;
   p.client = client;
-  for (const auto& m : offer.media) {
-    if (!m.candidates.empty()) p.media_src = m.candidates[0].endpoint;
-    if (m.type == sdp::MediaType::kVideo && !m.recv_only) {
-      p.sends_video = true;
-      p.video_ssrc = m.ssrc;
-    } else if (m.type == sdp::MediaType::kAudio && !m.recv_only) {
-      p.sends_audio = true;
-      p.audio_ssrc = m.ssrc;
-    }
-  }
+  // What the participant sends and from where — the same parse the
+  // Scallop controllers use.
+  const core::SenderIntent intent = core::ParseSenderIntent(offer);
+  p.media_src = intent.media_src;
+  p.video_ssrc = intent.video_ssrc;
+  p.audio_ssrc = intent.audio_ssrc;
+  p.sends_video = intent.sends_video;
+  p.sends_audio = intent.sends_audio;
   p.uplink_port = next_port_++;
   port_owner_[p.uplink_port] = p.id;
 
@@ -315,19 +313,6 @@ void SoftwareSfu::AggregateRemb() {
           rtp::Serialize(rtp::RtcpMessage{remb})));
     }
   }
-}
-
-SoftwareSfu::Participant* SoftwareSfu::ByUplinkPort(uint16_t port) {
-  auto it = port_owner_.find(port);
-  return it == port_owner_.end() ? nullptr : &participants_.at(it->second);
-}
-
-SoftwareSfu::Participant* SoftwareSfu::ByLegPort(
-    uint16_t port, core::ParticipantId* sender_out) {
-  auto it = leg_ports_.find(port);
-  if (it == leg_ports_.end()) return nullptr;
-  if (sender_out != nullptr) *sender_out = it->second.second;
-  return &participants_.at(it->second.first);
 }
 
 }  // namespace scallop::sfu

@@ -109,8 +109,6 @@ class SoftwareSfu : public sim::Host, public core::SignalingServer {
   void HandleFeedback(const net::Packet& pkt);
   void AggregateRemb();
   util::DurationUs EnqueueWork(double replicas);
-  Participant* ByUplinkPort(uint16_t port);
-  Participant* ByLegPort(uint16_t port, core::ParticipantId* sender_out);
 
   sim::Scheduler& sched_;
   sim::Network& network_;

@@ -8,14 +8,6 @@ namespace scallop::sim {
 Link::Link(Scheduler& sched, LinkConfig cfg, uint64_t seed)
     : sched_(sched), cfg_(cfg), rng_(seed) {}
 
-size_t Link::QueuedBytes() const {
-  if (cfg_.rate_bps <= 0.0) return 0;
-  util::TimeUs backlog = busy_until_ - sched_.now();
-  if (backlog <= 0) return 0;
-  return static_cast<size_t>(static_cast<double>(backlog) * cfg_.rate_bps /
-                             8e6);
-}
-
 void Link::Send(net::PacketPtr pkt, DeliverFn deliver,
                 util::TimeUs depart_at) {
   ++stats_.sent_packets;

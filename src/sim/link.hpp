@@ -56,9 +56,6 @@ class Link {
   const LinkConfig& config() const { return cfg_; }
   const LinkStats& stats() const { return stats_; }
 
-  // Current queueing backlog in bytes (approximation from busy horizon).
-  size_t QueuedBytes() const;
-
  private:
   void Deliver(uint32_t idx);
 

@@ -11,8 +11,6 @@ void Network::Attach(net::Ipv4 addr, Host* host, const LinkConfig& uplink,
   hosts_[addr] = std::move(att);
 }
 
-void Network::Detach(net::Ipv4 addr) { hosts_.erase(addr); }
-
 void Network::Connect(net::Ipv4 a, net::Ipv4 b, const LinkConfig& ab,
                       const LinkConfig& ba) {
   auto install = [this](net::Ipv4 from, net::Ipv4 to,
@@ -52,10 +50,6 @@ void Network::SetRoute(net::Ipv4 src, net::Ipv4 dst,
                        std::vector<net::Ipv4> path) {
   routes_[{src, dst}] =
       std::make_shared<const std::vector<net::Ipv4>>(std::move(path));
-}
-
-void Network::ClearRoute(net::Ipv4 src, net::Ipv4 dst) {
-  routes_.erase({src, dst});
 }
 
 void Network::SendAlongRoute(net::PacketPtr pkt, const Route& path,

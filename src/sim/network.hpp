@@ -37,7 +37,6 @@ class Network {
   // Registers `host` under `addr` with dedicated uplink/downlink.
   void Attach(net::Ipv4 addr, Host* host, const LinkConfig& uplink,
               const LinkConfig& downlink);
-  void Detach(net::Ipv4 addr);
 
   // Sends using the src host's uplink and dst host's downlink — unless a
   // route is installed for (src, dst), in which case the packet traverses
@@ -63,7 +62,6 @@ class Network {
   // delivers straight to the destination host — the pair links model the
   // whole switch-to-switch path.
   void SetRoute(net::Ipv4 src, net::Ipv4 dst, std::vector<net::Ipv4> path);
-  void ClearRoute(net::Ipv4 src, net::Ipv4 dst);
 
   Link* uplink(net::Ipv4 addr);
   Link* downlink(net::Ipv4 addr);

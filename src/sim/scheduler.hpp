@@ -43,9 +43,6 @@ class Scheduler {
   // immediately-next event anyway runs inline, so a burst of N deliveries
   // costs one main-heap push+pop instead of N.
   void BatchAt(util::TimeUs when, EventFn fn);
-  void BatchAfter(util::DurationUs delay, EventFn fn) {
-    BatchAt(now_ + delay, std::move(fn));
-  }
 
   // Runs events until the queue is empty or `until` is passed.
   // Returns the number of events executed.

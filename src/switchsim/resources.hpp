@@ -62,7 +62,6 @@ class ResourceModel {
 
   const TofinoConstants& constants() const { return constants_; }
   uint64_t egress_bytes() const { return egress_bytes_; }
-  void ResetEgress() { egress_bytes_ = 0; }
 
   std::string FormatTable3(const ResourceReport& r) const;
 

@@ -234,11 +234,13 @@ class Backend {
   virtual void FailoverEnd() {}
 
   // Called just before the substrate migrates a live meeting between
-  // switches (load rebalancing or failure detection): the harness drops
-  // and re-signals the meeting's peers. Substrates that never migrate
-  // ignore it.
+  // switches (load rebalancing or failure detection) or collapses part of
+  // its relay tree, with the ids of the members whose sessions die: the
+  // harness drops and re-signals exactly those peers. Substrates that
+  // never migrate ignore it.
   virtual void SetMeetingMovedCallback(
-      std::function<void(core::MeetingId)>) {}
+      std::function<void(core::MeetingId,
+                         const std::vector<core::ParticipantId>& dropped)>) {}
 
   // ---- introspection for metrics ----------------------------------------
   virtual BackendCounters counters() const = 0;

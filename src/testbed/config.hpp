@@ -2,8 +2,12 @@
 // datacenter link shapes, and the per-layer configs of the stack the
 // substrate assembles (data plane, agent, control channel, fleet control
 // loops, or the software SFU). Backends read the fields that apply to them.
+// This is the one home of every testbed knob: a ScenarioSpec carries one
+// as `base`, and its fluent helpers (WithControlPlane, WithRebalance,
+// WithPlacementPolicy, ...) write these fields directly.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "client/peer.hpp"
@@ -43,7 +47,8 @@ struct TestbedConfig {
   // index). Defaults are zero latency / zero loss: inline dispatch,
   // byte-identical to the old direct-call wiring.
   core::ControlChannelConfig control;
-  // The load-driven background rebalancer (off by default).
+  // The load-driven background rebalancer: a positive interval turns it
+  // on (default 0: off).
   core::RebalanceConfig rebalance;
   // The meeting-placement policy (default LeastLoaded keeps the classic
   // single-homed behaviour; Cascade splits large meetings across switches
@@ -57,11 +62,12 @@ struct TestbedConfig {
   // sim::Network links that relay traffic physically crosses (multi-hop
   // when spans connect non-adjacent switches).
   std::vector<core::InterSwitchLinkSpec> inter_switch_links;
-  // Multi-switch only: per-switch capacity classes, indexed by global
-  // switch; missing entries default to 1.0 (homogeneous). A class-2 switch
-  // carries twice the load of a class-1 switch before the placement
-  // policies and the rebalancer consider it equally busy.
-  std::vector<double> switch_capacity_classes;
+  // Multi-switch only: (switch, capacity class) overrides, applied in
+  // order, so the last write for a switch wins; unlisted switches stay
+  // class 1.0 (homogeneous). A class-2 switch carries twice the load of a
+  // class-1 switch before the placement policies and the rebalancer
+  // consider it equally busy.
+  std::vector<std::pair<int, double>> switch_capacities;
   // Multi-switch only: redundant dual relay trees and/or make-before-break
   // (hitless) migration. Defaults keep everything off — byte-identical to
   // the classic break-before-make fleet.

@@ -55,9 +55,8 @@ FleetTestbed::FleetTestbed(const TestbedConfig& cfg, int n_switches,
     federation_->AddSwitch(*node.channel, node.ip);
     nodes_.push_back(std::move(node));
   }
-  for (size_t i = 0;
-       i < cfg_.switch_capacity_classes.size() && i < nodes_.size(); ++i) {
-    federation_->SetSwitchCapacity(i, cfg_.switch_capacity_classes[i]);
+  for (const auto& [sw, capacity_class] : cfg_.switch_capacities) {
+    federation_->SetSwitchCapacity(static_cast<size_t>(sw), capacity_class);
   }
   // The controller's per-stream relay bandwidth estimate tracks the
   // encoder ceiling (plus audio + RTP overhead) so residual-capacity
@@ -94,10 +93,10 @@ FleetTestbed::FleetTestbed(const TestbedConfig& cfg, int n_switches,
     }
   }
   federation_->SetPlacementPolicy(cfg_.placement);
-  // Redundancy after the policy: SetRedundancy pushes the load factor into
-  // whatever policy is bound.
-  if (cfg_.redundancy.enabled()) federation_->SetRedundancy(cfg_.redundancy);
-  if (cfg_.rebalance.enabled) federation_->EnableRebalancer(cfg_.rebalance);
+  federation_->SetRedundancy(cfg_.redundancy);
+  if (cfg_.rebalance.interval > 0) {
+    federation_->EnableRebalancer(cfg_.rebalance);
+  }
   // East-west heartbeats + peer failure detectors start last so region
   // construction order never interleaves with scheduled control traffic
   // (no-op when n_regions == 1).
@@ -239,13 +238,12 @@ void FleetTestbed::FailoverEnd() {
   failed_switch_ = SIZE_MAX;
 }
 
-void FleetTestbed::SetMeetingMovedCallback(
-    std::function<void(core::MeetingId)> cb) {
+void FleetTestbed::SetMeetingMovedCallback(core::MeetingMovedCallback cb) {
   federation_->SetMigrationCallback(std::move(cb));
 }
 
 void FleetTestbed::SetMeetingMovedHitlessCallback(
-    std::function<void(core::MeetingId)> cb) {
+    core::MeetingMovedHitlessCallback cb) {
   federation_->SetHitlessMigrationCallback(std::move(cb));
 }
 

@@ -11,8 +11,8 @@
 // goes dark: the owning region's heartbeat-miss detector declares it dead
 // and migrates its meetings to a live standby, so recovering peers
 // re-signal to the standby's SFU IP; with no standby (one switch) the
-// meetings stay put and recover on the restarted victim. With
-// cfg.rebalance.enabled every region additionally runs the load-driven
+// meetings stay put and recover on the restarted victim. With a positive
+// cfg.rebalance.interval every region additionally runs the load-driven
 // background rebalancer over the northbound SwitchLoadReports.
 #pragma once
 
@@ -75,10 +75,9 @@ class FleetTestbed : public Backend {
                                   double capacity_bps) override;
   std::vector<core::MeetingId> FailoverBegin() override;
   void FailoverEnd() override;
-  void SetMeetingMovedCallback(
-      std::function<void(core::MeetingId)> cb) override;
+  void SetMeetingMovedCallback(core::MeetingMovedCallback cb) override;
   void SetMeetingMovedHitlessCallback(
-      std::function<void(core::MeetingId)> cb) override;
+      core::MeetingMovedHitlessCallback cb) override;
   RedundancyCounters redundancy_counters() const override;
   BackendCounters counters() const override;
   ControlPlaneCounters control_counters() const override;

@@ -45,10 +45,6 @@ void ByteWriter::PatchU16(size_t offset, uint16_t v) {
   buf_[offset + 1] = static_cast<uint8_t>(v);
 }
 
-void ByteWriter::PatchU8(size_t offset, uint8_t v) {
-  if (offset < buf_.size()) buf_[offset] = v;
-}
-
 bool ByteReader::Ensure(size_t n) {
   if (!ok_ || pos_ + n > data_.size()) {
     ok_ = false;
@@ -110,11 +106,6 @@ bool ByteReader::Skip(size_t n) {
   if (!Ensure(n)) return false;
   pos_ += n;
   return true;
-}
-
-uint8_t ByteReader::PeekU8() const {
-  if (!ok_ || pos_ >= data_.size()) return 0;
-  return data_[pos_];
 }
 
 std::string ToHex(std::span<const uint8_t> bytes) {

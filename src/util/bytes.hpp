@@ -29,7 +29,6 @@ class ByteWriter {
 
   // Overwrites previously written bytes (e.g. RTCP length fixups).
   void PatchU16(size_t offset, uint16_t v);
-  void PatchU8(size_t offset, uint8_t v);
 
   size_t size() const { return buf_.size(); }
   std::span<const uint8_t> data() const { return buf_; }
@@ -55,9 +54,6 @@ class ByteReader {
   std::span<const uint8_t> ReadBytes(size_t n);
   std::string ReadString(size_t n);
   bool Skip(size_t n);
-
-  // Returns the next byte without consuming it; 0 if none left.
-  uint8_t PeekU8() const;
 
   size_t remaining() const { return data_.size() - pos_; }
   size_t position() const { return pos_; }

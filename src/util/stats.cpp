@@ -138,10 +138,4 @@ double JitterEstimator::JitterMs() const {
   return jitter_ / static_cast<double>(clock_rate_) * 1000.0;
 }
 
-std::string FormatDouble(double v, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-  return buf;
-}
-
 }  // namespace scallop::util

@@ -115,7 +115,4 @@ class JitterEstimator {
   double jitter_ = 0.0;  // in clock-rate units, RFC 3550 J estimator
 };
 
-// Formats a double with fixed decimals (benches print table rows).
-std::string FormatDouble(double v, int decimals);
-
 }  // namespace scallop::util

@@ -32,9 +32,4 @@ constexpr uint64_t ToNtp(TimeUs t) {
   uint64_t frac = (static_cast<uint64_t>(t % 1'000'000) << 32) / 1'000'000;
   return (secs << 32) | frac;
 }
-// Middle 32 bits of the NTP timestamp (RTCP "LSR" field).
-constexpr uint32_t NtpMiddle32(uint64_t ntp) {
-  return static_cast<uint32_t>(ntp >> 16);
-}
-
 }  // namespace scallop::util

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "core/control_channel.hpp"
@@ -423,7 +424,6 @@ TEST(FleetHeartbeat, DetectionTimeScalesWithHeartbeatCadence) {
 
 TEST(FleetRebalance, MovesMeetingsOffTheOverloadedSwitch) {
   testbed::TestbedConfig cfg = FastStartConfig();
-  cfg.rebalance.enabled = true;
   cfg.rebalance.interval = util::Seconds(1);
   cfg.rebalance.imbalance_threshold = 2;
   testbed::FleetTestbed bed(cfg, 2);
@@ -460,13 +460,13 @@ TEST(FleetRebalance, MovesMeetingsOffTheOverloadedSwitch) {
 
 TEST(FleetRebalance, HysteresisNoMeetingMovesTwiceWithinOneInterval) {
   testbed::TestbedConfig cfg = FastStartConfig();
-  cfg.rebalance.enabled = true;
   cfg.rebalance.interval = util::Seconds(1);
   cfg.rebalance.imbalance_threshold = 1;  // eager: worst case for flapping
   testbed::FleetTestbed bed(cfg, 2);
 
   std::map<core::MeetingId, std::vector<double>> moves;
-  bed.SetMeetingMovedCallback([&](core::MeetingId m) {
+  bed.SetMeetingMovedCallback([&](core::MeetingId m,
+                                  const std::vector<ParticipantId>&) {
     moves[m].push_back(util::ToSeconds(bed.sched().now()));
   });
 
@@ -492,6 +492,17 @@ TEST(FleetRebalance, HysteresisNoMeetingMovesTwiceWithinOneInterval) {
   }
 }
 
+TEST(FleetRebalance, RejectsANonPositiveInterval) {
+  // A positive interval is what turns the rebalancer on; asking for one
+  // without it is a caller bug, not a silent no-op.
+  sim::Scheduler sched;
+  FederatedControlPlane plane(sched, {.regions = 1, .switches = 1});
+  EXPECT_THROW(plane.EnableRebalancer(RebalanceConfig{}),
+               std::invalid_argument);
+  EXPECT_THROW(plane.EnableRebalancer({.interval = -util::Seconds(1)}),
+               std::invalid_argument);
+}
+
 TEST(FleetRebalance, SkipsMeetingsInsideRenegotiationWindows) {
   // Regression (ISSUE 4 satellite): a meeting whose members are down —
   // failover blackout or a live migration's re-signal window — must not
@@ -499,7 +510,6 @@ TEST(FleetRebalance, SkipsMeetingsInsideRenegotiationWindows) {
   // candidate. Before the frozen-meeting guard, only the per-meeting
   // cooldown protected it, which a blackout can outlive.
   testbed::TestbedConfig cfg = FastStartConfig();
-  cfg.rebalance.enabled = true;
   cfg.rebalance.interval = util::Seconds(1);
   cfg.rebalance.imbalance_threshold = 2;
   testbed::FleetTestbed bed(cfg, 2);

@@ -279,6 +279,51 @@ TEST(Federation, BorrowerDropsADeadBorderGuest) {
   ExpectHealthy(m, 10);
 }
 
+TEST(Federation, SpanCollapseResignalsOnlyItsMembers) {
+  // The BorrowerDropsADeadBorderGuest shape: the third joiner is homed on
+  // a borrowed region 1 switch whose control link goes dark at 1 s. The
+  // span collapse kills that member's session alone; the home member and
+  // the switch-1 span member keep theirs, so they must not re-join (a
+  // re-join would mint them new participant ids).
+  ScenarioSpec spec = FederatedSpec("fed-collapse-resignal", 4, 2, 1, 4, 4.0);
+  spec.WithControlPlane(0.001, 0.0);
+  spec.WithPlacementPolicy(core::PlacementPolicyConfig::Cascade(1));
+  spec.WithMeetingRegion(0, 0);
+  const double joins[] = {0.2, 0.3, 0.4, 2.0};
+  for (int k = 0; k < 4; ++k) spec.WithJoin(0, k, joins[k]);
+  ScenarioRunner r(spec);
+  auto& fed = r.fleet().federation();
+  const core::MeetingId meeting = r.meeting_id(0);
+
+  r.RunUntil(1.0);
+  core::ParticipantId before[3];
+  for (int k = 0; k < 3; ++k) {
+    ASSERT_TRUE(r.present(0, k));
+    before[k] = r.peer(0, k).id();
+  }
+  size_t guest = SIZE_MAX;
+  for (const core::RelaySpan& span : fed.PlacementOf(meeting).spans) {
+    if (fed.RegionOfSwitch(span.switch_index) != 0) guest = span.switch_index;
+  }
+  ASSERT_NE(guest, SIZE_MAX) << "no border span by 1 s";
+  r.fleet().channel(guest).set_link_up(false);
+
+  auto expect_only_the_guests_member_rejoined = [&](const char* when) {
+    EXPECT_EQ(r.peer(0, 0).id(), before[0])
+        << when << ": the home member re-joined";
+    EXPECT_EQ(r.peer(0, 1).id(), before[1])
+        << when << ": the live span's member re-joined";
+    EXPECT_TRUE(r.present(0, 2)) << when;
+    EXPECT_NE(r.peer(0, 2).id(), before[2])
+        << when << ": the dead guest's member never re-joined";
+  };
+  r.RunUntil(1.9);
+  expect_only_the_guests_member_rejoined("at 1.9 s");
+  const ScenarioMetrics& m = r.Run();
+  expect_only_the_guests_member_rejoined("at the end");
+  ExpectHealthy(m, 10);
+}
+
 // A 3-party meeting minted in region 1 on a linear 0-1-2-3 backbone:
 // Cascade(1) homes it on switch 2, spans switch 3, and borrows region 0's
 // switch 0 for the third member, so relays cross the region border.
@@ -442,9 +487,10 @@ TEST(Federation, DetectorArmsPerChannelNotJustFirst) {
   net.Attach(sw1.address(), &sw1, dc, dc);
   net.Attach(sw2.address(), &sw2, dc, dc);
 
-  FleetController fleet;
-  fleet.AddSwitch(ch1, sw1.address());
-  fleet.AddSwitch(ch2, sw2.address());
+  FederatedControlPlane plane(sched, {.regions = 1, .switches = 2});
+  FleetController& fleet = plane.region(0);
+  plane.AddSwitch(ch1, sw1.address());
+  plane.AddSwitch(ch2, sw2.address());
   // Re-arming for an already-covered cadence is a no-op, not a duplicate
   // detector.
   fleet.ArmFailureDetector(ch2);

@@ -15,7 +15,8 @@
 namespace scallop::core {
 namespace {
 
-// A second-switch wrapper around the single-switch testbed.
+// Two hand-wired switches under a one-region control plane; `fleet` is
+// the plane's only regional controller.
 struct FleetBed {
   explicit FleetBed(uint64_t seed = 1)
       : net(sched, seed),
@@ -30,8 +31,8 @@ struct FleetBed {
     sim::LinkConfig dc{.rate_bps = 0, .prop_delay = util::Millis(1)};
     net.Attach(sw1.address(), &sw1, dc, dc);
     net.Attach(sw2.address(), &sw2, dc, dc);
-    fleet.AddSwitch(ch1, sw1.address());
-    fleet.AddSwitch(ch2, sw2.address());
+    plane.AddSwitch(ch1, sw1.address());
+    plane.AddSwitch(ch2, sw2.address());
   }
 
   static AgentConfig Cfg(net::Ipv4 ip) {
@@ -58,7 +59,8 @@ struct FleetBed {
   DataPlaneProgram dp1, dp2;
   SwitchAgent agent1, agent2;
   ControlChannel ch1, ch2;
-  FleetController fleet;
+  FederatedControlPlane plane{sched, {.regions = 1, .switches = 2}};
+  FleetController& fleet = plane.region(0);
   std::vector<std::unique_ptr<client::Peer>> peers;
 };
 

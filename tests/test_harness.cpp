@@ -255,6 +255,27 @@ TEST(ScenarioSpec, InterSwitchLinksValidateTheirEndpoints) {
   EXPECT_THROW(ScenarioRunner runner(spec), std::out_of_range);
 }
 
+TEST(Harness, BaseSettingsReachTheTestbed) {
+  // spec.base is the one home of every testbed knob: settings written
+  // there by hand, with no helper, reach the fleet exactly as the helpers'
+  // writes do.
+  ScenarioSpec spec = ScenarioSpec::Uniform("base-settings", 1, 6, 2.0);
+  spec.WithBackend(testbed::BackendChoice::Fleet(3));
+  spec.base.placement = core::PlacementPolicyConfig::Cascade(2);
+  spec.base.control.latency = util::Millis(20);
+  spec.base.redundancy.hitless_migration = true;
+  ScenarioRunner runner(spec);
+  const ScenarioMetrics& m = runner.Run();
+
+  ASSERT_EQ(m.meetings.size(), 1u);
+  EXPECT_GE(m.meetings[0].spans, 1) << "the Cascade(2) policy never spanned";
+  for (size_t i = 0; i < runner.fleet().switch_count(); ++i) {
+    EXPECT_EQ(runner.fleet().channel(i).config().latency, util::Millis(20))
+        << "switch " << i;
+  }
+  EXPECT_TRUE(m.redundancy.configured);
+}
+
 TEST(ScenarioSpec, TopologyEventsMustNameADeclaredLink) {
   // A capacity event on an undeclared pair would either test nothing or
   // grow a phantom controller-side link no sim link backs; the runner

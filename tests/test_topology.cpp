@@ -104,17 +104,19 @@ TEST(Topology, LoadRegistrationDrivesResidualAndOverload) {
   EXPECT_EQ(topo.LoadOf(0, 1), 0.0);
 }
 
-TEST(Topology, WidestPathRoutesAroundLoadedLinks) {
-  // Two routes 0 -> 2: fast but loaded via 1, slow but empty via 3.
+TEST(Topology, DisjointPathRoutesAroundLoadedLinks) {
+  // Two routes 0 -> 2: fast but loaded via 1, slow but empty via 3. With
+  // nothing to avoid, the disjoint planner ranks paths by bottleneck
+  // residual, then latency.
   InterSwitchTopology topo;
   topo.SetLink(0, 1, 0.001, 10e6);
   topo.SetLink(1, 2, 0.001, 10e6);
   topo.SetLink(0, 3, 0.004, 10e6);
   topo.SetLink(3, 2, 0.004, 10e6);
-  EXPECT_EQ(topo.WidestPath(0, 2), (std::vector<size_t>{0, 1, 2}))
+  EXPECT_EQ(topo.DisjointPath(0, 2, {}), (std::vector<size_t>{0, 1, 2}))
       << "unloaded: widest ties, latency breaks the tie";
   topo.AddLoad({0, 1, 2}, 9e6);
-  EXPECT_EQ(topo.WidestPath(0, 2), (std::vector<size_t>{0, 3, 2}))
+  EXPECT_EQ(topo.DisjointPath(0, 2, {}), (std::vector<size_t>{0, 3, 2}))
       << "the loaded fast route's bottleneck residual is 1 Mb/s";
   EXPECT_EQ(topo.ShortestPath(0, 2), (std::vector<size_t>{0, 1, 2}))
       << "shortest path ignores load by design";
@@ -146,15 +148,16 @@ TEST(Topology, EnsureNodesGrowsWithoutForgettingLinks) {
   EXPECT_EQ(topo.ShortestPath(0, 4), (std::vector<size_t>{0, 1, 4}));
 }
 
-TEST(Topology, WidestPathTieBreaksByHopsThenLowestSwitch) {
+TEST(Topology, DisjointPathTieBreaksByHopsThenLowestSwitch) {
   // Direct 0 -> 2 and the detour through 1 tie on both bottleneck
   // residual (10 Mb/s everywhere) and total latency (2 ms): fewer hops
-  // must win, deterministically.
+  // must win, deterministically — the tie-breaks secondary relay
+  // planning runs on.
   InterSwitchTopology topo;
   topo.SetLink(0, 2, 0.002, 10e6);
   topo.SetLink(0, 1, 0.001, 10e6);
   topo.SetLink(1, 2, 0.001, 10e6);
-  EXPECT_EQ(topo.WidestPath(0, 2), (std::vector<size_t>{0, 2}))
+  EXPECT_EQ(topo.DisjointPath(0, 2, {}), (std::vector<size_t>{0, 2}))
       << "equal residual and latency: fewest hops breaks the tie";
 
   // Two 2-hop routes 0 -> 3, identical in residual, latency and hop
@@ -165,7 +168,7 @@ TEST(Topology, WidestPathTieBreaksByHopsThenLowestSwitch) {
   diamond.SetLink(2, 3, 0.001, 10e6);
   diamond.SetLink(0, 1, 0.001, 10e6);
   diamond.SetLink(1, 3, 0.001, 10e6);
-  EXPECT_EQ(diamond.WidestPath(0, 3), (std::vector<size_t>{0, 1, 3}))
+  EXPECT_EQ(diamond.DisjointPath(0, 3, {}), (std::vector<size_t>{0, 1, 3}))
       << "full tie: lowest switch id breaks it, not declaration order";
 }
 
