@@ -14,11 +14,30 @@ uint32_t DeriveSsrc(net::Ipv4 addr, uint16_t port, uint8_t media) {
 }
 }  // namespace
 
+Peer::SendHistory::SendHistory(size_t capacity)
+    : capacity_(std::min<size_t>(capacity, size_t{1} << 16)) {}
+
+void Peer::SendHistory::Store(uint16_t seq, std::span<const uint8_t> wire) {
+  if (capacity_ == 0) return;
+  if (next_ == slots_.size()) slots_.emplace_back();
+  slots_[next_].assign(wire.begin(), wire.end());
+  next_ = (next_ + 1) % capacity_;
+  stored_ = std::min(stored_ + 1, capacity_);
+  newest_seq_ = seq;
+}
+
+const std::vector<uint8_t>* Peer::SendHistory::Find(uint16_t seq) const {
+  const size_t back = static_cast<uint16_t>(newest_seq_ - seq);
+  if (back >= stored_) return nullptr;
+  return &slots_[(next_ + capacity_ - 1 - back) % capacity_];
+}
+
 Peer::Peer(sim::Scheduler& sched, sim::Network& network, const PeerConfig& cfg)
     : sched_(sched),
       network_(network),
       cfg_(cfg),
-      next_local_port_(static_cast<uint16_t>(cfg.base_port + 1)) {
+      next_local_port_(static_cast<uint16_t>(cfg.base_port + 1)),
+      history_(cfg.retransmit_history) {
   media_local_ = net::Endpoint{cfg_.address, cfg_.base_port};
   video_ssrc_ = DeriveSsrc(cfg_.address, cfg_.base_port, 1);
   audio_ssrc_ = DeriveSsrc(cfg_.address, cfg_.base_port, 2);
@@ -90,8 +109,7 @@ void Peer::Leave() {
   // NACKs from the previous session would retransmit stale frames under
   // live sequence numbers — exactly the conflicting-duplicate corruption
   // the rewriter exists to prevent.
-  history_.clear();
-  history_order_.clear();
+  history_.Clear();
   stun_inflight_.clear();
 }
 
@@ -203,17 +221,12 @@ void Peer::SendVideoFrame() {
   util::TimeUs now = sched_.now();
   media::EncodedFrame frame = encoder_->NextFrame(now);
   for (const rtp::RtpPacket& pkt : packetizer_->Packetize(frame, now)) {
-    auto wire = pkt.Serialize();
-    history_[pkt.sequence_number] = wire;
-    history_order_.push_back(pkt.sequence_number);
-    while (history_order_.size() > cfg_.retransmit_history) {
-      history_.erase(history_order_.front());
-      history_order_.pop_front();
-    }
+    net::PacketPtr out = UplinkPacket(pkt);
+    history_.Store(pkt.sequence_number, out->payload);
     ++video_packet_count_;
     video_octet_count_ += static_cast<uint32_t>(pkt.payload.size());
     ++stats_.rtp_sent;
-    Transmit(media_local_, uplink_sfu_, std::move(wire));
+    network_.Send(std::move(out));
   }
 }
 
@@ -223,7 +236,7 @@ void Peer::SendAudioFrame() {
   ++audio_packet_count_;
   audio_octet_count_ += static_cast<uint32_t>(pkt.payload.size());
   ++stats_.rtp_sent;
-  Transmit(media_local_, uplink_sfu_, pkt.Serialize());
+  network_.Send(UplinkPacket(pkt));
 }
 
 void Peer::SendSenderReports() {
@@ -349,7 +362,8 @@ void Peer::OnPacket(net::PacketPtr pkt) {
     case rtp::PayloadKind::kRtp: {
       RemoteLeg* leg = LegByLocalPort(pkt->dst.port);
       if (leg == nullptr) return;
-      auto parsed = rtp::RtpPacket::Parse(pkt->payload_span());
+      // The view reads pkt's buffer, which outlives this call.
+      auto parsed = rtp::RtpView::Parse(pkt->payload_span());
       if (!parsed.has_value()) return;
       HandleMediaPacket(*leg, *parsed, arrival, pkt->payload.size());
       return;
@@ -359,15 +373,14 @@ void Peer::OnPacket(net::PacketPtr pkt) {
   }
 }
 
-void Peer::HandleMediaPacket(RemoteLeg& leg, const rtp::RtpPacket& pkt,
+void Peer::HandleMediaPacket(RemoteLeg& leg, const rtp::RtpView& pkt,
                              util::TimeUs arrival, size_t wire_bytes) {
   // abs-send-time for GCC (wraps every 64 s; deltas unaffected for our
   // experiment horizons because consecutive packets are close together).
   util::TimeUs send_time = arrival;
-  const rtp::RtpExtension* ast =
-      pkt.FindExtension(media::kAbsSendTimeExtensionId);
-  if (ast != nullptr) {
-    util::TimeUs decoded = media::DecodeAbsSendTime(ast->data);
+  auto ast = pkt.FindExtension(media::kAbsSendTimeExtensionId);
+  if (ast.has_value()) {
+    util::TimeUs decoded = media::DecodeAbsSendTime(*ast);
     // Align the 64 s window with the arrival clock.
     constexpr util::TimeUs kWrap = 64'000'000;  // abs-send-time wrap: 64 s
     util::TimeUs base = arrival - (arrival % kWrap);
@@ -419,17 +432,29 @@ void Peer::HandleRtcp(RemoteLeg* leg, std::span<const uint8_t> payload) {
 
 void Peer::HandleNack(const rtp::Nack& nack) {
   for (uint16_t seq : nack.sequence_numbers) {
-    auto it = history_.find(seq);
-    if (it == history_.end()) continue;
+    const std::vector<uint8_t>* wire = history_.Find(seq);
+    if (wire == nullptr) continue;
     ++stats_.retransmissions_sent;
     ++stats_.rtp_sent;
-    Transmit(media_local_, uplink_sfu_, it->second);
+    Transmit(media_local_, uplink_sfu_, *wire);
   }
 }
 
+net::PacketPtr Peer::UplinkPacket(const rtp::RtpPacket& pkt) {
+  net::PacketPtr out = net::AcquirePacket();
+  out->src = media_local_;
+  out->dst = uplink_sfu_;
+  pkt.SerializeInto(out->payload);
+  return out;
+}
+
 void Peer::Transmit(net::Endpoint from, net::Endpoint to,
-                    std::vector<uint8_t> payload) {
-  network_.Send(net::MakePacket(from, to, std::move(payload)));
+                    std::span<const uint8_t> payload) {
+  net::PacketPtr out = net::AcquirePacket();
+  out->src = from;
+  out->dst = to;
+  out->payload.assign(payload.begin(), payload.end());
+  network_.Send(std::move(out));
 }
 
 const media::VideoReceiver* Peer::video_receiver(

@@ -7,10 +7,11 @@
 // split (paper §5.3) is negotiated exactly as in Scallop.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "bwe/estimator.hpp"
 #include "core/controller.hpp"
@@ -46,7 +47,7 @@ struct PeerConfig {
   util::DurationUs stun_interval = util::Millis(2500);
   util::DurationUs tick_interval = util::Millis(50);
   bwe::EstimatorConfig bwe;
-  size_t retransmit_history = 1024;
+  size_t retransmit_history = 1024;  // packets; at most 65,536 are kept
   uint64_t seed = 1;
   // Observability: called for every received media packet with the
   // sender-stamped send time (abs-send-time) and the arrival time.
@@ -104,6 +105,29 @@ class Peer : public sim::Host, public core::SignalingClient {
   std::vector<core::ParticipantId> remote_senders() const;
 
  private:
+  // Retransmission history: the wire bytes of the last `capacity` video
+  // packets of the session, in a ring looked up by sequence number. A
+  // session's seqs are consecutive, so a seq's distance behind the newest
+  // locates its slot. Slots keep their buffers across laps, so a warm
+  // history stores and serves without allocating. The ring grows to its
+  // capacity as packets are sent; at most 65,536 (one per seq) are kept.
+  class SendHistory {
+   public:
+    explicit SendHistory(size_t capacity);
+    void Store(uint16_t seq, std::span<const uint8_t> wire);
+    // nullptr unless `seq` is one of the last `capacity` packets stored.
+    const std::vector<uint8_t>* Find(uint16_t seq) const;
+    // Forgets every packet (the buffers stay for reuse).
+    void Clear() { stored_ = 0; }
+
+   private:
+    size_t capacity_;
+    std::vector<std::vector<uint8_t>> slots_;
+    size_t next_ = 0;    // slot the next Store writes
+    size_t stored_ = 0;  // packets held, at most capacity_
+    uint16_t newest_seq_ = 0;
+  };
+
   struct RemoteLeg {
     core::ParticipantId sender = 0;
     net::Endpoint local;       // our endpoint for this leg
@@ -125,12 +149,15 @@ class Peer : public sim::Host, public core::SignalingClient {
   void SendReceiverFeedback(RemoteLeg& leg, bool include_remb);
   void SendStun();
   void Tick();
-  void HandleMediaPacket(RemoteLeg& leg, const rtp::RtpPacket& pkt,
+  void HandleMediaPacket(RemoteLeg& leg, const rtp::RtpView& pkt,
                          util::TimeUs arrival, size_t wire_bytes);
   void HandleRtcp(RemoteLeg* leg, std::span<const uint8_t> payload);
   void HandleNack(const rtp::Nack& nack);
+  // `pkt` serialized straight into a pooled packet addressed uplink.
+  net::PacketPtr UplinkPacket(const rtp::RtpPacket& pkt);
+  // Copies `payload` into a pooled packet, keeping that packet's buffer.
   void Transmit(net::Endpoint from, net::Endpoint to,
-                std::vector<uint8_t> payload);
+                std::span<const uint8_t> payload);
   RemoteLeg* LegByLocalPort(uint16_t port);
 
   sim::Scheduler& sched_;
@@ -160,9 +187,7 @@ class Peer : public sim::Host, public core::SignalingClient {
   // node-based, so RemoteLeg addresses are stable).
   std::unordered_map<uint16_t, RemoteLeg*> port_to_leg_;
 
-  // Retransmission history of sent video packets (wire bytes by seq).
-  std::map<uint16_t, std::vector<uint8_t>> history_;
-  std::deque<uint16_t> history_order_;
+  SendHistory history_;
 
   std::vector<std::unique_ptr<sim::PeriodicTask>> tasks_;
   std::map<uint64_t, util::TimeUs> stun_inflight_;  // tid hash -> send time

@@ -221,6 +221,8 @@ void DataPlaneProgram::IngressRtcp(const net::Packet& pkt,
   meta.unicast_port = fb->sender_rid;
 }
 
+// Every refusal (egress-table miss, SVC suppression, rewriter drop) returns
+// before the first write to `pkt`, as PipelineProgram::Egress requires.
 bool DataPlaneProgram::Egress(net::Packet& pkt,
                               const switchsim::PacketMetadata& meta,
                               const switchsim::Replica& replica) {

@@ -40,18 +40,33 @@ const PerSecondSeries& VideoReceiver::template_bytes_series(
 
 void VideoReceiver::OnPacket(const rtp::RtpPacket& pkt, util::TimeUs arrival) {
   const rtp::RtpExtension* ext = pkt.FindExtension(cfg_.dd_extension_id);
-  auto dd = ext ? av1::PeekMandatory(ext->data) : std::nullopt;
-  if (!dd.has_value()) return;  // video without a DD is not decodable here
+  if (ext == nullptr) return;  // video without a DD is not decodable here
+  OnMedia(ext->data, pkt.sequence_number, pkt.timestamp, pkt.payload.size(),
+          arrival);
+}
+
+void VideoReceiver::OnPacket(const rtp::RtpView& pkt, util::TimeUs arrival) {
+  auto ext = pkt.FindExtension(cfg_.dd_extension_id);
+  if (!ext.has_value()) return;
+  OnMedia(*ext, pkt.sequence_number, pkt.timestamp, pkt.payload.size(),
+          arrival);
+}
+
+void VideoReceiver::OnMedia(std::span<const uint8_t> dd_bytes,
+                            uint16_t sequence_number, uint32_t timestamp,
+                            size_t payload_bytes, util::TimeUs arrival) {
+  auto dd = av1::PeekMandatory(dd_bytes);
+  if (!dd.has_value()) return;
 
   ++stats_.packets_received;
   if (first_packet_time_ < 0) first_packet_time_ = arrival;
-  stats_.bytes_received += pkt.payload.size();
-  jitter_.OnPacket(pkt.timestamp, arrival);
-  bytes_series_.Add(arrival, static_cast<double>(pkt.payload.size()));
+  stats_.bytes_received += payload_bytes;
+  jitter_.OnPacket(timestamp, arrival);
+  bytes_series_.Add(arrival, static_cast<double>(payload_bytes));
   template_bytes_[dd->template_id & 63].Add(
-      arrival, static_cast<double>(pkt.payload.size()));
+      arrival, static_cast<double>(payload_bytes));
 
-  int64_t seq = seq_unwrap_.Unwrap(pkt.sequence_number);
+  int64_t seq = seq_unwrap_.Unwrap(sequence_number);
   int64_t frame = frame_unwrap_.Unwrap(dd->frame_number);
   max_seen_frame_ = std::max(max_seen_frame_, frame);
 
@@ -60,16 +75,12 @@ void VideoReceiver::OnPacket(const rtp::RtpPacket& pkt, util::TimeUs arrival) {
   // the key-frame marker).
   bool key = dd->template_id == 0;
 
-  // `seen_` keys are bounded by `seen_max_`, so a seq beyond it cannot be
-  // a duplicate — the common in-order case skips the lookup entirely and
-  // appends with an end hint (O(1) for a monotone key).
-  auto existing = seq > seen_max_ ? seen_.end() : seen_.find(seq);
-  if (existing != seen_.end()) {
+  if (const SeenPacket* existing = seen_.Find(seq)) {
     ++stats_.duplicate_packets;
     // Same sequence number, different frame content: this is the broken
     // rewrite the paper warns about — the decoder state is corrupted.
-    if (existing->second.first != frame ||
-        existing->second.second != dd->template_id) {
+    if (existing->frame_number != frame ||
+        existing->template_id != dd->template_id) {
       ++stats_.conflicting_duplicates;
       if (!decoder_broken_) {
         decoder_broken_ = true;
@@ -79,23 +90,15 @@ void VideoReceiver::OnPacket(const rtp::RtpPacket& pkt, util::TimeUs arrival) {
     }
     return;
   }
-  if (seq > seen_max_) {
-    seen_.emplace_hint(seen_.end(), seq,
-                       std::make_pair(frame, dd->template_id));
-    seen_max_ = seq;
-  } else {
-    seen_.emplace(seq, std::make_pair(frame, dd->template_id));
-  }
-  while (!seen_.empty() && seen_.begin()->first < seq - 4096) {
-    seen_.erase(seen_.begin());
-  }
+  seen_.EraseBelow(seq - 4096);
+  seen_.Insert(seq) = SeenPacket{frame, dd->template_id};
 
   BufferedPacket info{frame,
                       dd->template_id,
                       dd->start_of_frame,
                       dd->end_of_frame,
                       key,
-                      pkt.payload.size(),
+                      payload_bytes,
                       arrival};
   // Highest-so-far seqs (the in-order common case) append at the end.
   if (seq > highest_seq_) {
@@ -204,7 +207,7 @@ void VideoReceiver::TryDecode(util::TimeUs now) {
 
     int dist = av1::L1T3Pattern::DependencyDistance(f.template_id, false);
     int64_t dep = frame_number - dist;
-    bool dep_ok = decoded_frames_.count(dep) > 0 || dep <= 0;
+    bool dep_ok = decoded_frames_.Find(dep) != nullptr || dep <= 0;
     if (dep_ok) {
       DecodeFrame(frame_number, f, now);
       pending_frames_.erase(it);
@@ -224,24 +227,17 @@ void VideoReceiver::TryDecode(util::TimeUs now) {
 
 void VideoReceiver::DecodeFrame(int64_t frame_number, const PendingFrame& f,
                                 util::TimeUs now) {
-  decoded_frames_.insert(frame_number);
+  decoded_frames_.EraseBelow(frame_number - 64);
+  decoded_frames_.Insert(frame_number);
   last_decoded_frame_ = std::max(last_decoded_frame_, frame_number);
-  PruneDecodedSet(frame_number - 64);
   ++stats_.frames_decoded;
   last_decode_time_ = now;
   fps_series_.Add(now, 1.0);
-  decode_times_[frame_number] = now;
-  while (decode_times_.size() > 256) decode_times_.erase(decode_times_.begin());
+  decode_times_.Insert(frame_number) = now;
+  if (decode_times_.size() > 256) decode_times_.EraseLowest();
   // Drop packet buffer entries for this frame.
   if (f.start_seq >= 0 && f.end_seq >= f.start_seq) {
     for (int64_t s = f.start_seq; s <= f.end_seq; ++s) buffer_.erase(s);
-  }
-}
-
-void VideoReceiver::PruneDecodedSet(int64_t below) {
-  auto it = decoded_frames_.begin();
-  while (it != decoded_frames_.end() && *it < below) {
-    it = decoded_frames_.erase(it);
   }
 }
 
@@ -333,17 +329,18 @@ bool VideoReceiver::frozen(util::TimeUs now) const {
 double VideoReceiver::RecentFps(util::TimeUs now,
                                 util::DurationUs window) const {
   int64_t count = 0;
-  for (const auto& [frame, t] : decode_times_) {
+  decode_times_.ForEach([&](int64_t, util::TimeUs t) {
     if (now - t <= window) ++count;
-  }
+  });
   return static_cast<double>(count) / util::ToSeconds(window);
 }
 
-void AudioReceiver::OnPacket(const rtp::RtpPacket& pkt, util::TimeUs arrival) {
+void AudioReceiver::OnMedia(uint16_t sequence_number, uint32_t timestamp,
+                            size_t payload_bytes, util::TimeUs arrival) {
   ++packets_;
-  bytes_ += pkt.payload.size();
-  jitter_.OnPacket(pkt.timestamp, arrival);
-  int64_t seq = unwrap_.Unwrap(pkt.sequence_number);
+  bytes_ += payload_bytes;
+  jitter_.OnPacket(timestamp, arrival);
+  int64_t seq = unwrap_.Unwrap(sequence_number);
   if (highest_seq_ >= 0 && seq > highest_seq_ + 1) {
     gaps_ += static_cast<uint64_t>(seq - highest_seq_ - 1);
   }

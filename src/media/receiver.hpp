@@ -6,11 +6,13 @@
 //     state -> freeze until the next key frame (paper §6.2).
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -46,6 +48,107 @@ class PerSecondSeries {
   void AddOutOfOrder(int64_t second, double value);
 
   std::vector<std::pair<int64_t, double>> by_second_;  // sorted by second
+};
+
+// A map from unwrapped sequence or frame numbers to T, stored flat: one
+// slot per key from the lowest to the highest live key, in a power-of-two
+// ring that doubles when that span outgrows it and is reused afterwards.
+// Lookups and in-order inserts are O(1) and allocate nothing once the ring
+// covers the span; memory follows the span of live keys, not their count.
+template <typename T>
+class KeyWindow {
+ public:
+  const T* Find(int64_t key) const {
+    if (count_ == 0 || key < lo_ || key - lo_ >= static_cast<int64_t>(span_)) {
+      return nullptr;
+    }
+    const Slot& s = ring_[Index(key)];
+    return s.live ? &s.value : nullptr;
+  }
+
+  // The value of `key`, value-initialized if the key was not live.
+  T& Insert(int64_t key) {
+    if (count_ == 0) {
+      Reserve(1);
+      head_ = 0;
+      lo_ = key;
+      span_ = 1;
+    } else if (key < lo_) {
+      const auto grow = static_cast<size_t>(lo_ - key);
+      Reserve(span_ + grow);
+      head_ = (head_ - grow) & (ring_.size() - 1);
+      lo_ = key;
+      span_ += grow;
+    } else if (key - lo_ >= static_cast<int64_t>(span_)) {
+      Reserve(static_cast<size_t>(key - lo_) + 1);
+      span_ = static_cast<size_t>(key - lo_) + 1;
+    }
+    Slot& s = ring_[Index(key)];
+    if (!s.live) {
+      s = Slot{T{}, true};
+      ++count_;
+    }
+    return s.value;
+  }
+
+  // Erases every key below `bound`.
+  void EraseBelow(int64_t bound) {
+    while (count_ > 0 && lo_ < bound) PopLowest();
+  }
+  void EraseLowest() {
+    if (count_ > 0) PopLowest();
+  }
+
+  size_t size() const { return count_; }
+
+  // Calls fn(key, value) for each live key in ascending order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (size_t i = 0; i < span_; ++i) {
+      const Slot& s = ring_[(head_ + i) & (ring_.size() - 1)];
+      if (s.live) fn(lo_ + static_cast<int64_t>(i), s.value);
+    }
+  }
+
+ private:
+  struct Slot {
+    T value{};
+    bool live = false;
+  };
+  static constexpr size_t kMinSlots = 64;
+
+  size_t Index(int64_t key) const {
+    return (head_ + static_cast<size_t>(key - lo_)) & (ring_.size() - 1);
+  }
+
+  // Grows the ring to hold `span` slots, keeping the live keys in place.
+  // Slots outside [lo_, lo_ + span_) are never live.
+  void Reserve(size_t span) {
+    if (span <= ring_.size()) return;
+    std::vector<Slot> next(std::max(kMinSlots, std::bit_ceil(span)));
+    for (size_t i = 0; i < span_; ++i) {
+      next[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+    }
+    ring_.swap(next);
+    head_ = 0;
+  }
+
+  // Erases the lowest key and moves lo_ up to the next live one.
+  void PopLowest() {
+    ring_[head_].live = false;
+    --count_;
+    do {
+      head_ = (head_ + 1) & (ring_.size() - 1);
+      ++lo_;
+      --span_;
+    } while (span_ > 0 && !ring_[head_].live);
+  }
+
+  std::vector<Slot> ring_;
+  size_t head_ = 0;   // slot of lo_
+  int64_t lo_ = 0;    // lowest live key
+  size_t span_ = 0;   // keys covered: [lo_, lo_ + span_)
+  size_t count_ = 0;  // live keys
 };
 
 struct VideoReceiverConfig {
@@ -91,7 +194,9 @@ class VideoReceiver {
   VideoReceiver(const VideoReceiverConfig& cfg, SendNackFn send_nack,
                 SendPliFn send_pli);
 
+  // Both overloads run one body; a view is read only during the call.
   void OnPacket(const rtp::RtpPacket& pkt, util::TimeUs arrival);
+  void OnPacket(const rtp::RtpView& pkt, util::TimeUs arrival);
   // Drives NACK retries, loss abandonment and freeze detection; call every
   // few tens of milliseconds.
   void OnTick(util::TimeUs now);
@@ -131,13 +236,16 @@ class VideoReceiver {
     bool failed = false;
   };
 
+  // The body behind both OnPacket overloads; `dd` is the dependency
+  // descriptor extension's data.
+  void OnMedia(std::span<const uint8_t> dd, uint16_t sequence_number,
+               uint32_t timestamp, size_t payload_bytes, util::TimeUs arrival);
   void DetectGaps(int64_t unwrapped_seq, util::TimeUs now);
   void AssembleFrame(int64_t seq, const BufferedPacket& info);
   bool FrameComplete(const PendingFrame& f) const;
   void TryDecode(util::TimeUs now);
   void DecodeFrame(int64_t frame_number, const PendingFrame& f,
                    util::TimeUs now);
-  void PruneDecodedSet(int64_t below);
 
   VideoReceiverConfig cfg_;
   SendNackFn send_nack_;
@@ -147,16 +255,23 @@ class VideoReceiver {
   util::SeqUnwrapper frame_unwrap_;
   int64_t highest_seq_ = -1;
   std::map<int64_t, BufferedPacket> buffer_;
-  // History of (frame, template) per received seq for duplicate detection;
-  // outlives buffer_ entries, pruned by distance from highest_seq_.
-  std::map<int64_t, std::pair<int64_t, uint8_t>> seen_;
+  // The three windows below keep exactly what ordered containers pruned
+  // the same way would; an entry lives until a later insert passes it by
+  // the window, even one inserted already older than the window.
+  //
+  // (frame, template) per received seq, for duplicate detection. Inserting
+  // seq s erases every seq below s - 4096; it outlives buffer_ entries.
+  struct SeenPacket {
+    int64_t frame_number = 0;
+    uint8_t template_id = 0;
+  };
+  KeyWindow<SeenPacket> seen_;
   std::map<int64_t, MissingPacket> missing_;
   std::unordered_set<int64_t> abandoned_;
   std::map<int64_t, PendingFrame> pending_frames_;
-  int64_t seen_max_ = -1;  // highest key ever inserted into seen_
-  // Ordered so pruning can erase the aged prefix and stop at the first
-  // survivor instead of walking the whole set per decoded frame.
-  std::set<int64_t> decoded_frames_;
+  // Decoded frames that later frames may reference: decoding frame f
+  // erases every frame below f - 64.
+  KeyWindow<bool> decoded_frames_;
   int64_t max_seen_frame_ = -1;
   int64_t last_decoded_frame_ = -1;
 
@@ -174,7 +289,9 @@ class VideoReceiver {
   // Indexed directly by template id (6 bits on the wire): this is touched
   // once per video packet, and a flat array beats a map lookup.
   std::array<PerSecondSeries, 64> template_bytes_;
-  std::map<int64_t, util::TimeUs> decode_times_;  // frame -> decode time
+  // Decode time of the 256 highest decoded frames, for RecentFps: each
+  // decode past 256 entries erases the lowest frame, which may be itself.
+  KeyWindow<util::TimeUs> decode_times_;
 };
 
 // Audio receive statistics (no NACK/PLI for audio).
@@ -182,7 +299,12 @@ class AudioReceiver {
  public:
   explicit AudioReceiver(uint32_t clock_rate = 48'000) : jitter_(clock_rate) {}
 
-  void OnPacket(const rtp::RtpPacket& pkt, util::TimeUs arrival);
+  void OnPacket(const rtp::RtpPacket& pkt, util::TimeUs arrival) {
+    OnMedia(pkt.sequence_number, pkt.timestamp, pkt.payload.size(), arrival);
+  }
+  void OnPacket(const rtp::RtpView& pkt, util::TimeUs arrival) {
+    OnMedia(pkt.sequence_number, pkt.timestamp, pkt.payload.size(), arrival);
+  }
 
   uint64_t packets_received() const { return packets_; }
   uint64_t bytes_received() const { return bytes_; }
@@ -190,6 +312,9 @@ class AudioReceiver {
   const util::JitterEstimator& jitter() const { return jitter_; }
 
  private:
+  void OnMedia(uint16_t sequence_number, uint32_t timestamp,
+               size_t payload_bytes, util::TimeUs arrival);
+
   util::SeqUnwrapper unwrap_;
   int64_t highest_seq_ = -1;
   uint64_t packets_ = 0;

@@ -15,6 +15,36 @@ bool FitsOneByte(const std::vector<RtpExtension>& exts) {
   });
 }
 
+// Walks the elements of an RFC 8285 extension block in wire order, calling
+// `on_element(id, data)` until it returns false. Returns false when an
+// element runs past the block. Unknown profiles carry no elements.
+template <typename Fn>
+bool WalkExtensions(uint16_t profile, std::span<const uint8_t> block,
+                    Fn&& on_element) {
+  ByteReader er(block);
+  if (profile == kOneByteExtProfile) {
+    while (er.remaining() > 0) {
+      uint8_t hdr = er.ReadU8();
+      if (hdr == 0) continue;  // padding
+      uint8_t id = hdr >> 4;
+      if (id == 15) break;  // reserved: stop parsing
+      auto bytes = er.ReadBytes(static_cast<size_t>(hdr & 0x0f) + 1);
+      if (!er.ok()) return false;
+      if (!on_element(id, bytes)) return true;
+    }
+  } else if (profile == kTwoByteExtProfile) {
+    while (er.remaining() > 1) {
+      uint8_t id = er.ReadU8();
+      if (id == 0) continue;  // padding
+      size_t len = er.ReadU8();
+      auto bytes = er.ReadBytes(len);
+      if (!er.ok()) return false;
+      if (!on_element(id, bytes)) return true;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 size_t RtpPacket::SerializedSize() const {
@@ -33,7 +63,15 @@ size_t RtpPacket::SerializedSize() const {
 }
 
 std::vector<uint8_t> RtpPacket::Serialize() const {
-  ByteWriter w(SerializedSize());
+  std::vector<uint8_t> out;
+  SerializeInto(out);
+  return out;
+}
+
+void RtpPacket::SerializeInto(std::vector<uint8_t>& out) const {
+  out.clear();
+  out.reserve(SerializedSize());
+  ByteWriter w(std::move(out));
   bool has_ext = !extensions.empty();
   w.WriteU8(static_cast<uint8_t>(kRtpVersion << 6 | (has_ext ? 0x10 : 0) |
                                  (csrcs.size() & 0x0f)));
@@ -65,58 +103,35 @@ std::vector<uint8_t> RtpPacket::Serialize() const {
   }
 
   w.WriteBytes(payload);
-  return std::move(w).Take();
+  out = std::move(w).Take();
 }
 
-std::optional<RtpPacket> RtpPacket::Parse(std::span<const uint8_t> data) {
+std::optional<RtpView> RtpView::Parse(std::span<const uint8_t> data) {
   ByteReader r(data);
   uint8_t b0 = r.ReadU8();
   uint8_t b1 = r.ReadU8();
   if (!r.ok() || (b0 >> 6) != kRtpVersion) return std::nullopt;
 
-  RtpPacket pkt;
+  RtpView v;
   bool has_padding = (b0 & 0x20) != 0;
   bool has_ext = (b0 & 0x10) != 0;
-  uint8_t cc = b0 & 0x0f;
-  pkt.marker = (b1 & 0x80) != 0;
-  pkt.payload_type = b1 & 0x7f;
-  pkt.sequence_number = r.ReadU16();
-  pkt.timestamp = r.ReadU32();
-  pkt.ssrc = r.ReadU32();
-  for (int i = 0; i < cc; ++i) pkt.csrcs.push_back(r.ReadU32());
+  v.marker = (b1 & 0x80) != 0;
+  v.payload_type = b1 & 0x7f;
+  v.sequence_number = r.ReadU16();
+  v.timestamp = r.ReadU32();
+  v.ssrc = r.ReadU32();
+  v.csrcs = r.ReadBytes(static_cast<size_t>(b0 & 0x0f) * 4);
   if (!r.ok()) return std::nullopt;
 
   if (has_ext) {
-    uint16_t profile = r.ReadU16();
+    v.extension_profile = r.ReadU16();
     uint16_t words = r.ReadU16();
-    auto ext_data = r.ReadBytes(static_cast<size_t>(words) * 4);
-    if (!r.ok()) return std::nullopt;
-    ByteReader er(ext_data);
-    pkt.extensions.reserve(4);  // one growth step covers typical packets
-    if (profile == kOneByteExtProfile) {
-      while (er.remaining() > 0) {
-        uint8_t hdr = er.ReadU8();
-        if (hdr == 0) continue;  // padding
-        uint8_t id = hdr >> 4;
-        size_t len = static_cast<size_t>(hdr & 0x0f) + 1;
-        if (id == 15) break;  // reserved: stop parsing
-        auto bytes = er.ReadBytes(len);
-        if (!er.ok()) return std::nullopt;
-        pkt.extensions.push_back(
-            RtpExtension{id, std::vector<uint8_t>(bytes.begin(), bytes.end())});
-      }
-    } else if (profile == kTwoByteExtProfile) {
-      while (er.remaining() > 1) {
-        uint8_t id = er.ReadU8();
-        if (id == 0) continue;  // padding
-        size_t len = er.ReadU8();
-        auto bytes = er.ReadBytes(len);
-        if (!er.ok()) return std::nullopt;
-        pkt.extensions.push_back(
-            RtpExtension{id, std::vector<uint8_t>(bytes.begin(), bytes.end())});
-      }
+    v.extension_block = r.ReadBytes(static_cast<size_t>(words) * 4);
+    if (!r.ok() ||
+        !WalkExtensions(v.extension_profile, v.extension_block,
+                        [](uint8_t, std::span<const uint8_t>) { return true; })) {
+      return std::nullopt;
     }
-    // Unknown profiles: extension data skipped, still a valid packet.
   }
 
   size_t payload_len = r.remaining();
@@ -124,9 +139,49 @@ std::optional<RtpPacket> RtpPacket::Parse(std::span<const uint8_t> data) {
     uint8_t pad = data[data.size() - 1];
     if (pad <= payload_len) payload_len -= pad;
   }
-  auto body = r.ReadBytes(payload_len);
-  if (!r.ok()) return std::nullopt;
-  pkt.payload.assign(body.begin(), body.end());
+  v.payload = r.ReadBytes(payload_len);
+  return v;
+}
+
+uint32_t RtpView::csrc(size_t i) const {
+  ByteReader r(csrcs.subspan(i * 4, 4));
+  return r.ReadU32();
+}
+
+std::optional<std::span<const uint8_t>> RtpView::FindExtension(
+    uint8_t id) const {
+  std::optional<std::span<const uint8_t>> found;
+  WalkExtensions(extension_profile, extension_block,
+                 [&](uint8_t element_id, std::span<const uint8_t> data) {
+                   if (element_id != id) return true;
+                   found = data;
+                   return false;
+                 });
+  return found;
+}
+
+std::optional<RtpPacket> RtpPacket::Parse(std::span<const uint8_t> data) {
+  auto view = RtpView::Parse(data);
+  if (!view.has_value()) return std::nullopt;
+  RtpPacket pkt;
+  pkt.marker = view->marker;
+  pkt.payload_type = view->payload_type;
+  pkt.sequence_number = view->sequence_number;
+  pkt.timestamp = view->timestamp;
+  pkt.ssrc = view->ssrc;
+  for (size_t i = 0; i < view->csrc_count(); ++i) {
+    pkt.csrcs.push_back(view->csrc(i));
+  }
+  if (!view->extension_block.empty()) {
+    pkt.extensions.reserve(4);  // one growth step covers typical packets
+  }
+  WalkExtensions(view->extension_profile, view->extension_block,
+                 [&pkt](uint8_t id, std::span<const uint8_t> bytes) {
+                   pkt.extensions.push_back(RtpExtension{
+                       id, std::vector<uint8_t>(bytes.begin(), bytes.end())});
+                   return true;
+                 });
+  pkt.payload.assign(view->payload.begin(), view->payload.end());
   return pkt;
 }
 

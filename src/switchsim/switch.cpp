@@ -42,11 +42,12 @@ void Switch::OnPacket(net::PacketPtr pkt) {
                        replica_scratch_);
     util::DurationUs delay = cfg_.pipeline_latency;
     bool any = false;
+    net::PacketPtr copy;  // a refused replica leaves it unchanged for the next
     for (const Replica& rep : replica_scratch_) {
-      auto copy = net::ClonePacket(*pkt);
+      if (copy == nullptr) copy = net::ClonePacket(*pkt);
       if (program_->Egress(*copy, meta, rep)) {
         ++stats_.replicas;
-        Emit(std::move(copy), delay);
+        Emit(std::move(copy), delay);  // leaves `copy` empty
         any = true;
       }
       delay += cfg_.per_replica_gap;

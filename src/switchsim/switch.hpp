@@ -50,7 +50,8 @@ class PipelineProgram {
   virtual void Ingress(const net::Packet& pkt, PacketMetadata& meta) = 0;
   // Egress per replica (or for the unicast path with a synthetic replica):
   // header rewrites, SVC filtering, sequence rewriting. Returns false to
-  // drop this replica.
+  // drop this replica, and only before writing to `pkt`: the switch hands
+  // a refused copy, unchanged, to the next replica.
   virtual bool Egress(net::Packet& pkt, const PacketMetadata& meta,
                       const Replica& replica) = 0;
 };

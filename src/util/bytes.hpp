@@ -7,6 +7,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace scallop::util {
@@ -16,6 +17,11 @@ class ByteWriter {
  public:
   ByteWriter() = default;
   explicit ByteWriter(size_t reserve) { buf_.reserve(reserve); }
+  // Writes over `buf`, keeping its capacity: a caller that moves a
+  // recycled buffer in and Take()s it back serializes without allocating.
+  explicit ByteWriter(std::vector<uint8_t>&& buf) : buf_(std::move(buf)) {
+    buf_.clear();
+  }
 
   void WriteU8(uint8_t v);
   void WriteU16(uint16_t v);

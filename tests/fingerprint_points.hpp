@@ -254,6 +254,25 @@ inline std::vector<FingerprintPoint> AllFingerprintPoints() {
     add("redundant/fleet4/s" + std::to_string(seed), spec);
   }
 
+  // Long runs: the busiest leg outlives the receivers' 4096-seq duplicate
+  // window and 256-frame decode history and the sender's 1024-packet
+  // retransmission history, under loss and reordering.
+  for (const auto& [bname, backend] :
+       {std::pair{"scallop", BackendChoice::Scallop()},
+        std::pair{"software", BackendChoice::Software()}}) {
+    for (uint64_t seed : {uint64_t{1}, uint64_t{7}}) {
+      ScenarioSpec spec = ScenarioSpec::Uniform("fp-longrun", 1, 3, 26.0,
+                                                seed);
+      spec.sample_interval_s = 0.5;
+      spec.WithBackend(backend);
+      LinkProfile lossy = LinkProfile::Lossy(0.02);
+      lossy.down.reorder_rate = 0.05;
+      spec.WithLink(0, 1, lossy);
+      add(std::string("longrun/") + bname + "/s" + std::to_string(seed),
+          spec);
+    }
+  }
+
   // Hitless (make-before-break) migration: the rebalancer's planned move
   // keeps every session alive, audited by the runner's frame-loss check.
   {

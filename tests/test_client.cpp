@@ -3,6 +3,10 @@
 // PLI-triggered key frames with structure refresh, and STUN RTT probing.
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "rtp/classifier.hpp"
+#include "rtp/rtcp.hpp"
 #include "testbed/testbed.hpp"
 
 namespace scallop::client {
@@ -203,6 +207,142 @@ TEST(PeerTest, RejoinAfterLeaveRestartsCleanMedia) {
     EXPECT_GT(rx->stats().frames_decoded, 150u);
     EXPECT_EQ(rx->stats().conflicting_duplicates, 0u);
   }
+}
+
+// ---------- Retransmission history ----------
+
+// Stands in for the SFU: answers Join with its own endpoint and records a
+// digest of every video packet the peer sends it, by seq.
+class SfuSink : public sim::Host, public core::SignalingServer {
+ public:
+  static constexpr net::Endpoint kEndpoint{net::Ipv4(100, 64, 0, 1), 3478};
+
+  JoinResult Join(core::MeetingId, const sdp::SessionDescription&,
+                  core::SignalingClient*) override {
+    return JoinResult{.participant = 7, .answer = {}, .uplink_sfu = kEndpoint};
+  }
+  void Leave(core::MeetingId, core::ParticipantId) override {}
+
+  void OnPacket(net::PacketPtr pkt) override {
+    if (rtp::Classify(pkt->payload_span()) != rtp::PayloadKind::kRtp ||
+        rtp::PeekSsrc(pkt->payload_span()) != video_ssrc) {
+      return;
+    }
+    uint16_t seq = *rtp::PeekSequenceNumber(pkt->payload_span());
+    newest_seq = seq;
+    uint64_t digest = 1469598103934665603ull;  // FNV-1a
+    for (uint8_t b : pkt->payload) digest = (digest ^ b) * 1099511628211ull;
+    sent[seq].push_back(digest);
+  }
+
+  uint32_t video_ssrc = 0;
+  uint16_t newest_seq = 0;
+  std::map<uint16_t, std::vector<uint64_t>> sent;
+};
+
+class HistoryBed {
+ public:
+  explicit HistoryBed(size_t history,
+                      uint64_t video_bps = media::SvcEncoderConfig{}
+                                               .start_bitrate_bps)
+      : net_(sched_, 3) {
+    client::PeerConfig pc;
+    pc.address = net::Ipv4(10, 0, 0, 1);
+    pc.retransmit_history = history;
+    pc.send_audio = false;
+    pc.encoder.start_bitrate_bps = video_bps;
+    peer_ = std::make_unique<Peer>(sched_, net_, pc);
+    net_.Attach(pc.address, peer_.get(), {}, {});
+    net_.Attach(SfuSink::kEndpoint.addr, &sfu_, {}, {});
+    sfu_.video_ssrc = peer_->video_ssrc();
+  }
+
+  // Runs until the peer has sent more than `packets` RTP packets.
+  void SendAtLeast(size_t packets) {
+    while (peer_->stats().rtp_sent <= packets) {
+      sched_.RunUntil(sched_.now() + util::Millis(10));
+    }
+  }
+
+  // Delivers a NACK for `seq` straight to the peer; true if it answered
+  // with a retransmission.
+  bool Nack(uint16_t seq) {
+    rtp::Nack nack;
+    nack.sender_ssrc = 99;
+    nack.media_ssrc = peer_->video_ssrc();
+    nack.sequence_numbers = {seq};
+    const uint64_t before = peer_->stats().retransmissions_sent;
+    net::PacketPtr pkt =
+        net::MakePacket(SfuSink::kEndpoint, {net::Ipv4(10, 0, 0, 1), 40'000},
+                        rtp::Serialize(rtp::RtcpMessage{nack}));
+    pkt->arrival = sched_.now();
+    peer_->OnPacket(std::move(pkt));
+    return peer_->stats().retransmissions_sent == before + 1;
+  }
+
+  sim::Scheduler sched_;
+  sim::Network net_;
+  SfuSink sfu_;
+  std::unique_ptr<Peer> peer_;
+};
+
+TEST(PeerHistory, ServesExactlyTheLastRetransmitHistoryPackets) {
+  for (size_t history : {size_t{16}, client::PeerConfig{}.retransmit_history}) {
+    HistoryBed bed(history);
+    bed.peer_->Join(bed.sfu_, 1);
+    bed.SendAtLeast(history + 10);
+    const uint16_t newest = bed.sfu_.newest_seq;
+    const auto oldest = static_cast<uint16_t>(newest - (history - 1));
+    EXPECT_FALSE(bed.Nack(static_cast<uint16_t>(oldest - 1))) << history;
+    EXPECT_TRUE(bed.Nack(oldest)) << history;
+    EXPECT_TRUE(bed.Nack(newest)) << history;
+    EXPECT_FALSE(bed.Nack(static_cast<uint16_t>(newest + 1))) << history;
+
+    // The retransmissions carry the original wire bytes.
+    bed.sched_.RunUntil(bed.sched_.now() + util::Millis(1));
+    for (uint16_t seq : {oldest, newest}) {
+      const auto& copies = bed.sfu_.sent[seq];
+      ASSERT_GE(copies.size(), 2u) << seq;
+      EXPECT_EQ(copies.front(), copies.back()) << seq;
+    }
+  }
+}
+
+TEST(PeerHistory, FullSequenceSpaceServesEverySeqAcrossTheWrap) {
+  // 65,536 packets: every seq is retained, each holding its newest lap.
+  // Small frames keep the history's footprint down.
+  HistoryBed bed(size_t{1} << 16, media::SvcEncoderConfig{}.min_bitrate_bps);
+  bed.peer_->Join(bed.sfu_, 1);
+  bed.SendAtLeast((size_t{1} << 16) + 100);
+  const uint16_t newest = bed.sfu_.newest_seq;
+  for (uint16_t seq : {newest, static_cast<uint16_t>(newest + 1),
+                       static_cast<uint16_t>(newest - 50)}) {
+    EXPECT_TRUE(bed.Nack(seq)) << seq;
+  }
+  bed.sched_.RunUntil(bed.sched_.now() + util::Millis(1));
+  const auto& copies = bed.sfu_.sent[newest];
+  ASSERT_GE(copies.size(), 3u);  // two laps, then the retransmission
+  EXPECT_EQ(copies.back(), copies[copies.size() - 2]);
+  EXPECT_NE(copies.back(), copies.front());
+}
+
+TEST(PeerHistory, NothingIsServedAfterLeaveAndRejoin) {
+  HistoryBed bed(64);
+  bed.peer_->Join(bed.sfu_, 1);
+  bed.SendAtLeast(100);
+  const uint16_t newest = bed.sfu_.newest_seq;
+  ASSERT_GT(newest, 90);
+  bed.peer_->Leave();
+  EXPECT_FALSE(bed.Nack(newest));
+  bed.peer_->Join(bed.sfu_, 1);
+  EXPECT_FALSE(bed.Nack(newest));
+  EXPECT_FALSE(bed.Nack(1));
+
+  // The new session restarts at seq 1: only its own packets are served.
+  const uint64_t sent_before = bed.peer_->stats().rtp_sent;
+  bed.SendAtLeast(sent_before + 5);
+  EXPECT_TRUE(bed.Nack(1));
+  EXPECT_FALSE(bed.Nack(newest));
 }
 
 TEST(PeerTest, AudioOnlyParticipant) {

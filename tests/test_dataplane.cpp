@@ -141,6 +141,80 @@ TEST_F(DataPlaneTest, SvcFilterDropsUpperLayersAndRewritesSeq) {
   }
 }
 
+TEST_F(DataPlaneTest, RefusedReplicasLeaveTheNextOneUntouched) {
+  // One fan-out, in PRE order: rid 11 has no egress entry and rid 12 (DT0)
+  // suppresses TL1, then rid 13 (DT1) forwards it with its seq rewritten;
+  // rid 14 (DT0) suppresses it again before rid 15, which has no SVC
+  // entry, forwards it untouched. A refused replica's copy goes on to the
+  // next one, so a write before a refusal would show in 13's or 15's copy.
+  constexpr uint32_t kSsrc = 0xAAAA;
+  const net::Endpoint client_c{net::Ipv4(10, 0, 0, 3), 42'000};
+  const net::Endpoint client_d{net::Ipv4(10, 0, 0, 4), 43'000};
+  SinkHost host_c;
+  SinkHost host_d;
+  net_.Attach(client_c.addr, &host_c, {}, {});
+  net_.Attach(client_d.addr, &host_d, {}, {});
+
+  StreamEntry stream;
+  stream.is_video = true;
+  stream.design = TreeDesign::kNRA;
+  stream.mgid_base = 1;
+  dp_.InstallStream(StreamKey{client_a_, kSsrc}, stream);
+  ASSERT_TRUE(sw_.pre().CreateTree(1));
+  for (uint16_t rid : {11, 12, 13, 14, 15}) {
+    ASSERT_TRUE(sw_.pre().AddNode(1, switchsim::L1Node{.node_id = rid,
+                                                       .rid = rid,
+                                                       .ports = {rid}}));
+  }
+  auto egress = [&](uint16_t rid, net::Endpoint dst) {
+    EgressEntry out;
+    out.dst = dst;
+    out.sfu_src = net::Endpoint{sw_.address(), rid};
+    out.receiver = rid;
+    dp_.InstallEgress(EgressKey{client_a_, rid}, out);
+  };
+  auto svc = [&](uint16_t rid, int dt) {
+    SvcEntry entry;
+    entry.decode_target = dt;
+    entry.cadence = SkipCadence::ForDecodeTarget(dt, 1);
+    entry.rewriter_index = dp_.AllocateRewriter(entry.cadence);
+    entry.filter_in_egress = true;
+    dp_.InstallSvc(SvcKey{kSsrc, rid}, entry);
+  };
+  egress(12, client_b_);
+  svc(12, /*dt=*/0);
+  egress(13, client_c);
+  svc(13, /*dt=*/1);
+  egress(14, client_b_);
+  svc(14, /*dt=*/0);
+  egress(15, client_d);
+
+  // Key frame, then a TL2 frame that every rewriting leg drops (rid 13's
+  // rewriter now closes a one-seq gap), then the TL1 frame under test.
+  sw_.OnPacket(VideoPacket(kSsrc, 1, 1, /*template_id=*/0));
+  sw_.OnPacket(VideoPacket(kSsrc, 2, 2, /*template_id=*/3));
+  net::PacketPtr tl1 = VideoPacket(kSsrc, 3, 3, /*template_id=*/2);
+  const std::vector<uint8_t> sent = tl1->payload;
+  sw_.OnPacket(tl1);
+  sched_.RunAll();
+
+  ASSERT_EQ(host_b_.packets.size(), 2u);  // the key frame, once per leg
+  ASSERT_EQ(host_c.packets.size(), 2u);
+  ASSERT_EQ(host_d.packets.size(), 3u);
+  const net::Packet& rewritten = *host_c.packets[1];
+  EXPECT_EQ(rewritten.src, (net::Endpoint{sw_.address(), 13}));
+  EXPECT_EQ(rewritten.dst, client_c);
+  std::vector<uint8_t> want = sent;
+  ASSERT_TRUE(rtp::PatchSequenceNumber(want, 2));
+  EXPECT_EQ(rewritten.payload, want);
+  const net::Packet& untouched = *host_d.packets[2];
+  EXPECT_EQ(untouched.src, (net::Endpoint{sw_.address(), 15}));
+  EXPECT_EQ(untouched.dst, client_d);
+  EXPECT_EQ(untouched.payload, sent);
+  EXPECT_EQ(dp_.stats().svc_suppressed, 5u);  // TL2 on 12-14, TL1 on 12, 14
+  EXPECT_EQ(dp_.stats().seq_rewritten, 4u);   // key on 12-14, TL1 on 13
+}
+
 TEST_F(DataPlaneTest, ExtendedDdCopiedToCpu) {
   InstallTwoParty(0xAAAA, false, 2);
   sw_.OnPacket(VideoPacket(0xAAAA, 1, 1, 0, /*extended=*/true));

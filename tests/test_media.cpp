@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "media/audio.hpp"
 #include "media/encoder.hpp"
 #include "media/packetizer.hpp"
 #include "media/receiver.hpp"
+#include "util/random.hpp"
 
 namespace scallop::media {
 namespace {
@@ -395,6 +398,206 @@ TEST(VideoReceiverTest, PerSecondSeries) {
   EXPECT_NEAR(h.receiver_.decoded_fps_series().SumInSecond(0), 30.0, 1.0);
   EXPECT_NEAR(h.receiver_.decoded_fps_series().SumInSecond(1), 30.0, 1.0);
   EXPECT_GT(h.receiver_.received_bytes_series().SumInSecond(0), 0.0);
+}
+
+// ---------- Receiver windows (duplicate, dependency and fps history) ----------
+
+TEST(KeyWindowTest, MatchesAnOrderedMap) {
+  // Each round starts a fresh window: an in-order run grows the ring from
+  // empty, then keys drift upward like unwrapped seqs, with reordering,
+  // rare far stragglers and far jumps ahead. Every operation is mirrored
+  // on a map.
+  util::Rng rng(5);
+  for (int round = 0; round < 8; ++round) {
+    KeyWindow<int> window;
+    std::map<int64_t, int> ref;
+    int64_t center = 1000 * round;
+    auto same_contents = [&] {
+      std::vector<std::pair<int64_t, int>> got;
+      window.ForEach([&](int64_t k, int v) { got.emplace_back(k, v); });
+      return got ==
+             std::vector<std::pair<int64_t, int>>(ref.begin(), ref.end());
+    };
+    for (int i = 0; i < 300; ++i, ++center) {
+      window.Insert(center) = i;
+      ref[center] = i;
+      ASSERT_EQ(window.size(), ref.size()) << "round " << round;
+    }
+    ASSERT_TRUE(same_contents()) << "round " << round;
+    for (int step = 0; step < 3000; ++step) {
+      center += rng.UniformInt(0, 3);
+      const int64_t op = rng.UniformInt(0, 9);
+      if (op < 6) {
+        int64_t key = center + rng.UniformInt(-300, 50);
+        if (rng.Bernoulli(0.01)) key = center - rng.UniformInt(300, 5000);
+        if (rng.Bernoulli(0.004)) {
+          center = key = center + rng.UniformInt(0, 9000);
+        }
+        const int value = static_cast<int>(rng.UniformInt(0, 1'000'000));
+        window.Insert(key) = value;
+        ref[key] = value;
+      } else if (op < 8) {
+        const int64_t bound = center - rng.UniformInt(0, 400);
+        window.EraseBelow(bound);
+        ref.erase(ref.begin(), ref.lower_bound(bound));
+      } else {
+        window.EraseLowest();
+        if (!ref.empty()) ref.erase(ref.begin());
+      }
+      ASSERT_EQ(window.size(), ref.size()) << "round " << round;
+      for (int probe = 0; probe < 4; ++probe) {
+        const int64_t key = center + rng.UniformInt(-500, 60);
+        const auto it = ref.find(key);
+        const int* got = window.Find(key);
+        ASSERT_EQ(got != nullptr, it != ref.end()) << "round " << round;
+        if (got != nullptr) {
+          ASSERT_EQ(*got, it->second) << "round " << round;
+        }
+      }
+      if (step % 300 == 0) {
+        ASSERT_TRUE(same_contents()) << "round " << round;
+      }
+    }
+    EXPECT_TRUE(same_contents());
+    window.EraseBelow(center + 1000);
+    EXPECT_EQ(window.size(), 0u);
+    EXPECT_EQ(window.Insert(center), 0);  // a fresh key is value-initialized
+  }
+}
+
+// Frame `i` of a one-packet-per-frame L1T3 stream: a key frame, then TL2,
+// TL1, TL2, TL0 repeating. Odd frames are TL2, which no frame references,
+// so withholding one leaves the rest decodable.
+rtp::RtpPacket StreamPacket(int64_t i, uint16_t first_seq = 1,
+                            uint16_t first_frame = 1) {
+  static constexpr uint8_t kCycle[4] = {1, 3, 2, 4};  // by i % 4
+  rtp::RtpPacket pkt;
+  pkt.payload_type = 96;
+  pkt.sequence_number = static_cast<uint16_t>(first_seq + i);
+  pkt.timestamp = static_cast<uint32_t>(i * 3000);
+  pkt.ssrc = 1;
+  av1::DependencyDescriptor dd;
+  dd.template_id = i == 0 ? 0 : kCycle[i % 4];
+  dd.frame_number = static_cast<uint16_t>(first_frame + i);
+  pkt.SetExtension(av1::kDdExtensionId, dd.Serialize());
+  pkt.payload.assign(100, static_cast<uint8_t>(i));
+  return pkt;
+}
+
+VideoReceiver QuietReceiver() {
+  return VideoReceiver(VideoReceiverConfig{}, nullptr, nullptr);
+}
+
+TEST(VideoReceiverWindow, DuplicateWindowIs4096SeqsBehindTheNewest) {
+  VideoReceiver rx = QuietReceiver();
+  for (int64_t i = 0; i <= 4097; ++i) rx.OnPacket(StreamPacket(i), i * 1000);
+  // Seq 2 (frame 1) is exactly 4096 behind the newest seq 4098.
+  rx.OnPacket(StreamPacket(1), 5'000'000);
+  EXPECT_EQ(rx.stats().duplicate_packets, 1u);
+  EXPECT_EQ(rx.stats().packets_received, 4099u);
+
+  // One more packet: seq 2 is now 4097 behind and has left the window.
+  rx.OnPacket(StreamPacket(4098), 5'001'000);
+  rx.OnPacket(StreamPacket(1), 5'002'000);
+  EXPECT_EQ(rx.stats().duplicate_packets, 1u);
+  EXPECT_EQ(rx.stats().packets_received, 4101u);
+}
+
+TEST(VideoReceiverWindow, StragglerOlderThanTheWindowLivesUntilPassed) {
+  VideoReceiver rx = QuietReceiver();
+  for (int64_t i = 0; i <= 4099; ++i) rx.OnPacket(StreamPacket(i), i * 1000);
+  // Seq 2 is 4098 behind the newest: accepted as a new packet...
+  rx.OnPacket(StreamPacket(1), 5'000'000);
+  EXPECT_EQ(rx.stats().duplicate_packets, 0u);
+  // ...and remembered until a later insert passes it by the window, so
+  // its repeat before anything newer arrives is a duplicate,
+  rx.OnPacket(StreamPacket(1), 5'001'000);
+  EXPECT_EQ(rx.stats().duplicate_packets, 1u);
+  EXPECT_EQ(rx.stats().conflicting_duplicates, 0u);
+  // and a repeat carrying another frame is a conflicting duplicate.
+  rtp::RtpPacket other = StreamPacket(1);
+  av1::DependencyDescriptor dd;
+  dd.template_id = 3;
+  dd.frame_number = 999;
+  other.SetExtension(av1::kDdExtensionId, dd.Serialize());
+  rx.OnPacket(other, 5'002'000);
+  EXPECT_EQ(rx.stats().duplicate_packets, 2u);
+  EXPECT_EQ(rx.stats().conflicting_duplicates, 1u);
+  EXPECT_EQ(rx.stats().decoder_breaks, 1u);
+
+  // A newer packet passes it by the window: seq 2 is new once more.
+  rx.OnPacket(StreamPacket(4100), 5'003'000);
+  rx.OnPacket(StreamPacket(1), 5'004'000);
+  EXPECT_EQ(rx.stats().duplicate_packets, 2u);
+  EXPECT_EQ(rx.stats().packets_received, 4100u + 5u);
+}
+
+// Frames 0..last arrive one per `spacing`, except `late` (if >= 0), which
+// arrives one spacing after the last.
+VideoReceiver DeliverWithLateFrame(int64_t late, int64_t last,
+                                   util::DurationUs spacing) {
+  VideoReceiver rx = QuietReceiver();
+  for (int64_t i = 0; i <= last; ++i) {
+    if (i != late) rx.OnPacket(StreamPacket(i), i * spacing);
+  }
+  if (late >= 0) rx.OnPacket(StreamPacket(late), (last + 1) * spacing);
+  return rx;
+}
+
+TEST(VideoReceiverWindow, DependencyWindowIs64DecodedFrames) {
+  // Late TL2 frame 101 references frame 100, which is still remembered
+  // while the newest decoded frame is at most 64 ahead of it.
+  VideoReceiver in = DeliverWithLateFrame(101, 164, 1000);
+  EXPECT_EQ(in.stats().frames_decoded, 165u);
+  EXPECT_EQ(in.stats().frames_undecodable, 0u);
+
+  VideoReceiver out = DeliverWithLateFrame(101, 165, 1000);
+  EXPECT_EQ(out.stats().frames_decoded, 165u);
+  EXPECT_EQ(out.stats().frames_undecodable, 1u);
+}
+
+TEST(VideoReceiverWindow, RecentFpsAfterOutOfOrderDecode) {
+  // 30 fps: frames 271..300 fall in the trailing second before `now`.
+  constexpr util::DurationUs kSpacing = 33'333;
+  const util::TimeUs now = 301 * kSpacing;
+  VideoReceiver base = DeliverWithLateFrame(-1, 300, kSpacing);
+  EXPECT_DOUBLE_EQ(base.RecentFps(now), 30.0);
+
+  // A late TL2 frame counts at its decode time, not its capture slot.
+  VideoReceiver late = DeliverWithLateFrame(251, 300, kSpacing);
+  EXPECT_EQ(late.stats().frames_decoded, 301u);
+  EXPECT_DOUBLE_EQ(late.RecentFps(now), 31.0);
+
+  // Only the 256 highest decoded frames keep a decode time: a key frame
+  // decoded after 297 newer ones is forgotten at once.
+  VideoReceiver rx = QuietReceiver();
+  for (int64_t i = 0; i <= 300; ++i) {
+    if (i != 3) rx.OnPacket(StreamPacket(i), i * kSpacing);
+  }
+  rtp::RtpPacket key = StreamPacket(3);
+  av1::DependencyDescriptor dd;
+  dd.template_id = 0;
+  dd.frame_number = 4;
+  key.SetExtension(av1::kDdExtensionId, dd.Serialize());
+  rx.OnPacket(key, now);
+  EXPECT_EQ(rx.stats().key_frames_decoded, 2u);
+  EXPECT_DOUBLE_EQ(rx.RecentFps(now), 30.0);
+}
+
+TEST(VideoReceiverWindow, SequenceAndFrameNumbersWrap) {
+  VideoReceiver rx(VideoReceiverConfig{}, [](const std::vector<uint16_t>&) {
+    ADD_FAILURE() << "no packet is missing across the wrap";
+  }, nullptr);
+  for (int64_t i = 0; i < 40; ++i) {
+    rx.OnPacket(StreamPacket(i, 65'520, 65'530), i * 1000);
+  }
+  rx.OnTick(1'000'000);
+  EXPECT_EQ(rx.stats().frames_decoded, 40u);
+  EXPECT_EQ(rx.stats().duplicate_packets, 0u);
+  // Seq 65535 again, 24 packets after it: a duplicate across the wrap.
+  rx.OnPacket(StreamPacket(15, 65'520, 65'530), 1'001'000);
+  EXPECT_EQ(rx.stats().duplicate_packets, 1u);
+  EXPECT_EQ(rx.stats().conflicting_duplicates, 0u);
 }
 
 TEST(AudioReceiverTest, CountsGaps) {

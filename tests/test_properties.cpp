@@ -6,16 +6,21 @@
 //     that a key frame heals, but never a conflicting duplicate.
 //  2. PRE structural invariants under randomized tree operations.
 //  3. RTCP compound round-trips under randomized message mixes.
+//  4. RTP parser agreement: mutated wire bytes get the same verdict and
+//     the same fields from the borrowing view and the owning packet.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "av1/dependency_descriptor.hpp"
 #include "core/seqrewrite.hpp"
+#include "media/audio.hpp"
 #include "media/encoder.hpp"
 #include "media/packetizer.hpp"
 #include "media/receiver.hpp"
 #include "rtp/rtcp.hpp"
+#include "rtp/rtp_packet.hpp"
 #include "switchsim/pre.hpp"
 #include "util/random.hpp"
 
@@ -292,6 +297,178 @@ TEST_P(RtcpFuzz, RandomCompoundsRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RtcpFuzz, ::testing::Values(1, 2, 3));
+
+// ---------------------------------------------------------------------
+// 4. RTP parser agreement fuzz.
+// ---------------------------------------------------------------------
+
+void ExpectSameHeader(const rtp::RtpPacket& a, const rtp::RtpPacket& b) {
+  EXPECT_EQ(a.marker, b.marker);
+  EXPECT_EQ(a.payload_type, b.payload_type);
+  EXPECT_EQ(a.sequence_number, b.sequence_number);
+  EXPECT_EQ(a.timestamp, b.timestamp);
+  EXPECT_EQ(a.ssrc, b.ssrc);
+  EXPECT_EQ(a.csrcs, b.csrcs);
+  EXPECT_EQ(a.payload, b.payload);
+  ASSERT_EQ(a.extensions.size(), b.extensions.size());
+  for (size_t i = 0; i < a.extensions.size(); ++i) {
+    EXPECT_EQ(a.extensions[i].id, b.extensions[i].id);
+    EXPECT_EQ(a.extensions[i].data, b.extensions[i].data);
+  }
+}
+
+// Both parsers on `wire`: the same verdict, and on acceptance the same
+// header, CSRCs, payload and first extension per id. Accepted packets
+// also survive serialize -> parse unchanged, unless they carry a one-byte
+// element with id 0, which RFC 8285 reserves for padding and the writer
+// cannot express. Returns the verdict.
+bool ExpectParsersAgree(std::span<const uint8_t> wire) {
+  const auto owned = rtp::RtpPacket::Parse(wire);
+  const auto view = rtp::RtpView::Parse(wire);
+  EXPECT_EQ(owned.has_value(), view.has_value()) << util::ToHex(wire);
+  if (!owned.has_value() || !view.has_value()) return false;
+  EXPECT_EQ(owned->marker, view->marker);
+  EXPECT_EQ(owned->payload_type, view->payload_type);
+  EXPECT_EQ(owned->sequence_number, view->sequence_number);
+  EXPECT_EQ(owned->timestamp, view->timestamp);
+  EXPECT_EQ(owned->ssrc, view->ssrc);
+  EXPECT_EQ(owned->csrcs.size(), view->csrc_count());
+  for (size_t i = 0; i < std::min(owned->csrcs.size(), view->csrc_count());
+       ++i) {
+    EXPECT_EQ(owned->csrcs[i], view->csrc(i));
+  }
+  EXPECT_TRUE(std::ranges::equal(owned->payload, view->payload));
+  for (int id = 0; id < 256; ++id) {
+    const rtp::RtpExtension* ext =
+        owned->FindExtension(static_cast<uint8_t>(id));
+    const auto seen = view->FindExtension(static_cast<uint8_t>(id));
+    EXPECT_EQ(ext != nullptr, seen.has_value()) << "id " << id;
+    if (ext != nullptr && seen.has_value()) {
+      EXPECT_TRUE(std::ranges::equal(ext->data, *seen)) << "id " << id;
+    }
+  }
+  if (std::ranges::none_of(owned->extensions, [](const auto& e) {
+        return e.id == 0;
+      })) {
+    const auto again = rtp::RtpPacket::Parse(owned->Serialize());
+    EXPECT_TRUE(again.has_value());
+    if (again.has_value()) ExpectSameHeader(*owned, *again);
+  }
+  return true;
+}
+
+// Seed corpus: real packetizer and audio output, plus a packet with CSRCs,
+// two-byte extensions and padding.
+std::vector<std::vector<uint8_t>> RtpSeedCorpus() {
+  std::vector<std::vector<uint8_t>> corpus;
+  media::SvcEncoderConfig ecfg;
+  ecfg.key_frame_interval = util::Seconds(1);
+  media::SvcEncoder encoder(ecfg, 4);
+  media::Packetizer packetizer(media::PacketizerConfig{.ssrc = 0x1234});
+  for (int f = 0; f < 40; ++f) {
+    const util::TimeUs t = f * 33'333;
+    for (const auto& pkt : packetizer.Packetize(encoder.NextFrame(t), t)) {
+      corpus.push_back(pkt.Serialize());
+    }
+  }
+  media::AudioSource audio(media::AudioSourceConfig{.ssrc = 0x5678});
+  corpus.push_back(audio.NextPacket(0).Serialize());
+
+  rtp::RtpPacket odd;
+  odd.payload_type = 100;
+  odd.sequence_number = 0xfffe;
+  odd.csrcs = {1, 2, 3};
+  odd.SetExtension(7, std::vector<uint8_t>(20, 0x7));  // forces two-byte
+  odd.SetExtension(15, {});
+  odd.payload = {9, 8, 7, 6};
+  std::vector<uint8_t> padded = odd.Serialize();
+  padded[0] |= 0x20;
+  padded.insert(padded.end(), {0, 0, 3});
+  corpus.push_back(std::move(padded));
+  return corpus;
+}
+
+class RtpParseFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RtpParseFuzz, ViewAndPacketAgree) {
+  util::Rng rng(GetParam() * 97 + 3);
+  const auto corpus = RtpSeedCorpus();
+  for (const auto& wire : corpus) ASSERT_TRUE(ExpectParsersAgree(wire));
+
+  int accepted = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    std::vector<uint8_t> wire = corpus[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(corpus.size()) - 1))];
+    // Where the extension header would sit for this packet's CSRC count.
+    const size_t ext_at = 12 + 4 * static_cast<size_t>(wire[0] & 0x0f);
+    auto random_byte = [&] {
+      return static_cast<uint8_t>(rng.UniformInt(0, 255));
+    };
+    const int mutations = static_cast<int>(rng.UniformInt(1, 3));
+    for (int m = 0; m < mutations && !wire.empty(); ++m) {
+      switch (rng.UniformInt(0, 5)) {
+        case 0: {  // bit flips
+          const int flips = static_cast<int>(rng.UniformInt(1, 8));
+          for (int i = 0; i < flips; ++i) {
+            const auto at = static_cast<size_t>(rng.UniformInt(
+                0, static_cast<int64_t>(wire.size()) - 1));
+            wire[at] ^= static_cast<uint8_t>(1u << rng.UniformInt(0, 7));
+          }
+          break;
+        }
+        case 1:  // truncation
+          wire.resize(static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(wire.size()))));
+          break;
+        case 2:  // a lying extension-length word
+          if (wire.size() >= ext_at + 4) {
+            wire[0] |= 0x10;
+            const auto words = static_cast<uint16_t>(
+                rng.Bernoulli(0.5) ? rng.UniformInt(0, 0xffff)
+                                   : ((wire[ext_at + 2] << 8 |
+                                       wire[ext_at + 3]) +
+                                      rng.UniformInt(-2, 2)));
+            wire[ext_at + 2] = static_cast<uint8_t>(words >> 8);
+            wire[ext_at + 3] = static_cast<uint8_t>(words);
+          }
+          break;
+        case 3:  // another extension profile
+          if (wire.size() >= ext_at + 4) {
+            wire[0] |= 0x10;
+            static constexpr uint16_t kProfiles[] = {
+                rtp::kOneByteExtProfile, rtp::kTwoByteExtProfile, 0x0000,
+                0x1001, 0xBEDF};
+            const uint16_t profile = kProfiles[rng.UniformInt(0, 4)];
+            wire[ext_at] = static_cast<uint8_t>(profile >> 8);
+            wire[ext_at + 1] = static_cast<uint8_t>(profile);
+          }
+          break;
+        case 4: {  // padding bytes, with a truthful or lying count
+          wire[0] |= 0x20;
+          const int extra = static_cast<int>(rng.UniformInt(0, 4));
+          for (int i = 0; i < extra; ++i) wire.push_back(0);
+          wire.push_back(rng.Bernoulli(0.5) ? static_cast<uint8_t>(extra + 1)
+                                            : random_byte());
+          break;
+        }
+        case 5:  // a random byte inside the extension block
+          if (wire.size() > ext_at + 4) {
+            wire[static_cast<size_t>(rng.UniformInt(
+                static_cast<int64_t>(ext_at) + 4,
+                static_cast<int64_t>(wire.size()) - 1))] = random_byte();
+          }
+          break;
+      }
+    }
+    if (ExpectParsersAgree(wire)) ++accepted;
+    if (::testing::Test::HasFailure()) return;
+  }
+  // The mutations must leave both verdicts well represented.
+  EXPECT_GT(accepted, 150);
+  EXPECT_LT(accepted, 1350);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RtpParseFuzz, ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace scallop
