@@ -102,7 +102,6 @@ void Peer::Leave() {
   // decoders: keeping them would misattribute in-flight or post-rejoin
   // packets on reused ports to dead legs.
   legs_.clear();
-  port_to_sender_.clear();
   port_to_leg_.clear();
   // Drop the retransmission history: a rejoin restarts the packetizer in
   // the same sequence space (deterministic per-peer seed), so serving
@@ -119,7 +118,6 @@ net::Endpoint Peer::AllocateLocalLeg(core::ParticipantId sender) {
   // silently keep the stale one and the new port mapping would dangle.
   auto stale = legs_.find(sender);
   if (stale != legs_.end()) {
-    port_to_sender_.erase(stale->second.local.port);
     port_to_leg_.erase(stale->second.local.port);
     legs_.erase(stale);
   }
@@ -127,7 +125,6 @@ net::Endpoint Peer::AllocateLocalLeg(core::ParticipantId sender) {
   RemoteLeg leg;
   leg.sender = sender;
   leg.local = local;
-  port_to_sender_[local.port] = sender;
   auto [it, inserted] = legs_.emplace(sender, std::move(leg));
   (void)inserted;
   port_to_leg_[local.port] = &it->second;
@@ -171,7 +168,6 @@ void Peer::OnRemoteLegReady(core::ParticipantId sender, uint32_t video_ssrc,
 void Peer::OnRemoteSenderLeft(core::ParticipantId sender) {
   auto it = legs_.find(sender);
   if (it == legs_.end()) return;
-  port_to_sender_.erase(it->second.local.port);
   port_to_leg_.erase(it->second.local.port);
   legs_.erase(it);
 }

@@ -182,7 +182,6 @@ class Peer : public sim::Host, public core::SignalingClient {
   uint32_t audio_octet_count_ = 0;
 
   std::map<core::ParticipantId, RemoteLeg> legs_;          // by sender
-  std::map<uint16_t, core::ParticipantId> port_to_sender_;
   // Direct port -> leg index for the per-packet receive path (legs_ is
   // node-based, so RemoteLeg addresses are stable).
   std::unordered_map<uint16_t, RemoteLeg*> port_to_leg_;

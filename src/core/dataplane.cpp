@@ -109,16 +109,13 @@ void DataPlaneProgram::IngressRtp(const net::Packet& pkt,
 
   meta.rtp_parsed = true;
   meta.rtp_ssrc = *ssrc;
-  if (auto seq = rtp::PeekSequenceNumber(pkt.payload_span())) {
-    meta.rtp_seq = *seq;
-  } else {
-    meta.rtp_parsed = false;
-  }
+  // PeekSsrc's length and version check is PeekSequenceNumber's too.
+  meta.rtp_seq = *rtp::PeekSequenceNumber(pkt.payload_span());
 
   // Redundant relay merge point: both trees' copies of this origin stream
   // funnel through one (origin, seq) window before any replication, so
   // receivers downstream see exactly one copy no matter which tree won.
-  if (entry->dedup && meta.rtp_parsed) {
+  if (entry->dedup) {
     if (entry->tree > 0) ++stats_.redundant_relayed;
     auto it = dedup_.find(*ssrc);
     if (it != dedup_.end() && it->second.Observe(meta.rtp_seq)) {
@@ -231,64 +228,40 @@ bool DataPlaneProgram::Egress(net::Packet& pkt,
   const EgressEntry* out = egress_table_.Lookup(EgressKey{pkt.src, rid});
   if (out == nullptr) return false;
 
-  // Replicas are clones of the packet ingress classified, so the cached
-  // parse (when present) replaces the per-replica payload walk.
-  auto kind = meta.rtp_parsed ? rtp::PayloadKind::kRtp
-                              : rtp::Classify(pkt.payload_span());
-  if (kind == rtp::PayloadKind::kRtp) {
-    auto ssrc = meta.rtp_parsed ? std::optional<uint32_t>(meta.rtp_ssrc)
-                                : rtp::PeekSsrc(pkt.payload_span());
+  // Replicas are clones of the packet ingress classified: every RTP packet
+  // that got this far carries ingress's cached parse, so no replica walks
+  // the payload again.
+  if (meta.rtp_parsed) {
     const SvcEntry* svc =
-        ssrc ? svc_table_.Lookup(SvcKey{*ssrc, out->receiver}) : nullptr;
-    if (svc != nullptr) {
-      std::optional<av1::DdMandatory> dd;
-      std::optional<uint16_t> seq;
-      if (meta.rtp_parsed) {
-        if (meta.dd_found) {
-          dd = av1::DdMandatory{meta.dd_start_of_frame, meta.dd_end_of_frame,
-                                meta.dd_template_id, meta.dd_frame_number,
-                                /*has_extended=*/false};
-        }
-        seq = meta.rtp_seq;
-      } else {
-        auto loc = switchsim::LocateRtpExtension(pkt.payload_span(),
-                                                 cfg_.dd_extension_id);
-        if (loc.found) {
-          dd = av1::PeekMandatory(
-              pkt.payload_span().subspan(loc.offset, loc.length));
-        }
-        seq = rtp::PeekSequenceNumber(pkt.payload_span());
-      }
-      if (dd.has_value() && seq.has_value()) {
-        bool suppress =
-            svc->filter_in_egress &&
-            !av1::TemplateInDecodeTarget(
-                dd->template_id,
-                static_cast<av1::DecodeTarget>(svc->decode_target));
-        if (svc->rewriter_index != UINT32_MAX &&
-            rewriters_[svc->rewriter_index] != nullptr) {
-          RewritePacketView view{*seq, dd->frame_number,
-                                 dd->start_of_frame, dd->end_of_frame,
-                                 suppress};
-          RewriteResult res =
-              rewriters_[svc->rewriter_index]->Process(view);
-          if (!res.forward) {
-            if (suppress) {
-              ++stats_.svc_suppressed;
-            } else {
-              ++stats_.seq_dropped;
-            }
-            return false;
+        svc_table_.Lookup(SvcKey{meta.rtp_ssrc, out->receiver});
+    if (svc != nullptr && meta.dd_found) {
+      bool suppress =
+          svc->filter_in_egress &&
+          !av1::TemplateInDecodeTarget(
+              meta.dd_template_id,
+              static_cast<av1::DecodeTarget>(svc->decode_target));
+      if (svc->rewriter_index != UINT32_MAX &&
+          rewriters_[svc->rewriter_index] != nullptr) {
+        RewritePacketView view{meta.rtp_seq, meta.dd_frame_number,
+                               meta.dd_start_of_frame, meta.dd_end_of_frame,
+                               suppress};
+        RewriteResult res = rewriters_[svc->rewriter_index]->Process(view);
+        if (!res.forward) {
+          if (suppress) {
+            ++stats_.svc_suppressed;
+          } else {
+            ++stats_.seq_dropped;
           }
-          rtp::PatchSequenceNumber(pkt.payload, res.out_seq);
-          ++stats_.seq_rewritten;
-        } else if (suppress) {
-          ++stats_.svc_suppressed;
           return false;
         }
+        rtp::PatchSequenceNumber(pkt.payload, res.out_seq);
+        ++stats_.seq_rewritten;
+      } else if (suppress) {
+        ++stats_.svc_suppressed;
+        return false;
       }
     }
-  } else if (kind == rtp::PayloadKind::kRtcp) {
+  } else if (rtp::Classify(pkt.payload_span()) == rtp::PayloadKind::kRtcp) {
     // NACK sequence translation: the receiver NACKs in its rewritten
     // space; the sender's history is in the original space. Applies only
     // to feedback legs whose stream has an active rewriter.
@@ -322,7 +295,7 @@ bool DataPlaneProgram::Egress(net::Packet& pkt,
   // Per-receiver addressing (paper: SFU source, receiver unicast dest).
   pkt.src = out->sfu_src;
   pkt.dst = out->dst;
-  if (out->is_relay && kind == rtp::PayloadKind::kRtp) {
+  if (out->is_relay && meta.rtp_parsed) {
     // Media crossing the inter-switch relay toward a downstream SFU: the
     // cascade metric the controller's span accounting is pinned against.
     ++stats_.relay_packets;

@@ -286,7 +286,7 @@ void VideoReceiver::OnTick(util::TimeUs now) {
     send_nack_(renacks);
   }
 
-  // Bound buffer growth for abandoned/failed state.
+  // Bound buffer growth for abandoned/failed state, oldest seq first.
   while (abandoned_.size() > 4096) abandoned_.erase(abandoned_.begin());
 
   // Freeze detection -> PLI.

@@ -12,8 +12,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "av1/dependency_descriptor.hpp"
@@ -267,7 +267,9 @@ class VideoReceiver {
   };
   KeyWindow<SeenPacket> seen_;
   std::map<int64_t, MissingPacket> missing_;
-  std::unordered_set<int64_t> abandoned_;
+  // Seqs given up on, so a late arrival still counts as recovered; OnTick
+  // keeps the 4,096 highest.
+  std::set<int64_t> abandoned_;
   std::map<int64_t, PendingFrame> pending_frames_;
   // Decoded frames that later frames may reference: decoding frame f
   // erases every frame below f - 64.

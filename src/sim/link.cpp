@@ -62,9 +62,8 @@ void Link::Send(net::PacketPtr pkt, DeliverFn deliver,
   f.pkt = std::move(pkt);
   f.deliver = std::move(deliver);
   f.arrival = arrival;
-  // BatchAt: deliveries are never cancelled, and batching them collapses
-  // fan-out bursts into one event-queue operation.
-  sched_.BatchAt(arrival, [this, idx] { Deliver(idx); });
+  // Deliveries are never cancelled, so they take Post's cheaper heap.
+  sched_.Post(arrival, [this, idx] { Deliver(idx); });
 }
 
 void Link::Deliver(uint32_t idx) {

@@ -27,78 +27,25 @@ void Scheduler::ReleaseSlot(uint32_t slot) {
 }
 
 uint64_t Scheduler::At(util::TimeUs when, EventFn fn) {
-  return AtSequenced(when, next_seq_++, std::move(fn));
-}
-
-uint64_t Scheduler::AtSequenced(util::TimeUs when, uint64_t seq, EventFn fn) {
   if (when < now_) when = now_;
   uint32_t slot = AcquireSlot();
   slots_[slot].armed = true;
-  queue_.push(Event{when, seq, slot, std::move(fn)});
+  queue_.push(Event{when, next_seq_++, slot, std::move(fn)});
   return MakeId(slot, slots_[slot].gen);
 }
 
-bool Scheduler::TryRunInline(util::TimeUs when, uint64_t seq) {
-  if (when > horizon_) return false;
-  if (!queue_.empty()) {
-    const Event& top = queue_.top();
-    // A queued event (even a cancelled tombstone — conservative but cheap)
-    // sorting before (when, seq) must fire first.
-    if (top.when < when || (top.when == when && top.seq < seq)) return false;
-  }
-  if (now_ < when) now_ = when;
-  return true;
-}
-
-void Scheduler::BatchAt(util::TimeUs when, EventFn fn) {
+void Scheduler::Post(util::TimeUs when, EventFn fn) {
   if (when < now_) when = now_;
   uint32_t idx;
-  if (!batch_fn_free_.empty()) {
-    idx = batch_fn_free_.back();
-    batch_fn_free_.pop_back();
-    batch_fns_[idx] = std::move(fn);
+  if (!posted_fn_free_.empty()) {
+    idx = posted_fn_free_.back();
+    posted_fn_free_.pop_back();
+    posted_fns_[idx] = std::move(fn);
   } else {
-    idx = static_cast<uint32_t>(batch_fns_.size());
-    batch_fns_.push_back(std::move(fn));
+    idx = static_cast<uint32_t>(posted_fns_.size());
+    posted_fns_.push_back(std::move(fn));
   }
-  batch_.push(BatchEntry{when, next_seq_++, idx});
-  // Inside BatchWake the drain loop re-syncs on exit; re-arming here would
-  // race it and double-fire.
-  if (!in_batch_wake_) SyncBatchWake();
-}
-
-void Scheduler::SyncBatchWake() {
-  if (batch_.empty()) return;
-  const BatchEntry& front = batch_.top();
-  if (batch_wake_id_ != 0) {
-    if (batch_wake_when_ == front.when && batch_wake_seq_ == front.seq) {
-      return;
-    }
-    Cancel(batch_wake_id_);
-  }
-  batch_wake_when_ = front.when;
-  batch_wake_seq_ = front.seq;
-  // Carrying the front's own (when, seq) makes the wake fire at exactly
-  // the moment the front would have, had it been queued with At.
-  batch_wake_id_ = AtSequenced(front.when, front.seq, [this] { BatchWake(); });
-}
-
-void Scheduler::BatchWake() {
-  batch_wake_id_ = 0;
-  in_batch_wake_ = true;
-  // The loop just popped our key off the main queue, so the first
-  // TryRunInline always succeeds; later iterations drain every staged
-  // entry that would have been the immediately-next event anyway.
-  while (!batch_.empty()) {
-    const BatchEntry front = batch_.top();
-    if (!TryRunInline(front.when, front.seq)) break;
-    batch_.pop();
-    EventFn fn = std::move(batch_fns_[front.fn_idx]);
-    batch_fn_free_.push_back(front.fn_idx);
-    fn();
-  }
-  in_batch_wake_ = false;
-  SyncBatchWake();
+  posted_.push(Posted{when, next_seq_++, idx});
 }
 
 void Scheduler::Cancel(uint64_t id) {
@@ -131,37 +78,38 @@ bool Scheduler::PopLive(Event& ev) {
   return true;
 }
 
-size_t Scheduler::RunUntil(util::TimeUs until) {
-  util::TimeUs saved_horizon = horizon_;
-  horizon_ = until;
+size_t Scheduler::Run(util::TimeUs until) {
   size_t executed = 0;
-  while (!queue_.empty()) {
-    if (queue_.top().when > until) break;
-    Event ev;
-    if (!PopLive(ev)) continue;
-    now_ = ev.when;
-    ev.fn();
+  for (;;) {
+    // The fronts never tie: seq is unique across both heaps.
+    if (!posted_.empty() &&
+        (queue_.empty() || Later{}(queue_.top(), posted_.top()))) {
+      const Posted front = posted_.top();
+      if (front.when > until) break;
+      posted_.pop();
+      EventFn fn = std::move(posted_fns_[front.fn_idx]);
+      posted_fn_free_.push_back(front.fn_idx);
+      now_ = front.when;
+      fn();
+    } else {
+      if (queue_.empty() || queue_.top().when > until) break;
+      Event ev;
+      if (!PopLive(ev)) continue;  // a cancelled tombstone
+      now_ = ev.when;
+      ev.fn();
+    }
     ++executed;
   }
-  horizon_ = saved_horizon;
+  return executed;
+}
+
+size_t Scheduler::RunUntil(util::TimeUs until) {
+  size_t executed = Run(until);
   if (now_ < until) now_ = until;
   return executed;
 }
 
-size_t Scheduler::RunAll() {
-  util::TimeUs saved_horizon = horizon_;
-  horizon_ = util::kTimeNever;
-  size_t executed = 0;
-  while (!queue_.empty()) {
-    Event ev;
-    if (!PopLive(ev)) continue;
-    now_ = ev.when;
-    ev.fn();
-    ++executed;
-  }
-  horizon_ = saved_horizon;
-  return executed;
-}
+size_t Scheduler::RunAll() { return Run(util::kTimeNever); }
 
 PeriodicTask::PeriodicTask(Scheduler& sched, util::DurationUs period,
                            std::function<bool()> fn)

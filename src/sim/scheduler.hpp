@@ -1,5 +1,11 @@
 // Discrete-event scheduler. All experiments run on a single scheduler; time
 // is virtual, so a 10-minute meeting simulates in well under a second.
+//
+// Events live in two heaps keyed alike by (when, seq), where seq is one
+// counter shared by both: At's cancellable events, and Post's cheaper
+// uncancellable ones (packet deliveries, nearly all of the work). The run
+// loop takes whichever front is earlier, so every event runs in (when,
+// submission) order no matter which call queued it.
 #pragma once
 
 #include <cstdint>
@@ -34,27 +40,21 @@ class Scheduler {
   // handles, so a stale id can never hit a later event reusing the slot.
   void Cancel(uint64_t id);
 
-  // Batched one-shot events — the packet-delivery fast path. Semantically
-  // identical to At (same clamping, same FIFO-among-equal-times order,
-  // interleaved exactly with At events by a shared sequence counter), but
-  // not cancellable. Entries stage in a side heap that keeps only ONE
-  // main-queue event armed — carrying the earliest entry's (when, seq);
-  // when it fires, every staged entry that would have been the
-  // immediately-next event anyway runs inline, so a burst of N deliveries
-  // costs one main-heap push+pop instead of N.
-  void BatchAt(util::TimeUs when, EventFn fn);
+  // Schedules a one-shot `fn` that cannot be cancelled: the
+  // packet-delivery path. Same clamping and same order as At, without
+  // At's cancellation slot.
+  void Post(util::TimeUs when, EventFn fn);
 
-  // Runs events until the queue is empty or `until` is passed.
-  // Returns the number of events executed.
+  // Runs events until both heaps are empty or the next event lies past
+  // `until`, then advances now() to `until`; RunAll runs until both heaps
+  // are empty. Safe to call from inside a running event. Returns the
+  // number of events executed, At and Post alike.
   size_t RunUntil(util::TimeUs until);
   size_t RunAll();
 
   bool empty() const { return pending() == 0; }
   size_t pending() const {
-    // The armed batch wake stands in for the front staged entry; count the
-    // staged entries themselves instead of double-counting it.
-    return queue_.size() - cancelled_in_queue_ + batch_.size() -
-           (batch_wake_id_ != 0 ? 1 : 0);
+    return queue_.size() - cancelled_in_queue_ + posted_.size();
   }
 
  private:
@@ -64,11 +64,18 @@ class Scheduler {
     uint32_t slot;  // cancellation slot (slots_[slot])
     EventFn fn;
   };
+  // A Post entry keeps only a slab index so its heap sifts PODs; the
+  // callable lives in posted_fns_ (slot recycled when it runs).
+  struct Posted {
+    util::TimeUs when;
+    uint64_t seq;
+    uint32_t fn_idx;
+  };
   struct Later {
-    // Earliest time first; FIFO among equal times via seq. Shared by the
-    // main queue (Event) and the batch staging heap (BatchEntry).
-    template <typename E>
-    bool operator()(const E& a, const E& b) const {
+    // Earliest time first; FIFO among equal times via seq. Orders each
+    // heap, and compares one heap's front with the other's.
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
@@ -81,49 +88,24 @@ class Scheduler {
     bool armed = false;
   };
 
-  // Staged entries keep only a slab index so the heap sifts 24-byte PODs;
-  // the callables live in batch_fns_ (slot recycled on fire).
-  struct BatchEntry {
-    util::TimeUs when;
-    uint64_t seq;
-    uint32_t fn_idx;
-  };
-
   uint32_t AcquireSlot();
   void ReleaseSlot(uint32_t slot);
   // Pops the top event; returns false (and releases the slot) when it was
   // cancelled while queued.
   bool PopLive(Event& ev);
-  // Like At with a caller-supplied (already reserved) sequence number.
-  uint64_t AtSequenced(util::TimeUs when, uint64_t seq, EventFn fn);
-  // True iff an event keyed (when, seq) would be the very next event the
-  // running loop pops AND lies within the loop's horizon; on success
-  // advances now() so the caller may run it inline.
-  bool TryRunInline(util::TimeUs when, uint64_t seq);
-  // Keeps the armed wake's key equal to the staged front's key.
-  void SyncBatchWake();
-  // Delivers the staged front, then drains every staged entry that still
-  // sorts before the whole main queue.
-  void BatchWake();
+  // The run loop behind RunUntil and RunAll: runs events due by `until`,
+  // each step taking the earlier of the two heaps' fronts.
+  size_t Run(util::TimeUs until);
 
   util::TimeUs now_ = 0;
-  // Upper time bound of the innermost running RunUntil/RunAll (saved and
-  // restored across nesting); TryRunInline refuses events beyond it.
-  util::TimeUs horizon_ = 0;
   uint64_t next_seq_ = 1;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   size_t cancelled_in_queue_ = 0;
-  // Staging heap for BatchAt. Invariant outside BatchWake: batch_
-  // non-empty => batch_wake_id_ armed with key == batch_.top()'s key.
-  std::priority_queue<BatchEntry, std::vector<BatchEntry>, Later> batch_;
-  std::vector<EventFn> batch_fns_;
-  std::vector<uint32_t> batch_fn_free_;
-  uint64_t batch_wake_id_ = 0;
-  util::TimeUs batch_wake_when_ = 0;
-  uint64_t batch_wake_seq_ = 0;
-  bool in_batch_wake_ = false;
+  std::priority_queue<Posted, std::vector<Posted>, Later> posted_;
+  std::vector<EventFn> posted_fns_;
+  std::vector<uint32_t> posted_fn_free_;
 };
 
 // Helper: schedules `fn` every `period` starting at now+period until it

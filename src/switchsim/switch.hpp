@@ -30,8 +30,7 @@ struct PacketMetadata {
   // Parse-once cache, filled by the ingress pass for RTP media and reused
   // by every egress replica (each replica is cloned from the packet
   // ingress saw, so the cached fields stay valid until egress mutates the
-  // clone). A program that leaves `rtp_parsed` false gets the previous
-  // behavior: egress re-parses the payload per replica.
+  // clone).
   bool rtp_parsed = false;
   bool dd_found = false;       // dd_* fields below are valid
   uint8_t dd_template_id = 0;

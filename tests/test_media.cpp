@@ -600,6 +600,28 @@ TEST(VideoReceiverWindow, SequenceAndFrameNumbersWrap) {
   EXPECT_EQ(rx.stats().conflicting_duplicates, 0u);
 }
 
+TEST(VideoReceiverWindow, AbandonedSeqsKeepTheNewest4096) {
+  // Regression: the abandoned set evicted an arbitrary entry (with
+  // libstdc++ the newest), so it kept the oldest 4,096 seqs instead.
+  VideoReceiver rx = QuietReceiver();
+  rx.OnPacket(StreamPacket(0, /*first_seq=*/0), 0);
+  rx.OnPacket(StreamPacket(5000, /*first_seq=*/0), 1000);
+  rx.OnTick(1000 + 451'000);  // seqs 1..4999 pass the abandon timeout
+  ASSERT_EQ(rx.stats().abandoned_packets, 4999u);
+  ASSERT_EQ(rx.stats().recovered_packets, 0u);
+
+  // Seqs 904..4999 are remembered: a late one counts as recovered.
+  rx.OnPacket(StreamPacket(4999, /*first_seq=*/0), 500'000);
+  EXPECT_EQ(rx.stats().recovered_packets, 1u);
+  rx.OnPacket(StreamPacket(904, /*first_seq=*/0), 501'000);
+  EXPECT_EQ(rx.stats().recovered_packets, 2u);
+  // Older ones were evicted first.
+  rx.OnPacket(StreamPacket(903, /*first_seq=*/0), 502'000);
+  rx.OnPacket(StreamPacket(2, /*first_seq=*/0), 503'000);
+  EXPECT_EQ(rx.stats().recovered_packets, 2u);
+  EXPECT_EQ(rx.stats().packets_received, 6u);
+}
+
 TEST(AudioReceiverTest, CountsGaps) {
   AudioReceiver rx;
   AudioSource src(AudioSourceConfig{.ssrc = 9});

@@ -1,13 +1,15 @@
 // Pins the machine-readable bench contract (BENCH_<area>.json schema,
 // round-trip, env-var routing) and the scheduler guarantees the perf
 // campaign leans on: pending() stays exact under cancel-heavy churn, and
-// BatchAt stays observationally identical to At — same FIFO order among
+// Post stays observationally identical to At — same FIFO order among
 // equal times, interleaved with At events by the shared sequence counter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -83,10 +85,10 @@ TEST(PerfReport, WriteJsonHonorsBenchDirEnv) {
 
 // ---- scheduler invariants the fast paths must uphold -----------------------
 
-// pending() is computed from four moving parts (main heap size, cancelled
-// tombstones, staged batch entries, the armed batch wake). Churn all of
-// them against a simple reference count. Deterministic xorshift so the
-// interleaving is reproducible.
+// pending() is computed from three moving parts (the At heap's size, its
+// cancelled tombstones, the Post heap's size). Churn all of them against
+// a simple reference count. Deterministic xorshift so the interleaving is
+// reproducible.
 TEST(SchedulerInvariants, PendingExactUnderCancelHeavyChurn) {
   sim::Scheduler s;
   uint64_t rng = 0x9e3779b97f4a7c15ull;
@@ -111,8 +113,8 @@ TEST(SchedulerInvariants, PendingExactUnderCancelHeavyChurn) {
         ++expected_pending;
         ++expected_fires;
         break;
-      case 1:  // batched (uncancellable) event
-        s.BatchAt(static_cast<util::TimeUs>(next() % 1000), [&] { ++fired; });
+      case 1:  // posted (uncancellable) event
+        s.Post(static_cast<util::TimeUs>(next() % 1000), [&] { ++fired; });
         ++expected_pending;
         ++expected_fires;
         break;
@@ -145,53 +147,53 @@ TEST(SchedulerInvariants, PendingExactUnderCancelHeavyChurn) {
   EXPECT_EQ(s.pending(), 0u);
 }
 
-// BatchAt promises At's ordering: among events with equal timestamps,
-// submission order wins — even when At and BatchAt submissions interleave,
+// Post promises At's ordering: among events with equal timestamps,
+// submission order wins — even when At and Post submissions interleave,
 // because both draw from the one sequence counter.
-TEST(SchedulerInvariants, BatchedDeliveryKeepsFifoAmongEqualTimes) {
+TEST(SchedulerInvariants, PostedDeliveryKeepsFifoAmongEqualTimes) {
   sim::Scheduler s;
   std::vector<int> order;
   s.At(100, [&] { order.push_back(0); });
-  s.BatchAt(100, [&] { order.push_back(1); });
+  s.Post(100, [&] { order.push_back(1); });
   s.At(100, [&] { order.push_back(2); });
-  s.BatchAt(100, [&] { order.push_back(3); });
-  s.BatchAt(100, [&] { order.push_back(4); });
+  s.Post(100, [&] { order.push_back(3); });
+  s.Post(100, [&] { order.push_back(4); });
   s.At(100, [&] { order.push_back(5); });
   s.RunAll();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
   EXPECT_EQ(s.now(), 100);
 }
 
-// Same promise across distinct timestamps: the merged At/BatchAt stream
-// runs in global (when, submission) order regardless of which side each
-// event entered through, including same-time reentrant submissions from
-// inside a running batched callback.
-TEST(SchedulerInvariants, BatchedAndDirectEventsMergeInTimeOrder) {
+// Same promise across distinct timestamps: the merged At/Post stream runs
+// in global (when, submission) order regardless of which heap each event
+// entered, including same-time reentrant submissions from inside a
+// running posted callback.
+TEST(SchedulerInvariants, PostedAndDirectEventsMergeInTimeOrder) {
   sim::Scheduler s;
   std::vector<int> order;
-  s.BatchAt(300, [&] { order.push_back(5); });
+  s.Post(300, [&] { order.push_back(5); });
   s.At(100, [&] { order.push_back(1); });
-  s.BatchAt(200, [&] {
+  s.Post(200, [&] {
     order.push_back(3);
-    // Reentrant: a batched callback staging more work at its own
+    // Reentrant: a posted callback queueing more work at its own
     // timestamp still runs after everything already submitted for that
     // timestamp (its sequence number is newer).
-    s.BatchAt(200, [&] { order.push_back(4); });
-    s.BatchAt(400, [&] { order.push_back(6); });
+    s.Post(200, [&] { order.push_back(4); });
+    s.Post(400, [&] { order.push_back(6); });
   });
-  s.BatchAt(100, [&] { order.push_back(2); });
+  s.Post(100, [&] { order.push_back(2); });
   s.At(50, [&] { order.push_back(0); });
   s.RunAll();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
   EXPECT_EQ(s.now(), 400);
 }
 
-TEST(SchedulerInvariants, BatchAtClampsPastTimesToNow) {
+TEST(SchedulerInvariants, PostClampsPastTimesToNow) {
   sim::Scheduler s;
   std::vector<int> order;
   s.At(100, [&] {
-    // now() == 100; a batched event aimed at the past must not rewind.
-    s.BatchAt(10, [&] { order.push_back(1); });
+    // now() == 100; a posted event aimed at the past must not rewind.
+    s.Post(10, [&] { order.push_back(1); });
     order.push_back(0);
   });
   s.At(100, [&] { order.push_back(2); });
@@ -201,19 +203,117 @@ TEST(SchedulerInvariants, BatchAtClampsPastTimesToNow) {
   EXPECT_EQ(s.now(), 100);
 }
 
-TEST(SchedulerInvariants, RunUntilLeavesFutureBatchedWorkStaged) {
+TEST(SchedulerInvariants, RunUntilLeavesFuturePostedWorkQueued) {
   sim::Scheduler s;
   int fired = 0;
-  s.BatchAt(500, [&] { ++fired; });
-  s.BatchAt(600, [&] { ++fired; });
-  s.RunUntil(250);
+  s.Post(500, [&] { ++fired; });
+  s.Post(600, [&] { ++fired; });
+  EXPECT_EQ(s.RunUntil(250), 0u);
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(s.pending(), 2u);
   EXPECT_EQ(s.now(), 250);
-  s.RunAll();
+  EXPECT_EQ(s.RunAll(), 2u);
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(s.pending(), 0u);
 }
+
+// The whole contract at once: seeded random At, Post and Cancel calls,
+// some from inside running callbacks (a few of which run a nested
+// RunUntil), fire in exactly the order of a reference list sorted by
+// (time, submission index), each at its own time. Past times are clamped
+// to now() at submission, which the reference mirrors.
+class SchedulerOrderProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SchedulerOrderProperty, FiresInTimeThenSubmissionOrder) {
+  struct Submitted {
+    util::TimeUs when = 0;  // after clamping
+    uint64_t id = 0;        // At's cancel id; 0 for Post
+    bool cancelled = false;
+    bool fired = false;
+  };
+  sim::Scheduler s;
+  uint64_t rng = GetParam() * 0x9e3779b97f4a7c15ull + 1;
+  auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  std::vector<Submitted> subs;
+  std::vector<size_t> fired_order;
+  size_t live = 0;
+  int nesting = 0;
+
+  // One random operation; `depth` > 0 means it runs inside a callback.
+  std::function<void(int)> op = [&](int depth) {
+    uint64_t r = next();
+    util::TimeUs when = s.now() + static_cast<util::TimeUs>(r % 40) - 5;
+    switch ((r >> 8) % 6) {
+      case 0:
+      case 1:
+      case 2:
+      case 3: {  // At or Post, half each
+        size_t idx = subs.size();
+        subs.push_back({std::max(when, s.now())});
+        auto fire = [&, idx, depth] {
+          EXPECT_EQ(s.now(), subs[idx].when) << "event " << idx;
+          EXPECT_FALSE(subs[idx].cancelled) << "event " << idx;
+          subs[idx].fired = true;
+          fired_order.push_back(idx);
+          --live;
+          // Callbacks submit, cancel and (rarely) run a nested loop.
+          if (depth < 3 && next() % 3 == 0) op(depth + 1);
+          if (nesting == 0 && next() % 16 == 0) {
+            ++nesting;
+            s.RunUntil(s.now() + static_cast<util::TimeUs>(next() % 30));
+            --nesting;
+          }
+        };
+        if ((r >> 16) % 2 == 0) {
+          subs[idx].id = s.At(when, fire);
+        } else {
+          s.Post(when, fire);
+        }
+        ++live;
+        break;
+      }
+      default: {  // cancel a recent At event, pending or not
+        if (subs.empty()) break;
+        size_t back = (r >> 16) % std::min<size_t>(subs.size(), 64);
+        Submitted& target = subs[subs.size() - 1 - back];
+        if (target.id == 0) break;
+        s.Cancel(target.id);
+        if (!target.fired && !target.cancelled) {
+          target.cancelled = true;
+          --live;
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(s.pending(), live);
+  };
+
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 100; ++i) op(0);
+    s.RunUntil(s.now() + 15);
+    ASSERT_EQ(s.pending(), live);
+  }
+  s.RunAll();
+  EXPECT_EQ(s.pending(), 0u);
+
+  std::vector<size_t> want;
+  for (size_t i = 0; i < subs.size(); ++i) {
+    if (!subs[i].cancelled) want.push_back(i);
+  }
+  std::stable_sort(want.begin(), want.end(), [&](size_t a, size_t b) {
+    return subs[a].when < subs[b].when;
+  });
+  EXPECT_EQ(fired_order, want);
+  EXPECT_GT(want.size(), 500u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerOrderProperty,
+                         ::testing::Values(1, 2, 3, 4, 5));
 
 }  // namespace
 }  // namespace scallop

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "sim/link.hpp"
@@ -132,6 +135,38 @@ TEST(Scheduler, PendingStaysExactUnderCancelHeavyChurn) {
     EXPECT_EQ(s.pending(), 0u);
   }
   EXPECT_EQ(fired, 500);
+}
+
+TEST(Scheduler, NestedRunUntilMergesBothHeaps) {
+  // Regression: a RunUntil called from inside a posted delivery used to
+  // see only the At heap, so deliveries due before its end ran later with
+  // now() already past their timestamps.
+  Scheduler s;
+  using Ran = std::vector<std::pair<std::string, util::TimeUs>>;
+  Ran ran;  // (what ran, now() as it ran)
+  auto note = [&](std::string what) { ran.emplace_back(what, s.now()); };
+  size_t inner = 0;
+  s.Post(100, [&] {
+    note("post@100");
+    inner = s.RunUntil(300);
+    note("back@100");
+  });
+  s.Post(200, [&] { note("post@200"); });
+  s.Post(300, [&] { note("post@300"); });
+  s.At(250, [&] {
+    note("at@250");
+    s.Post(250, [&] { note("post@250"); });
+  });
+  s.At(350, [&] { note("at@350"); });
+  EXPECT_EQ(s.RunAll(), 2u);  // the inner RunUntil counts its own four
+  EXPECT_EQ(inner, 4u);
+  EXPECT_EQ(ran, (Ran{{"post@100", 100},
+                      {"post@200", 200},
+                      {"at@250", 250},
+                      {"post@250", 250},
+                      {"post@300", 300},
+                      {"back@100", 300},
+                      {"at@350", 350}}));
 }
 
 TEST(PeriodicTaskTest, RepeatsUntilFalse) {
