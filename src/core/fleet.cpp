@@ -7,6 +7,57 @@
 
 namespace scallop::core {
 
+namespace {
+
+// Whether a relay path rides into `hit`: a backbone link {a, b} (a < b)
+// it crosses, or a switch {s, s} on it.
+bool PathHit(const std::vector<size_t>& path, std::pair<size_t, size_t> hit) {
+  for (size_t i = 0; i < path.size(); ++i) {
+    if (hit.first == hit.second) {
+      if (path[i] == hit.first) return true;
+    } else if (i + 1 < path.size() &&
+               std::min(path[i], path[i + 1]) == hit.first &&
+               std::max(path[i], path[i + 1]) == hit.second) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Relay `r`'s standby chain (`active` false), or the promoted chain
+// carrying it (`active` true); nullptr when it has none.
+SecondaryTree* ChainOf(MeetingRecord& st, const MeetingRelay& r,
+                       bool active) {
+  for (SecondaryTree& t : st.secondaries) {
+    if (t.active == active && t.origin == r.origin &&
+        t.upstream == r.upstream && t.downstream == r.downstream) {
+      return &t;
+    }
+  }
+  return nullptr;
+}
+
+// The relay's current transport: its promoted chain's path once flipped,
+// its own backbone path otherwise.
+const std::vector<size_t>& CurrentPath(MeetingRecord& st,
+                                       const MeetingRelay& r) {
+  const SecondaryTree* chain = ChainOf(st, r, /*active=*/true);
+  return chain != nullptr ? chain->path : r.backbone_path;
+}
+
+// Members homed on the relay's downstream switch learn its relay sender
+// left (their switch's controller never knew it, so the fleet delivers
+// the notification).
+void NotifyRelaySenderLeft(const MeetingRecord& st, const MeetingRelay& r) {
+  for (const auto& [pid, info] : st.members) {
+    if (info.home_switch == r.downstream && info.client != nullptr) {
+      info.client->OnRemoteSenderLeft(r.relay_sender);
+    }
+  }
+}
+
+}  // namespace
+
 size_t SwitchTable::Add(ControlChannel& channel, net::Ipv4 sfu_ip,
                         size_t owner) {
   const size_t index = records_.size();
@@ -113,7 +164,7 @@ size_t FleetController::AdoptShardFrom(FleetController& failed) {
   // detection re-point here. The per-switch Controllers (sessions and id
   // spaces), counts and liveness stay where they are, in the table.
   for (size_t i = 0; i < table_.size(); ++i) {
-    Member& sw = table_[i];
+    SwitchTable::Record& sw = table_[i];
     if (sw.owner != failed.region_) continue;
     sw.owner = region_;
     sw.report_seen = false;  // stale reports predate the handoff
@@ -152,21 +203,6 @@ void FleetController::ReplanOverloadedLinks() {
   // already relieved the link, and blacking out further meetings for a
   // link that is back under budget would be a needless renegotiation.
   // Each collapse removes at least one span, which bounds the loop.
-  auto path_crosses = [](const std::vector<size_t>& path,
-                         std::pair<size_t, size_t> link) {
-    for (size_t i = 0; i + 1 < path.size(); ++i) {
-      size_t a = path[i], b = path[i + 1];
-      if (a > b) std::swap(a, b);
-      if (a == link.first && b == link.second) return true;
-    }
-    return false;
-  };
-  // A relay's *current* physical path: the promoted chain's once flipped,
-  // its own backbone path otherwise.
-  auto crosses = [&](const MeetingState& st, const MeetingRelay& r,
-                     std::pair<size_t, size_t> link) {
-    return path_crosses(CurrentRelayPath(st, r), link);
-  };
   for (size_t guard = meetings_.size() * table_.size() + 1; guard > 0;
        --guard) {
     const auto overloaded = topology().OverloadedLinks();
@@ -174,53 +210,19 @@ void FleetController::ReplanOverloadedLinks() {
     // Make-before-break first: a primary relay crossing an overloaded
     // link whose standby secondary avoids it flips instead of collapsing
     // — receivers keep a continuous stream and only then does the old
-    // path drain. Each flip relieves the link of the primary's load, so
-    // re-evaluate the overload set before touching more state.
-    if (settings_.redundancy.redundant_trees) {
-      bool changed = false;
-      for (auto& [meeting, st] : meetings_) {
-        for (MeetingRelay& r : st.relays) {
-          for (const auto& link : overloaded) {
-            if (!crosses(st, r, link)) continue;
-            SecondaryTree* t = SecondaryOf(st, r);
-            if (t == nullptr || path_crosses(t->path, link)) continue;
-            FlipRelay(st, r, *t);
-            // Re-protect over whatever capacity remains (declines when
-            // the cut left no disjoint path).
-            PlanSecondary(st, r);
-            changed = true;
-            break;
-          }
-          if (changed) break;
-        }
-        if (changed) break;
-        // A *secondary* riding the overloaded link while its primary does
-        // not: drop the protection quietly — receivers never notice, and
-        // its registered load comes off the link.
-        for (auto it = st.secondaries.begin(); it != st.secondaries.end();
-             ++it) {
-          if (it->active) continue;
-          bool rides = false;
-          for (const auto& link : overloaded) {
-            if (path_crosses(it->path, link)) rides = true;
-          }
-          if (!rides) continue;
-          TearDownSecondary(st, *it, SIZE_MAX);
-          st.secondaries.erase(it);
-          GcProtectionMeetings(st);
-          changed = true;
-          break;
-        }
-        if (changed) break;
-      }
-      if (changed) continue;
+    // path drain — and a standby riding the link is dropped quietly.
+    // Each change relieves the link, so re-evaluate the overload set
+    // before touching more state.
+    if (settings_.redundancy.redundant_trees &&
+        FailOver(overloaded, /*dead_switch=*/SIZE_MAX)) {
+      continue;
     }
     bool collapsed = false;
     for (auto& [meeting, st] : meetings_) {
       size_t child = SIZE_MAX;
       for (const MeetingRelay& r : st.relays) {
         for (const auto& link : overloaded) {
-          if (!crosses(st, r, link)) continue;
+          if (!PathHit(CurrentPath(st, r), link)) continue;
           // The child side of the tree edge is whichever end is deeper.
           const size_t up_d = st.placement.DepthOf(r.upstream);
           const size_t down_d = st.placement.DepthOf(r.downstream);
@@ -263,7 +265,7 @@ void FleetController::OnLoadReport(size_t switch_index,
                                    const SwitchLoadReport& report) {
   if (dead_) return;
   ++stats_.load_reports_seen;
-  Member& m = table_[switch_index];
+  SwitchTable::Record& m = table_[switch_index];
   m.last_report = report;
   m.report_seen = true;
   m.last_heartbeat = sched_->now();  // a load report proves liveness too
@@ -272,7 +274,7 @@ void FleetController::OnLoadReport(size_t switch_index,
 void FleetController::CheckHeartbeats() {
   if (dead_) return;
   for (size_t i = 0; i < table_.size(); ++i) {
-    Member& m = table_[i];
+    SwitchTable::Record& m = table_[i];
     // Other regions' switches are theirs to watch; their heartbeats go to
     // the owner's sink, so judging them here would always "miss".
     if (!OwnsSwitch(i) || !m.alive) continue;
@@ -340,7 +342,7 @@ void FleetController::Rebalance() {
   double busiest_load = -1.0,
          idlest_load = std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < table_.size(); ++i) {
-    const Member& m = table_[i];
+    const SwitchTable::Record& m = table_[i];
     if (!OwnsSwitch(i) || !m.alive || !m.report_seen) continue;
     const double weighted = m.last_report.participants / m.capacity_class;
     if (weighted > busiest_load) {
@@ -396,19 +398,13 @@ void FleetController::Rebalance() {
   active_chain_ = prev_chain;
 }
 
-size_t FleetController::LeastLoaded(size_t exclude) const {
-  std::vector<size_t> excluded;
-  if (exclude != SIZE_MAX) excluded.push_back(exclude);
-  return LeastLoadedLive(Loads(), excluded);
-}
-
 std::vector<SwitchLoad> FleetController::Loads() const {
   std::vector<SwitchLoad> loads;
   loads.reserve(table_.size());
   for (size_t i = 0; i < table_.size(); ++i) {
     // Other regions' switches are invisible to the placement policy
     // (reported not alive): only the border-span planner may target them.
-    const Member& sw = table_[i];
+    const SwitchTable::Record& sw = table_[i];
     loads.push_back(SwitchLoad{OwnsSwitch(i) && sw.alive, sw.participants,
                                sw.meetings, sw.capacity_class});
   }
@@ -426,7 +422,7 @@ MeetingId FleetController::CreateMeeting() {
   MeetingId local = table_[idx].controller->CreateMeeting();
   MeetingId global = next_meeting_;
   next_meeting_ += meeting_stride_;
-  MeetingState& st = meetings_[global];
+  MeetingRecord& st = meetings_[global];
   st.placement.home = idx;
   st.placement.local_meeting = local;
   ++table_[idx].meetings;
@@ -436,7 +432,7 @@ MeetingId FleetController::CreateMeeting() {
   return global;
 }
 
-MeetingId FleetController::LocalMeetingOn(const MeetingState& st,
+MeetingId FleetController::LocalMeetingOn(const MeetingRecord& st,
                                           size_t switch_index) const {
   if (switch_index == st.placement.home) return st.placement.local_meeting;
   const RelaySpan* span = st.placement.SpanOn(switch_index);
@@ -449,7 +445,7 @@ MeetingId FleetController::LocalMeetingOn(const MeetingState& st,
 
 ParticipantId FleetController::NextRelayId() { return next_relay_id_++; }
 
-RelaySpan& FleetController::EnsureSpan(MeetingState& st,
+RelaySpan& FleetController::EnsureSpan(MeetingRecord& st,
                                        size_t switch_index) {
   for (RelaySpan& span : st.placement.spans) {
     if (span.switch_index == switch_index) return span;
@@ -466,6 +462,7 @@ RelaySpan& FleetController::EnsureSpan(MeetingState& st,
   span.switch_index = switch_index;
   span.parent = parent == st.placement.home ? SIZE_MAX : parent;
   span.local_meeting = table_[switch_index].controller->CreateMeeting();
+  const size_t at = st.placement.spans.size();
   st.placement.spans.push_back(std::move(span));
   ++table_[switch_index].meetings;
   ++stats_.relay_spans_installed;
@@ -480,47 +477,28 @@ RelaySpan& FleetController::EnsureSpan(MeetingState& st,
     if (info.home_switch == switch_index) continue;
     EnsureSenderAt(st, pid, info.home_switch, switch_index, info.intent);
   }
-  // Re-find: EnsureSenderAt never touches the span list, but keep the
-  // lookup robust against future reordering.
-  for (RelaySpan& s : st.placement.spans) {
-    if (s.switch_index == switch_index) return s;
-  }
-  throw std::logic_error("EnsureSpan: span vanished during setup");
+  // Relay wiring never touches the span list: the new span is still there.
+  return st.placement.spans[at];
 }
 
-ParticipantId FleetController::SenderIdOn(const MeetingState& st,
-                                          ParticipantId origin,
-                                          size_t origin_switch,
-                                          size_t switch_index) const {
-  if (switch_index == origin_switch) return origin;
-  for (const MeetingRelay& r : st.relays) {
-    if (r.origin == origin && r.downstream == switch_index) {
-      return r.relay_sender;
-    }
-  }
-  return 0;
-}
-
-ParticipantId FleetController::EnsureSenderAt(MeetingState& st,
+ParticipantId FleetController::EnsureSenderAt(MeetingRecord& st,
                                               ParticipantId origin,
                                               size_t origin_switch,
                                               size_t target_switch,
                                               const SenderIntent& intent) {
   const std::vector<size_t> path =
       st.placement.TreePath(origin_switch, target_switch);
-  if (path.size() < 2) return origin;  // same switch (or off-plan)
+  // Each hop forwards the stream under the id it is known by upstream:
+  // the origin itself on its home switch, the relay sender the previous
+  // hop delivered it as elsewhere.
   ParticipantId carried = origin;
   for (size_t i = 0; i + 1 < path.size(); ++i) {
-    // Each hop forwards the stream under the id it is known by upstream:
-    // the origin itself on its home switch, its relay sender elsewhere.
-    ParticipantId known = SenderIdOn(st, origin, origin_switch, path[i]);
-    carried = EnsureRelay(st, path[i], path[i + 1], origin,
-                          known != 0 ? known : carried, intent);
+    carried = EnsureRelay(st, path[i], path[i + 1], origin, carried, intent);
   }
   return carried;
 }
 
-ParticipantId FleetController::EnsureRelay(MeetingState& st, size_t upstream,
+ParticipantId FleetController::EnsureRelay(MeetingRecord& st, size_t upstream,
                                            size_t downstream,
                                            ParticipantId origin,
                                            ParticipantId upstream_sender,
@@ -530,9 +508,6 @@ ParticipantId FleetController::EnsureRelay(MeetingState& st, size_t upstream,
       return r.relay_sender;
     }
   }
-  Member& up = table_[upstream];
-  Member& down = table_[downstream];
-
   MeetingRelay r;
   r.origin = origin;
   r.upstream = upstream;
@@ -544,22 +519,8 @@ ParticipantId FleetController::EnsureRelay(MeetingState& st, size_t upstream,
   r.audio_ssrc = origin_intent.audio_ssrc;
   r.sends_video = origin_intent.sends_video;
   r.sends_audio = origin_intent.sends_audio;
-
-  // Ports are controller-assigned, which breaks the endpoint cycle: the
-  // downstream switch must know where relayed media will arrive *from*
-  // (the upstream relay leg), the upstream switch where to send it *to*
-  // (the downstream relay uplink). Reserve the upstream port first, tell
-  // the downstream switch, then install the upstream leg on the reserved
-  // port.
-  r.upstream_port = up.channel->AllocatePort();
-  net::Endpoint upstream_src{up.sfu_ip, r.upstream_port};
-  r.downstream_port = down.channel->AddRelaySender(
-      LocalMeetingOn(st, downstream), r.relay_sender, upstream_src,
-      r.video_ssrc, r.audio_ssrc, r.sends_video, r.sends_audio);
-  up.channel->AddRelayLeg(LocalMeetingOn(st, upstream), r.relay_receiver,
-                          upstream_sender,
-                          net::Endpoint{down.sfu_ip, r.downstream_port},
-                          r.upstream_port);
+  WireHop(r, LocalMeetingOn(st, upstream), LocalMeetingOn(st, downstream), r,
+          /*merge=*/false);
 
   // Register the hop's estimated stream load on every backbone link its
   // media physically crosses, so residual-capacity planning and the
@@ -571,19 +532,54 @@ ParticipantId FleetController::EnsureRelay(MeetingState& st, size_t upstream,
   // Real members already homed downstream open receive legs toward the
   // relay sender, exactly as they would for a local joiner.
   for (const auto& [pid, info] : st.members) {
-    if (info.home_switch != downstream || info.client == nullptr) continue;
-    net::Endpoint local = info.client->AllocateLocalLeg(r.relay_sender);
-    uint16_t port = down.channel->AddRecvLeg(LocalMeetingOn(st, downstream),
-                                             pid, r.relay_sender, local);
-    info.client->OnRemoteLegReady(r.relay_sender, r.video_ssrc, r.audio_ssrc,
-                                  net::Endpoint{down.sfu_ip, port});
+    if (info.home_switch == downstream && info.client != nullptr) {
+      OpenRelayLeg(st, pid, *info.client, r);
+    }
   }
 
   st.relays.push_back(r);
   return r.relay_sender;
 }
 
-void FleetController::RouteSenderEverywhere(MeetingState& st,
+void FleetController::WireHop(RelayHop& hop, MeetingId up_meeting,
+                              MeetingId down_meeting,
+                              const MeetingRelay& stream, bool merge) {
+  SwitchTable::Record& up = table_[hop.upstream];
+  SwitchTable::Record& down = table_[hop.downstream];
+  // Ports are controller-assigned, which breaks the endpoint cycle: the
+  // downstream switch must know where relayed media will arrive *from*
+  // (the upstream relay leg), the upstream switch where to send it *to*
+  // (the downstream relay uplink). Reserve the upstream port first, tell
+  // the downstream switch, then install the upstream leg on the reserved
+  // port.
+  hop.upstream_port = up.channel->AllocatePort();
+  const net::Endpoint upstream_src{up.sfu_ip, hop.upstream_port};
+  if (merge) {
+    down.channel->AddRelaySource(down_meeting, hop.relay_sender, upstream_src,
+                                 settings_.redundancy.dedup_window);
+  } else {
+    hop.downstream_port = down.channel->AddRelaySender(
+        down_meeting, hop.relay_sender, upstream_src, stream.video_ssrc,
+        stream.audio_ssrc, stream.sends_video, stream.sends_audio);
+  }
+  up.channel->AddRelayLeg(up_meeting, hop.relay_receiver, hop.upstream_sender,
+                          net::Endpoint{down.sfu_ip, hop.downstream_port},
+                          hop.upstream_port);
+}
+
+void FleetController::OpenRelayLeg(const MeetingRecord& st,
+                                   ParticipantId member,
+                                   SignalingClient& client,
+                                   const MeetingRelay& r) {
+  SwitchTable::Record& home = table_[r.downstream];
+  const net::Endpoint local = client.AllocateLocalLeg(r.relay_sender);
+  const uint16_t port = home.channel->AddRecvLeg(
+      LocalMeetingOn(st, r.downstream), member, r.relay_sender, local);
+  client.OnRemoteLegReady(r.relay_sender, r.video_ssrc, r.audio_ssrc,
+                          net::Endpoint{home.sfu_ip, port});
+}
+
+void FleetController::RouteSenderEverywhere(MeetingRecord& st,
                                             ParticipantId origin,
                                             size_t origin_switch,
                                             const SenderIntent& origin_intent) {
@@ -592,14 +588,9 @@ void FleetController::RouteSenderEverywhere(MeetingState& st,
   // yields exactly one relay copy per tree edge. On hub-and-spoke plans
   // this produces the same relays in the same order as the old
   // spoke->hub->spokes wiring, so cascades are byte-compatible.
-  if (origin_switch != st.placement.home) {
-    EnsureSenderAt(st, origin, origin_switch, st.placement.home,
-                   origin_intent);
-  }
-  for (const RelaySpan& span : st.placement.spans) {
-    if (span.switch_index == origin_switch) continue;
-    EnsureSenderAt(st, origin, origin_switch, span.switch_index,
-                   origin_intent);
+  for (size_t target : st.placement.Switches()) {
+    if (target == origin_switch) continue;
+    EnsureSenderAt(st, origin, origin_switch, target, origin_intent);
   }
 }
 
@@ -609,11 +600,11 @@ FleetController::JoinResult FleetController::Join(
   if (dead_) {
     throw std::runtime_error("FleetController: controller is down");
   }
-  MeetingState* found = Find(meeting);
+  MeetingRecord* found = Find(meeting);
   if (found == nullptr) {
     throw std::out_of_range("FleetController: unknown meeting");
   }
-  MeetingState& st = *found;
+  MeetingRecord& st = *found;
   size_t target = settings_.policy->PlaceParticipant(st.placement, Loads());
   if (target >= table_.size()) target = st.placement.home;
 
@@ -645,7 +636,7 @@ FleetController::JoinResult FleetController::Join(
       table_[target].controller->Join(local, offer, client);
   ++table_[target].participants;
 
-  MemberInfo info;
+  MeetingMemberInfo info;
   info.home_switch = target;
   info.client = client;
   info.intent = ParseSenderIntent(offer);
@@ -660,12 +651,9 @@ FleetController::JoinResult FleetController::Join(
   // relay senders parked on this switch (remote participants' streams)
   // need their legs wired here.
   for (const MeetingRelay& r : st.relays) {
-    if (r.downstream != target) continue;
-    net::Endpoint leg_local = client->AllocateLocalLeg(r.relay_sender);
-    uint16_t port = table_[target].channel->AddRecvLeg(
-        local, result.participant, r.relay_sender, leg_local);
-    client->OnRemoteLegReady(r.relay_sender, r.video_ssrc, r.audio_ssrc,
-                             net::Endpoint{table_[target].sfu_ip, port});
+    if (r.downstream == target) {
+      OpenRelayLeg(st, result.participant, *client, r);
+    }
   }
 
   // And this participant's own media must reach every other switch the
@@ -689,17 +677,12 @@ void FleetController::UnregisterRelayLoad(const MeetingRelay& relay) {
   topology().RemoveLoad(relay.backbone_path, relay.load_bps);
 }
 
-void FleetController::RemoveSenderRelays(MeetingState& st,
+void FleetController::RemoveSenderRelays(MeetingRecord& st,
                                          ParticipantId origin) {
-  // Protection first: the terminal RemoveRelaySource must apply while the
-  // protected relay sender still exists downstream.
+  // Protection first: a chain's last-hop RemoveRelaySource must apply
+  // while the protected relay sender still exists downstream.
   for (auto it = st.secondaries.begin(); it != st.secondaries.end();) {
-    if (it->origin == origin) {
-      TearDownSecondary(st, *it, SIZE_MAX);
-      it = st.secondaries.erase(it);
-    } else {
-      ++it;
-    }
+    it = it->origin == origin ? DropSecondary(st, it, SIZE_MAX) : it + 1;
   }
   for (auto it = st.relays.begin(); it != st.relays.end();) {
     if (it->origin != origin) {
@@ -708,13 +691,7 @@ void FleetController::RemoveSenderRelays(MeetingState& st,
     }
     const MeetingRelay r = *it;
     UnregisterRelayLoad(r);
-    // Downstream members learn the relayed sender left (their switch's
-    // controller never knew it, so the fleet delivers the notification).
-    for (const auto& [pid, info] : st.members) {
-      if (info.home_switch == r.downstream && info.client != nullptr) {
-        info.client->OnRemoteSenderLeft(r.relay_sender);
-      }
-    }
+    NotifyRelaySenderLeft(st, r);
     table_[r.downstream].channel->RemoveParticipant(
         LocalMeetingOn(st, r.downstream), r.relay_sender);
     table_[r.upstream].channel->RemoveParticipant(
@@ -725,7 +702,7 @@ void FleetController::RemoveSenderRelays(MeetingState& st,
 }
 
 std::vector<ParticipantId> FleetController::SubtreeMembers(
-    const MeetingState& st, size_t root) const {
+    const MeetingRecord& st, size_t root) const {
   std::vector<ParticipantId> ids;
   for (const RelaySpan& span : st.placement.spans) {
     // Walk up from the span; the span count bounds the walk.
@@ -741,7 +718,7 @@ std::vector<ParticipantId> FleetController::SubtreeMembers(
   return ids;
 }
 
-void FleetController::EraseParticipantFromPlacement(MeetingState& st,
+void FleetController::EraseParticipantFromPlacement(MeetingRecord& st,
                                                     ParticipantId p) {
   auto& hp = st.placement.home_participants;
   hp.erase(std::remove(hp.begin(), hp.end(), p), hp.end());
@@ -753,9 +730,9 @@ void FleetController::EraseParticipantFromPlacement(MeetingState& st,
 
 void FleetController::Leave(MeetingId meeting, ParticipantId participant) {
   if (dead_) return;  // the crashed controller can no longer sign anyone out
-  MeetingState* found = Find(meeting);
+  MeetingRecord* found = Find(meeting);
   if (found == nullptr) return;
-  MeetingState& st = *found;
+  MeetingRecord& st = *found;
   // Membership guard: a participant who never joined (or already left —
   // e.g. dropped by a switch failure before its scheduled leave fired)
   // must not decrement the hosting switch's load.
@@ -791,7 +768,7 @@ void FleetController::Leave(MeetingId meeting, ParticipantId participant) {
   }
 }
 
-void FleetController::TearDownSpan(MeetingState& st, size_t switch_index,
+void FleetController::TearDownSpan(MeetingRecord& st, size_t switch_index,
                                    bool switch_dead) {
   const RelaySpan* span = st.placement.SpanOn(switch_index);
   if (span == nullptr) return;
@@ -799,16 +776,14 @@ void FleetController::TearDownSpan(MeetingState& st, size_t switch_index,
   // Child spans reach the rest of the meeting through this one: collapse
   // the whole subtree first (their switches are alive — only their relay
   // path died — so their teardown commands still apply).
-  for (bool had_child = true; had_child;) {
-    had_child = false;
-    for (const RelaySpan& s : st.placement.spans) {
-      size_t parent = s.parent == SIZE_MAX ? st.placement.home : s.parent;
-      if (parent == switch_index) {
-        TearDownSpan(st, s.switch_index, /*switch_dead=*/false);
-        had_child = true;
-        break;  // the span list mutated; rescan
-      }
-    }
+  for (;;) {
+    const auto child = std::find_if(
+        st.placement.spans.begin(), st.placement.spans.end(),
+        [&](const RelaySpan& s) {
+          return st.placement.ParentOf(s.switch_index) == switch_index;
+        });
+    if (child == st.placement.spans.end()) break;
+    TearDownSpan(st, child->switch_index, /*switch_dead=*/false);
   }
   span = st.placement.SpanOn(switch_index);
   if (span == nullptr) return;
@@ -847,17 +822,11 @@ void FleetController::TearDownSpan(MeetingState& st, size_t switch_index,
   // Secondary trees routing through the span's switch (endpoints are on
   // the path too) or protecting a relay that dies with the span go first,
   // while the relay state their teardown commands touch still exists.
-  for (auto sit = st.secondaries.begin(); sit != st.secondaries.end();) {
-    const bool touches =
-        std::find(sit->path.begin(), sit->path.end(), switch_index) !=
-            sit->path.end() ||
-        origin_on_span(sit->origin);
-    if (touches) {
-      TearDownSecondary(st, *sit, switch_dead ? switch_index : SIZE_MAX);
-      sit = st.secondaries.erase(sit);
-    } else {
-      ++sit;
-    }
+  for (auto it = st.secondaries.begin(); it != st.secondaries.end();) {
+    const bool touches = PathHit(it->path, {switch_index, switch_index}) ||
+                         origin_on_span(it->origin);
+    it = touches ? DropSecondary(st, it, switch_dead ? switch_index : SIZE_MAX)
+                 : it + 1;
   }
   std::map<size_t, std::vector<ParticipantId>> removals;  // per switch
   for (auto rit = st.relays.begin(); rit != st.relays.end();) {
@@ -873,11 +842,7 @@ void FleetController::TearDownSpan(MeetingState& st, size_t switch_index,
       // upstream pseudo-receiver needs an explicit removal.
       removals[r.upstream].push_back(r.relay_receiver);
     } else {
-      for (const auto& [pid, info] : st.members) {
-        if (info.home_switch == r.downstream && info.client != nullptr) {
-          info.client->OnRemoteSenderLeft(r.relay_sender);
-        }
-      }
+      NotifyRelaySenderLeft(st, r);
       removals[r.downstream].push_back(r.relay_sender);
       removals[r.upstream].push_back(r.relay_receiver);
     }
@@ -896,51 +861,15 @@ void FleetController::TearDownSpan(MeetingState& st, size_t switch_index,
   // (including the span's relay senders).
   table_[switch_index].controller->EndMeeting(local);
   --table_[switch_index].meetings;
-  auto& spans = st.placement.spans;
-  spans.erase(std::remove_if(spans.begin(), spans.end(),
-                             [&](const RelaySpan& s) {
-                               return s.switch_index == switch_index;
-                             }),
-              spans.end());
+  std::erase_if(st.placement.spans, [&](const RelaySpan& s) {
+    return s.switch_index == switch_index;
+  });
   ++stats_.relay_spans_removed;
 }
 
 // ---- redundant dual relay trees ---------------------------------------------
 
-SecondaryTree* FleetController::SecondaryOf(MeetingState& st,
-                                            const MeetingRelay& r) {
-  for (SecondaryTree& t : st.secondaries) {
-    if (!t.active && t.origin == r.origin && t.upstream == r.upstream &&
-        t.downstream == r.downstream) {
-      return &t;
-    }
-  }
-  return nullptr;
-}
-
-SecondaryTree* FleetController::ActiveOf(MeetingState& st,
-                                         const MeetingRelay& r) {
-  for (SecondaryTree& t : st.secondaries) {
-    if (t.active && t.origin == r.origin && t.upstream == r.upstream &&
-        t.downstream == r.downstream) {
-      return &t;
-    }
-  }
-  return nullptr;
-}
-
-const std::vector<size_t>& FleetController::CurrentRelayPath(
-    const MeetingState& st, const MeetingRelay& r) const {
-  for (const SecondaryTree& t : st.secondaries) {
-    if (t.active && t.origin == r.origin && t.upstream == r.upstream &&
-        t.downstream == r.downstream) {
-      return t.path;
-    }
-  }
-  return r.backbone_path;
-}
-
-MeetingId FleetController::ProtectionMeetingOn(MeetingState& st,
+MeetingId FleetController::ProtectionMeetingOn(MeetingRecord& st,
                                                size_t switch_index) {
   auto it = st.protection_meetings.find(switch_index);
   if (it != st.protection_meetings.end()) return it->second;
@@ -950,7 +879,7 @@ MeetingId FleetController::ProtectionMeetingOn(MeetingState& st,
   return local;
 }
 
-void FleetController::GcProtectionMeetings(MeetingState& st) {
+void FleetController::GcProtectionMeetings(MeetingRecord& st) {
   for (auto it = st.protection_meetings.begin();
        it != st.protection_meetings.end();) {
     const size_t sw = it->first;
@@ -972,25 +901,25 @@ void FleetController::GcProtectionMeetings(MeetingState& st) {
   }
 }
 
-void FleetController::EnsureProtection(MeetingState& st) {
+void FleetController::EnsureProtection(MeetingRecord& st) {
   if (!settings_.redundancy.redundant_trees) return;
   // An implicit full mesh has no declared links to be disjoint from (and
   // no physical backbone routes for the chain to diverge over).
   if (!topology().explicit_topology()) return;
   for (MeetingRelay& r : st.relays) {
-    if (SecondaryOf(st, r) != nullptr) continue;
+    if (ChainOf(st, r, /*active=*/false) != nullptr) continue;
     PlanSecondary(st, r);
   }
 }
 
-void FleetController::PlanSecondary(MeetingState& st, MeetingRelay& r) {
+void FleetController::PlanSecondary(MeetingRecord& st, MeetingRelay& r) {
   if (!settings_.redundancy.redundant_trees ||
       !topology().explicit_topology()) {
     return;
   }
   // Be disjoint from the relay's *current* transport — its own backbone
   // path, or the promoted chain's if a flip already happened.
-  const std::vector<size_t>& current = CurrentRelayPath(st, r);
+  const std::vector<size_t>& current = CurrentPath(st, r);
   std::vector<std::pair<size_t, size_t>> avoid;
   for (size_t i = 0; i + 1 < current.size(); ++i) {
     avoid.emplace_back(current[i], current[i + 1]);
@@ -1008,46 +937,36 @@ void FleetController::PlanSecondary(MeetingState& st, MeetingRelay& r) {
   t.origin = r.origin;
   t.upstream = r.upstream;
   t.downstream = r.downstream;
-  t.protected_relay = r.relay_sender;
   t.path = path;
   t.load_bps = settings_.relay_stream_bps;
 
   ParticipantId carried = r.upstream_sender;
   for (size_t i = 0; i + 1 < path.size(); ++i) {
-    const size_t a = path[i], b = path[i + 1];
-    Member& up = table_[a];
-    Member& down = table_[b];
-    ProtectionHop h;
-    h.upstream = a;
-    h.downstream = b;
-    h.sender_on_upstream = carried;
+    RelayHop h;
+    h.upstream = path[i];
+    h.downstream = path[i + 1];
+    h.upstream_sender = carried;
     h.relay_receiver = NextRelayId();
-    h.upstream_port = up.channel->AllocatePort();
-    const net::Endpoint src{up.sfu_ip, h.upstream_port};
-    const MeetingId lm_a =
-        i == 0 ? LocalMeetingOn(st, a) : ProtectionMeetingOn(st, a);
-    if (b == r.downstream) {
-      // Terminal hop: merge into the primary relay sender behind its
-      // (origin, seq) dedup window instead of minting a second sender.
-      h.terminal = true;
+    const MeetingId up_meeting = i == 0 ? LocalMeetingOn(st, h.upstream)
+                                        : ProtectionMeetingOn(st, h.upstream);
+    // The last hop merges into the primary relay sender behind its
+    // (origin, seq) dedup window instead of minting a second sender.
+    const bool last = h.downstream == r.downstream;
+    if (last) {
       h.relay_sender = r.relay_sender;
       h.downstream_port = r.downstream_port;
-      down.channel->AddRelaySource(LocalMeetingOn(st, b), r.relay_sender,
-                                   src, settings_.redundancy.dedup_window);
     } else {
       h.relay_sender = NextRelayId();
-      h.downstream_port = down.channel->AddRelaySender(
-          ProtectionMeetingOn(st, b), h.relay_sender, src, r.video_ssrc,
-          r.audio_ssrc, r.sends_video, r.sends_audio);
     }
-    up.channel->AddRelayLeg(lm_a, h.relay_receiver, h.sender_on_upstream,
-                            net::Endpoint{down.sfu_ip, h.downstream_port},
-                            h.upstream_port);
+    WireHop(h, up_meeting,
+            last ? LocalMeetingOn(st, h.downstream)
+                 : ProtectionMeetingOn(st, h.downstream),
+            r, /*merge=*/last);
     // Dedup keys on (ssrc, seq), so both trees must carry the *same*
     // numbering: pin every chain leg to full quality — an adapted leg
     // would rewrite its copy onto a different sequence line.
-    up.channel->ForceDecodeTarget(lm_a, h.relay_receiver,
-                                  h.sender_on_upstream, 2);
+    table_[h.upstream].channel->ForceDecodeTarget(up_meeting, h.relay_receiver,
+                                                  h.upstream_sender, 2);
     carried = h.relay_sender;
     t.hops.push_back(h);
   }
@@ -1067,9 +986,9 @@ void FleetController::PlanSecondary(MeetingState& st, MeetingRelay& r) {
   ++stats_.secondary_trees_installed;
 }
 
-void FleetController::FlipRelay(MeetingState& st, MeetingRelay& r,
+void FleetController::FlipRelay(MeetingRecord& st, MeetingRelay& r,
                                 SecondaryTree& tree) {
-  const ProtectionHop& term = tree.hops.back();
+  const RelayHop& term = tree.hops.back();
   const net::Endpoint new_src{table_[term.upstream].sfu_ip,
                               term.upstream_port};
   // Promote at the merge point: the secondary source becomes the relay
@@ -1081,7 +1000,7 @@ void FleetController::FlipRelay(MeetingState& st, MeetingRelay& r,
   // (the tree edge, its ids, the merge-point sender) — only the physical
   // feed changes — so span bookkeeping and relay idempotence are
   // untouched by any number of flips.
-  SecondaryTree* old = ActiveOf(st, r);
+  SecondaryTree* old = ChainOf(st, r, /*active=*/true);
   tree.active = true;  // before any erase below invalidates the reference
   ++stats_.tree_flips;
   Trace(obs::Category::kRedundancy, "redundancy.tree_flip",
@@ -1090,11 +1009,9 @@ void FleetController::FlipRelay(MeetingState& st, MeetingRelay& r,
   if (old != nullptr) {
     // Second flip: the outgoing transport is itself a chain. Demote it to
     // a plain standby and tear it down like one.
-    SecondaryTree retired = *old;
-    retired.active = false;
-    st.secondaries.erase(st.secondaries.begin() +
-                         (old - st.secondaries.data()));
-    TearDownSecondary(st, retired, SIZE_MAX);
+    old->active = false;
+    DropSecondary(st, st.secondaries.begin() + (old - st.secondaries.data()),
+                  SIZE_MAX);
     GcProtectionMeetings(st);
   } else {
     // First flip: the outgoing transport is the relay's own leg.
@@ -1111,16 +1028,55 @@ void FleetController::FlipRelay(MeetingState& st, MeetingRelay& r,
   }
 }
 
-void FleetController::TearDownSecondary(MeetingState& st,
-                                        const SecondaryTree& tree,
-                                        size_t dead_switch) {
-  for (size_t i = 0; i < tree.hops.size(); ++i) {
-    const ProtectionHop& h = tree.hops[i];
-    if (h.terminal) {
-      // An active (promoted) chain's terminal source IS the relay
+bool FleetController::FailOver(
+    const std::vector<std::pair<size_t, size_t>>& hits, size_t dead_switch) {
+  const bool one_change = dead_switch == SIZE_MAX;
+  for (auto& [meeting, st] : meetings_) {
+    for (MeetingRelay& r : st.relays) {
+      for (const auto& hit : hits) {
+        if (!PathHit(CurrentPath(st, r), hit)) continue;
+        SecondaryTree* standby = ChainOf(st, r, /*active=*/false);
+        if (standby == nullptr || PathHit(standby->path, hit)) continue;
+        FlipRelay(st, r, *standby);
+        // Re-protect over what the failure left (declines when no
+        // disjoint path remains).
+        PlanSecondary(st, r);
+        if (one_change) return true;
+        break;
+      }
+    }
+    // A standby the failure lands on while its primary survives: drop the
+    // protection quietly — receivers never notice, and its registered
+    // load comes off the backbone.
+    for (auto it = st.secondaries.begin(); it != st.secondaries.end();) {
+      const auto hits_it = [&](const auto& hit) {
+        return PathHit(it->path, hit);
+      };
+      if (it->active || std::none_of(hits.begin(), hits.end(), hits_it)) {
+        ++it;
+        continue;
+      }
+      it = DropSecondary(st, it, dead_switch);
+      if (one_change) {
+        GcProtectionMeetings(st);
+        return true;
+      }
+    }
+    if (!one_change) GcProtectionMeetings(st);
+  }
+  return false;
+}
+
+std::vector<SecondaryTree>::iterator FleetController::DropSecondary(
+    MeetingRecord& st, std::vector<SecondaryTree>::iterator tree,
+    size_t dead_switch) {
+  for (size_t i = 0; i < tree->hops.size(); ++i) {
+    const RelayHop& h = tree->hops[i];
+    if (i + 1 == tree->hops.size()) {
+      // An active (promoted) chain's last-hop source IS the relay
       // sender's primary feed now; it dies with the relay sender itself,
       // not as a detachable secondary source.
-      if (!tree.active && h.downstream != dead_switch &&
+      if (!tree->active && h.downstream != dead_switch &&
           table_[h.downstream].alive) {
         table_[h.downstream].channel->RemoveRelaySource(
             LocalMeetingOn(st, h.downstream), h.relay_sender,
@@ -1138,11 +1094,12 @@ void FleetController::TearDownSecondary(MeetingState& st,
       table_[h.upstream].channel->RemoveParticipant(lm, h.relay_receiver);
     }
   }
-  topology().RemoveLoad(tree.path, tree.load_bps);
+  topology().RemoveLoad(tree->path, tree->load_bps);
   ++stats_.secondary_trees_removed;
+  return st.secondaries.erase(tree);
 }
 
-void FleetController::HitlessMigrate(MeetingState& st, MeetingId meeting,
+void FleetController::HitlessMigrate(MeetingRecord& st, MeetingId meeting,
                                      size_t target) {
   const size_t source = st.placement.home;
   // Make: open the span on the target and start relaying every sender's
@@ -1159,13 +1116,10 @@ void FleetController::HitlessMigrate(MeetingState& st, MeetingId meeting,
   old_home.parent = SIZE_MAX;  // child of the new home
   old_home.local_meeting = st.placement.local_meeting;
   old_home.participants = std::move(st.placement.home_participants);
-  auto& spans = st.placement.spans;
-  spans.erase(std::remove_if(spans.begin(), spans.end(),
-                             [&](const RelaySpan& s) {
-                               return s.switch_index == target;
-                             }),
-              spans.end());
-  spans.push_back(std::move(old_home));
+  std::erase_if(st.placement.spans, [&](const RelaySpan& s) {
+    return s.switch_index == target;
+  });
+  st.placement.spans.push_back(std::move(old_home));
   st.placement.home = target;
   st.placement.local_meeting = target_local;
   st.placement.home_participants = std::move(target_members);
@@ -1185,9 +1139,9 @@ void FleetController::HitlessMigrate(MeetingState& st, MeetingId meeting,
 }
 
 void FleetController::EndMeeting(MeetingId meeting) {
-  MeetingState* found = Find(meeting);
+  MeetingRecord* found = Find(meeting);
   if (found == nullptr) return;
-  MeetingState& st = *found;
+  MeetingRecord& st = *found;
 
   // Collapse the spans first: span members are notified through their
   // switch-local controllers, and relay teardown tells everyone else
@@ -1200,12 +1154,11 @@ void FleetController::EndMeeting(MeetingId meeting) {
   // sweep whatever is left so the protection meetings end with the
   // meeting.
   while (!st.secondaries.empty()) {
-    TearDownSecondary(st, st.secondaries.back(), SIZE_MAX);
-    st.secondaries.pop_back();
+    DropSecondary(st, std::prev(st.secondaries.end()), SIZE_MAX);
   }
   GcProtectionMeetings(st);
 
-  Member& sw = table_[st.placement.home];
+  SwitchTable::Record& sw = table_[st.placement.home];
   // Drain members still joined at meeting end so the freed switch
   // actually looks free to placement.
   sw.participants -= static_cast<int>(st.members.size());
@@ -1215,9 +1168,9 @@ void FleetController::EndMeeting(MeetingId meeting) {
 }
 
 void FleetController::MigrateMeeting(MeetingId meeting, size_t target_switch) {
-  MeetingState* found = Find(meeting);
+  MeetingRecord* found = Find(meeting);
   if (found == nullptr) return;
-  MeetingState& st = *found;
+  MeetingRecord& st = *found;
   if (st.placement.home == target_switch && !st.placement.spans_switches()) {
     return;
   }
@@ -1256,14 +1209,14 @@ void FleetController::MigrateMeeting(MeetingId meeting, size_t target_switch) {
   // The old switch-local meeting is over (state wiped by the restart, or
   // torn down on a live source); current members' sessions go with it —
   // they re-Join and land on the target.
-  Member& from = table_[st.placement.home];
+  SwitchTable::Record& from = table_[st.placement.home];
   from.participants -= static_cast<int>(st.members.size());
   st.members.clear();
   st.placement.home_participants.clear();
   from.controller->EndMeeting(st.placement.local_meeting);
   --from.meetings;
 
-  Member& to = table_[target_switch];
+  SwitchTable::Record& to = table_[target_switch];
   MeetingId local = to.controller->CreateMeeting();
   ++to.meetings;
   st.placement.home = target_switch;
@@ -1277,7 +1230,7 @@ void FleetController::MigrateMeeting(MeetingId meeting, size_t target_switch) {
 }
 
 void FleetController::OnSwitchDown(size_t switch_index) {
-  Member& m = table_[switch_index];
+  SwitchTable::Record& m = table_[switch_index];
   if (!m.alive) return;  // already declared dead: migrate exactly once
   m.alive = false;
   switch_down_(switch_index);
@@ -1300,7 +1253,7 @@ void FleetController::LoseSwitch(size_t switch_index) {
           spanned.size());
   }
   for (MeetingId meeting : homed) {
-    size_t standby = LeastLoaded(switch_index);
+    const size_t standby = LeastLoadedLive(Loads(), {switch_index});
     // With no live standby the meeting stays put and recovers only when
     // the switch itself is revived (single-switch fleets behave like the
     // plain Scallop testbed's restart failover).
@@ -1311,7 +1264,7 @@ void FleetController::LoseSwitch(size_t switch_index) {
     // Only a span died: the home (hub) survives, so collapse the span and
     // let its members re-join — the policy re-plans them onto live
     // switches.
-    MeetingState& st = *Find(meeting);
+    MeetingRecord& st = *Find(meeting);
     Trace(obs::Category::kFleet, "span.collapsed", "meeting=%u switch=%zu",
           static_cast<unsigned>(meeting), switch_index);
     if (settings_.on_moved) {
@@ -1322,48 +1275,16 @@ void FleetController::LoseSwitch(size_t switch_index) {
   }
   if (!settings_.redundancy.enabled()) return;
   // Instant fallback: relays whose current transport merely *transits*
-  // the dead switch (both endpoints survive) flip onto a standby chain
-  // that avoids it — the chain was already delivering duplicate copies,
-  // so receivers never see a gap. Standby chains the dead switch was
+  // the dead switch flip onto a standby chain that avoids it — the chain
+  // was already delivering duplicate copies, so receivers never see a
+  // gap. (A relay ending at the dead switch has no such standby; the span
+  // handling above owned its fate.) Standby chains the dead switch was
   // part of are gone; drop their surviving wiring quietly.
-  for (auto& [meeting, st] : meetings_) {
-    for (MeetingRelay& r : st.relays) {
-      if (r.upstream == switch_index || r.downstream == switch_index) {
-        continue;  // the classic span handling owned this relay's fate
-      }
-      const std::vector<size_t>& cur = CurrentRelayPath(st, r);
-      bool transits = false;
-      for (size_t i = 1; i + 1 < cur.size(); ++i) {
-        transits = transits || cur[i] == switch_index;
-      }
-      if (!transits) continue;
-      SecondaryTree* t = SecondaryOf(st, r);
-      if (t == nullptr) continue;
-      bool avoids = true;
-      for (size_t sw : t->path) avoids = avoids && sw != switch_index;
-      if (!avoids) continue;
-      FlipRelay(st, r, *t);
-      PlanSecondary(st, r);  // declines when the death left no disjoint path
-    }
-    for (auto it = st.secondaries.begin(); it != st.secondaries.end();) {
-      bool broken = false;
-      if (!it->active) {
-        for (size_t sw : it->path) broken = broken || sw == switch_index;
-      }
-      if (!broken) {
-        ++it;
-        continue;
-      }
-      const SecondaryTree retired = *it;
-      it = st.secondaries.erase(it);
-      TearDownSecondary(st, retired, switch_index);
-    }
-    GcProtectionMeetings(st);
-  }
+  FailOver({{switch_index, switch_index}}, switch_index);
 }
 
 void FleetController::ReviveSwitch(size_t switch_index) {
-  Member& m = table_[switch_index];
+  SwitchTable::Record& m = table_[switch_index];
   m.alive = true;
   // Restart the liveness clock: the grace period before fresh heartbeats
   // arrive must not count as misses and instantly re-kill the switch.

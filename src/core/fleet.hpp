@@ -9,7 +9,7 @@
 // telemetry stream (Heartbeat + SwitchLoadReport) flows back up. On top
 // of the telemetry the fleet runs two control loops:
 //   * failure detection — a switch whose heartbeats stop for
-//     `heartbeat_miss_threshold` intervals is declared dead and its
+//     `kHeartbeatMissThreshold` intervals is declared dead and its
 //     meetings migrate to the least-loaded live standby (exactly once);
 //   * load rebalancing (opt-in, EnableRebalancer) — when the *reported*
 //     participant load of the busiest live switch exceeds the idlest by
@@ -47,11 +47,12 @@
 
 namespace scallop::core {
 
-// One installed inter-switch relay: `origin`'s stream crossing one tree
-// edge from `upstream` to `downstream`. On multi-level plans a stream
-// reaches distant spans through a chain of these, one per hop.
-struct MeetingRelay {
-  ParticipantId origin = 0;           // the real sender being carried
+// One relay hop: a stream crossing from `upstream` to `downstream`. The
+// upstream switch forwards it, known there as `upstream_sender`, over the
+// leg of pseudo-receiver `relay_receiver`; the downstream switch takes it
+// in as `relay_sender`. A primary relay is one hop; a standby chain is a
+// sequence of them. FleetController::WireHop wires both.
+struct RelayHop {
   size_t upstream = SIZE_MAX;         // switch forwarding the stream
   size_t downstream = SIZE_MAX;       // switch receiving it
   ParticipantId upstream_sender = 0;  // origin or its relay sender there
@@ -59,6 +60,13 @@ struct MeetingRelay {
   ParticipantId relay_sender = 0;     // pseudo-sender on downstream
   uint16_t upstream_port = 0;         // relay leg port (media source)
   uint16_t downstream_port = 0;       // relay uplink port (media dest)
+};
+
+// One installed inter-switch relay: `origin`'s stream crossing one tree
+// edge. On multi-level plans a stream reaches distant spans through a
+// chain of these, one per hop.
+struct MeetingRelay : RelayHop {
+  ParticipantId origin = 0;  // the real sender being carried
   uint32_t video_ssrc = 0;
   uint32_t audio_ssrc = 0;
   bool sends_video = false;
@@ -70,36 +78,23 @@ struct MeetingRelay {
   double load_bps = 0.0;
 };
 
-// One hop of a secondary (protection) relay chain. Interior hops park a
-// dedicated relay sender in a switch-local *protection meeting* (invisible
-// to placement — it carries no members); the terminal hop attaches to the
-// protected primary relay sender as an extra source instead, merging the
-// two trees behind one (origin, seq) dedup window.
-struct ProtectionHop {
-  size_t upstream = SIZE_MAX;
-  size_t downstream = SIZE_MAX;
-  ParticipantId sender_on_upstream = 0;  // id the stream is known by there
-  ParticipantId relay_receiver = 0;      // pseudo-receiver on upstream
-  ParticipantId relay_sender = 0;  // pseudo-sender downstream (interior) or
-                                   // the protected relay sender (terminal)
-  uint16_t upstream_port = 0;      // relay leg port (secondary media source)
-  uint16_t downstream_port = 0;
-  bool terminal = false;  // attaches to the primary relay via AddRelaySource
-};
-
 // A secondary relay tree protecting one primary relay (origin's stream on
-// the tree edge upstream -> downstream): a chain of ProtectionHops along a
-// link-disjoint (or maximally disjoint) backbone path. `active` flips true
-// when the secondary has been promoted to primary (make-before-break): its
-// terminal leg then belongs to the relay record and its registered load is
-// accounted under the relay's backbone path.
+// the tree edge upstream -> downstream): a chain of hops along a
+// link-disjoint (or maximally disjoint) backbone path. Interior hops park
+// their relay senders in switch-local *protection meetings* (invisible to
+// placement — they carry no members); the last hop ends at `downstream`
+// and merges into the protected relay sender (that hop's `relay_sender`)
+// as an extra source, behind one (origin, seq) dedup window. `active`
+// flips true when the secondary has been promoted to primary
+// (make-before-break): its last hop is then the relay sender's primary
+// feed, and the chain's registered load is the relay's (the relay
+// record's own backbone path and load are cleared).
 struct SecondaryTree {
   ParticipantId origin = 0;
   size_t upstream = SIZE_MAX;
   size_t downstream = SIZE_MAX;
-  ParticipantId protected_relay = 0;  // primary relay sender at downstream
-  std::vector<size_t> path;           // switch chain upstream..downstream
-  std::vector<ProtectionHop> hops;
+  std::vector<size_t> path;  // switch chain upstream..downstream
+  std::vector<RelayHop> hops;
   double load_bps = 0.0;
   bool active = false;
 };
@@ -429,58 +424,60 @@ class FleetController : public SignalingServer,
   std::vector<SecondaryTree> SecondariesOf(MeetingId meeting) const;
 
  private:
-  using Member = SwitchTable::Record;
-  using MemberInfo = MeetingMemberInfo;
-  using MeetingState = MeetingRecord;
-
   // The meeting's record; nullptr when this controller does not hold it.
-  MeetingState* Find(MeetingId meeting);
-  const MeetingState* Find(MeetingId meeting) const;
+  MeetingRecord* Find(MeetingId meeting);
+  const MeetingRecord* Find(MeetingId meeting) const;
   // Switch-local meeting id on `switch_index` (home or a span).
-  MeetingId LocalMeetingOn(const MeetingState& st, size_t switch_index) const;
+  MeetingId LocalMeetingOn(const MeetingRecord& st, size_t switch_index) const;
   std::vector<SwitchLoad> Loads() const;
   // Creates the span's switch-local meeting (parented per the policy's
   // ChooseSpanParent) and routes every existing sender's stream into it
   // along the relay tree.
-  RelaySpan& EnsureSpan(MeetingState& st, size_t switch_index);
+  RelaySpan& EnsureSpan(MeetingRecord& st, size_t switch_index);
   // Installs (idempotently) the relay carrying `origin`'s stream onto
   // `downstream`, forwarding from `upstream` where the stream is known as
   // `upstream_sender`; wires receive legs for real members already homed
   // downstream and registers the hop's backbone load. Returns the relay
   // sender id on the downstream switch.
-  ParticipantId EnsureRelay(MeetingState& st, size_t upstream,
+  ParticipantId EnsureRelay(MeetingRecord& st, size_t upstream,
                             size_t downstream, ParticipantId origin,
                             ParticipantId upstream_sender,
                             const SenderIntent& origin_intent);
-  // The id `origin`'s stream is known under on `switch_index`: the origin
-  // itself where it is homed, its relay sender where a relay terminates,
-  // 0 when the stream has not reached that switch.
-  ParticipantId SenderIdOn(const MeetingState& st, ParticipantId origin,
-                           size_t origin_switch, size_t switch_index) const;
+  // Wires one hop carrying `stream`'s media: reserves the upstream leg's
+  // port, has the downstream switch take the stream in on `down_meeting`
+  // as relay sender `hop.relay_sender` (with `merge`, an extra source of
+  // that existing sender at `hop.downstream_port`), then installs the
+  // upstream leg on `up_meeting`.
+  void WireHop(RelayHop& hop, MeetingId up_meeting, MeetingId down_meeting,
+               const MeetingRelay& stream, bool merge);
+  // Opens `member`'s receive leg toward relay sender `r.relay_sender` on
+  // the member's home switch, `r.downstream`.
+  void OpenRelayLeg(const MeetingRecord& st, ParticipantId member,
+                    SignalingClient& client, const MeetingRelay& r);
   // Extends `origin`'s relay chain hop by hop along the tree path from its
   // home switch to `target_switch` (idempotent per edge); returns its
   // sender id on the target.
-  ParticipantId EnsureSenderAt(MeetingState& st, ParticipantId origin,
+  ParticipantId EnsureSenderAt(MeetingRecord& st, ParticipantId origin,
                                size_t origin_switch, size_t target_switch,
                                const SenderIntent& origin_intent);
   // Routes `origin`'s stream (homed on `origin_switch`) to every other
   // switch on the plan, per hop along the relay tree — exactly one relay
   // copy per tree edge.
-  void RouteSenderEverywhere(MeetingState& st, ParticipantId origin,
+  void RouteSenderEverywhere(MeetingRecord& st, ParticipantId origin,
                              size_t origin_switch,
                              const SenderIntent& origin_intent);
   // Tears down every relay carrying `origin`'s stream (it left).
-  void RemoveSenderRelays(MeetingState& st, ParticipantId origin);
+  void RemoveSenderRelays(MeetingRecord& st, ParticipantId origin);
   // Releases the backbone load a relay registered when it was installed.
   void UnregisterRelayLoad(const MeetingRelay& relay);
   // Tears down one span entirely — child spans (its subtree) first, then
   // relay wiring, the span-local meeting, and any members still homed
   // there (their sessions are gone).
-  void TearDownSpan(MeetingState& st, size_t switch_index, bool switch_dead);
-  void EraseParticipantFromPlacement(MeetingState& st, ParticipantId p);
+  void TearDownSpan(MeetingRecord& st, size_t switch_index, bool switch_dead);
+  void EraseParticipantFromPlacement(MeetingRecord& st, ParticipantId p);
   // Members homed on `root`'s span and every span below it in the relay
   // tree: the sessions a collapse of that subtree drops.
-  std::vector<ParticipantId> SubtreeMembers(const MeetingState& st,
+  std::vector<ParticipantId> SubtreeMembers(const MeetingRecord& st,
                                             size_t root) const;
   ParticipantId NextRelayId();
 
@@ -488,48 +485,48 @@ class FleetController : public SignalingServer,
   // Plans and installs a secondary tree for every unprotected relay on the
   // meeting (no-op unless redundant trees are enabled and the backbone is
   // explicit).
-  void EnsureProtection(MeetingState& st);
+  void EnsureProtection(MeetingRecord& st);
   // Plans a link-disjoint (or maximally disjoint) secondary chain for one
   // relay and installs it hop by hop: interior hops are relay senders in
-  // protection meetings, the terminal hop attaches to the primary relay
+  // protection meetings, the last hop attaches to the primary relay
   // sender as an extra dedup'd source. Every chain leg (and the primary's
   // forwarding leg) gets its decode target pinned to full quality so both
   // trees carry identical (ssrc, seq) streams. Declines quietly when no
   // useful disjoint path exists.
-  void PlanSecondary(MeetingState& st, MeetingRelay& r);
-  // The standby (non-active) secondary protecting `r`, if any.
-  SecondaryTree* SecondaryOf(MeetingState& st, const MeetingRelay& r);
-  // The promoted chain currently carrying `r`'s stream, if any.
-  SecondaryTree* ActiveOf(MeetingState& st, const MeetingRelay& r);
-  // The relay's current physical path: its promoted chain's once flipped,
-  // its own backbone path otherwise.
-  const std::vector<size_t>& CurrentRelayPath(const MeetingState& st,
-                                              const MeetingRelay& r) const;
+  void PlanSecondary(MeetingRecord& st, MeetingRelay& r);
   // Make-before-break promotion: the downstream merge point flips to the
-  // secondary source, the old primary leg drains, and the chain becomes
-  // the relay's primary path (its registered load transfers to the relay's
-  // backbone-path accounting).
-  void FlipRelay(MeetingState& st, MeetingRelay& r, SecondaryTree& tree);
-  // Removes one secondary chain's wiring (commands to `dead_switch`, if
-  // any, are skipped — its state died with it). Active chains keep their
-  // terminal leg and load: both belong to the relay record after a flip.
-  void TearDownSecondary(MeetingState& st, const SecondaryTree& tree,
-                         size_t dead_switch);
+  // secondary source, the old transport drains (the relay's own leg, or
+  // the chain an earlier flip promoted), and the chain becomes the
+  // relay's transport, its registered load with it.
+  void FlipRelay(MeetingRecord& st, MeetingRelay& r, SecondaryTree& tree);
+  // Routes relays around `hits`, backbone links {a, b} (a < b) or switches
+  // {s, s}: each relay whose current transport a hit lands on flips onto a
+  // standby avoiding that hit and is re-protected, then each standby a hit
+  // lands on is dropped. An overload (no `dead_switch`) makes one change
+  // per call and returns whether it made one; a dead switch is handled in
+  // one pass, skipping commands to it.
+  bool FailOver(const std::vector<std::pair<size_t, size_t>>& hits,
+                size_t dead_switch);
+  // Removes one secondary chain's wiring and forgets the chain; returns
+  // the next one. Commands to `dead_switch`, if any, are skipped — its
+  // state died with it. An active chain keeps its last hop's merge source:
+  // after a flip that is the relay sender's primary feed, which dies with
+  // the relay sender itself.
+  std::vector<SecondaryTree>::iterator DropSecondary(
+      MeetingRecord& st, std::vector<SecondaryTree>::iterator tree,
+      size_t dead_switch);
   // Switch-local protection meeting hosting interior chain hops on
   // `switch_index` (created on first use).
-  MeetingId ProtectionMeetingOn(MeetingState& st, size_t switch_index);
+  MeetingId ProtectionMeetingOn(MeetingRecord& st, size_t switch_index);
   // Ends protection meetings no remaining secondary routes through.
-  void GcProtectionMeetings(MeetingState& st);
+  void GcProtectionMeetings(MeetingRecord& st);
   // Re-homes one meeting without dropping members: spans the target, then
   // re-roots the placement tree there — the old home becomes a
   // member-carrying span that drains as members churn.
-  void HitlessMigrate(MeetingState& st, MeetingId meeting, size_t target);
+  void HitlessMigrate(MeetingRecord& st, MeetingId meeting, size_t target);
 
-  // Least-loaded live switch, optionally excluding one index; SIZE_MAX
-  // when no live switch qualifies.
-  size_t LeastLoaded(size_t exclude = SIZE_MAX) const;
   // Failure-detector tick: declares switches with
-  // `heartbeat_miss_threshold` consecutive missed heartbeats dead.
+  // kHeartbeatMissThreshold consecutive missed heartbeats dead.
   void CheckHeartbeats();
   // Rebalancer tick: at most one meeting moves per tick.
   void Rebalance();
@@ -551,7 +548,7 @@ class FleetController : public SignalingServer,
   size_t region_ = 0;
   // The meeting records this controller placed (or adopted): placement,
   // membership, relay wiring, rebalance hysteresis.
-  std::map<MeetingId, MeetingState> meetings_;
+  std::map<MeetingId, MeetingRecord> meetings_;
   MeetingId next_meeting_ = 1;
   // Meeting ids advance by this much per CreateMeeting: R under an
   // R-region federation (region r mints r+1, r+1+R, ...).

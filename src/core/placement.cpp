@@ -7,6 +7,40 @@
 
 namespace scallop::core {
 
+namespace {
+
+// The budgeted policies' first choice: the home switch, then the existing
+// spans in creation order — the first that is live with fewer than
+// `max_per_switch` members. SIZE_MAX when every one is full (or dead).
+size_t FirstWithRoom(const MeetingPlacement& placement,
+                     const std::vector<SwitchLoad>& loads,
+                     int max_per_switch) {
+  auto has_room = [&](size_t idx, size_t members) {
+    return idx < loads.size() && loads[idx].alive &&
+           static_cast<int>(members) < max_per_switch;
+  };
+  if (has_room(placement.home, placement.home_participants.size())) {
+    return placement.home;
+  }
+  for (const RelaySpan& span : placement.spans) {
+    if (has_room(span.switch_index, span.participants.size())) {
+      return span.switch_index;
+    }
+  }
+  return SIZE_MAX;
+}
+
+// Participants homed anywhere on the plan.
+int MemberCount(const MeetingPlacement& placement) {
+  int members = static_cast<int>(placement.home_participants.size());
+  for (const RelaySpan& span : placement.spans) {
+    members += static_cast<int>(span.participants.size());
+  }
+  return members;
+}
+
+}  // namespace
+
 const RelaySpan* MeetingPlacement::SpanOn(size_t switch_index) const {
   for (const RelaySpan& span : spans) {
     if (span.switch_index == switch_index) return &span;
@@ -135,22 +169,9 @@ size_t LeastLoadedPolicy::PlaceParticipant(
 size_t CascadePolicy::PlaceParticipant(
     const MeetingPlacement& placement,
     const std::vector<SwitchLoad>& loads) const {
-  auto alive = [&](size_t idx) {
-    return idx < loads.size() && loads[idx].alive;
-  };
-  // Fill the home switch first.
-  if (alive(placement.home) &&
-      static_cast<int>(placement.home_participants.size()) <
-          max_per_switch_) {
-    return placement.home;
-  }
-  // Then existing spans, in creation order.
-  for (const RelaySpan& span : placement.spans) {
-    if (alive(span.switch_index) &&
-        static_cast<int>(span.participants.size()) < max_per_switch_) {
-      return span.switch_index;
-    }
-  }
+  // Fill the home switch first, then existing spans in creation order.
+  const size_t with_room = FirstWithRoom(placement, loads, max_per_switch_);
+  if (with_room != SIZE_MAX) return with_room;
   // Then open a new span on the least-loaded switch the meeting does not
   // already touch.
   std::vector<size_t> used{placement.home};
@@ -235,31 +256,16 @@ TopologyAwarePolicy::Attachment TopologyAwarePolicy::BestAttachment(
 size_t TopologyAwarePolicy::PlaceParticipant(
     const MeetingPlacement& placement,
     const std::vector<SwitchLoad>& loads) const {
-  auto alive = [&](size_t idx) {
-    return idx < loads.size() && loads[idx].alive;
-  };
   // Fill the home switch first, then existing spans in creation order —
   // identical budgeting to CascadePolicy, so single-switch and
   // hub-capacity behaviour match it exactly.
-  if (alive(placement.home) &&
-      static_cast<int>(placement.home_participants.size()) <
-          max_per_switch_) {
-    return placement.home;
-  }
-  for (const RelaySpan& span : placement.spans) {
-    if (alive(span.switch_index) &&
-        static_cast<int>(span.participants.size()) < max_per_switch_) {
-      return span.switch_index;
-    }
-  }
+  const size_t with_room = FirstWithRoom(placement, loads, max_per_switch_);
+  if (with_room != SIZE_MAX) return with_room;
   // Open a new span on the live switch that is cheapest to attach to the
   // current tree: reachable over the backbone, every affected link able
   // to absorb the join's summed load increments (BestAttachment), then
   // path latency, then the canonical load order as the final tie-break.
-  int members = static_cast<int>(placement.home_participants.size());
-  for (const RelaySpan& span : placement.spans) {
-    members += static_cast<int>(span.participants.size());
-  }
+  const int members = MemberCount(placement);
   std::vector<size_t> used = placement.Switches();
   size_t best = SIZE_MAX;
   Attachment best_att;
@@ -289,11 +295,8 @@ size_t TopologyAwarePolicy::ChooseSpanParent(const MeetingPlacement& placement,
                                              size_t span_switch) const {
   // Mirror the admission computation so the parent chosen at span
   // creation is the same attachment PlaceParticipant judged cheapest.
-  int members = static_cast<int>(placement.home_participants.size());
-  for (const RelaySpan& span : placement.spans) {
-    members += static_cast<int>(span.participants.size());
-  }
-  Attachment att = BestAttachment(placement, span_switch, members);
+  Attachment att =
+      BestAttachment(placement, span_switch, MemberCount(placement));
   return att.parent == SIZE_MAX ? placement.home : att.parent;
 }
 

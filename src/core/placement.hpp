@@ -102,13 +102,14 @@ class PlacementPolicy {
  public:
   virtual ~PlacementPolicy() = default;
   virtual std::string Name() const = 0;
-  // Gives the policy the controller's inter-switch topology view (called
-  // by FleetController::SetPlacementPolicy; the pointer outlives the
+  // Gives the policy the switch table's inter-switch topology view (called
+  // by FederatedControlPlane::BindPolicy; the pointer outlives the
   // policy). Topology-blind policies ignore it.
   virtual void BindTopology(const InterSwitchTopology* /*topology*/) {}
   // Keeps the policy's per-stream bandwidth estimate in lockstep with the
-  // controller's (FleetController::set_relay_stream_bps), so admission
-  // decisions and the load the fleet actually registers agree.
+  // plane's (FleetSettings::relay_stream_bps, bound by
+  // FederatedControlPlane::BindPolicy), so admission decisions and the
+  // load the fleet actually registers agree.
   virtual void SetStreamEstimate(double /*bps*/) {}
   // Redundant dual relay trees: how many tree copies the fleet will
   // register load for per relayed stream (2.0 with redundancy on, the

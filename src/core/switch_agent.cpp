@@ -388,6 +388,21 @@ void SwitchAgent::SyncRelaySources(Participant& p) {
   ++stats_.dataplane_writes;
 }
 
+void SwitchAgent::RemoveLegState(ParticipantId receiver, ParticipantId sender,
+                                 const Leg& leg) {
+  dp_.RemoveFeedback(leg.sfu_port);
+  auto sit = participants_.find(sender);
+  if (sit == participants_.end()) return;
+  const Participant& s = sit->second;
+  const auto rid = static_cast<uint16_t>(receiver);
+  dp_.RemoveEgress(EgressKey{s.media_src, rid});
+  for (const net::Endpoint& extra : s.extra_srcs) {
+    dp_.RemoveEgress(EgressKey{extra, rid});
+  }
+  dp_.RemoveEgress(EgressKey{leg.client, static_cast<uint16_t>(sender)});
+  dp_.RemoveSvc(SvcKey{s.video_ssrc, receiver});
+}
+
 void SwitchAgent::RemoveParticipant(MeetingId meeting, ParticipantId id) {
   auto it = participants_.find(id);
   if (it == participants_.end()) return;
@@ -395,20 +410,10 @@ void SwitchAgent::RemoveParticipant(MeetingId meeting, ParticipantId id) {
 
   dp_.RemoveFeedback(p.uplink_port);
   for (auto& [sender, ps] : p.by_sender) {
-    if (!ps.leg) continue;
-    dp_.RemoveFeedback(ps.leg->sfu_port);
-    auto sit = participants_.find(sender);
-    if (sit != participants_.end()) {
-      dp_.RemoveEgress(EgressKey{sit->second.media_src,
-                                 static_cast<uint16_t>(id)});
-      for (const net::Endpoint& extra : sit->second.extra_srcs) {
-        dp_.RemoveEgress(EgressKey{extra, static_cast<uint16_t>(id)});
-      }
-      dp_.RemoveEgress(
-          EgressKey{ps.leg->client, static_cast<uint16_t>(sender)});
-      dp_.RemoveSvc(SvcKey{sit->second.video_ssrc, id});
-    }
+    if (ps.leg) RemoveLegState(id, sender, *ps.leg);
   }
+  // Rewriters free after every removal, in sender order: the order decides
+  // which index the next leg reuses.
   for (auto& [sender, ps] : p.by_sender) {
     if (ps.rewriter_index) dp_.FreeRewriter(*ps.rewriter_index);
   }
@@ -418,13 +423,7 @@ void SwitchAgent::RemoveParticipant(MeetingId meeting, ParticipantId id) {
     auto psit = other.by_sender.find(id);
     if (psit != other.by_sender.end() && psit->second.leg) {
       PerSender& ps = psit->second;
-      dp_.RemoveFeedback(ps.leg->sfu_port);
-      dp_.RemoveEgress(EgressKey{p.media_src, static_cast<uint16_t>(pid)});
-      for (const net::Endpoint& extra : p.extra_srcs) {
-        dp_.RemoveEgress(EgressKey{extra, static_cast<uint16_t>(pid)});
-      }
-      dp_.RemoveEgress(EgressKey{ps.leg->client, static_cast<uint16_t>(id)});
-      dp_.RemoveSvc(SvcKey{p.video_ssrc, pid});
+      RemoveLegState(pid, id, *ps.leg);
       if (ps.rewriter_index) {
         dp_.FreeRewriter(*ps.rewriter_index);
         ps.rewriter_index.reset();

@@ -232,6 +232,12 @@ class SwitchAgent {
   void ApplyDecodeTarget(Participant& receiver, ParticipantId sender,
                          int new_dt);
   void RebuildMeeting(MeetingId meeting);
+  // Removes the data-plane state of `receiver`'s leg toward `sender`: the
+  // leg's feedback port and, while the sender is known, its media egress
+  // under the sender's source and each extra source, the feedback egress
+  // and the SVC entry. Freeing the leg's rewriter is left to the caller.
+  void RemoveLegState(ParticipantId receiver, ParticipantId sender,
+                      const Leg& leg);
   // Re-installs the secondary-source mirror state (stream entries, media
   // egress, dedup windows) for one relay sender; idempotent, called after
   // every rebuild since Reconfigure rewrites primary entries in place.

@@ -37,13 +37,13 @@ uint32_t TreeManager::AllocMgid() {
 
 void TreeManager::FreeMgid(uint32_t mgid) { free_mgids_.push_back(mgid); }
 
-TreeManager::Group* TreeManager::FindOpenGroup(TreeDesign design) {
-  for (auto& [id, g] : groups_) {
+uint32_t TreeManager::FindOpenGroup(TreeDesign design) const {
+  for (const auto& [id, g] : groups_) {
     if (g.design == design && (g.slots[0] == 0 || g.slots[1] == 0)) {
-      return &g;
+      return id;
     }
   }
-  return nullptr;
+  return 0;
 }
 
 std::optional<TreeDesign> TreeManager::CurrentDesign(MeetingId id) const {
@@ -54,8 +54,9 @@ std::optional<TreeDesign> TreeManager::CurrentDesign(MeetingId id) const {
 
 TreeDesign TreeManager::Reconfigure(const MeetingSpec& spec) {
   ++stats_.reconfigs;
-  TreeDesign desired = DesignFor(spec);
+  const TreeDesign desired = DesignFor(spec);
 
+  std::optional<MeetingRecord> old;
   auto it = meetings_.find(spec.id);
   if (it != meetings_.end()) {
     if (it->second.design != desired) ++stats_.migrations;
@@ -63,32 +64,22 @@ TreeDesign TreeManager::Reconfigure(const MeetingSpec& spec) {
     // clearing stream entries of removed members: stream entries are
     // overwritten in place (a single table write repoints the meeting), so
     // media never hits a missing entry mid-migration.
-    MeetingRecord old = std::move(it->second);
+    old = std::move(it->second);
     meetings_.erase(it);
-    MeetingRecord rec;
-    rec.design = desired;
-    rec.spec = spec;
-    switch (desired) {
-      case TreeDesign::kTwoParty: BuildTwoParty(spec, rec); break;
-      case TreeDesign::kNRA: BuildNRA(spec, rec); break;
-      case TreeDesign::kRAR: BuildRAR(spec, rec); break;
-      case TreeDesign::kRASR: BuildRASR(spec, rec); break;
-    }
-    meetings_.emplace(spec.id, std::move(rec));
-    TearDown(old);
-    return desired;
   }
-
   MeetingRecord rec;
   rec.design = desired;
   rec.spec = spec;
   switch (desired) {
-    case TreeDesign::kTwoParty: BuildTwoParty(spec, rec); break;
-    case TreeDesign::kNRA: BuildNRA(spec, rec); break;
-    case TreeDesign::kRAR: BuildRAR(spec, rec); break;
+    case TreeDesign::kTwoParty:
+      InstallStreams(spec, TreeDesign::kTwoParty, {}, {});
+      break;
+    case TreeDesign::kNRA: BuildGrouped(spec, rec, desired, 1); break;
+    case TreeDesign::kRAR: BuildGrouped(spec, rec, desired, 3); break;
     case TreeDesign::kRASR: BuildRASR(spec, rec); break;
   }
   meetings_.emplace(spec.id, std::move(rec));
+  if (old.has_value()) TearDown(*old);
   return desired;
 }
 
@@ -167,92 +158,35 @@ void TreeManager::InstallStreams(
   }
 }
 
-void TreeManager::BuildTwoParty(const MeetingSpec& spec, MeetingRecord& rec) {
-  (void)rec;
-  InstallStreams(spec, TreeDesign::kTwoParty, {}, {});
-}
-
-void TreeManager::BuildNRA(const MeetingSpec& spec, MeetingRecord& rec) {
-  Group* g = FindOpenGroup(TreeDesign::kNRA);
-  uint32_t group_id;
-  if (g == nullptr) {
+void TreeManager::BuildGrouped(const MeetingSpec& spec, MeetingRecord& rec,
+                               TreeDesign design, uint32_t layers) {
+  uint32_t group_id = FindOpenGroup(design);
+  if (group_id == 0) {
     group_id = next_group_id_++;
     Group fresh;
-    fresh.design = TreeDesign::kNRA;
-    uint32_t mgid = AllocMgid();
-    pre_.CreateTree(mgid);
-    ++stats_.trees_built;
-    fresh.mgids = {mgid};
-    groups_.emplace(group_id, fresh);
-    g = &groups_.at(group_id);
-  } else {
-    group_id = 0;
-    for (auto& [id, grp] : groups_) {
-      if (&grp == g) group_id = id;
-    }
-  }
-  uint8_t slot = g->slots[0] == 0 ? 1 : 2;
-  g->slots[slot - 1] = spec.id;
-  rec.group_id = group_id;
-  rec.slot = slot;
-
-  uint32_t mgid = g->mgids[0];
-  for (const MemberSpec& m : spec.members) {
-    switchsim::L1Node node;
-    node.node_id = NextNodeId();
-    node.rid = static_cast<uint16_t>(m.id);
-    node.l1_xid = slot;
-    node.prune_enabled = true;
-    node.ports = {m.id};
-    pre_.AddNode(mgid, node);
-    ++stats_.nodes_added;
-    rec.nodes.emplace_back(mgid, node.node_id);
-  }
-
-  std::map<ParticipantId, uint32_t> sender_mgid;
-  std::map<ParticipantId, uint16_t> sender_xid;
-  uint16_t exclude_xid = slot == 1 ? 2 : 1;  // exclude the other slot
-  for (const MemberSpec& m : spec.members) {
-    sender_mgid[m.id] = mgid;
-    sender_xid[m.id] = exclude_xid;
-  }
-  InstallStreams(spec, TreeDesign::kNRA, sender_mgid, sender_xid);
-}
-
-void TreeManager::BuildRAR(const MeetingSpec& spec, MeetingRecord& rec) {
-  Group* g = FindOpenGroup(TreeDesign::kRAR);
-  uint32_t group_id;
-  if (g == nullptr) {
-    group_id = next_group_id_++;
-    Group fresh;
-    fresh.design = TreeDesign::kRAR;
-    // Three consecutive mgids: cumulative layer trees l = 0,1,2.
+    fresh.design = design;
+    // One cumulative layer tree per layer l, on consecutive mgids (a
+    // packet of layer l invokes mgid_base + l); regenerate the block if
+    // the free list broke contiguity.
     uint32_t base = AllocMgid();
-    uint32_t m1 = AllocMgid();
-    uint32_t m2 = AllocMgid();
-    // Consecutive allocation is required (mgid_base + layer addressing);
-    // regenerate if the free list broke contiguity.
-    if (m1 != base + 1 || m2 != base + 2) {
-      base = next_mgid_;
-      next_mgid_ += 3;
-      m1 = base + 1;
-      m2 = base + 2;
+    bool contiguous = true;
+    for (uint32_t l = 1; l < layers; ++l) {
+      if (AllocMgid() != base + l) contiguous = false;
     }
-    for (uint32_t l = 0; l < 3; ++l) {
+    if (!contiguous) {
+      base = next_mgid_;
+      next_mgid_ += layers;
+    }
+    for (uint32_t l = 0; l < layers; ++l) {
       pre_.CreateTree(base + l);
       ++stats_.trees_built;
+      fresh.mgids.push_back(base + l);
     }
-    fresh.mgids = {base, base + 1, base + 2};
     groups_.emplace(group_id, fresh);
-    g = &groups_.at(group_id);
-  } else {
-    group_id = 0;
-    for (auto& [id, grp] : groups_) {
-      if (&grp == g) group_id = id;
-    }
   }
-  uint8_t slot = g->slots[0] == 0 ? 1 : 2;
-  g->slots[slot - 1] = spec.id;
+  Group& g = groups_.at(group_id);
+  uint8_t slot = g.slots[0] == 0 ? 1 : 2;
+  g.slots[slot - 1] = spec.id;
   rec.group_id = group_id;
   rec.slot = slot;
 
@@ -262,28 +196,28 @@ void TreeManager::BuildRAR(const MeetingSpec& spec, MeetingRecord& rec) {
     for (const MemberSpec& s : spec.members) {
       if (s.id != m.id && s.sends_video) dt = m.DtFor(s.id);
     }
-    for (int l = 0; l < 3; ++l) {
-      if (dt < l) continue;  // receiver not in trees above its target
+    for (uint32_t l = 0; l < layers; ++l) {
+      if (dt < static_cast<int>(l)) continue;  // not above its target
       switchsim::L1Node node;
       node.node_id = NextNodeId();
       node.rid = static_cast<uint16_t>(m.id);
       node.l1_xid = slot;
       node.prune_enabled = true;
       node.ports = {m.id};
-      pre_.AddNode(g->mgids[static_cast<size_t>(l)], node);
+      pre_.AddNode(g.mgids[l], node);
       ++stats_.nodes_added;
-      rec.nodes.emplace_back(g->mgids[static_cast<size_t>(l)], node.node_id);
+      rec.nodes.emplace_back(g.mgids[l], node.node_id);
     }
   }
 
   std::map<ParticipantId, uint32_t> sender_mgid;
   std::map<ParticipantId, uint16_t> sender_xid;
-  uint16_t exclude_xid = slot == 1 ? 2 : 1;
+  uint16_t exclude_xid = slot == 1 ? 2 : 1;  // exclude the other slot
   for (const MemberSpec& m : spec.members) {
-    sender_mgid[m.id] = g->mgids[0];
+    sender_mgid[m.id] = g.mgids[0];
     sender_xid[m.id] = exclude_xid;
   }
-  InstallStreams(spec, TreeDesign::kRAR, sender_mgid, sender_xid);
+  InstallStreams(spec, design, sender_mgid, sender_xid);
 }
 
 void TreeManager::BuildRASR(const MeetingSpec& spec, MeetingRecord& rec) {

@@ -97,11 +97,14 @@ class TreeManager {
                       const std::map<ParticipantId, uint32_t>& sender_mgid,
                       const std::map<ParticipantId, uint16_t>& sender_xid);
   void TearDown(MeetingRecord& rec);
-  void BuildNRA(const MeetingSpec& spec, MeetingRecord& rec);
-  void BuildRAR(const MeetingSpec& spec, MeetingRecord& rec);
+  // NRA and RA-R: the meeting takes a slot in a group of `layers`
+  // cumulative layer trees shared with one other meeting. NRA is RA-R with
+  // one layer, which every receiver's decode target reaches.
+  void BuildGrouped(const MeetingSpec& spec, MeetingRecord& rec,
+                    TreeDesign design, uint32_t layers);
   void BuildRASR(const MeetingSpec& spec, MeetingRecord& rec);
-  void BuildTwoParty(const MeetingSpec& spec, MeetingRecord& rec);
-  Group* FindOpenGroup(TreeDesign design);
+  // Id of a group of `design` with a free slot; 0 when there is none.
+  uint32_t FindOpenGroup(TreeDesign design) const;
 
   DataPlaneProgram& dp_;
   switchsim::ReplicationEngine& pre_;

@@ -207,7 +207,7 @@ std::vector<core::MeetingId> FleetTestbed::FailoverBegin() {
   // the owning controller's miss detector declares it dead and re-plans
   // its meetings onto live switches — so the re-Joins after the blackout
   // land on the standbys' SFU IPs. The blackout must exceed
-  // heartbeat_miss_threshold heartbeat intervals or the victim is revived
+  // kHeartbeatMissThreshold heartbeat intervals or the victim is revived
   // before it is ever declared dead.
   size_t victim = SIZE_MAX;
   std::vector<core::MeetingId> affected;

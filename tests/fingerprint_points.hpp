@@ -254,6 +254,43 @@ inline std::vector<FingerprintPoint> AllFingerprintPoints() {
     add("redundant/fleet4/s" + std::to_string(seed), spec);
   }
 
+  // Redundant trees under backbone cuts. On the ring, a cut on the 0-1
+  // primary path flips every relay riding it onto its standby chain. On a
+  // full mesh (the shape with a spare disjoint path after the first
+  // flip), a second cut on the promoted 0-2-1 chain flips that relay
+  // again and retires the chain it rode.
+  {
+    ScenarioSpec spec = ScenarioSpec::Uniform("fp-redundant-cut", 1, 4, 2.5,
+                                              6);
+    spec.sample_interval_s = 0.5;
+    spec.base.peer.encoder.start_bitrate_bps = 700'000;
+    spec.WithBackend(BackendChoice::Fleet(4));
+    spec.WithPlacementPolicy(core::PlacementPolicyConfig::TopologyAware(1));
+    spec.WithInterSwitchLink(0, 1, 0.001, 100e6)
+        .WithInterSwitchLink(1, 2, 0.001, 100e6)
+        .WithInterSwitchLink(2, 3, 0.001, 100e6)
+        .WithInterSwitchLink(3, 0, 0.001, 100e6);
+    spec.WithRedundantTrees();
+    spec.WithInterSwitchLinkEvent(1.2, 0, 1, 1.0);
+    add("redundantcut/fleet4/s6", spec);
+
+    ScenarioSpec mesh = ScenarioSpec::Uniform("fp-redundant-recut", 1, 3,
+                                              2.5, 6);
+    mesh.sample_interval_s = 0.5;
+    mesh.base.peer.encoder.start_bitrate_bps = 700'000;
+    mesh.WithBackend(BackendChoice::Fleet(4));
+    mesh.WithPlacementPolicy(core::PlacementPolicyConfig::TopologyAware(1));
+    for (int a = 0; a < 4; ++a) {
+      for (int b = a + 1; b < 4; ++b) {
+        mesh.WithInterSwitchLink(a, b, 0.001, 100e6);
+      }
+    }
+    mesh.WithRedundantTrees();
+    mesh.WithInterSwitchLinkEvent(1.2, 0, 1, 1.0)
+        .WithInterSwitchLinkEvent(1.8, 0, 2, 1.0);
+    add("redundantrecut/fleet4/s6", mesh);
+  }
+
   // Long runs: the busiest leg outlives the receivers' 4096-seq duplicate
   // window and 256-frame decode history and the sender's 1024-packet
   // retransmission history, under loss and reordering.

@@ -9,6 +9,8 @@
 #include <utility>
 
 #include "core/redundancy.hpp"
+#include "fingerprint_points.hpp"
+#include "harness/fingerprint.hpp"
 #include "harness/runner.hpp"
 #include "testbed/fleet_testbed.hpp"
 
@@ -178,6 +180,81 @@ TEST(RedundantTrees, SurvivesPrimaryLinkCutWithZeroFrameGap) {
   EXPECT_GE(m.WorstDeliveryFloor() + 3, undisturbed.WorstDeliveryFloor())
       << "the cut opened a frame gap despite the standby tree\n"
       << m.Summary() << undisturbed.Summary();
+}
+
+// The fingerprint grid's cut points must reach the paths they pin: one
+// cut flips relays onto standbys, and a second cut on a promoted chain
+// flips a relay a second time (retiring the chain it rode).
+TEST(RedundantTrees, FingerprintCutPointsFlipOnceAndTwice) {
+  const std::pair<const char*, uint64_t> wanted[] = {
+      {"redundantcut/fleet4/s6", 1}, {"redundantrecut/fleet4/s6", 2}};
+  for (const auto& [key, min_flips] : wanted) {
+    bool found = false;
+    for (const auto& p : harness::AllFingerprintPoints()) {
+      if (p.key != key) continue;
+      found = true;
+      harness::ScenarioRunner runner(p.spec);
+      const harness::ScenarioMetrics& m = runner.Run();
+      EXPECT_GE(m.redundancy.tree_flips, min_flips) << key << m.Summary();
+      EXPECT_EQ(m.RewriteViolations(), 0u) << key;
+    }
+    EXPECT_TRUE(found) << "no fingerprint point " << key;
+  }
+}
+
+// A switch dies that a promoted chain transits but that hosts neither
+// end of the relay it carries. Full mesh fleet{4}, one 3-party meeting on
+// switches 0..2, so switch 3 hosts nothing of the meeting. At 1.2 s a cut
+// on link 0-1 flips the 0<->1 relays onto chains through switch 3; at
+// 1.5 s switch 3's control link goes dark and its heartbeat detector
+// declares it dead. The relays transiting it flip onto standbys that
+// avoid it (a second flip, retiring the chain through 3), and the
+// standbys through it are dropped with the dead switch's commands
+// skipped. The digest and counts are pinned: any drift means the
+// failover's commands or bookkeeping changed.
+TEST(RedundantTrees, TransitSwitchDeathFlipsAndDropsStandbys) {
+  harness::ScenarioSpec spec =
+      harness::ScenarioSpec::Uniform("mesh-transit-death", 1, 3, 3.0, 6);
+  spec.sample_interval_s = 0.5;
+  spec.base.peer.encoder.start_bitrate_bps = 700'000;
+  spec.WithBackend(testbed::BackendChoice::Fleet(4));
+  spec.WithPlacementPolicy(core::PlacementPolicyConfig::TopologyAware(1));
+  for (int a = 0; a < 4; ++a) {
+    for (int b = a + 1; b < 4; ++b) {
+      spec.WithInterSwitchLink(a, b, 0.001, 100e6);
+    }
+  }
+  spec.WithRedundantTrees();
+  spec.WithInterSwitchLinkEvent(1.2, 0, 1, 1.0);
+  harness::ScenarioRunner runner(spec);
+  runner.backend().sched().At(util::Seconds(1.5), [&runner] {
+    runner.fleet().channel(3).set_link_up(false);
+  });
+
+  runner.RunUntil(1.4);
+  const core::MeetingId id = runner.meeting_id(0);
+  const core::MeetingPlacement placement = runner.fleet().PlacementOf(id);
+  ASSERT_NE(placement.home, 3u);
+  ASSERT_EQ(placement.SpanOn(3), nullptr);
+  size_t transits = 0;
+  for (const auto& t : runner.fleet().fleet().SecondariesOf(id)) {
+    if (t.active && t.path.size() == 3 && t.path[1] == 3) ++transits;
+  }
+  ASSERT_GE(transits, 1u) << "no promoted chain transits switch 3";
+
+  const harness::ScenarioMetrics& m = runner.Run();
+  EXPECT_EQ(m.control.switches_failed, 1u);
+  for (const auto& t : runner.fleet().fleet().SecondariesOf(id)) {
+    for (size_t sw : t.path) EXPECT_NE(sw, 3u) << "a chain still uses 3";
+  }
+  EXPECT_EQ(m.redundancy.tree_flips, 5u);
+  EXPECT_EQ(m.redundancy.secondary_trees_installed, 9u);
+  EXPECT_EQ(m.redundancy.secondary_trees_removed, 6u);
+  EXPECT_EQ(m.RewriteViolations(), 0u) << m.ToCsv();
+  EXPECT_EQ(harness::ScenarioFingerprint::Hex(
+                harness::ScenarioFingerprint::Of(m)),
+            "0xc562c8913ae909bc")
+      << m.Summary();
 }
 
 TEST(RedundantTrees, StandbySurvivesWhenConfiguredOffByteIdentical) {
