@@ -1,6 +1,7 @@
 #include "client/peer.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "rtp/classifier.hpp"
 #include "rtp/rtcp.hpp"
@@ -14,22 +15,35 @@ uint32_t DeriveSsrc(net::Ipv4 addr, uint16_t port, uint8_t media) {
 }
 }  // namespace
 
-Peer::SendHistory::SendHistory(size_t capacity)
+SendHistory::SendHistory(size_t capacity)
     : capacity_(std::min<size_t>(capacity, size_t{1} << 16)) {}
 
-void Peer::SendHistory::Store(uint16_t seq, std::span<const uint8_t> wire) {
+void SendHistory::Store(uint16_t seq, std::span<const uint8_t> wire,
+                        size_t payload_offset) {
   if (capacity_ == 0) return;
   if (next_ == slots_.size()) slots_.emplace_back();
-  slots_[next_].assign(wire.begin(), wire.end());
+  Slot& slot = slots_[next_];
+  const std::span<const uint8_t> payload = wire.subspan(payload_offset);
+  // A run of one byte equals itself shifted by one.
+  const bool run = !payload.empty() &&
+                   std::memcmp(payload.data(), payload.data() + 1,
+                               payload.size() - 1) == 0;
+  const auto head = run ? wire.first(payload_offset) : wire;
+  slot.head.assign(head.begin(), head.end());
+  slot.run_length = run ? static_cast<uint32_t>(payload.size()) : 0;
+  slot.run_byte = run ? payload[0] : 0;
   next_ = (next_ + 1) % capacity_;
   stored_ = std::min(stored_ + 1, capacity_);
   newest_seq_ = seq;
 }
 
-const std::vector<uint8_t>* Peer::SendHistory::Find(uint16_t seq) const {
+bool SendHistory::Rebuild(uint16_t seq, std::vector<uint8_t>& out) const {
   const size_t back = static_cast<uint16_t>(newest_seq_ - seq);
-  if (back >= stored_) return nullptr;
-  return &slots_[(next_ + capacity_ - 1 - back) % capacity_];
+  if (back >= stored_) return false;
+  const Slot& slot = slots_[(next_ + capacity_ - 1 - back) % capacity_];
+  out.assign(slot.head.begin(), slot.head.end());
+  out.resize(out.size() + slot.run_length, slot.run_byte);
+  return true;
 }
 
 Peer::Peer(sim::Scheduler& sched, sim::Network& network, const PeerConfig& cfg)
@@ -218,7 +232,8 @@ void Peer::SendVideoFrame() {
   media::EncodedFrame frame = encoder_->NextFrame(now);
   for (const rtp::RtpPacket& pkt : packetizer_->Packetize(frame, now)) {
     net::PacketPtr out = UplinkPacket(pkt);
-    history_.Store(pkt.sequence_number, out->payload);
+    history_.Store(pkt.sequence_number, out->payload,
+                   out->payload.size() - pkt.payload.size());
     ++video_packet_count_;
     video_octet_count_ += static_cast<uint32_t>(pkt.payload.size());
     ++stats_.rtp_sent;
@@ -428,11 +443,13 @@ void Peer::HandleRtcp(RemoteLeg* leg, std::span<const uint8_t> payload) {
 
 void Peer::HandleNack(const rtp::Nack& nack) {
   for (uint16_t seq : nack.sequence_numbers) {
-    const std::vector<uint8_t>* wire = history_.Find(seq);
-    if (wire == nullptr) continue;
+    net::PacketPtr out = net::AcquirePacket();
+    if (!history_.Rebuild(seq, out->payload)) continue;
+    out->src = media_local_;
+    out->dst = uplink_sfu_;
     ++stats_.retransmissions_sent;
     ++stats_.rtp_sent;
-    Transmit(media_local_, uplink_sfu_, *wire);
+    network_.Send(std::move(out));
   }
 }
 

@@ -69,6 +69,42 @@ struct PeerStats {
   double last_stun_rtt_ms = 0.0;
 };
 
+// Retransmission history: the last `capacity` video packets of a session,
+// in a ring looked up by sequence number. A session's seqs are
+// consecutive, so a seq's distance behind the newest locates its slot.
+// A slot keeps the RTP header and extension bytes, and the payload as a
+// (length, byte) run when it is one repeated byte — every packetizer
+// payload is — or verbatim otherwise; Rebuild writes the exact wire bytes
+// back. Slots keep their buffers across laps, so a warm history stores
+// and serves without allocating. The ring grows to its capacity as
+// packets are sent; at most 65,536 (one per seq) are kept.
+class SendHistory {
+ public:
+  explicit SendHistory(size_t capacity);
+  // Keeps `wire`, an RTP packet whose payload starts at `payload_offset`
+  // and runs to the end (no padding).
+  void Store(uint16_t seq, std::span<const uint8_t> wire,
+             size_t payload_offset);
+  // Writes the wire bytes of `seq` over `out`; false (and `out`
+  // untouched) unless `seq` is one of the last `capacity` packets stored.
+  bool Rebuild(uint16_t seq, std::vector<uint8_t>& out) const;
+  // Forgets every packet (the buffers stay for reuse).
+  void Clear() { stored_ = 0; }
+
+ private:
+  struct Slot {
+    std::vector<uint8_t> head;  // header + extensions, or the whole packet
+    uint32_t run_length = 0;    // payload bytes after `head`, all run_byte
+    uint8_t run_byte = 0;
+  };
+
+  size_t capacity_;
+  std::vector<Slot> slots_;
+  size_t next_ = 0;    // slot the next Store writes
+  size_t stored_ = 0;  // packets held, at most capacity_
+  uint16_t newest_seq_ = 0;
+};
+
 class Peer : public sim::Host, public core::SignalingClient {
  public:
   Peer(sim::Scheduler& sched, sim::Network& network, const PeerConfig& cfg);
@@ -105,29 +141,6 @@ class Peer : public sim::Host, public core::SignalingClient {
   std::vector<core::ParticipantId> remote_senders() const;
 
  private:
-  // Retransmission history: the wire bytes of the last `capacity` video
-  // packets of the session, in a ring looked up by sequence number. A
-  // session's seqs are consecutive, so a seq's distance behind the newest
-  // locates its slot. Slots keep their buffers across laps, so a warm
-  // history stores and serves without allocating. The ring grows to its
-  // capacity as packets are sent; at most 65,536 (one per seq) are kept.
-  class SendHistory {
-   public:
-    explicit SendHistory(size_t capacity);
-    void Store(uint16_t seq, std::span<const uint8_t> wire);
-    // nullptr unless `seq` is one of the last `capacity` packets stored.
-    const std::vector<uint8_t>* Find(uint16_t seq) const;
-    // Forgets every packet (the buffers stay for reuse).
-    void Clear() { stored_ = 0; }
-
-   private:
-    size_t capacity_;
-    std::vector<std::vector<uint8_t>> slots_;
-    size_t next_ = 0;    // slot the next Store writes
-    size_t stored_ = 0;  // packets held, at most capacity_
-    uint16_t newest_seq_ = 0;
-  };
-
   struct RemoteLeg {
     core::ParticipantId sender = 0;
     net::Endpoint local;       // our endpoint for this leg

@@ -64,7 +64,6 @@ DataPlaneProgram::DataPlaneProgram(switchsim::Switch& sw,
   classify_table_.Insert(0x2000'0000, 0xC000'0000, 0);  // RTP/RTCP (v=2)
   classify_table_.Insert(0x0000'2112, 0x0000'FFFF, 1);  // STUN cookie hi
   classify_table_.Insert(0x0, 0x0, 2);                  // default: drop
-  rewriters_.resize(cfg.rewriter_cells);
 }
 
 void DataPlaneProgram::Ingress(const net::Packet& pkt,
@@ -228,7 +227,7 @@ bool DataPlaneProgram::Egress(net::Packet& pkt,
   const EgressEntry* out = egress_table_.Lookup(EgressKey{pkt.src, rid});
   if (out == nullptr) return false;
 
-  // Replicas are clones of the packet ingress classified: every RTP packet
+  // Replicas are copies of the packet ingress classified: every RTP packet
   // that got this far carries ingress's cached parse, so no replica walks
   // the payload again.
   if (meta.rtp_parsed) {
@@ -240,12 +239,11 @@ bool DataPlaneProgram::Egress(net::Packet& pkt,
           !av1::TemplateInDecodeTarget(
               meta.dd_template_id,
               static_cast<av1::DecodeTarget>(svc->decode_target));
-      if (svc->rewriter_index != UINT32_MAX &&
-          rewriters_[svc->rewriter_index] != nullptr) {
+      if (SequenceRewriter* rw = RewriterAt(svc->rewriter_index)) {
         RewritePacketView view{meta.rtp_seq, meta.dd_frame_number,
                                meta.dd_start_of_frame, meta.dd_end_of_frame,
                                suppress};
-        RewriteResult res = rewriters_[svc->rewriter_index]->Process(view);
+        RewriteResult res = rw->Process(view);
         if (!res.forward) {
           if (suppress) {
             ++stats_.svc_suppressed;
@@ -269,12 +267,13 @@ bool DataPlaneProgram::Egress(net::Packet& pkt,
     if (fb != nullptr && !fb->is_uplink) {
       const SvcEntry* svc =
           svc_table_.Lookup(SvcKey{fb->video_ssrc, fb->receiver});
-      if (svc != nullptr && svc->rewriter_index != UINT32_MAX &&
-          rewriters_[svc->rewriter_index] != nullptr) {
+      SequenceRewriter* rw =
+          svc != nullptr ? RewriterAt(svc->rewriter_index) : nullptr;
+      if (rw != nullptr) {
         auto msgs = rtp::ParseCompound(pkt.payload_span());
         if (msgs.has_value()) {
           bool changed = false;
-          int64_t offset = rewriters_[svc->rewriter_index]->current_offset();
+          int64_t offset = rw->current_offset();
           for (auto& msg : *msgs) {
             if (auto* nack = std::get_if<rtp::Nack>(&msg)) {
               for (auto& s : nack->sequence_numbers) {
@@ -359,10 +358,11 @@ uint32_t DataPlaneProgram::AllocateRewriter(const SkipCadence& cadence) {
   } else {
     index = next_rewriter_++;
   }
-  if (index >= rewriters_.size()) {
-    next_rewriter_ = static_cast<uint32_t>(rewriters_.size());
+  if (index >= cfg_.rewriter_cells) {
+    next_rewriter_ = static_cast<uint32_t>(cfg_.rewriter_cells);
     return UINT32_MAX;  // register memory exhausted
   }
+  if (index >= rewriters_.size()) rewriters_.resize(index + 1);
   if (cfg_.rewriter == RewriterKind::kSlm) {
     rewriters_[index] = std::make_unique<SlmRewriter>(cadence);
   } else {
@@ -375,13 +375,11 @@ uint32_t DataPlaneProgram::AllocateRewriter(const SkipCadence& cadence) {
 
 void DataPlaneProgram::ConfigureRewriter(uint32_t index,
                                          const SkipCadence& cadence) {
-  if (index < rewriters_.size() && rewriters_[index] != nullptr) {
-    rewriters_[index]->SetCadence(cadence);
-  }
+  if (SequenceRewriter* rw = RewriterAt(index)) rw->SetCadence(cadence);
 }
 
 void DataPlaneProgram::FreeRewriter(uint32_t index) {
-  if (index < rewriters_.size() && rewriters_[index] != nullptr) {
+  if (RewriterAt(index) != nullptr) {
     rewriters_[index].reset();
     free_rewriter_indices_.push_back(index);
     --rewriters_in_use_;

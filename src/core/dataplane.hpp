@@ -112,6 +112,11 @@ class DataPlaneProgram : public switchsim::PipelineProgram {
   void IngressRtcp(const net::Packet& pkt, switchsim::PacketMetadata& meta);
   void ApplyForwarding(const StreamEntry& entry, uint8_t temporal_layer,
                        switchsim::PacketMetadata& meta);
+  // The rewriter in cell `index`; nullptr when the cell is free or was
+  // never allocated.
+  SequenceRewriter* RewriterAt(uint32_t index) const {
+    return index < rewriters_.size() ? rewriters_[index].get() : nullptr;
+  }
 
   switchsim::Switch& switch_;
   DataPlaneConfig cfg_;
@@ -127,6 +132,7 @@ class DataPlaneProgram : public switchsim::PipelineProgram {
   // Six logical hash tables in the paper; modeled as one array of rewriter
   // state cells with the per-variant footprint accounted.
   switchsim::RegisterArray<uint8_t> rewriter_registers_;
+  // Allocated cells, grown on demand up to cfg_.rewriter_cells.
   std::vector<std::unique_ptr<SequenceRewriter>> rewriters_;
   std::vector<uint32_t> free_rewriter_indices_;
   uint32_t next_rewriter_ = 0;

@@ -37,18 +37,16 @@ PacketPool& Pool() {
   return *pool;
 }
 
-struct PoolDeleter {
-  void operator()(Packet* p) const { Pool().Put(p); }
-};
-
 }  // namespace
+
+void Recycler::operator()(Packet* p) const { Pool().Put(p); }
 
 PacketPtr AcquirePacket() {
   Packet* p = Pool().Get();
   p->sent_at = 0;
   p->arrival = 0;
   p->ingress_port = 0;
-  return PacketPtr(p, PoolDeleter{});
+  return PacketPtr(p);
 }
 
 PacketPtr ClonePacket(const Packet& p) {

@@ -1,6 +1,11 @@
 // UDP datagram model: IP/UDP headers are carried as structured fields (the
 // switch rewrites them like a real pipeline would); the payload is real
 // wire-format bytes (RTP/RTCP/STUN) produced by the protocol modules.
+//
+// A packet has exactly one owner at a time. PacketPtr is move-only: a
+// sender hands its packet to a link, the link to the next hop, the last
+// hop to the receiving host, and whoever drops it last returns it to the
+// pool. Replication makes distinct packets (ClonePacket), never shares one.
 #pragma once
 
 #include <cstdint>
@@ -36,11 +41,16 @@ struct Packet {
   std::span<const uint8_t> payload_span() const { return payload; }
 };
 
-using PacketPtr = std::shared_ptr<Packet>;
+// Deleter of a pooled packet: returns it to the process-wide freelist
+// (simulation is single-threaded), keeping its payload capacity for the
+// next occupant.
+struct Recycler {
+  void operator()(Packet* p) const;
+};
 
-// Draws a Packet from a process-wide freelist (simulation is
-// single-threaded); released packets return to it, keeping their payload
-// capacity for the next occupant.
+using PacketPtr = std::unique_ptr<Packet, Recycler>;
+
+// Draws a Packet from the freelist, its metadata reset.
 PacketPtr AcquirePacket();
 
 inline PacketPtr MakePacket(Endpoint src, Endpoint dst,

@@ -157,15 +157,15 @@ void SoftwareSfu::OnPacket(net::PacketPtr pkt) {
     ++stats_.packets_dropped;
     return;
   }
-  util::TimeUs done = sched_.now() + delay;
   latency_us_.Add(static_cast<double>(delay));
-  sched_.At(done, [this, pkt = std::move(pkt), done]() mutable {
-    Process(std::move(pkt), done);
-  });
+  sched_.Post(sched_.now() + delay, *this, parked_.Put(std::move(pkt)));
 }
 
-void SoftwareSfu::Process(net::PacketPtr pkt, util::TimeUs done) {
-  (void)done;
+void SoftwareSfu::Fire(uint64_t token) {
+  Process(parked_.Take(static_cast<uint32_t>(token)));
+}
+
+void SoftwareSfu::Process(net::PacketPtr pkt) {
   switch (rtp::Classify(pkt->payload_span())) {
     case rtp::PayloadKind::kStun: {
       auto msg = stun::StunMessage::Parse(pkt->payload_span());

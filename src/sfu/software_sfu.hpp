@@ -26,6 +26,7 @@
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 #include "util/random.hpp"
+#include "util/slab.hpp"
 #include "util/stats.hpp"
 
 namespace scallop::sfu {
@@ -57,7 +58,9 @@ struct SoftwareSfuStats {
   double cpu_busy_us = 0.0;  // total service time consumed
 };
 
-class SoftwareSfu : public sim::Host, public core::SignalingServer {
+class SoftwareSfu : public sim::Host,
+                    public core::SignalingServer,
+                    private sim::Scheduler::Target {
  public:
   SoftwareSfu(sim::Scheduler& sched, sim::Network& network,
               const SoftwareSfuConfig& cfg);
@@ -103,7 +106,10 @@ class SoftwareSfu : public sim::Host, public core::SignalingServer {
     std::deque<uint16_t> order;
   };
 
-  void Process(net::PacketPtr pkt, util::TimeUs done);
+  // Scheduler::Target: a packet's service completes; `token` is its slot
+  // in parked_.
+  void Fire(uint64_t token) override;
+  void Process(net::PacketPtr pkt);
   void ForwardMedia(const Participant& sender, const net::Packet& pkt,
                     size_t copies_budgeted);
   void HandleFeedback(const net::Packet& pkt);
@@ -126,6 +132,8 @@ class SoftwareSfu : public sim::Host, public core::SignalingServer {
   uint16_t next_port_;
 
   std::vector<util::TimeUs> core_free_;  // per-core busy horizon
+  // Packets queued on a core until their service completes.
+  util::Slab<net::PacketPtr> parked_;
   std::unique_ptr<sim::PeriodicTask> remb_task_;
 
   SoftwareSfuStats stats_;

@@ -5,11 +5,10 @@
 
 namespace scallop::sim {
 
-Link::Link(Scheduler& sched, LinkConfig cfg, uint64_t seed)
-    : sched_(sched), cfg_(cfg), rng_(seed) {}
+Link::Link(Scheduler& sched, LinkConfig cfg, uint64_t seed, DeliverFn deliver)
+    : sched_(sched), cfg_(cfg), deliver_(std::move(deliver)), rng_(seed) {}
 
-void Link::Send(net::PacketPtr pkt, DeliverFn deliver,
-                util::TimeUs depart_at) {
+void Link::Send(net::PacketPtr pkt, util::TimeUs depart_at) {
   ++stats_.sent_packets;
   stats_.sent_bytes += pkt->wire_size();
 
@@ -50,31 +49,16 @@ void Link::Send(net::PacketPtr pkt, DeliverFn deliver,
   }
 
   util::TimeUs arrival = tx_end + cfg_.prop_delay + extra;
-  uint32_t idx;
-  if (!flight_free_.empty()) {
-    idx = flight_free_.back();
-    flight_free_.pop_back();
-  } else {
-    idx = static_cast<uint32_t>(flights_.size());
-    flights_.emplace_back();
-  }
-  Flight& f = flights_[idx];
-  f.pkt = std::move(pkt);
-  f.deliver = std::move(deliver);
-  f.arrival = arrival;
   // Deliveries are never cancelled, so they take Post's cheaper heap.
-  sched_.Post(arrival, [this, idx] { Deliver(idx); });
+  sched_.Post(arrival, *this, flights_.Put(Flight{std::move(pkt), arrival}));
 }
 
-void Link::Deliver(uint32_t idx) {
-  net::PacketPtr pkt = std::move(flights_[idx].pkt);
-  DeliverFn deliver = std::move(flights_[idx].deliver);
-  util::TimeUs arrival = flights_[idx].arrival;
-  flight_free_.push_back(idx);
+void Link::Fire(uint64_t token) {
+  Flight f = flights_.Take(static_cast<uint32_t>(token));
+  f.pkt->arrival = f.arrival;
   ++stats_.delivered_packets;
-  stats_.delivered_bytes += pkt->wire_size();
-  pkt->arrival = arrival;
-  deliver(std::move(pkt));
+  stats_.delivered_bytes += f.pkt->wire_size();
+  deliver_(std::move(f.pkt));
 }
 
 }  // namespace scallop::sim

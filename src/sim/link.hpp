@@ -1,15 +1,20 @@
 // Unidirectional link with serialization rate, propagation delay, random
 // jitter, iid loss, reordering, and a drop-tail queue. Capacity and loss can
 // change at runtime (used to emulate congested downlinks in Fig. 14).
+//
+// A link has one receiver, fixed at construction: every packet it delivers
+// goes to the same callback. An in-flight packet is a 16-byte slab entry
+// (the packet and its arrival time) and one typed scheduler delivery
+// naming the link and the entry.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "net/packet.hpp"
 #include "sim/scheduler.hpp"
 #include "util/random.hpp"
+#include "util/slab.hpp"
 #include "util/time.hpp"
 
 namespace scallop::sim {
@@ -33,18 +38,22 @@ struct LinkStats {
   uint64_t delivered_bytes = 0;
 };
 
-class Link {
+class Link final : private Scheduler::Target {
  public:
   using DeliverFn = std::function<void(net::PacketPtr)>;
 
-  Link(Scheduler& sched, LinkConfig cfg, uint64_t seed);
+  // `deliver` receives every packet the link delivers, at its arrival
+  // time, with Packet::arrival stamped.
+  Link(Scheduler& sched, LinkConfig cfg, uint64_t seed, DeliverFn deliver);
+  // In-flight deliveries name the link.
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
-  // Enqueues the packet; on delivery calls `deliver` at the arrival time.
-  // `depart_at` (if ahead of now) defers the start of serialization — the
-  // switch uses it to model its fixed pipeline latency without paying a
-  // scheduler event per packet just to delay the hand-off.
-  void Send(net::PacketPtr pkt, DeliverFn deliver,
-            util::TimeUs depart_at = -1);
+  // Enqueues the packet for the receiver. `depart_at` (if ahead of now)
+  // defers the start of serialization — the switch uses it to model its
+  // fixed pipeline latency without paying a scheduler event per packet
+  // just to delay the hand-off.
+  void Send(net::PacketPtr pkt, util::TimeUs depart_at = -1);
 
   // Runtime knobs (take effect for subsequently sent packets).
   void set_rate_bps(double bps) { cfg_.rate_bps = bps; }
@@ -57,24 +66,21 @@ class Link {
   const LinkStats& stats() const { return stats_; }
 
  private:
-  void Deliver(uint32_t idx);
+  // Scheduler::Target: delivers the flight in slab slot `token`.
+  void Fire(uint64_t token) override;
 
-  // In-flight packets live in a slab so the scheduled delivery closure
-  // captures only {this, idx} — small enough for std::function's inline
-  // buffer, so the per-packet path never heap-allocates.
   struct Flight {
     net::PacketPtr pkt;
-    DeliverFn deliver;
     util::TimeUs arrival = 0;
   };
 
   Scheduler& sched_;
   LinkConfig cfg_;
+  DeliverFn deliver_;
   util::Rng rng_;
   util::TimeUs busy_until_ = 0;
   LinkStats stats_;
-  std::vector<Flight> flights_;
-  std::vector<uint32_t> flight_free_;
+  util::Slab<Flight> flights_;
 };
 
 }  // namespace scallop::sim

@@ -9,6 +9,11 @@
 // relay traffic between fleet switches crosses the declared backbone,
 // hop by hop, instead of the ideal star core. Without routes, behaviour
 // is byte-identical to the plain star.
+//
+// Each link's receiver is fixed when the link is made: an uplink hands
+// its arrivals to the destination's downlink, a downlink to its host, and
+// a pair link to the next hop of the packet's route. A packet in flight
+// is owned by the link carrying it.
 #pragma once
 
 #include <map>
@@ -60,7 +65,10 @@ class Network {
   // Pins (src, dst) traffic onto `path` (inclusive host sequence,
   // src first); each consecutive pair must be Connect()ed. The final hop
   // delivers straight to the destination host — the pair links model the
-  // whole switch-to-switch path.
+  // whole switch-to-switch path. Install routes before traffic flows: a
+  // packet reads its route afresh at every hop, and one arriving over a
+  // pair link that its (src, dst) route no longer names is counted and
+  // dropped.
   void SetRoute(net::Ipv4 src, net::Ipv4 dst, std::vector<net::Ipv4> path);
 
   Link* uplink(net::Ipv4 addr);
@@ -76,8 +84,15 @@ class Network {
     std::unique_ptr<Link> down;
   };
   using PairKey = std::pair<net::Ipv4, net::Ipv4>;  // directed (from, to)
-  using Route = std::shared_ptr<const std::vector<net::Ipv4>>;
+  using Route = std::vector<net::Ipv4>;
 
+  // The uplinks' receiver: hands the packet to its destination's downlink.
+  void ToDownlink(net::PacketPtr pkt);
+  // The receiver of the pair link `from` -> `to`: the next hop of the
+  // packet's route.
+  void FromPairLink(net::Ipv4 from, net::Ipv4 to, net::PacketPtr pkt);
+  // Sends `pkt` over hop `hop` of `path` (path[hop] -> path[hop + 1]), or
+  // hands it to the destination host when `hop` is the last host.
   void SendAlongRoute(net::PacketPtr pkt, const Route& path, size_t hop,
                       util::TimeUs depart_at = -1);
 

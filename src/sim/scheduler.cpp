@@ -34,18 +34,13 @@ uint64_t Scheduler::At(util::TimeUs when, EventFn fn) {
   return MakeId(slot, slots_[slot].gen);
 }
 
-void Scheduler::Post(util::TimeUs when, EventFn fn) {
+void Scheduler::Post(util::TimeUs when, Target& target, uint64_t token) {
   if (when < now_) when = now_;
-  uint32_t idx;
-  if (!posted_fn_free_.empty()) {
-    idx = posted_fn_free_.back();
-    posted_fn_free_.pop_back();
-    posted_fns_[idx] = std::move(fn);
-  } else {
-    idx = static_cast<uint32_t>(posted_fns_.size());
-    posted_fns_.push_back(std::move(fn));
-  }
-  posted_.push(Posted{when, next_seq_++, idx});
+  posted_.push(Delivery{when, next_seq_++, &target, token});
+}
+
+void Scheduler::Post(util::TimeUs when, EventFn fn) {
+  Post(when, callables_, callables_.Add(std::move(fn)));
 }
 
 void Scheduler::Cancel(uint64_t id) {
@@ -84,13 +79,11 @@ size_t Scheduler::Run(util::TimeUs until) {
     // The fronts never tie: seq is unique across both heaps.
     if (!posted_.empty() &&
         (queue_.empty() || Later{}(queue_.top(), posted_.top()))) {
-      const Posted front = posted_.top();
+      const Delivery front = posted_.top();
       if (front.when > until) break;
       posted_.pop();
-      EventFn fn = std::move(posted_fns_[front.fn_idx]);
-      posted_fn_free_.push_back(front.fn_idx);
       now_ = front.when;
-      fn();
+      front.target->Fire(front.token);
     } else {
       if (queue_.empty() || queue_.top().when > until) break;
       Event ev;

@@ -3,9 +3,12 @@
 //
 // Events live in two heaps keyed alike by (when, seq), where seq is one
 // counter shared by both: At's cancellable events, and Post's cheaper
-// uncancellable ones (packet deliveries, nearly all of the work). The run
-// loop takes whichever front is earlier, so every event runs in (when,
-// submission) order no matter which call queued it.
+// uncancellable deliveries (packet arrivals, nearly all of the work). A
+// delivery is a plain record (when, seq, target, token): the run loop calls
+// target.Fire(token), so a link or server keeps the packet in a slab of its
+// own and the heap sifts no callable. The run loop takes whichever front is
+// earlier, so every event runs in (when, submission) order no matter which
+// call queued it.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +17,7 @@
 #include <queue>
 #include <vector>
 
+#include "util/slab.hpp"
 #include "util/time.hpp"
 
 namespace scallop::sim {
@@ -40,9 +44,22 @@ class Scheduler {
   // handles, so a stale id can never hit a later event reusing the slot.
   void Cancel(uint64_t id);
 
-  // Schedules a one-shot `fn` that cannot be cancelled: the
-  // packet-delivery path. Same clamping and same order as At, without
-  // At's cancellation slot.
+  // Receives typed deliveries. The target must outlive every delivery
+  // posted to it that the scheduler may still run.
+  class Target {
+   public:
+    virtual void Fire(uint64_t token) = 0;
+
+   protected:
+    ~Target() = default;
+  };
+
+  // Schedules `target.Fire(token)` at `when` as a delivery that cannot be
+  // cancelled: the packet path. Same clamping and same order as At,
+  // without At's cancellation slot.
+  void Post(util::TimeUs when, Target& target, uint64_t token);
+  // The same for a one-shot callable, kept in a slab of the scheduler's
+  // own whose slot is the delivery's token.
   void Post(util::TimeUs when, EventFn fn);
 
   // Runs events until both heaps are empty or the next event lies past
@@ -64,12 +81,23 @@ class Scheduler {
     uint32_t slot;  // cancellation slot (slots_[slot])
     EventFn fn;
   };
-  // A Post entry keeps only a slab index so its heap sifts PODs; the
-  // callable lives in posted_fns_ (slot recycled when it runs).
-  struct Posted {
+  struct Delivery {
     util::TimeUs when;
     uint64_t seq;
-    uint32_t fn_idx;
+    Target* target;
+    uint64_t token;
+  };
+  // Post(when, fn)'s callables; the token is the slab handle, freed as
+  // the callable runs.
+  class Callables final : public Target {
+   public:
+    uint32_t Add(EventFn fn) { return fns_.Put(std::move(fn)); }
+    void Fire(uint64_t token) override {
+      fns_.Take(static_cast<uint32_t>(token))();
+    }
+
+   private:
+    util::Slab<EventFn> fns_;
   };
   struct Later {
     // Earliest time first; FIFO among equal times via seq. Orders each
@@ -103,9 +131,8 @@ class Scheduler {
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   size_t cancelled_in_queue_ = 0;
-  std::priority_queue<Posted, std::vector<Posted>, Later> posted_;
-  std::vector<EventFn> posted_fns_;
-  std::vector<uint32_t> posted_fn_free_;
+  std::priority_queue<Delivery, std::vector<Delivery>, Later> posted_;
+  Callables callables_;
 };
 
 // Helper: schedules `fn` every `period` starting at now+period until it

@@ -27,10 +27,11 @@ void Switch::OnPacket(net::PacketPtr pkt) {
     return;
   }
 
+  // The ingress packet itself leaves as the unicast copy or the last
+  // replica; every other replica is a clone of it.
   if (meta.unicast) {
-    auto copy = net::ClonePacket(*pkt);
-    if (program_->Egress(*copy, meta, Replica{0, meta.unicast_port})) {
-      Emit(std::move(copy), cfg_.pipeline_latency);
+    if (program_->Egress(*pkt, meta, Replica{0, meta.unicast_port})) {
+      Emit(std::move(pkt), cfg_.pipeline_latency);
     } else {
       ++stats_.packets_dropped;
     }
@@ -43,9 +44,12 @@ void Switch::OnPacket(net::PacketPtr pkt) {
     util::DurationUs delay = cfg_.pipeline_latency;
     bool any = false;
     net::PacketPtr copy;  // a refused replica leaves it unchanged for the next
-    for (const Replica& rep : replica_scratch_) {
-      if (copy == nullptr) copy = net::ClonePacket(*pkt);
-      if (program_->Egress(*copy, meta, rep)) {
+    for (size_t i = 0; i < replica_scratch_.size(); ++i) {
+      if (copy == nullptr) {
+        copy = i + 1 == replica_scratch_.size() ? std::move(pkt)
+                                                : net::ClonePacket(*pkt);
+      }
+      if (program_->Egress(*copy, meta, replica_scratch_[i])) {
         ++stats_.replicas;
         Emit(std::move(copy), delay);  // leaves `copy` empty
         any = true;

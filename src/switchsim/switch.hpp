@@ -28,9 +28,9 @@ struct PacketMetadata {
   uint16_t l2_xid = 0;
 
   // Parse-once cache, filled by the ingress pass for RTP media and reused
-  // by every egress replica (each replica is cloned from the packet
-  // ingress saw, so the cached fields stay valid until egress mutates the
-  // clone).
+  // by every egress replica (each replica is the packet ingress saw or a
+  // clone of it, so the cached fields stay valid until egress mutates that
+  // replica).
   bool rtp_parsed = false;
   bool dd_found = false;       // dd_* fields below are valid
   uint8_t dd_template_id = 0;

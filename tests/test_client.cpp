@@ -7,6 +7,7 @@
 
 #include "rtp/classifier.hpp"
 #include "rtp/rtcp.hpp"
+#include "rtp/rtp_packet.hpp"
 #include "testbed/testbed.hpp"
 
 namespace scallop::client {
@@ -343,6 +344,41 @@ TEST(PeerHistory, NothingIsServedAfterLeaveAndRejoin) {
   bed.SendAtLeast(sent_before + 5);
   EXPECT_TRUE(bed.Nack(1));
   EXPECT_FALSE(bed.Nack(newest));
+}
+
+TEST(PeerHistory, RebuildsEveryPayloadShapeByteForByte) {
+  // The packetizer's payloads are one repeated byte, which the history
+  // keeps as a run; any other payload is kept verbatim.
+  rtp::RtpPacket pkt;
+  pkt.payload_type = 96;
+  pkt.ssrc = 0x1234;
+  pkt.SetExtension(3, {0xAA, 0xBB, 0xCC});
+  SendHistory history(4);
+  std::vector<std::vector<uint8_t>> wires;
+  const std::vector<std::vector<uint8_t>> payloads = {
+      {1, 2, 3, 4, 5, 6, 7, 8},    // no run at all
+      std::vector<uint8_t>(900, 0x42),
+      {7, 7, 7, 7, 7, 7, 7, 9},    // a run broken by its last byte
+      {9, 7, 7, 7, 7, 7, 7, 7},    // ... and by its first
+      {},                          // header only
+      {0x42}};
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    pkt.sequence_number = static_cast<uint16_t>(65'533 + i);  // wraps
+    pkt.payload = payloads[i];
+    wires.push_back(pkt.Serialize());
+    history.Store(pkt.sequence_number, wires.back(),
+                  wires.back().size() - pkt.payload.size());
+  }
+  // Capacity 4: the first two laps' slots now hold the last four packets.
+  std::vector<uint8_t> out = {0xEE};
+  EXPECT_FALSE(history.Rebuild(65'533, out));
+  EXPECT_FALSE(history.Rebuild(65'534, out));
+  EXPECT_EQ(out, std::vector<uint8_t>{0xEE});  // a miss writes nothing
+  for (size_t i = 2; i < payloads.size(); ++i) {
+    const auto seq = static_cast<uint16_t>(65'533 + i);
+    ASSERT_TRUE(history.Rebuild(seq, out)) << i;
+    EXPECT_EQ(out, wires[i]) << i;
+  }
 }
 
 TEST(PeerTest, AudioOnlyParticipant) {

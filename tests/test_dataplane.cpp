@@ -195,7 +195,7 @@ TEST_F(DataPlaneTest, RefusedReplicasLeaveTheNextOneUntouched) {
   sw_.OnPacket(VideoPacket(kSsrc, 2, 2, /*template_id=*/3));
   net::PacketPtr tl1 = VideoPacket(kSsrc, 3, 3, /*template_id=*/2);
   const std::vector<uint8_t> sent = tl1->payload;
-  sw_.OnPacket(tl1);
+  sw_.OnPacket(std::move(tl1));
   sched_.RunAll();
 
   ASSERT_EQ(host_b_.packets.size(), 2u);  // the key frame, once per leg

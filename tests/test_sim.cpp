@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -238,9 +239,10 @@ net::PacketPtr MakeTestPacket(size_t size = 1000) {
 
 TEST(LinkTest, PropagationDelayOnly) {
   Scheduler s;
-  Link link(s, LinkConfig{.rate_bps = 0, .prop_delay = util::Millis(10)}, 1);
   util::TimeUs arrival = -1;
-  link.Send(MakeTestPacket(), [&](net::PacketPtr p) { arrival = p->arrival; });
+  Link link(s, LinkConfig{.rate_bps = 0, .prop_delay = util::Millis(10)}, 1,
+            [&](net::PacketPtr p) { arrival = p->arrival; });
+  link.Send(MakeTestPacket());
   s.RunAll();
   EXPECT_EQ(arrival, util::Millis(10));
 }
@@ -248,22 +250,20 @@ TEST(LinkTest, PropagationDelayOnly) {
 TEST(LinkTest, SerializationDelay) {
   Scheduler s;
   // 1 Mbit/s: a 1028-byte packet (1000 + 28 header) takes 8224 us.
-  Link link(s, LinkConfig{.rate_bps = 1e6}, 1);
   util::TimeUs arrival = -1;
-  link.Send(MakeTestPacket(1000),
+  Link link(s, LinkConfig{.rate_bps = 1e6}, 1,
             [&](net::PacketPtr p) { arrival = p->arrival; });
+  link.Send(MakeTestPacket(1000));
   s.RunAll();
   EXPECT_EQ(arrival, 8224);
 }
 
 TEST(LinkTest, QueueingDelaysBackToBackPackets) {
   Scheduler s;
-  Link link(s, LinkConfig{.rate_bps = 1e6}, 1);
   std::vector<util::TimeUs> arrivals;
-  for (int i = 0; i < 3; ++i) {
-    link.Send(MakeTestPacket(1000),
-              [&](net::PacketPtr p) { arrivals.push_back(p->arrival); });
-  }
+  Link link(s, LinkConfig{.rate_bps = 1e6}, 1,
+            [&](net::PacketPtr p) { arrivals.push_back(p->arrival); });
+  for (int i = 0; i < 3; ++i) link.Send(MakeTestPacket(1000));
   s.RunAll();
   ASSERT_EQ(arrivals.size(), 3u);
   EXPECT_EQ(arrivals[0], 8224);
@@ -273,11 +273,10 @@ TEST(LinkTest, QueueingDelaysBackToBackPackets) {
 
 TEST(LinkTest, LossRateDropsApproximatelyP) {
   Scheduler s;
-  Link link(s, LinkConfig{.rate_bps = 0, .loss_rate = 0.2}, 7);
   int delivered = 0;
-  for (int i = 0; i < 10000; ++i) {
-    link.Send(MakeTestPacket(100), [&](net::PacketPtr) { ++delivered; });
-  }
+  Link link(s, LinkConfig{.rate_bps = 0, .loss_rate = 0.2}, 7,
+            [&](net::PacketPtr) { ++delivered; });
+  for (int i = 0; i < 10000; ++i) link.Send(MakeTestPacket(100));
   s.RunAll();
   EXPECT_NEAR(delivered / 10000.0, 0.8, 0.02);
   EXPECT_EQ(link.stats().lost_packets + link.stats().delivered_packets,
@@ -288,34 +287,35 @@ TEST(LinkTest, RuntimeJitterKnob) {
   // Jitter is settable at runtime like the other link knobs (scenario
   // harness LinkEvents use this to degrade a link mid-run).
   Scheduler s;
-  Link link(s, LinkConfig{.rate_bps = 0, .prop_delay = util::Millis(10)}, 1);
+  std::vector<util::TimeUs> arrivals;
+  Link link(s, LinkConfig{.rate_bps = 0, .prop_delay = util::Millis(10)}, 1,
+            [&](net::PacketPtr p) { arrivals.push_back(p->arrival); });
   // Without jitter every packet arrives exactly one propagation later.
-  util::TimeUs arrival = -1;
-  link.Send(MakeTestPacket(), [&](net::PacketPtr p) { arrival = p->arrival; });
+  link.Send(MakeTestPacket());
   s.RunAll();
-  EXPECT_EQ(arrival, util::Millis(10));
+  ASSERT_EQ(arrivals.size(), 1u);
+  EXPECT_EQ(arrivals[0], util::Millis(10));
 
   link.set_jitter_stddev(util::Millis(2));
   EXPECT_EQ(link.config().jitter_stddev, util::Millis(2));
   int jittered = 0;
   util::TimeUs base = s.now();
-  for (int i = 0; i < 32; ++i) {
-    link.Send(MakeTestPacket(), [&, base](net::PacketPtr p) {
-      if (p->arrival - base > util::Millis(10)) ++jittered;
-    });
-  }
+  for (int i = 0; i < 32; ++i) link.Send(MakeTestPacket());
   s.RunAll();
+  ASSERT_EQ(arrivals.size(), 33u);
+  for (size_t i = 1; i < arrivals.size(); ++i) {
+    if (arrivals[i] - base > util::Millis(10)) ++jittered;
+  }
   // Half-normal extra delay: a good fraction of packets arrive late.
   EXPECT_GT(jittered, 8);
 }
 
 TEST(LinkTest, QueueOverflowDrops) {
   Scheduler s;
-  Link link(s, LinkConfig{.rate_bps = 1e6, .queue_bytes = 3000}, 1);
   int delivered = 0;
-  for (int i = 0; i < 10; ++i) {
-    link.Send(MakeTestPacket(1000), [&](net::PacketPtr) { ++delivered; });
-  }
+  Link link(s, LinkConfig{.rate_bps = 1e6, .queue_bytes = 3000}, 1,
+            [&](net::PacketPtr) { ++delivered; });
+  for (int i = 0; i < 10; ++i) link.Send(MakeTestPacket(1000));
   s.RunAll();
   EXPECT_LT(delivered, 10);
   EXPECT_GT(link.stats().dropped_packets, 0u);
@@ -323,11 +323,11 @@ TEST(LinkTest, QueueOverflowDrops) {
 
 TEST(LinkTest, RuntimeRateChangeTakesEffect) {
   Scheduler s;
-  Link link(s, LinkConfig{.rate_bps = 1e6}, 1);
-  link.set_rate_bps(2e6);
   util::TimeUs arrival = -1;
-  link.Send(MakeTestPacket(1000),
+  Link link(s, LinkConfig{.rate_bps = 1e6}, 1,
             [&](net::PacketPtr p) { arrival = p->arrival; });
+  link.set_rate_bps(2e6);
+  link.Send(MakeTestPacket(1000));
   s.RunAll();
   EXPECT_EQ(arrival, 4112);
 }
@@ -375,6 +375,86 @@ TEST(NetworkTest, DownlinkCapacityShapesTraffic) {
   ASSERT_EQ(b.received.size(), 5u);
   // Spaced by the serialization time of the bottleneck downlink.
   EXPECT_EQ(b.received[4]->arrival - b.received[3]->arrival, 8224);
+}
+
+TEST(NetworkTest, RouteCrossesEveryPairLinkHop) {
+  // A—B—C pair links; (A, C) traffic pinned onto {A, B, C}.
+  Scheduler s;
+  Network net(s, 99);
+  Sink a, b, c;
+  const Ipv4 ia(10, 0, 0, 1), ib(10, 0, 0, 3), ic(10, 0, 0, 2);
+  net.Attach(ia, &a, {}, {});
+  net.Attach(ib, &b, {}, {});
+  net.Attach(ic, &c, {}, {});
+  const LinkConfig ab{.rate_bps = 0, .prop_delay = util::Millis(3)};
+  const LinkConfig bc{.rate_bps = 0, .prop_delay = util::Millis(7)};
+  net.Connect(ia, ib, ab, ab);
+  net.Connect(ib, ic, bc, bc);
+  net.SetRoute(ia, ic, {ia, ib, ic});
+
+  net.Send(MakeTestPacket());  // 10.0.0.1 -> 10.0.0.2, i.e. A -> C
+  s.RunAll();
+  ASSERT_EQ(c.received.size(), 1u);
+  EXPECT_EQ(c.received[0]->arrival, util::Millis(3) + util::Millis(7));
+  EXPECT_TRUE(a.received.empty());
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_EQ(net.pair_link(ia, ib)->stats().delivered_packets, 1u);
+  EXPECT_EQ(net.pair_link(ib, ic)->stats().delivered_packets, 1u);
+  EXPECT_EQ(net.pair_link(ic, ib)->stats().sent_packets, 0u);
+  EXPECT_EQ(net.uplink(ia)->stats().sent_packets, 0u);
+  EXPECT_EQ(net.blackholed(), 0u);
+
+  // A route through a hop the backbone does not connect (A—C) blackholes.
+  net.SetRoute(ia, ic, {ia, ic});
+  net.Send(MakeTestPacket());
+  s.RunAll();
+  EXPECT_EQ(c.received.size(), 1u);
+  EXPECT_EQ(net.blackholed(), 1u);
+}
+
+TEST(NetworkTest, PairLinkArrivalOffItsRouteIsBlackholed) {
+  // Routes are installed before traffic flows. A packet still on the A—B
+  // link when (A, C) is re-pinned to a route without that link is counted
+  // and dropped where it arrives.
+  Scheduler s;
+  Network net(s, 99);
+  Sink a, b, c;
+  const Ipv4 ia(10, 0, 0, 1), ib(10, 0, 0, 3), ic(10, 0, 0, 2);
+  net.Attach(ia, &a, {}, {});
+  net.Attach(ib, &b, {}, {});
+  net.Attach(ic, &c, {}, {});
+  const LinkConfig hop{.rate_bps = 0, .prop_delay = util::Millis(5)};
+  net.Connect(ia, ib, hop, hop);
+  net.Connect(ib, ic, hop, hop);
+  net.Connect(ia, ic, hop, hop);
+  net.SetRoute(ia, ic, {ia, ib, ic});
+  net.Send(MakeTestPacket());
+  s.RunUntil(util::Millis(1));
+  net.SetRoute(ia, ic, {ia, ic});
+  s.RunAll();
+  EXPECT_TRUE(c.received.empty());
+  EXPECT_EQ(net.pair_link(ia, ib)->stats().delivered_packets, 1u);
+  EXPECT_EQ(net.pair_link(ib, ic)->stats().sent_packets, 0u);
+  EXPECT_EQ(net.blackholed(), 1u);
+}
+
+TEST(PacketTest, PacketPtrIsMoveOnlyAndRecyclesItsBuffer) {
+  static_assert(!std::is_copy_constructible_v<net::PacketPtr>);
+  static_assert(!std::is_copy_assignable_v<net::PacketPtr>);
+  static_assert(std::is_nothrow_move_constructible_v<net::PacketPtr>);
+  static_assert(sizeof(net::PacketPtr) == sizeof(net::Packet*));
+
+  net::PacketPtr p = MakeTestPacket(1500);
+  net::Packet* raw = p.get();
+  p->payload.resize(10);
+  p->arrival = 77;
+  p.reset();  // back to the pool
+  net::PacketPtr q = net::AcquirePacket();
+  EXPECT_EQ(q.get(), raw);  // the freelist hands back the last release
+  EXPECT_GE(q->payload.capacity(), 1500u);
+  EXPECT_EQ(q->arrival, 0);
+  net::PacketPtr r = net::ClonePacket(*q);
+  EXPECT_NE(r.get(), q.get());
 }
 
 }  // namespace
