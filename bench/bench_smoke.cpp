@@ -8,7 +8,7 @@
 // media crosses the inter-switch relay, or any peer starves), a fleet{4}
 // redundant-tree leg — ring backbone, standby chain per relay, a primary
 // link cut at t=3s (fails on any frame gap, zero duplicates eliminated,
-// or capacity overshoot from double registration) — and a
+// or a link-capacity overshoot before or after the cut) — and a
 // federated fleet{6,2} leg — cross-region border span plus mid-run
 // controller death and shard adoption (fails on starvation, zero
 // east-west traffic, or a meeting left with the dead controller). Exists
@@ -226,8 +226,9 @@ int main() {
   // primary tree rides is cut. Fails on any frame gap at any receiver
   // (worst delivery floor vs an undisturbed control run), zero
   // duplicates eliminated (the second tree never flowed or the merge
-  // never deduped), or link-capacity overshoot from double-registering
-  // both trees' load.
+  // never deduped), or link-capacity overshoot in either run: from
+  // double-registering both trees' load, or from a standby planned over
+  // a link the cut left without room.
   {
     auto ring_spec = [](const char* name) {
       harness::ScenarioSpec spec =
@@ -270,14 +271,19 @@ int main() {
       DumpCsv("smoke-redundant-cut", m);
       ok = DumpTrace("smoke-redundant-cut", runner, m) && ok;
 
+      // Both trees' load must fit the links before the cut, and the
+      // standbys re-planned after it must fit what the cut left.
       bool capacity_ok = true;
-      for (const auto& l : undisturbed.topology.links) {
-        if (l.capacity_bps > 0.0 && l.load_bps > l.capacity_bps) {
-          std::printf(
-              "redundant planner overloaded link %zu-%zu (%.0f > %.0f "
-              "bps)\n",
-              l.a, l.b, l.load_bps, l.capacity_bps);
-          capacity_ok = false;
+      for (const harness::ScenarioMetrics* run : {&undisturbed, &m}) {
+        for (const auto& l : run->topology.links) {
+          if (l.capacity_bps > 0.0 && l.load_bps > l.capacity_bps) {
+            std::printf(
+                "redundant planner overloaded link %zu-%zu in the %s run "
+                "(%.0f > %.0f bps)\n",
+                l.a, l.b, run == &m ? "cut" : "control", l.load_bps,
+                l.capacity_bps);
+            capacity_ok = false;
+          }
         }
       }
       if (!capacity_ok || m.redundancy.tree_flips == 0 ||

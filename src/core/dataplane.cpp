@@ -34,23 +34,32 @@ uint8_t CompoundFirstType(std::span<const uint8_t> payload) {
   return payload.size() >= 2 ? payload[1] : 0;
 }
 
+namespace {
+
+// Table capacities are static allocations, as on the hardware. The
+// full-scale bounds (e.g. the stream-index SRAM that limits two-party
+// scale to 533K meetings) live in the capacity model; this one only needs
+// to exceed any simulated scenario.
+constexpr size_t kTableCapacity = 1 << 16;
+
+}  // namespace
+
 DataPlaneProgram::DataPlaneProgram(switchsim::Switch& sw,
                                    const DataPlaneConfig& cfg)
     : switch_(sw),
       cfg_(cfg),
-      stream_table_("stream_index", cfg.stream_table_capacity,
+      stream_table_("stream_index", kTableCapacity,
                     /*key_bits=*/48 + 32, /*value_bits=*/96),
-      egress_table_("egress_rewrite", cfg.egress_table_capacity,
+      egress_table_("egress_rewrite", kTableCapacity,
                     /*key_bits=*/48 + 16, /*value_bits=*/96),
-      svc_table_("svc_filter", cfg.svc_table_capacity,
+      svc_table_("svc_filter", kTableCapacity,
                  /*key_bits=*/32 + 24, /*value_bits=*/64),
-      feedback_table_("feedback_legs", cfg.feedback_table_capacity,
+      feedback_table_("feedback_legs", kTableCapacity,
                       /*key_bits=*/16, /*value_bits=*/112),
       classify_table_("classify", /*capacity=*/256, /*key_bits=*/104,
                       /*value_bits=*/8),
-      rewriter_registers_(
-          "stream_tracker", cfg.rewriter_cells,
-          cfg.rewriter == RewriterKind::kSlm ? 64 : 160) {
+      stream_tracker_{"stream_tracker", cfg.rewriter_cells,
+                      /*entry_bits=*/160, /*tcam=*/false, /*occupied=*/0} {
   switch_.SetProgram(this);
   auto& res = switch_.resources();
   res.Register(&stream_table_.footprint());
@@ -58,7 +67,7 @@ DataPlaneProgram::DataPlaneProgram(switchsim::Switch& sw,
   res.Register(&svc_table_.footprint());
   res.Register(&feedback_table_.footprint());
   res.Register(&classify_table_.footprint());
-  res.Register(&rewriter_registers_.footprint());
+  res.Register(&stream_tracker_);
   // The static demux rules (first two payload bits + RTCP PT range +
   // STUN magic cookie); rtp::Classify implements their semantics.
   classify_table_.Insert(0x2000'0000, 0xC000'0000, 0);  // RTP/RTCP (v=2)
@@ -130,7 +139,7 @@ void DataPlaneProgram::IngressRtp(const net::Packet& pkt,
     // the extension block locates the DD and its mandatory fields;
     // extended descriptors go to the control plane.
     auto loc = switchsim::LocateRtpExtension(pkt.payload_span(),
-                                             cfg_.dd_extension_id);
+                                             av1::kDdExtensionId);
     if (loc.depth_exceeded) ++stats_.parse_depth_exceeded;
     if (loc.found) {
       auto dd = av1::PeekMandatory(
@@ -363,13 +372,8 @@ uint32_t DataPlaneProgram::AllocateRewriter(const SkipCadence& cadence) {
     return UINT32_MAX;  // register memory exhausted
   }
   if (index >= rewriters_.size()) rewriters_.resize(index + 1);
-  if (cfg_.rewriter == RewriterKind::kSlm) {
-    rewriters_[index] = std::make_unique<SlmRewriter>(cadence);
-  } else {
-    rewriters_[index] = std::make_unique<SlrRewriter>(cadence);
-  }
-  ++rewriters_in_use_;
-  rewriter_registers_.set_occupied(rewriters_in_use_);
+  rewriters_[index] = std::make_unique<SlrRewriter>(cadence);
+  stream_tracker_.occupied = ++rewriters_in_use_;
   return index;
 }
 
@@ -382,8 +386,7 @@ void DataPlaneProgram::FreeRewriter(uint32_t index) {
   if (RewriterAt(index) != nullptr) {
     rewriters_[index].reset();
     free_rewriter_indices_.push_back(index);
-    --rewriters_in_use_;
-    rewriter_registers_.set_occupied(rewriters_in_use_);
+    stream_tracker_.occupied = --rewriters_in_use_;
   }
 }
 

@@ -5,10 +5,10 @@
 //   ingress:  classify (RTP / RTCP / STUN)  ->  stream-index lookup  ->
 //             pick PRE invocation (or unicast / copy-to-CPU / drop)
 //   egress:   per-replica address rewrite, SVC template filtering,
-//             sequence-number rewriting (S-LM / S-LR)
+//             sequence-number rewriting (S-LR)
 //
 // Everything the control plane installs lives in statically sized
-// match-action tables and register arrays whose footprints feed the
+// match-action tables and register cells whose footprints feed the
 // resource model (Table 3) and whose capacities bound scalability
 // (Figs. 15-17).
 #pragma once
@@ -26,20 +26,9 @@
 
 namespace scallop::core {
 
-enum class RewriterKind : uint8_t { kSlm, kSlr };
-
 struct DataPlaneConfig {
-  uint8_t dd_extension_id = av1::kDdExtensionId;
-  RewriterKind rewriter = RewriterKind::kSlr;
-  // Table capacities are static allocations, as on the hardware. The
-  // full-scale bounds (e.g. the stream-index SRAM that limits two-party
-  // scale to 533K meetings) live in the capacity model; these defaults
-  // only need to exceed any simulated scenario.
-  size_t stream_table_capacity = 1 << 16;
-  size_t egress_table_capacity = 1 << 16;
-  size_t svc_table_capacity = 1 << 16;
-  size_t feedback_table_capacity = 1 << 16;
-  size_t rewriter_cells = 1 << 16;  // paper: 65,536 concurrent streams
+  // S-LR rewriter state cells (paper: 65,536 concurrent streams).
+  size_t rewriter_cells = 1 << 16;
 };
 
 struct DataPlaneStats {
@@ -105,7 +94,6 @@ class DataPlaneProgram : public switchsim::PipelineProgram {
 
   const DataPlaneStats& stats() const { return stats_; }
   switchsim::Switch& sw() { return switch_; }
-  const DataPlaneConfig& config() const { return cfg_; }
 
  private:
   void IngressRtp(const net::Packet& pkt, switchsim::PacketMetadata& meta);
@@ -129,9 +117,10 @@ class DataPlaneProgram : public switchsim::PipelineProgram {
   // hardware; the logic itself is in rtp::Classify, this table carries the
   // static allocation for the resource model.
   switchsim::TernaryTable<uint8_t> classify_table_;
-  // Six logical hash tables in the paper; modeled as one array of rewriter
-  // state cells with the per-variant footprint accounted.
-  switchsim::RegisterArray<uint8_t> rewriter_registers_;
+  // Six logical hash tables in the paper; the resource model accounts
+  // them as one footprint of S-LR state cells, occupied by the rewriters
+  // in use.
+  switchsim::TableFootprint stream_tracker_;
   // Allocated cells, grown on demand up to cfg_.rewriter_cells.
   std::vector<std::unique_ptr<SequenceRewriter>> rewriters_;
   std::vector<uint32_t> free_rewriter_indices_;

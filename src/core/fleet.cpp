@@ -24,6 +24,25 @@ bool PathHit(const std::vector<size_t>& path, std::pair<size_t, size_t> hit) {
   return false;
 }
 
+// Whether a relay path rides into any of `failures` (PathHit's shapes).
+bool PathHitsAny(const std::vector<size_t>& path,
+                 const std::vector<std::pair<size_t, size_t>>& failures) {
+  return std::any_of(failures.begin(), failures.end(),
+                     [&](const auto& f) { return PathHit(path, f); });
+}
+
+// What protection must route around: every backbone link whose registered
+// load exceeds its capacity, as {a, b} (a < b), and every switch the table
+// marks dead, as {s, s}.
+std::vector<std::pair<size_t, size_t>> Failures(const SwitchTable& table) {
+  std::vector<std::pair<size_t, size_t>> failures =
+      table.topology().OverloadedLinks();
+  for (size_t s = 0; s < table.size(); ++s) {
+    if (!table[s].alive) failures.emplace_back(s, s);
+  }
+  return failures;
+}
+
 // Relay `r`'s standby chain (`active` false), or the promoted chain
 // carrying it (`active` true); nullptr when it has none.
 SecondaryTree* ChainOf(MeetingRecord& st, const MeetingRelay& r,
@@ -198,25 +217,17 @@ void FleetController::OnLinkCapacityChanged(size_t a, size_t b,
 }
 
 void FleetController::ReplanOverloadedLinks() {
+  // Make-before-break first: relays riding an overloaded link flip onto
+  // standbys that avoid it, so receivers keep a continuous stream.
+  for (auto& [meeting, st] : meetings_) ReconcileProtection(st);
   // Collapse one subtree riding an overloaded link at a time, re-checking
   // the overload set after every collapse: an earlier collapse may have
   // already relieved the link, and blacking out further meetings for a
   // link that is back under budget would be a needless renegotiation.
   // Each collapse removes at least one span, which bounds the loop.
-  for (size_t guard = meetings_.size() * table_.size() + 1; guard > 0;
-       --guard) {
+  for (;;) {
     const auto overloaded = topology().OverloadedLinks();
     if (overloaded.empty()) return;
-    // Make-before-break first: a primary relay crossing an overloaded
-    // link whose standby secondary avoids it flips instead of collapsing
-    // — receivers keep a continuous stream and only then does the old
-    // path drain — and a standby riding the link is dropped quietly.
-    // Each change relieves the link, so re-evaluate the overload set
-    // before touching more state.
-    if (settings_.redundancy.redundant_trees &&
-        FailOver(overloaded, /*dead_switch=*/SIZE_MAX)) {
-      continue;
-    }
     bool collapsed = false;
     for (auto& [meeting, st] : meetings_) {
       size_t child = SIZE_MAX;
@@ -665,8 +676,9 @@ FleetController::JoinResult FleetController::Join(
   // Every relay installed for (or discovered by) this join gets its
   // disjoint secondary tree while the wiring is still quiescent — the
   // decode-target pins land before any estimate could adapt a leg and
-  // fork the two trees' sequence numbering.
-  EnsureProtection(st);
+  // fork the two trees' sequence numbering. A relay installed over a
+  // failed link flips onto its new standby at once.
+  ReconcileProtection(st);
 
   // A member (re-)joined: the meeting is out of its renegotiation window.
   st.frozen = false;
@@ -682,7 +694,7 @@ void FleetController::RemoveSenderRelays(MeetingRecord& st,
   // Protection first: a chain's last-hop RemoveRelaySource must apply
   // while the protected relay sender still exists downstream.
   for (auto it = st.secondaries.begin(); it != st.secondaries.end();) {
-    it = it->origin == origin ? DropSecondary(st, it, SIZE_MAX) : it + 1;
+    it = it->origin == origin ? DropSecondary(st, it) : it + 1;
   }
   for (auto it = st.relays.begin(); it != st.relays.end();) {
     if (it->origin != origin) {
@@ -825,8 +837,7 @@ void FleetController::TearDownSpan(MeetingRecord& st, size_t switch_index,
   for (auto it = st.secondaries.begin(); it != st.secondaries.end();) {
     const bool touches = PathHit(it->path, {switch_index, switch_index}) ||
                          origin_on_span(it->origin);
-    it = touches ? DropSecondary(st, it, switch_dead ? switch_index : SIZE_MAX)
-                 : it + 1;
+    it = touches ? DropSecondary(st, it) : it + 1;
   }
   std::map<size_t, std::vector<ParticipantId>> removals;  // per switch
   for (auto rit = st.relays.begin(); rit != st.relays.end();) {
@@ -901,36 +912,61 @@ void FleetController::GcProtectionMeetings(MeetingRecord& st) {
   }
 }
 
-void FleetController::EnsureProtection(MeetingRecord& st) {
+void FleetController::ReconcileProtection(MeetingRecord& st) {
   if (!settings_.redundancy.redundant_trees) return;
   // An implicit full mesh has no declared links to be disjoint from (and
   // no physical backbone routes for the chain to diverge over).
   if (!topology().explicit_topology()) return;
+  // One pass is enough: a drop or a flip only takes load off links (a
+  // chain's load was registered when it was planned), and a plan only adds
+  // load where its path has room, so no change below creates a failure.
   for (MeetingRelay& r : st.relays) {
-    if (ChainOf(st, r, /*active=*/false) != nullptr) continue;
-    PlanSecondary(st, r);
+    // Every change moves load: read the failures afresh for each relay.
+    const auto failures = Failures(table_);
+    SecondaryTree* standby = ChainOf(st, r, /*active=*/false);
+    if (standby != nullptr && PathHitsAny(standby->path, failures)) {
+      DropSecondary(st, st.secondaries.begin() +
+                            (standby - st.secondaries.data()));
+      standby = nullptr;
+    }
+    if (standby == nullptr) standby = PlanSecondary(st, r, failures);
+    // An empty transport is a lost one: a span collapse dropped the chain
+    // an earlier flip promoted, and only the standby still feeds the relay.
+    const std::vector<size_t>& current = CurrentPath(st, r);
+    if (standby != nullptr &&
+        (current.empty() || PathHitsAny(current, failures))) {
+      FlipRelay(st, r, *standby);
+      PlanSecondary(st, r, failures);
+    }
   }
+  GcProtectionMeetings(st);
 }
 
-void FleetController::PlanSecondary(MeetingRecord& st, MeetingRelay& r) {
-  if (!settings_.redundancy.redundant_trees ||
-      !topology().explicit_topology()) {
-    return;
-  }
+SecondaryTree* FleetController::PlanSecondary(
+    MeetingRecord& st, MeetingRelay& r,
+    const std::vector<std::pair<size_t, size_t>>& failures) {
   // Be disjoint from the relay's *current* transport — its own backbone
-  // path, or the promoted chain's if a flip already happened.
+  // path, or the promoted chain's if a flip already happened — and from
+  // every link a failure lands on (a failed link, or any link of a dead
+  // switch).
   const std::vector<size_t>& current = CurrentPath(st, r);
   std::vector<std::pair<size_t, size_t>> avoid;
   for (size_t i = 0; i + 1 < current.size(); ++i) {
     avoid.emplace_back(current[i], current[i + 1]);
   }
+  for (const auto& link : topology().links()) {
+    if (PathHitsAny({link.a, link.b}, failures)) {
+      avoid.emplace_back(link.a, link.b);
+    }
+  }
   const std::vector<size_t> path = topology().DisjointPath(
       r.upstream, r.downstream, avoid, settings_.relay_stream_bps);
-  // No useful secondary: unreachable, or the "disjoint" path is the
-  // current transport itself (a bridge link with no way around it).
-  if (path.size() < 2 || path == current) return;
-  for (size_t sw : path) {
-    if (sw >= table_.size() || !table_[sw].alive) return;
+  // No useful secondary: unreachable, the "disjoint" path is the current
+  // transport itself (a bridge link with no way around it), the only way
+  // round still crosses a failure, or it lacks room for the stream.
+  if (path.size() < 2 || path == current || PathHitsAny(path, failures) ||
+      topology().PathResidual(path) < settings_.relay_stream_bps) {
+    return nullptr;
   }
 
   SecondaryTree t;
@@ -972,9 +1008,13 @@ void FleetController::PlanSecondary(MeetingRecord& st, MeetingRelay& r) {
   }
   // The primary's own forwarding leg gets the same pin, for the same
   // reason; it was created in this scheduler instant, so no estimate has
-  // adapted it yet and both trees start on identical numbering.
-  table_[r.upstream].channel->ForceDecodeTarget(
-      LocalMeetingOn(st, r.upstream), r.relay_receiver, r.upstream_sender, 2);
+  // adapted it yet and both trees start on identical numbering. A flip
+  // removed that leg, and the promoted chain's legs are pinned already.
+  if (!r.backbone_path.empty()) {
+    table_[r.upstream].channel->ForceDecodeTarget(
+        LocalMeetingOn(st, r.upstream), r.relay_receiver, r.upstream_sender,
+        2);
+  }
 
   // Both trees' load rides the backbone for as long as the protection
   // stands — residual-capacity planning must see the doubled footprint.
@@ -982,8 +1022,8 @@ void FleetController::PlanSecondary(MeetingRecord& st, MeetingRelay& r) {
   Trace(obs::Category::kRedundancy, "redundancy.secondary_planned",
         "origin=%u edge=%zu-%zu hops=%zu", static_cast<unsigned>(t.origin),
         t.upstream, t.downstream, t.hops.size());
-  st.secondaries.push_back(std::move(t));
   ++stats_.secondary_trees_installed;
+  return &st.secondaries.emplace_back(std::move(t));
 }
 
 void FleetController::FlipRelay(MeetingRecord& st, MeetingRelay& r,
@@ -1010,11 +1050,11 @@ void FleetController::FlipRelay(MeetingRecord& st, MeetingRelay& r,
     // Second flip: the outgoing transport is itself a chain. Demote it to
     // a plain standby and tear it down like one.
     old->active = false;
-    DropSecondary(st, st.secondaries.begin() + (old - st.secondaries.data()),
-                  SIZE_MAX);
+    DropSecondary(st, st.secondaries.begin() + (old - st.secondaries.data()));
     GcProtectionMeetings(st);
-  } else {
-    // First flip: the outgoing transport is the relay's own leg.
+  } else if (!r.backbone_path.empty()) {
+    // First flip: the outgoing transport is the relay's own leg. (With
+    // neither, the transport was already gone: nothing to drain.)
     if (table_[r.upstream].alive) {
       table_[r.upstream].channel->RemoveParticipant(
           LocalMeetingOn(st, r.upstream), r.relay_receiver);
@@ -1028,67 +1068,26 @@ void FleetController::FlipRelay(MeetingRecord& st, MeetingRelay& r,
   }
 }
 
-bool FleetController::FailOver(
-    const std::vector<std::pair<size_t, size_t>>& hits, size_t dead_switch) {
-  const bool one_change = dead_switch == SIZE_MAX;
-  for (auto& [meeting, st] : meetings_) {
-    for (MeetingRelay& r : st.relays) {
-      for (const auto& hit : hits) {
-        if (!PathHit(CurrentPath(st, r), hit)) continue;
-        SecondaryTree* standby = ChainOf(st, r, /*active=*/false);
-        if (standby == nullptr || PathHit(standby->path, hit)) continue;
-        FlipRelay(st, r, *standby);
-        // Re-protect over what the failure left (declines when no
-        // disjoint path remains).
-        PlanSecondary(st, r);
-        if (one_change) return true;
-        break;
-      }
-    }
-    // A standby the failure lands on while its primary survives: drop the
-    // protection quietly — receivers never notice, and its registered
-    // load comes off the backbone.
-    for (auto it = st.secondaries.begin(); it != st.secondaries.end();) {
-      const auto hits_it = [&](const auto& hit) {
-        return PathHit(it->path, hit);
-      };
-      if (it->active || std::none_of(hits.begin(), hits.end(), hits_it)) {
-        ++it;
-        continue;
-      }
-      it = DropSecondary(st, it, dead_switch);
-      if (one_change) {
-        GcProtectionMeetings(st);
-        return true;
-      }
-    }
-    if (!one_change) GcProtectionMeetings(st);
-  }
-  return false;
-}
-
 std::vector<SecondaryTree>::iterator FleetController::DropSecondary(
-    MeetingRecord& st, std::vector<SecondaryTree>::iterator tree,
-    size_t dead_switch) {
+    MeetingRecord& st, std::vector<SecondaryTree>::iterator tree) {
   for (size_t i = 0; i < tree->hops.size(); ++i) {
     const RelayHop& h = tree->hops[i];
     if (i + 1 == tree->hops.size()) {
       // An active (promoted) chain's last-hop source IS the relay
       // sender's primary feed now; it dies with the relay sender itself,
       // not as a detachable secondary source.
-      if (!tree->active && h.downstream != dead_switch &&
-          table_[h.downstream].alive) {
+      if (!tree->active && table_[h.downstream].alive) {
         table_[h.downstream].channel->RemoveRelaySource(
             LocalMeetingOn(st, h.downstream), h.relay_sender,
             net::Endpoint{table_[h.upstream].sfu_ip, h.upstream_port});
       }
-    } else if (h.downstream != dead_switch && table_[h.downstream].alive) {
+    } else if (table_[h.downstream].alive) {
       // Interior senders live in the switch's protection meeting, even
       // when that switch also hosts a span of the plan.
       table_[h.downstream].channel->RemoveParticipant(
           ProtectionMeetingOn(st, h.downstream), h.relay_sender);
     }
-    if (h.upstream != dead_switch && table_[h.upstream].alive) {
+    if (table_[h.upstream].alive) {
       const MeetingId lm = i == 0 ? LocalMeetingOn(st, h.upstream)
                                   : ProtectionMeetingOn(st, h.upstream);
       table_[h.upstream].channel->RemoveParticipant(lm, h.relay_receiver);
@@ -1134,7 +1133,7 @@ void FleetController::HitlessMigrate(MeetingRecord& st, MeetingId meeting,
   Trace(obs::Category::kRedundancy, "redundancy.hitless_migrate",
         "meeting=%u from=%zu to=%zu", static_cast<unsigned>(meeting), source,
         target);
-  EnsureProtection(st);
+  ReconcileProtection(st);
   if (settings_.on_moved_hitless) settings_.on_moved_hitless(meeting);
 }
 
@@ -1154,7 +1153,7 @@ void FleetController::EndMeeting(MeetingId meeting) {
   // sweep whatever is left so the protection meetings end with the
   // meeting.
   while (!st.secondaries.empty()) {
-    DropSecondary(st, std::prev(st.secondaries.end()), SIZE_MAX);
+    DropSecondary(st, std::prev(st.secondaries.end()));
   }
   GcProtectionMeetings(st);
 
@@ -1273,14 +1272,14 @@ void FleetController::LoseSwitch(size_t switch_index) {
     TearDownSpan(st, switch_index, /*switch_dead=*/true);
     st.frozen = true;
   }
-  if (!settings_.redundancy.enabled()) return;
   // Instant fallback: relays whose current transport merely *transits*
   // the dead switch flip onto a standby chain that avoids it — the chain
   // was already delivering duplicate copies, so receivers never see a
   // gap. (A relay ending at the dead switch has no such standby; the span
   // handling above owned its fate.) Standby chains the dead switch was
-  // part of are gone; drop their surviving wiring quietly.
-  FailOver({{switch_index, switch_index}}, switch_index);
+  // part of are gone: their surviving wiring is dropped, and the relay
+  // gets a standby around the dead switch.
+  for (auto& [meeting, st] : meetings_) ReconcileProtection(st);
 }
 
 void FleetController::ReviveSwitch(size_t switch_index) {

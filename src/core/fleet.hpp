@@ -316,9 +316,11 @@ class FleetController : public SignalingServer,
   // plane's FleetSettings::relay_stream_bps, which the placement policy
   // shares, so admission and registered load always agree).
   double relay_stream_bps() const { return settings_.relay_stream_bps; }
-  // Collapses the child subtree of every tree edge whose backbone path
-  // crosses an overloaded link, so members re-join and the policy
-  // re-plans them with the updated link-state view.
+  // Reconciles every meeting's protection once (ReconcileProtection), so
+  // relays with a standby flip off overloaded links. Then collapses the
+  // child subtree of each tree edge whose current path still crosses an
+  // overloaded link, one at a time until none is left, so members
+  // re-join and the policy re-plans them with the updated link-state view.
   void ReplanOverloadedLinks();
 
   // Creates a meeting on the switch the policy picks.
@@ -364,6 +366,7 @@ class FleetController : public SignalingServer,
   // exists); spans onto it collapse — their members re-join and the
   // policy re-plans them onto live switches. Members of migrated or
   // collapsed meetings are dropped with their sessions and must re-Join.
+  // Then every meeting's protection is reconciled around the dead switch.
   void LoseSwitch(size_t switch_index);
   // Brings a switch back (restarted, empty). Meetings migrated away stay
   // on their standby; the revived switch only receives new placements.
@@ -482,39 +485,39 @@ class FleetController : public SignalingServer,
   ParticipantId NextRelayId();
 
   // ---- redundant dual relay trees -----------------------------------------
-  // Plans and installs a secondary tree for every unprotected relay on the
-  // meeting (no-op unless redundant trees are enabled and the backbone is
-  // explicit).
-  void EnsureProtection(MeetingRecord& st);
+  // The one place that decides protection (no-op unless redundant trees
+  // run over an explicit backbone). A failure is a backbone link whose
+  // registered load exceeds its capacity, or a switch the table marks
+  // dead. One pass over the relays in plan order, reading the failures
+  // afresh before each: drop its standby if a failure lands on it, plan a
+  // standby if it has none, and if its current transport rides a failure
+  // or is gone, flip onto the standby and plan a new one.
+  void ReconcileProtection(MeetingRecord& st);
   // Plans a link-disjoint (or maximally disjoint) secondary chain for one
-  // relay and installs it hop by hop: interior hops are relay senders in
-  // protection meetings, the last hop attaches to the primary relay
-  // sender as an extra dedup'd source. Every chain leg (and the primary's
-  // forwarding leg) gets its decode target pinned to full quality so both
-  // trees carry identical (ssrc, seq) streams. Declines quietly when no
-  // useful disjoint path exists.
-  void PlanSecondary(MeetingRecord& st, MeetingRelay& r);
+  // relay, avoiding its current transport, the failed links and every
+  // link of a dead switch, and installs it hop by hop: interior hops are
+  // relay senders in protection meetings, the last hop attaches to the
+  // primary relay sender as an extra dedup'd source. Every chain leg (and
+  // the primary's forwarding leg) gets its decode target pinned to full
+  // quality so both trees carry identical (ssrc, seq) streams. Declines
+  // (returns nullptr) when no path exists, when the best one still crosses
+  // a failure or is the current transport, or when its residual capacity
+  // is below one relay stream, so a standby never overloads a link.
+  SecondaryTree* PlanSecondary(
+      MeetingRecord& st, MeetingRelay& r,
+      const std::vector<std::pair<size_t, size_t>>& failures);
   // Make-before-break promotion: the downstream merge point flips to the
   // secondary source, the old transport drains (the relay's own leg, or
   // the chain an earlier flip promoted), and the chain becomes the
   // relay's transport, its registered load with it.
   void FlipRelay(MeetingRecord& st, MeetingRelay& r, SecondaryTree& tree);
-  // Routes relays around `hits`, backbone links {a, b} (a < b) or switches
-  // {s, s}: each relay whose current transport a hit lands on flips onto a
-  // standby avoiding that hit and is re-protected, then each standby a hit
-  // lands on is dropped. An overload (no `dead_switch`) makes one change
-  // per call and returns whether it made one; a dead switch is handled in
-  // one pass, skipping commands to it.
-  bool FailOver(const std::vector<std::pair<size_t, size_t>>& hits,
-                size_t dead_switch);
   // Removes one secondary chain's wiring and forgets the chain; returns
-  // the next one. Commands to `dead_switch`, if any, are skipped — its
-  // state died with it. An active chain keeps its last hop's merge source:
-  // after a flip that is the relay sender's primary feed, which dies with
-  // the relay sender itself.
+  // the next one. Commands to a switch the table marks dead are skipped —
+  // its state died with it. An active chain keeps its last hop's merge
+  // source: after a flip that is the relay sender's primary feed, which
+  // dies with the relay sender itself.
   std::vector<SecondaryTree>::iterator DropSecondary(
-      MeetingRecord& st, std::vector<SecondaryTree>::iterator tree,
-      size_t dead_switch);
+      MeetingRecord& st, std::vector<SecondaryTree>::iterator tree);
   // Switch-local protection meeting hosting interior chain hops on
   // `switch_index` (created on first use).
   MeetingId ProtectionMeetingOn(MeetingRecord& st, size_t switch_index);

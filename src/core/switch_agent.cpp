@@ -89,8 +89,7 @@ void SwitchAgent::HandleKeyframeDd(const net::Packet& pkt) {
   // re-anchor skip cadences for this sender's stream.
   auto parsed = rtp::RtpPacket::Parse(pkt.payload_span());
   if (!parsed.has_value()) return;
-  const rtp::RtpExtension* ext =
-      parsed->FindExtension(dp_.config().dd_extension_id);
+  const rtp::RtpExtension* ext = parsed->FindExtension(av1::kDdExtensionId);
   if (ext == nullptr) return;
   auto dd = av1::DependencyDescriptor::Parse(ext->data);
   if (!dd.has_value() || !dd->structure.has_value()) return;

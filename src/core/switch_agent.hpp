@@ -51,8 +51,6 @@ struct AgentConfig {
   // No automatic decode-target changes this soon after a leg is created:
   // fresh GCC estimates and SR-rate readings are unreliable.
   util::DurationUs policy_warmup = util::Seconds(3);
-  // How often the best-downlink filter re-evaluates per sender.
-  util::DurationUs filter_interval = util::Millis(500);
 };
 
 struct AgentStats {

@@ -1,4 +1,4 @@
-// Match-action tables and register arrays with resource accounting.
+// Match-action tables with resource accounting.
 // Capacities are fixed at construction like statically allocated P4 tables;
 // inserts fail when full — that is the hardware capacity bound the capacity
 // model and the tree manager must respect.
@@ -13,7 +13,8 @@
 
 namespace scallop::switchsim {
 
-// Bookkeeping shared by tables/registers; aggregated by ResourceModel.
+// Bookkeeping shared by tables and register cells; aggregated by
+// ResourceModel.
 struct TableFootprint {
   std::string name;
   size_t capacity = 0;
@@ -109,29 +110,6 @@ class TernaryTable {
   };
   TableFootprint footprint_;
   std::vector<Entry> entries_;
-};
-
-// Register array: per-index data-plane state (the sequence-rewrite stream
-// trackers live here). Fixed size; index allocation is the control plane's
-// job (paper: collision-free hash indices assigned by the switch agent).
-template <typename T>
-class RegisterArray {
- public:
-  RegisterArray(std::string name, size_t size, size_t bits_per_cell)
-      : footprint_{std::move(name), size, bits_per_cell, false, 0},
-        cells_(size) {}
-
-  T& At(size_t index) { return cells_.at(index); }
-  const T& At(size_t index) const { return cells_.at(index); }
-  void Reset(size_t index) { cells_.at(index) = T{}; }
-
-  size_t size() const { return cells_.size(); }
-  const TableFootprint& footprint() const { return footprint_; }
-  void set_occupied(size_t n) { footprint_.occupied = n; }
-
- private:
-  TableFootprint footprint_;
-  std::vector<T> cells_;
 };
 
 }  // namespace scallop::switchsim

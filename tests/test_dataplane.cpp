@@ -315,16 +315,32 @@ TEST_F(DataPlaneTest, RewriterPoolExhaustionAndReuse) {
   small.rewriter_cells = 2;
   switchsim::Switch sw2(sched_, net_, {.address = net::Ipv4(100, 64, 0, 2)});
   DataPlaneProgram dp2(sw2, small);
+  // The resource model sees the rewriter cells as one S-LR footprint
+  // whose occupancy follows the rewriters in use.
+  auto tracker = [&sw2] {
+    for (const auto& t : sw2.resources().Report(1.0, 0, 0).tables) {
+      if (t.name == "stream_tracker") return t;
+    }
+    ADD_FAILURE() << "no stream_tracker footprint";
+    return switchsim::TableFootprint{};
+  };
+  EXPECT_EQ(tracker().capacity, 2u);
+  EXPECT_EQ(tracker().allocated_bits(), 2u * 160u);
+  EXPECT_EQ(tracker().occupied, 0u);
   SkipCadence cadence;
   uint32_t a = dp2.AllocateRewriter(cadence);
   uint32_t b = dp2.AllocateRewriter(cadence);
   EXPECT_NE(a, UINT32_MAX);
   EXPECT_NE(b, UINT32_MAX);
+  EXPECT_EQ(tracker().occupied, 2u);
   // Register memory exhausted: the hardware bound the capacity model uses.
   EXPECT_EQ(dp2.AllocateRewriter(cadence), UINT32_MAX);
+  EXPECT_EQ(tracker().occupied, 2u);
   dp2.FreeRewriter(a);
   EXPECT_EQ(dp2.rewriters_in_use(), 1u);
+  EXPECT_EQ(tracker().occupied, 1u);
   EXPECT_NE(dp2.AllocateRewriter(cadence), UINT32_MAX);
+  EXPECT_EQ(tracker().occupied, 2u);
 }
 
 TEST_F(DataPlaneTest, CompoundHelpers) {

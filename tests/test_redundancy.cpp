@@ -5,6 +5,7 @@
 // end-to-end through the fleet backend behind the ScenarioRunner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -148,57 +149,91 @@ TEST(RedundantTrees, SurvivesPrimaryLinkCutWithZeroFrameGap) {
   control_spec.WithRedundantTrees();
   harness::ScenarioRunner control(control_spec);
   const harness::ScenarioMetrics& undisturbed = control.Run();
-
-  // Probe run: at 3 s, cut a backbone link a live primary path crosses.
-  harness::ScenarioSpec spec = RingSpec("ring-cut", 10.0);
-  spec.WithRedundantTrees();
-  harness::ScenarioRunner runner(spec);
-  runner.RunUntil(2.9);
-  const auto relays = runner.fleet().fleet().RelaysOf(runner.meeting_id(0));
-  ASSERT_FALSE(relays.empty());
-  ASSERT_GE(relays.front().backbone_path.size(), 2u);
-  const size_t cut_a = relays.front().backbone_path[0];
-  const size_t cut_b = relays.front().backbone_path[1];
-  runner.backend().sched().At(util::Seconds(3.0), [&] {
-    // A cut keeps a sliver of capacity: <= 0 means unconstrained, and
-    // the overload re-planner only reacts to finite capacities.
-    runner.fleet().SetInterSwitchLinkCapacity(cut_a, cut_b, 1.0);
-  });
-  const harness::ScenarioMetrics& m = runner.Run();
-
-  // The cut flipped every relay riding that link onto its standby chain
-  // and planned fresh standbys around the new primaries.
-  EXPECT_GE(m.redundancy.tree_flips, 1u) << m.Summary();
-  EXPECT_GT(m.redundancy.duplicates_eliminated, 0u);
-  EXPECT_EQ(m.RewriteViolations(), 0u) << m.ToCsv();
-
-  // Zero frame gap: the second tree was already delivering copies when
-  // the primary died, so the worst peer decodes as much as in the
-  // undisturbed run (a small in-flight allowance covers the packets that
-  // died on the cut link itself).
   ASSERT_GT(undisturbed.WorstDeliveryFloor(), 0u);
-  EXPECT_GE(m.WorstDeliveryFloor() + 3, undisturbed.WorstDeliveryFloor())
-      << "the cut opened a frame gap despite the standby tree\n"
-      << m.Summary() << undisturbed.Summary();
+
+  // Probe runs: at 3 s, cut a backbone link a live primary path crosses,
+  // down to a sliver (<= 0 means unconstrained, and the overload
+  // re-planner only reacts to finite capacities) or to room for two of
+  // the seven streams that ride it.
+  for (const double cut_bps : {1.0, 5e6}) {
+    SCOPED_TRACE(testing::Message() << "cut to " << cut_bps << " b/s");
+    harness::ScenarioSpec spec = RingSpec("ring-cut", 10.0);
+    spec.WithRedundantTrees();
+    harness::ScenarioRunner runner(spec);
+    runner.RunUntil(2.9);
+    const auto relays =
+        runner.fleet().fleet().RelaysOf(runner.meeting_id(0));
+    ASSERT_FALSE(relays.empty());
+    ASSERT_GE(relays.front().backbone_path.size(), 2u);
+    const size_t cut_a = relays.front().backbone_path[0];
+    const size_t cut_b = relays.front().backbone_path[1];
+    runner.backend().sched().At(util::Seconds(3.0), [&] {
+      runner.fleet().SetInterSwitchLinkCapacity(cut_a, cut_b, cut_bps);
+    });
+    const harness::ScenarioMetrics& m = runner.Run();
+
+    // The cut flipped every relay riding that link onto its standby chain
+    // and planned fresh standbys around the new primaries, none of them
+    // over a link without room.
+    EXPECT_GE(m.redundancy.tree_flips, 1u) << m.Summary();
+    EXPECT_GT(m.redundancy.duplicates_eliminated, 0u);
+    EXPECT_EQ(m.RewriteViolations(), 0u) << m.ToCsv();
+    EXPECT_LE(m.topology.max_utilization, 1.0) << m.Summary();
+
+    // Zero frame gap: the second tree was already delivering copies when
+    // the primary died, so the worst peer decodes as much as in the
+    // undisturbed run (a small in-flight allowance covers the packets
+    // that died on the cut link itself).
+    EXPECT_GE(m.WorstDeliveryFloor() + 3, undisturbed.WorstDeliveryFloor())
+        << "the cut opened a frame gap despite the standby tree\n"
+        << m.Summary() << undisturbed.Summary();
+  }
+}
+
+// Whether relay `r` has a chain on its tree edge: a standby (`active`
+// false) or the promoted chain carrying it (`active` true).
+bool HasChain(const std::vector<core::SecondaryTree>& chains,
+              const core::MeetingRelay& r, bool active) {
+  return std::any_of(chains.begin(), chains.end(), [&](const auto& t) {
+    return t.active == active && t.origin == r.origin &&
+           t.upstream == r.upstream && t.downstream == r.downstream;
+  });
 }
 
 // The fingerprint grid's cut points must reach the paths they pin: one
 // cut flips relays onto standbys, and a second cut on a promoted chain
-// flips a relay a second time (retiring the chain it rode).
+// flips a relay a second time (retiring the chain it rode). No planned
+// chain may overload a link, and on the full mesh every relay ends with a
+// standby again (a standby a cut lands on is planned anew).
 TEST(RedundantTrees, FingerprintCutPointsFlipOnceAndTwice) {
-  const std::pair<const char*, uint64_t> wanted[] = {
-      {"redundantcut/fleet4/s6", 1}, {"redundantrecut/fleet4/s6", 2}};
-  for (const auto& [key, min_flips] : wanted) {
+  struct Wanted {
+    const char* key;
+    uint64_t min_flips;
+    bool all_protected;
+  };
+  const Wanted wanted[] = {{"redundantcut/fleet4/s6", 1, false},
+                           {"redundantrecut/fleet4/s6", 2, true}};
+  for (const Wanted& w : wanted) {
     bool found = false;
     for (const auto& p : harness::AllFingerprintPoints()) {
-      if (p.key != key) continue;
+      if (p.key != w.key) continue;
       found = true;
       harness::ScenarioRunner runner(p.spec);
       const harness::ScenarioMetrics& m = runner.Run();
-      EXPECT_GE(m.redundancy.tree_flips, min_flips) << key << m.Summary();
-      EXPECT_EQ(m.RewriteViolations(), 0u) << key;
+      EXPECT_GE(m.redundancy.tree_flips, w.min_flips) << w.key << m.Summary();
+      EXPECT_EQ(m.RewriteViolations(), 0u) << w.key;
+      EXPECT_LE(m.topology.max_utilization, 1.0) << w.key << m.Summary();
+      if (w.all_protected) {
+        const core::FleetController& fleet = runner.fleet().fleet();
+        const auto chains = fleet.SecondariesOf(runner.meeting_id(0));
+        for (const auto& r : fleet.RelaysOf(runner.meeting_id(0))) {
+          EXPECT_TRUE(HasChain(chains, r, /*active=*/false))
+              << w.key << ": relay of " << r.origin << " " << r.upstream
+              << "->" << r.downstream << " has no standby";
+        }
+      }
     }
-    EXPECT_TRUE(found) << "no fingerprint point " << key;
+    EXPECT_TRUE(found) << "no fingerprint point " << w.key;
   }
 }
 
@@ -210,8 +245,9 @@ TEST(RedundantTrees, FingerprintCutPointsFlipOnceAndTwice) {
 // declares it dead. The relays transiting it flip onto standbys that
 // avoid it (a second flip, retiring the chain through 3), and the
 // standbys through it are dropped with the dead switch's commands
-// skipped. The digest and counts are pinned: any drift means the
-// failover's commands or bookkeeping changed.
+// skipped and planned again around it. The digest and counts are
+// pinned: any drift means the failover's commands or bookkeeping
+// changed.
 TEST(RedundantTrees, TransitSwitchDeathFlipsAndDropsStandbys) {
   harness::ScenarioSpec spec =
       harness::ScenarioSpec::Uniform("mesh-transit-death", 1, 3, 3.0, 6);
@@ -248,13 +284,65 @@ TEST(RedundantTrees, TransitSwitchDeathFlipsAndDropsStandbys) {
     for (size_t sw : t.path) EXPECT_NE(sw, 3u) << "a chain still uses 3";
   }
   EXPECT_EQ(m.redundancy.tree_flips, 5u);
-  EXPECT_EQ(m.redundancy.secondary_trees_installed, 9u);
-  EXPECT_EQ(m.redundancy.secondary_trees_removed, 6u);
+  EXPECT_EQ(m.redundancy.secondary_trees_installed, 10u);
+  EXPECT_EQ(m.redundancy.secondary_trees_removed, 7u);
   EXPECT_EQ(m.RewriteViolations(), 0u) << m.ToCsv();
   EXPECT_EQ(harness::ScenarioFingerprint::Hex(
                 harness::ScenarioFingerprint::Of(m)),
-            "0xc562c8913ae909bc")
+            "0x8c3f138760f27cca")
       << m.Summary();
+}
+
+// A relay added after a cut must not ride the cut link unprotected. Full
+// mesh fleet{4}, one 4-party meeting spread one member per switch; at
+// 1.2 s link 0-1 is cut, and at 1.5 s switch 2's control link goes dark,
+// so its span collapses and its member re-joins elsewhere. The relay that
+// re-join adds over the cut link flips onto a chain around it at once,
+// so every receiver keeps decoding every stream. A cut that leaves room
+// for one stream takes no standby it cannot carry: no link ends over its
+// capacity.
+TEST(RedundantTrees, RelayAddedAfterCutIsProtected) {
+  for (const double cut_bps : {1.0, 3e6}) {
+    SCOPED_TRACE(testing::Message() << "cut to " << cut_bps << " b/s");
+    harness::ScenarioSpec spec =
+        harness::ScenarioSpec::Uniform("mesh-late-relay", 1, 4, 3.0, 6);
+    spec.base.peer.encoder.start_bitrate_bps = 700'000;
+    spec.WithBackend(testbed::BackendChoice::Fleet(4));
+    spec.WithPlacementPolicy(core::PlacementPolicyConfig::TopologyAware(1));
+    for (int a = 0; a < 4; ++a) {
+      for (int b = a + 1; b < 4; ++b) {
+        spec.WithInterSwitchLink(a, b, 0.001, 100e6);
+      }
+    }
+    spec.WithRedundantTrees();
+    spec.WithInterSwitchLinkEvent(1.2, 0, 1, cut_bps);
+    harness::ScenarioRunner runner(spec);
+    runner.backend().sched().At(util::Seconds(1.5), [&runner] {
+      runner.fleet().channel(2).set_link_up(false);
+    });
+
+    const harness::ScenarioMetrics& m = runner.Run();
+    EXPECT_EQ(m.control.switches_failed, 1u);
+    for (const auto& p : m.peers) {
+      if (!p.present_at_end || p.active_streams == 0) continue;
+      EXPECT_GT(p.min_frames_decoded, 0u)
+          << "peer " << p.id << " decodes nothing on one of its streams\n"
+          << m.ToCsv();
+    }
+    EXPECT_LE(m.topology.max_utilization, 1.0) << m.Summary();
+    EXPECT_EQ(m.RewriteViolations(), 0u) << m.ToCsv();
+    // The collapse of span 2 dropped chains that earlier flips promoted
+    // through switch 2; each relay they carried flips onto its standby,
+    // so every relay keeps a transport of its own.
+    const core::MeetingId id = runner.meeting_id(0);
+    const auto chains = runner.fleet().fleet().SecondariesOf(id);
+    for (const auto& r : runner.fleet().fleet().RelaysOf(id)) {
+      EXPECT_TRUE(!r.backbone_path.empty() ||
+                  HasChain(chains, r, /*active=*/true))
+          << "relay of " << r.origin << " " << r.upstream << "->"
+          << r.downstream << " has no transport";
+    }
+  }
 }
 
 TEST(RedundantTrees, StandbySurvivesWhenConfiguredOffByteIdentical) {

@@ -126,16 +126,6 @@ TEST(Tables, TernaryFirstMatchWins) {
   EXPECT_EQ(*t.Lookup(0x1abc), 2);
 }
 
-TEST(Tables, RegisterArrayBounds) {
-  RegisterArray<uint32_t> r("regs", 4, 32);
-  r.At(0) = 42;
-  EXPECT_EQ(r.At(0), 42u);
-  r.Reset(0);
-  EXPECT_EQ(r.At(0), 0u);
-  EXPECT_THROW(r.At(4), std::out_of_range);
-  EXPECT_EQ(r.footprint().allocated_bits(), 128u);
-}
-
 TEST(Resources, ReportAggregatesFootprints) {
   ResourceModel model;
   ExactTable<int, int> t("stream", 1000, 80, 96);
