@@ -51,11 +51,10 @@ void TreeMigrationDemo() {
   client::Peer& b = runner.peer(0, 1);
   client::Peer& c = runner.peer(0, 2);
   client::Peer& d = runner.peer(0, 3);
-  // The switch's agent and its controller number meetings switch-locally.
-  core::FleetController& fleet = runner.fleet().fleet();
+  // The switch's agent and its channel number meetings switch-locally.
   const core::MeetingId meeting =
-      fleet.PlacementDetail(runner.meeting_id(0)).second;
-  core::Controller& controller = fleet.controller(0);
+      runner.fleet().fleet().PlacementDetail(runner.meeting_id(0)).second;
+  core::ControlChannel& channel = runner.scallop().channel();
 
   runner.RunUntil(4.0);
   Report(runner, meeting, "2 participants (unicast fast path):");
@@ -69,19 +68,19 @@ void TreeMigrationDemo() {
   // Receiver-uniform adaptation: C wants 15 fps from everyone -> RA-R.
   // The pins go controller -> control channel -> agent, southbound.
   for (client::Peer* sender : {&a, &b, &d}) {
-    controller.ForceDecodeTarget(meeting, c.id(), sender->id(), 1);
+    channel.ForceDecodeTarget(meeting, c.id(), sender->id(), 1);
   }
   runner.RunUntil(16.0);
   Report(runner, meeting, "C at 15 fps from all senders:");
 
   // Sender-specific: C wants full rate from A only -> RA-SR.
-  controller.ForceDecodeTarget(meeting, c.id(), a.id(), 2);
+  channel.ForceDecodeTarget(meeting, c.id(), a.id(), 2);
   runner.RunUntil(20.0);
   Report(runner, meeting, "C full rate from A, 15 fps from B/D:");
 
   // Back to full rate for everyone -> NRA again.
   for (client::Peer* sender : {&a, &b, &d}) {
-    controller.ForceDecodeTarget(meeting, c.id(), sender->id(), 2);
+    channel.ForceDecodeTarget(meeting, c.id(), sender->id(), 2);
   }
   runner.RunUntil(24.0);
   Report(runner, meeting, "everyone full rate again:");

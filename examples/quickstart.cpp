@@ -11,8 +11,8 @@
 
 #include "client/peer.hpp"
 #include "core/control_channel.hpp"
-#include "core/controller.hpp"
 #include "core/dataplane.hpp"
+#include "core/federation.hpp"
 #include "core/switch_agent.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
@@ -37,13 +37,16 @@ int main() {
 
   // 3. Scallop's three tiers: data-plane program on the switch, the switch
   //    agent on its CPU, and the centralized controller — which programs
-  //    the agent through the southbound control channel.
+  //    the agent through the southbound control channel. The controller
+  //    is a control plane of one region with this switch registered.
   core::DataPlaneProgram dataplane(sw, core::DataPlaneConfig{});
   core::AgentConfig agent_cfg;
   agent_cfg.sfu_ip = sfu_ip;
   core::SwitchAgent agent(sched, dataplane, agent_cfg);
   core::ControlChannel channel(sched, agent);
-  core::Controller controller(channel, sfu_ip);
+  core::FederatedControlPlane controller(sched,
+                                         {.regions = 1, .switches = 1});
+  controller.AddSwitch(channel, sfu_ip);
 
   // 4. Two WebRTC peers on 20 Mb/s access links.
   sim::LinkConfig access{.rate_bps = 20e6, .prop_delay = util::Millis(5)};

@@ -20,6 +20,7 @@
 #include "media/packetizer.hpp"
 #include "media/receiver.hpp"
 #include "net/packet.hpp"
+#include "rtp/rtcp.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 #include "stun/stun.hpp"

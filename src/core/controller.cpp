@@ -17,110 +17,4 @@ SenderIntent ParseSenderIntent(const sdp::SessionDescription& offer) {
   return intent;
 }
 
-MeetingId Controller::CreateMeeting() {
-  ++stats_.meetings_created;
-  MeetingId id = next_meeting_++;
-  meetings_[id] = {};
-  channel_.CreateMeeting(id);
-  return id;
-}
-
-void Controller::EndMeeting(MeetingId id) {
-  auto it = meetings_.find(id);
-  if (it == meetings_.end()) return;
-  // Tell every remaining member about every peer sender's departure
-  // before the meeting state goes away; otherwise clients keep stale
-  // receive legs toward an SFU port that no longer exists and never learn
-  // the meeting ended.
-  for (auto& [pid, member] : it->second) {
-    for (auto& [sid, sender] : it->second) {
-      if (sid == pid) continue;
-      if (!sender.sends_video && !sender.sends_audio) continue;
-      member.client->OnRemoteSenderLeft(sid);
-    }
-  }
-  channel_.RemoveMeeting(id);
-  meetings_.erase(it);
-}
-
-Controller::JoinResult Controller::Join(MeetingId meeting,
-                                        const sdp::SessionDescription& offer,
-                                        SignalingClient* client) {
-  ++stats_.joins;
-  ++stats_.sdp_messages;  // the offer
-
-  Member member;
-  member.id = next_participant_++;
-  member.client = client;
-
-  // Extract what the participant sends and from where.
-  const SenderIntent intent = ParseSenderIntent(offer);
-  member.sends_video = intent.sends_video;
-  member.video_ssrc = intent.video_ssrc;
-  member.sends_audio = intent.sends_audio;
-  member.audio_ssrc = intent.audio_ssrc;
-
-  uint16_t uplink_port = channel_.AddParticipant(
-      meeting, member.id, intent.media_src, member.video_ssrc,
-      member.audio_ssrc, member.sends_video, member.sends_audio);
-  net::Endpoint uplink_sfu{sfu_ip_, uplink_port};
-
-  // Answer with candidates rewritten to the SFU: the proxy insertion of
-  // paper §5.1 — the client believes the SFU endpoint is its peer.
-  sdp::SessionDescription answer = sdp::MakeAnswer(
-      offer, uplink_sfu, "sfu" + std::to_string(member.id), "pwd");
-  for (auto& m : answer.media) {
-    stats_.candidates_rewritten += m.candidates.size();
-  }
-  ++stats_.sdp_messages;  // the answer
-
-  auto& members = meetings_[meeting];
-
-  // Per-participant stream split: the new member opens one receive leg per
-  // existing sender, and every existing member opens one for the new
-  // sender (if it sends).
-  for (auto& [pid, existing] : members) {
-    if (existing.sends_video || existing.sends_audio) {
-      net::Endpoint local = client->AllocateLocalLeg(pid);
-      uint16_t port = channel_.AddRecvLeg(meeting, member.id, pid, local);
-      client->OnRemoteLegReady(pid, existing.video_ssrc, existing.audio_ssrc,
-                               net::Endpoint{sfu_ip_, port});
-      ++stats_.legs_negotiated;
-      stats_.sdp_messages += 2;  // renegotiation round
-    }
-    if (member.sends_video || member.sends_audio) {
-      net::Endpoint local = existing.client->AllocateLocalLeg(member.id);
-      uint16_t port = channel_.AddRecvLeg(meeting, pid, member.id, local);
-      existing.client->OnRemoteLegReady(member.id, member.video_ssrc,
-                                        member.audio_ssrc,
-                                        net::Endpoint{sfu_ip_, port});
-      ++stats_.legs_negotiated;
-      stats_.sdp_messages += 2;
-    }
-  }
-  members[member.id] = member;
-
-  JoinResult result;
-  result.participant = member.id;
-  result.answer = std::move(answer);
-  result.uplink_sfu = uplink_sfu;
-  return result;
-}
-
-void Controller::Leave(MeetingId meeting, ParticipantId participant) {
-  ++stats_.leaves;
-  auto mit = meetings_.find(meeting);
-  if (mit == meetings_.end()) return;
-  mit->second.erase(participant);
-  channel_.RemoveParticipant(meeting, participant);
-  for (auto& [pid, member] : mit->second) {
-    member.client->OnRemoteSenderLeft(participant);
-  }
-}
-
-void Controller::ForceDecodeTarget(MeetingId meeting, ParticipantId receiver,
-                                   ParticipantId sender, int dt) {
-  channel_.ForceDecodeTarget(meeting, receiver, sender, dt);
-}
-
 }  // namespace scallop::core

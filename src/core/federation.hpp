@@ -6,7 +6,9 @@
 // The regions share one network information base, as Onix does: the
 // plane owns a single SwitchTable (one record per switch plus the one
 // backbone view) and builds every regional FleetController over it. A
-// switch's table index is its index everywhere: on this API, in meeting
+// switch's record also holds its participant and switch-local meeting id
+// counters, so ids never repeat on a switch whichever region signals it.
+// A switch's table index is its index everywhere: on this API, in meeting
 // records, policy load vectors and trace details. Only the owning region
 // watches a switch and homes meetings there; other regions reach it
 // through border spans alone. A dead switch is dead for every region.
@@ -16,9 +18,10 @@
 // FleetSettings record, its setters write it, and every region reads it
 // through a const reference.
 //
-// A region keeps only its own state: the meeting records it placed (the
-// plane reads them only through their owner, or hands them over on
-// adoption), its id spaces, rebalancer, detector and stats. Controllers
+// A region keeps only its own state: the meeting records it placed, each
+// holding the meeting's one membership roster (the plane reads them only
+// through their owner, or hands them over on adoption), its id spaces,
+// rebalancer, detector and stats. Controllers
 // peer over MessageConduits carrying the same latency/loss/ack semantics
 // as the southbound ControlChannel: meeting announcements and directory
 // lookups (so any region can serve a Join for a meeting it does not
@@ -33,7 +36,8 @@
 // Every region count runs the same code. R == 1 is the federation of one:
 // its single region owns every switch, and with no peers there are no
 // conduits, announcements or heartbeat tasks — byte-identical to the
-// pre-federation fleet.
+// pre-federation fleet. It is also the whole controller of a one-switch
+// deployment (ScallopTestbed, examples/quickstart.cpp).
 #pragma once
 
 #include <cstdint>

@@ -64,13 +64,15 @@ const std::vector<size_t>& CurrentPath(MeetingRecord& st,
   return chain != nullptr ? chain->path : r.backbone_path;
 }
 
-// Members homed on the relay's downstream switch learn its relay sender
-// left (their switch's controller never knew it, so the fleet delivers
-// the notification).
-void NotifyRelaySenderLeft(const MeetingRecord& st, const MeetingRelay& r) {
+// Tells every other member homed on `switch_index` that `sender` (a
+// member or a relay sender parked there) left, so its client drops the
+// leg.
+void NotifySenderLeft(const MeetingRecord& st, size_t switch_index,
+                      ParticipantId sender) {
   for (const auto& [pid, info] : st.members) {
-    if (info.home_switch == r.downstream && info.client != nullptr) {
-      info.client->OnRemoteSenderLeft(r.relay_sender);
+    if (pid != sender && info.home_switch == switch_index &&
+        info.client != nullptr) {
+      info.client->OnRemoteSenderLeft(sender);
     }
   }
 }
@@ -82,13 +84,12 @@ size_t SwitchTable::Add(ControlChannel& channel, net::Ipv4 sfu_ip,
   const size_t index = records_.size();
   Record& rec = records_.emplace_back();
   rec.channel = &channel;
-  // Disjoint participant-id range per switch: without it, two switch
-  // controllers both counting from 1 could hand out the same id, and a
-  // stale Leave for a participant migrated off one switch would pass the
-  // membership guard and kick a live, unrelated member on another.
+  // Disjoint participant-id range per switch: without it, two switches
+  // both counting from 1 could hand out the same id, and a stale Leave
+  // for a participant migrated off one switch would pass the membership
+  // guard and kick a live, unrelated member on another.
   constexpr ParticipantId kIdStride = 1'000'000;
-  rec.controller = std::make_unique<Controller>(
-      channel, sfu_ip, static_cast<ParticipantId>(index) * kIdStride + 1);
+  rec.next_participant = static_cast<ParticipantId>(index) * kIdStride + 1;
   rec.sfu_ip = sfu_ip;
   rec.owner = owner;
   rec.last_heartbeat = channel.sched().now();
@@ -180,8 +181,8 @@ void FleetController::Shutdown() {
 
 size_t FleetController::AdoptShardFrom(FleetController& failed) {
   // The dead peer's switches change owner; their telemetry and failure
-  // detection re-point here. The per-switch Controllers (sessions and id
-  // spaces), counts and liveness stay where they are, in the table.
+  // detection re-point here. Their id counters, counts and liveness stay
+  // where they are, in the table.
   for (size_t i = 0; i < table_.size(); ++i) {
     SwitchTable::Record& sw = table_[i];
     if (sw.owner != failed.region_) continue;
@@ -430,13 +431,12 @@ MeetingId FleetController::CreateMeeting() {
   if (idx == SIZE_MAX) {
     throw std::runtime_error("FleetController: no live switch to place on");
   }
-  MeetingId local = table_[idx].controller->CreateMeeting();
+  const MeetingId local = OpenLocalMeeting(idx);
   MeetingId global = next_meeting_;
   next_meeting_ += meeting_stride_;
   MeetingRecord& st = meetings_[global];
   st.placement.home = idx;
   st.placement.local_meeting = local;
-  ++table_[idx].meetings;
   ++stats_.meetings_placed;
   Trace(obs::Category::kPlacement, "placement.meeting_placed",
         "meeting=%u switch=%zu", static_cast<unsigned>(global), idx);
@@ -456,6 +456,44 @@ MeetingId FleetController::LocalMeetingOn(const MeetingRecord& st,
 
 ParticipantId FleetController::NextRelayId() { return next_relay_id_++; }
 
+MeetingId FleetController::OpenLocalMeeting(size_t switch_index) {
+  SwitchTable::Record& sw = table_[switch_index];
+  const MeetingId local = sw.next_meeting++;
+  sw.channel->CreateMeeting(local);
+  ++sw.meetings;
+  return local;
+}
+
+void FleetController::EndLocalMeeting(const MeetingRecord& st,
+                                      size_t switch_index) {
+  // Every member homed here drops its legs before the meeting state goes
+  // away; otherwise clients keep stale receive legs toward an SFU port
+  // that no longer exists and never learn the meeting ended.
+  for (const auto& [pid, info] : st.members) {
+    if (info.home_switch == switch_index && info.intent.sends()) {
+      NotifySenderLeft(st, switch_index, pid);
+    }
+  }
+  for (const MeetingRelay& r : st.relays) {
+    if (r.downstream == switch_index) {
+      NotifySenderLeft(st, switch_index, r.relay_sender);
+    }
+  }
+  table_[switch_index].channel->RemoveMeeting(LocalMeetingOn(st, switch_index));
+}
+
+void FleetController::OpenLeg(const MeetingRecord& st, size_t switch_index,
+                              ParticipantId receiver, SignalingClient& client,
+                              ParticipantId sender, uint32_t video_ssrc,
+                              uint32_t audio_ssrc) {
+  SwitchTable::Record& sw = table_[switch_index];
+  const net::Endpoint local = client.AllocateLocalLeg(sender);
+  const uint16_t port = sw.channel->AddRecvLeg(
+      LocalMeetingOn(st, switch_index), receiver, sender, local);
+  client.OnRemoteLegReady(sender, video_ssrc, audio_ssrc,
+                          net::Endpoint{sw.sfu_ip, port});
+}
+
 RelaySpan& FleetController::EnsureSpan(MeetingRecord& st,
                                        size_t switch_index) {
   for (RelaySpan& span : st.placement.spans) {
@@ -472,10 +510,9 @@ RelaySpan& FleetController::EnsureSpan(MeetingRecord& st,
   RelaySpan span;
   span.switch_index = switch_index;
   span.parent = parent == st.placement.home ? SIZE_MAX : parent;
-  span.local_meeting = table_[switch_index].controller->CreateMeeting();
+  span.local_meeting = OpenLocalMeeting(switch_index);
   const size_t at = st.placement.spans.size();
   st.placement.spans.push_back(std::move(span));
-  ++table_[switch_index].meetings;
   ++stats_.relay_spans_installed;
   Trace(obs::Category::kPlacement, "placement.span_installed",
         "switch=%zu parent=%zu home=%zu", switch_index, parent,
@@ -484,8 +521,7 @@ RelaySpan& FleetController::EnsureSpan(MeetingRecord& st,
   // Route every existing sender's stream into the new span along the
   // relay tree, so its first member immediately sees the whole meeting.
   for (const auto& [pid, info] : st.members) {
-    if (!info.intent.sends_video && !info.intent.sends_audio) continue;
-    if (info.home_switch == switch_index) continue;
+    if (!info.intent.sends() || info.home_switch == switch_index) continue;
     EnsureSenderAt(st, pid, info.home_switch, switch_index, info.intent);
   }
   // Relay wiring never touches the span list: the new span is still there.
@@ -544,7 +580,8 @@ ParticipantId FleetController::EnsureRelay(MeetingRecord& st, size_t upstream,
   // relay sender, exactly as they would for a local joiner.
   for (const auto& [pid, info] : st.members) {
     if (info.home_switch == downstream && info.client != nullptr) {
-      OpenRelayLeg(st, pid, *info.client, r);
+      OpenLeg(st, downstream, pid, *info.client, r.relay_sender, r.video_ssrc,
+              r.audio_ssrc);
     }
   }
 
@@ -576,18 +613,6 @@ void FleetController::WireHop(RelayHop& hop, MeetingId up_meeting,
   up.channel->AddRelayLeg(up_meeting, hop.relay_receiver, hop.upstream_sender,
                           net::Endpoint{down.sfu_ip, hop.downstream_port},
                           hop.upstream_port);
-}
-
-void FleetController::OpenRelayLeg(const MeetingRecord& st,
-                                   ParticipantId member,
-                                   SignalingClient& client,
-                                   const MeetingRelay& r) {
-  SwitchTable::Record& home = table_[r.downstream];
-  const net::Endpoint local = client.AllocateLocalLeg(r.relay_sender);
-  const uint16_t port = home.channel->AddRecvLeg(
-      LocalMeetingOn(st, r.downstream), member, r.relay_sender, local);
-  client.OnRemoteLegReady(r.relay_sender, r.video_ssrc, r.audio_ssrc,
-                          net::Endpoint{home.sfu_ip, port});
 }
 
 void FleetController::RouteSenderEverywhere(MeetingRecord& st,
@@ -636,42 +661,53 @@ FleetController::JoinResult FleetController::Join(
     }
   }
 
-  MeetingId local;
-  if (target == st.placement.home) {
-    local = st.placement.local_meeting;
-  } else {
-    local = EnsureSpan(st, target).local_meeting;
+  RelaySpan* span = target == st.placement.home ? nullptr
+                                                 : &EnsureSpan(st, target);
+  SwitchTable::Record& sw = table_[target];
+  const ParticipantId id = sw.next_participant++;
+  const SenderIntent intent = ParseSenderIntent(offer);
+  const uint16_t uplink_port = sw.channel->AddParticipant(
+      LocalMeetingOn(st, target), id, intent.media_src, intent.video_ssrc,
+      intent.audio_ssrc, intent.sends_video, intent.sends_audio);
+  JoinResult result;
+  result.participant = id;
+  result.uplink_sfu = net::Endpoint{sw.sfu_ip, uplink_port};
+  // Answer with candidates rewritten to the SFU: the proxy insertion of
+  // paper §5.1 — the client believes the SFU endpoint is its peer.
+  result.answer = sdp::MakeAnswer(offer, result.uplink_sfu,
+                                  "sfu" + std::to_string(id), "pwd");
+
+  // Per-participant stream split: the new member opens one receive leg
+  // per sender already homed here, and each member homed here opens one
+  // for the new sender (if it sends).
+  for (const auto& [pid, info] : st.members) {
+    if (info.home_switch != target) continue;
+    if (info.intent.sends()) {
+      OpenLeg(st, target, id, *client, pid, info.intent.video_ssrc,
+              info.intent.audio_ssrc);
+    }
+    if (intent.sends()) {
+      OpenLeg(st, target, pid, *info.client, id, intent.video_ssrc,
+              intent.audio_ssrc);
+    }
   }
+  ++sw.participants;
+  st.members[id] = MeetingMemberInfo{target, client, intent};
+  (span != nullptr ? span->participants : st.placement.home_participants)
+      .push_back(id);
 
-  JoinResult result =
-      table_[target].controller->Join(local, offer, client);
-  ++table_[target].participants;
-
-  MeetingMemberInfo info;
-  info.home_switch = target;
-  info.client = client;
-  info.intent = ParseSenderIntent(offer);
-  st.members[result.participant] = info;
-  if (target == st.placement.home) {
-    st.placement.home_participants.push_back(result.participant);
-  } else {
-    EnsureSpan(st, target).participants.push_back(result.participant);
-  }
-
-  // The switch-local Join negotiated legs toward local senders only; the
-  // relay senders parked on this switch (remote participants' streams)
-  // need their legs wired here.
+  // Remote participants' streams arrive here as relay senders parked on
+  // this switch; the new member opens a leg toward each of them.
   for (const MeetingRelay& r : st.relays) {
     if (r.downstream == target) {
-      OpenRelayLeg(st, result.participant, *client, r);
+      OpenLeg(st, target, id, *client, r.relay_sender, r.video_ssrc,
+              r.audio_ssrc);
     }
   }
 
   // And this participant's own media must reach every other switch the
   // meeting spans.
-  if (info.intent.sends_video || info.intent.sends_audio) {
-    RouteSenderEverywhere(st, result.participant, target, info.intent);
-  }
+  if (intent.sends()) RouteSenderEverywhere(st, id, target, intent);
 
   // Every relay installed for (or discovered by) this join gets its
   // disjoint secondary tree while the wiring is still quiescent — the
@@ -703,7 +739,7 @@ void FleetController::RemoveSenderRelays(MeetingRecord& st,
     }
     const MeetingRelay r = *it;
     UnregisterRelayLoad(r);
-    NotifyRelaySenderLeft(st, r);
+    NotifySenderLeft(st, r.downstream, r.relay_sender);
     table_[r.downstream].channel->RemoveParticipant(
         LocalMeetingOn(st, r.downstream), r.relay_sender);
     table_[r.upstream].channel->RemoveParticipant(
@@ -757,9 +793,10 @@ void FleetController::Leave(MeetingId meeting, ParticipantId participant) {
   RemoveSenderRelays(st, participant);
 
   --table_[at].participants;
-  table_[at].controller->Leave(LocalMeetingOn(st, at), participant);
+  table_[at].channel->RemoveParticipant(LocalMeetingOn(st, at), participant);
   EraseParticipantFromPlacement(st, participant);
   st.members.erase(mit);
+  NotifySenderLeft(st, at, participant);
 
   // Span garbage collection: a span whose last member left is drained —
   // its relay plumbing and switch-local meeting go away, and the span
@@ -799,37 +836,19 @@ void FleetController::TearDownSpan(MeetingRecord& st, size_t switch_index,
   }
   span = st.placement.SpanOn(switch_index);
   if (span == nullptr) return;
-  const MeetingId local = span->local_meeting;
-
-  // Span members' clients must drop their legs toward the relayed
-  // senders parked on the span: the span's controller never knew those
-  // senders, so the fleet delivers the notification (mirroring the
-  // downstream-member loop below for every other switch). On forced
-  // collapses the sessions are already dead and the notification is a
-  // no-op on the client.
-  std::vector<ParticipantId> dropped = span->participants;
-  for (const MeetingRelay& r : st.relays) {
-    if (r.downstream != switch_index) continue;
-    for (ParticipantId p : dropped) {
-      auto mit = st.members.find(p);
-      if (mit != st.members.end() && mit->second.client != nullptr) {
-        mit->second.client->OnRemoteSenderLeft(r.relay_sender);
-      }
-    }
-  }
   // Members still homed on the span (switch failure / forced collapse /
-  // meeting end): drain their load and membership. Their relay wiring is
-  // removed with the span's relays below.
-  for (ParticipantId p : dropped) {
-    --table_[switch_index].participants;
-    st.members.erase(p);
-  }
+  // meeting end) lose their sessions with it.
+  const std::vector<ParticipantId> dropped = span->participants;
 
   // Remove every relay touching the span: toward it (downstream == span),
   // from it (origin homed on the span — including second-hop fan-out of
   // those origins via the home switch).
   auto origin_on_span = [&](ParticipantId origin) {
     return std::find(dropped.begin(), dropped.end(), origin) != dropped.end();
+  };
+  auto touches_span = [&](const MeetingRelay& r) {
+    return r.downstream == switch_index || r.upstream == switch_index ||
+           origin_on_span(r.origin);
   };
   // Secondary trees routing through the span's switch (endpoints are on
   // the path too) or protecting a relay that dies with the span go first,
@@ -840,24 +859,18 @@ void FleetController::TearDownSpan(MeetingRecord& st, size_t switch_index,
     it = touches ? DropSecondary(st, it) : it + 1;
   }
   std::map<size_t, std::vector<ParticipantId>> removals;  // per switch
-  for (auto rit = st.relays.begin(); rit != st.relays.end();) {
-    const MeetingRelay& r = *rit;
-    if (r.downstream != switch_index && r.upstream != switch_index &&
-        !origin_on_span(r.origin)) {
-      ++rit;
-      continue;
-    }
+  for (const MeetingRelay& r : st.relays) {
+    if (!touches_span(r)) continue;
     UnregisterRelayLoad(r);
     if (r.downstream == switch_index) {
       // The span-side relay sender dies with the span's meeting; only the
       // upstream pseudo-receiver needs an explicit removal.
       removals[r.upstream].push_back(r.relay_receiver);
     } else {
-      NotifyRelaySenderLeft(st, r);
+      NotifySenderLeft(st, r.downstream, r.relay_sender);
       removals[r.downstream].push_back(r.relay_sender);
       removals[r.upstream].push_back(r.relay_receiver);
     }
-    rit = st.relays.erase(rit);
   }
   for (auto& [sw, ids] : removals) {
     if (sw == switch_index && switch_dead) continue;  // state died with it
@@ -867,10 +880,17 @@ void FleetController::TearDownSpan(MeetingRecord& st, size_t switch_index,
   // drained protection meetings can go.
   GcProtectionMeetings(st);
 
-  // End the span-local meeting: the controller notifies any members it
-  // still tracks, and RemoveMeeting clears remaining agent state
-  // (including the span's relay senders).
-  table_[switch_index].controller->EndMeeting(local);
+  // End the span-local meeting while its members and the relay senders
+  // parked on it are still on record, so each member hears that every
+  // sender it received there left (on forced collapses the sessions are
+  // already dead and the notices are no-ops on the client). RemoveMeeting
+  // clears the remaining agent state, the span's relay senders included.
+  EndLocalMeeting(st, switch_index);
+  std::erase_if(st.relays, touches_span);
+  for (ParticipantId p : dropped) {
+    --table_[switch_index].participants;
+    st.members.erase(p);
+  }
   --table_[switch_index].meetings;
   std::erase_if(st.placement.spans, [&](const RelaySpan& s) {
     return s.switch_index == switch_index;
@@ -884,8 +904,7 @@ MeetingId FleetController::ProtectionMeetingOn(MeetingRecord& st,
                                                size_t switch_index) {
   auto it = st.protection_meetings.find(switch_index);
   if (it != st.protection_meetings.end()) return it->second;
-  MeetingId local = table_[switch_index].controller->CreateMeeting();
-  ++table_[switch_index].meetings;
+  const MeetingId local = OpenLocalMeeting(switch_index);
   st.protection_meetings[switch_index] = local;
   return local;
 }
@@ -904,9 +923,8 @@ void FleetController::GcProtectionMeetings(MeetingRecord& st) {
       ++it;
       continue;
     }
-    if (table_[sw].alive) {
-      table_[sw].controller->EndMeeting(it->second);
-    }
+    // A protection meeting has no members to notify.
+    if (table_[sw].alive) table_[sw].channel->RemoveMeeting(it->second);
     --table_[sw].meetings;
     it = st.protection_meetings.erase(it);
   }
@@ -1142,9 +1160,9 @@ void FleetController::EndMeeting(MeetingId meeting) {
   if (found == nullptr) return;
   MeetingRecord& st = *found;
 
-  // Collapse the spans first: span members are notified through their
-  // switch-local controllers, and relay teardown tells everyone else
-  // their relayed senders are gone.
+  // Collapse the spans first: ending each span's meeting notifies its
+  // members, and relay teardown tells everyone else their relayed senders
+  // are gone.
   while (!st.placement.spans.empty()) {
     TearDownSpan(st, st.placement.spans.back().switch_index,
                  /*switch_dead=*/false);
@@ -1162,7 +1180,7 @@ void FleetController::EndMeeting(MeetingId meeting) {
   // actually looks free to placement.
   sw.participants -= static_cast<int>(st.members.size());
   --sw.meetings;
-  sw.controller->EndMeeting(st.placement.local_meeting);
+  EndLocalMeeting(st, st.placement.home);
   meetings_.erase(meeting);
 }
 
@@ -1210,16 +1228,13 @@ void FleetController::MigrateMeeting(MeetingId meeting, size_t target_switch) {
   // they re-Join and land on the target.
   SwitchTable::Record& from = table_[st.placement.home];
   from.participants -= static_cast<int>(st.members.size());
+  EndLocalMeeting(st, st.placement.home);
+  --from.meetings;
   st.members.clear();
   st.placement.home_participants.clear();
-  from.controller->EndMeeting(st.placement.local_meeting);
-  --from.meetings;
 
-  SwitchTable::Record& to = table_[target_switch];
-  MeetingId local = to.controller->CreateMeeting();
-  ++to.meetings;
   st.placement.home = target_switch;
-  st.placement.local_meeting = local;
+  st.placement.local_meeting = OpenLocalMeeting(target_switch);
   st.migrated_once = true;
   st.last_migrated = sched_ != nullptr ? sched_->now() : 0;
   // Members are down until they re-signal: the rebalancer keeps its hands

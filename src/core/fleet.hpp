@@ -4,10 +4,12 @@
 // management of a single controller. Our current system is already
 // designed in this way").
 //
-// Each switch is reached through its southbound core::ControlChannel:
-// commands flow down through a per-switch Controller, and the northbound
-// telemetry stream (Heartbeat + SwitchLoadReport) flows back up. On top
-// of the telemetry the fleet runs two control loops:
+// Each switch is reached through its southbound core::ControlChannel.
+// The fleet is the signaling server (controller.hpp) and sends every
+// command down itself: meeting records hold the one roster of each
+// meeting, and each switch's id counters live in its SwitchTable record.
+// The northbound telemetry stream (Heartbeat + SwitchLoadReport) flows
+// back up, and on top of it the fleet runs two control loops:
 //   * failure detection — a switch whose heartbeats stop for
 //     `kHeartbeatMissThreshold` intervals is declared dead and its
 //     meetings migrate to the least-loaded live standby (exactly once);
@@ -107,8 +109,9 @@ struct MeetingMemberInfo {
 };
 
 // Everything a controller knows about one meeting: the distribution
-// plan, the membership roster, the installed relay wiring, and the
-// rebalancer's per-meeting hysteresis. Self-contained on purpose — every
+// plan, the membership roster (the only one: each member's legs are
+// negotiated from it), the installed relay wiring, and the rebalancer's
+// per-meeting hysteresis. Self-contained on purpose — every
 // regional controller indexes the same switch table, so a dead
 // controller's records move to its adopter unchanged.
 struct MeetingRecord {
@@ -157,10 +160,12 @@ class SwitchTable {
  public:
   struct Record {
     ControlChannel* channel = nullptr;
-    // The switch's own per-switch controller; built at registration and
-    // never moves, whichever region owns the switch.
-    std::unique_ptr<Controller> controller;
     net::Ipv4 sfu_ip;
+    // The switch's id counters, which stay with the switch whichever
+    // region owns it: participant ids (set by Add) and switch-local
+    // meeting ids.
+    ParticipantId next_participant = 1;
+    MeetingId next_meeting = 1;
     // The region that watches the switch and may home meetings there;
     // rewritten when a peer adopts the region's shard.
     size_t owner = 0;
@@ -175,9 +180,9 @@ class SwitchTable {
     bool report_seen = false;
   };
 
-  // Registers a switch at the next index, owned by region `owner`. Its
-  // Controller mints participant ids from index * 1'000'000 + 1, so the
-  // ranges are disjoint across the whole plane. Returns the index.
+  // Registers a switch at the next index, owned by region `owner`. It
+  // mints participant ids from index * 1'000'000 + 1, so the ranges are
+  // disjoint across the whole plane. Returns the index.
   size_t Add(ControlChannel& channel, net::Ipv4 sfu_ip, size_t owner);
   // Heterogeneous fleets: declares a switch's relative forwarding
   // capacity. Placement and the rebalancer weigh every load comparison by
@@ -328,9 +333,11 @@ class FleetController : public SignalingServer,
 
   // core::SignalingServer — homes the participant per the policy (the
   // home switch or a relay span, creating the span and its relay wiring on
-  // first use) and delegates signaling to that switch's controller. Leave
-  // is guarded by per-meeting membership: leaving a meeting one never
-  // joined (or already left) does not skew the switch's load.
+  // first use), then signals that switch: the uplink, an answer naming the
+  // SFU, a leg each way with every member homed there (in id order), and
+  // a leg toward every relay sender parked there. Leave is guarded by
+  // per-meeting membership: leaving a meeting one never joined (or
+  // already left) does not skew the switch's load.
   JoinResult Join(MeetingId meeting, const sdp::SessionDescription& offer,
                   SignalingClient* client) override;
   void Leave(MeetingId meeting, ParticipantId participant) override;
@@ -403,9 +410,6 @@ class FleetController : public SignalingServer,
     return table_[switch_index].sfu_ip;
   }
   bool IsMember(MeetingId meeting, ParticipantId participant) const;
-  Controller& controller(size_t switch_index) {
-    return *table_[switch_index].controller;
-  }
   const FleetStats& stats() const { return stats_; }
 
   // Enables structured tracing of fleet-level transitions (heartbeat
@@ -433,6 +437,24 @@ class FleetController : public SignalingServer,
   // Switch-local meeting id on `switch_index` (home or a span).
   MeetingId LocalMeetingOn(const MeetingRecord& st, size_t switch_index) const;
   std::vector<SwitchLoad> Loads() const;
+
+  // ---- signaling one switch ------------------------------------------------
+  // Opens a switch-local meeting with the switch's next local id, and
+  // counts it there.
+  MeetingId OpenLocalMeeting(size_t switch_index);
+  // Ends the meeting's home or span meeting on `switch_index`: each member
+  // homed there hears that every sender it receives there (the other
+  // local senders and the relay senders parked there) left, then the
+  // switch drops the meeting.
+  void EndLocalMeeting(const MeetingRecord& st, size_t switch_index);
+  // Opens `receiver`'s leg for media from `sender` (a member or a relay
+  // sender) on `switch_index`: the client allocates a local socket, the
+  // switch a port, and the client learns where the media arrives from.
+  void OpenLeg(const MeetingRecord& st, size_t switch_index,
+               ParticipantId receiver, SignalingClient& client,
+               ParticipantId sender, uint32_t video_ssrc,
+               uint32_t audio_ssrc);
+
   // Creates the span's switch-local meeting (parented per the policy's
   // ChooseSpanParent) and routes every existing sender's stream into it
   // along the relay tree.
@@ -453,10 +475,6 @@ class FleetController : public SignalingServer,
   // upstream leg on `up_meeting`.
   void WireHop(RelayHop& hop, MeetingId up_meeting, MeetingId down_meeting,
                const MeetingRelay& stream, bool merge);
-  // Opens `member`'s receive leg toward relay sender `r.relay_sender` on
-  // the member's home switch, `r.downstream`.
-  void OpenRelayLeg(const MeetingRecord& st, ParticipantId member,
-                    SignalingClient& client, const MeetingRelay& r);
   // Extends `origin`'s relay chain hop by hop along the tree path from its
   // home switch to `target_switch` (idempotent per edge); returns its
   // sender id on the target.
@@ -556,8 +574,8 @@ class FleetController : public SignalingServer,
   // Meeting ids advance by this much per CreateMeeting: R under an
   // R-region federation (region r mints r+1, r+1+R, ...).
   MeetingId meeting_stride_ = 1;
-  // Relay pseudo-participant ids: a dedicated range far above any switch
-  // controller's stride (switch i mints from i*1'000'000 + 1), offset so
+  // Relay pseudo-participant ids: a dedicated range far above any switch's
+  // participant range (switch i mints from i*1'000'000 + 1), offset so
   // the 16-bit truncations used as replication/egress RIDs cannot collide
   // with real members' truncations on the same switch.
   ParticipantId next_relay_id_ = 0x4000'0000u + 60'000u;

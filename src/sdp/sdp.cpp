@@ -1,7 +1,9 @@
 #include "sdp/sdp.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 namespace scallop::sdp {
 
@@ -32,6 +34,20 @@ std::vector<std::string> Tokens(const std::string& line) {
   return out;
 }
 
+// Stores the decimal number `field` starts with in `out`, truncated to
+// its width; false when the field starts with no digit or the number
+// does not fit in 64 bits. Unlike std::stoul it never throws, so a
+// malformed number rejects its line instead of escaping the parser.
+template <typename T>
+bool ReadNumber(std::string_view field, T& out) {
+  uint64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(field.data(), field.data() + field.size(), value);
+  if (ec != std::errc{}) return false;
+  out = static_cast<T>(value);
+  return true;
+}
+
 }  // namespace
 
 std::string Candidate::ToLine() const {
@@ -47,13 +63,14 @@ std::optional<Candidate> Candidate::FromLine(const std::string& line) {
   constexpr const char* kPrefix = "a=candidate:";
   if (line.rfind(kPrefix, 0) != 0) return std::nullopt;
   auto toks = Tokens(line.substr(std::string(kPrefix).size()));
-  if (toks.size() < 7 || toks[2] != "udp" || toks[5].empty()) return std::nullopt;
+  if (toks.size() < 7 || toks[2] != "udp") return std::nullopt;
   Candidate c;
   c.foundation = toks[0];
-  c.component = static_cast<uint32_t>(std::stoul(toks[1]));
-  c.priority = static_cast<uint32_t>(std::stoul(toks[3]));
+  if (!ReadNumber(toks[1], c.component) || !ReadNumber(toks[3], c.priority) ||
+      !ReadNumber(toks[5], c.endpoint.port)) {
+    return std::nullopt;
+  }
   c.endpoint.addr = net::Ipv4::Parse(toks[4]);
-  c.endpoint.port = static_cast<uint16_t>(std::stoul(toks[5]));
   if (toks.size() >= 8 && toks[6] == "typ") c.type = toks[7];
   return c;
 }
@@ -109,7 +126,7 @@ std::optional<SessionDescription> SessionDescription::Parse(
       auto toks = Tokens(line.substr(2));
       if (toks.size() >= 2) {
         desc.origin = toks[0];
-        desc.session_id = std::stoull(toks[1]);
+        if (!ReadNumber(toks[1], desc.session_id)) return std::nullopt;
       }
     } else if (line.rfind("a=ice-ufrag:", 0) == 0) {
       desc.ice_ufrag = line.substr(12);
@@ -122,8 +139,8 @@ std::optional<SessionDescription> SessionDescription::Parse(
       if (!type) return std::nullopt;
       MediaSection section;
       section.type = *type;
-      if (toks.size() >= 4) {
-        section.payload_type = static_cast<uint8_t>(std::stoul(toks[3]));
+      if (toks.size() >= 4 && !ReadNumber(toks[3], section.payload_type)) {
+        return std::nullopt;
       }
       desc.media.push_back(section);
       current = &desc.media.back();
@@ -133,15 +150,18 @@ std::optional<SessionDescription> SessionDescription::Parse(
         auto space = line.find(' ');
         if (slash != std::string::npos && space != std::string::npos) {
           current->codec = line.substr(space + 1, slash - space - 1);
-          current->clock_rate =
-              static_cast<uint32_t>(std::stoul(line.substr(slash + 1)));
+          if (!ReadNumber(std::string_view(line).substr(slash + 1),
+                          current->clock_rate)) {
+            return std::nullopt;
+          }
         }
       } else if (line.find("scalability-mode=L1T3") != std::string::npos) {
         current->svc_l1t3 = true;
       } else if (line.rfind("a=extmap:", 0) == 0) {
         auto toks = Tokens(line.substr(9));
         if (!toks.empty()) {
-          uint8_t id = static_cast<uint8_t>(std::stoul(toks[0]));
+          uint8_t id = 0;
+          if (!ReadNumber(toks[0], id)) return std::nullopt;
           if (line.find("dependency-descriptor") != std::string::npos) {
             current->dd_extension_id = id;
           } else if (line.find("abs-send-time") != std::string::npos) {
@@ -151,7 +171,7 @@ std::optional<SessionDescription> SessionDescription::Parse(
       } else if (line.rfind("a=ssrc:", 0) == 0) {
         auto toks = Tokens(line.substr(7));
         if (!toks.empty()) {
-          current->ssrc = static_cast<uint32_t>(std::stoul(toks[0]));
+          if (!ReadNumber(toks[0], current->ssrc)) return std::nullopt;
           for (const auto& t : toks) {
             if (t.rfind("cname:", 0) == 0) current->cname = t.substr(6);
           }

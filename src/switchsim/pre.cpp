@@ -45,19 +45,6 @@ bool ReplicationEngine::RemoveNode(uint32_t mgid, uint32_t node_id) {
   return true;
 }
 
-bool ReplicationEngine::UpdateNodePorts(uint32_t mgid, uint32_t node_id,
-                                        std::vector<uint32_t> ports) {
-  auto it = trees_.find(mgid);
-  if (it == trees_.end()) return false;
-  for (auto& n : it->second.nodes) {
-    if (n.node_id == node_id) {
-      n.ports = std::move(ports);
-      return true;
-    }
-  }
-  return false;
-}
-
 void ReplicationEngine::MapL2Xid(uint16_t l2_xid, std::vector<uint32_t> ports) {
   l2_xid_ports_[l2_xid] = std::move(ports);
 }
@@ -98,7 +85,6 @@ void ReplicationEngine::ReplicateInto(uint32_t mgid, uint16_t pkt_l1_xid,
         continue;
       }
       out.push_back(Replica{node.rid, port});
-      ++replicas_produced_;
     }
   }
 }

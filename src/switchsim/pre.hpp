@@ -43,9 +43,6 @@ class ReplicationEngine {
 
   bool AddNode(uint32_t mgid, const L1Node& node);
   bool RemoveNode(uint32_t mgid, uint32_t node_id);
-  // Replaces the L2 port set of a node (used when receivers migrate).
-  bool UpdateNodePorts(uint32_t mgid, uint32_t node_id,
-                       std::vector<uint32_t> ports);
 
   // Maps an L2-XID to the set of ports it excludes.
   void MapL2Xid(uint16_t l2_xid, std::vector<uint32_t> ports);
@@ -63,7 +60,6 @@ class ReplicationEngine {
   size_t tree_count() const { return trees_.size(); }
   size_t node_count() const { return total_nodes_; }
   const PreLimits& limits() const { return limits_; }
-  uint64_t replicas_produced() const { return replicas_produced_; }
 
  private:
   struct Tree {
@@ -74,7 +70,6 @@ class ReplicationEngine {
   std::unordered_map<uint32_t, Tree> trees_;
   std::unordered_map<uint16_t, std::vector<uint32_t>> l2_xid_ports_;
   size_t total_nodes_ = 0;
-  mutable uint64_t replicas_produced_ = 0;
 };
 
 }  // namespace scallop::switchsim

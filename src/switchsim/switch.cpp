@@ -41,7 +41,6 @@ void Switch::OnPacket(net::PacketPtr pkt) {
   if (meta.mgid != 0) {
     pre_.ReplicateInto(meta.mgid, meta.l1_xid, meta.rid, meta.l2_xid,
                        replica_scratch_);
-    util::DurationUs delay = cfg_.pipeline_latency;
     bool any = false;
     net::PacketPtr copy;  // a refused replica leaves it unchanged for the next
     for (size_t i = 0; i < replica_scratch_.size(); ++i) {
@@ -51,10 +50,9 @@ void Switch::OnPacket(net::PacketPtr pkt) {
       }
       if (program_->Egress(*copy, meta, replica_scratch_[i])) {
         ++stats_.replicas;
-        Emit(std::move(copy), delay);  // leaves `copy` empty
+        Emit(std::move(copy), cfg_.pipeline_latency);  // empties `copy`
         any = true;
       }
-      delay += cfg_.per_replica_gap;
     }
     if (!any) ++stats_.packets_dropped;
     return;

@@ -22,9 +22,11 @@
 namespace scallop::testbed {
 
 // One Scallop switch programmed by its controller (paper §5): fleet{1,1}.
-// Signaling enters through signaling(); the switch's own Controller is
-// fleet().controller(0), which numbers meetings switch-locally (see
-// PlacementDetail for the id a global meeting has there).
+// Signaling enters through signaling(); fleet() is the one regional
+// controller, which sends every command over channel() itself. The switch
+// numbers meetings switch-locally (PlacementDetail gives the id a global
+// meeting has there), and a scripted experiment can send a command of its
+// own, such as ForceDecodeTarget, straight down channel().
 class ScallopTestbed : public FleetTestbed {
  public:
   explicit ScallopTestbed(const TestbedConfig& cfg = {})

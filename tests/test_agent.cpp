@@ -4,7 +4,7 @@
 // injection rather than full clients.
 #include <gtest/gtest.h>
 
-#include "core/controller.hpp"
+#include "core/federation.hpp"
 #include "core/switch_agent.hpp"
 #include "rtp/rtcp.hpp"
 #include "sim/network.hpp"
@@ -282,8 +282,8 @@ TEST_F(AgentTest, RemoveParticipantCleansState) {
 // entry points (CreateMeeting, RemoveMeeting, AddParticipant,
 // RemoveParticipant, AddRecvLeg); that accounting now happens once, at
 // ControlChannel dispatch. This pins the equivalence: for a controller-
-// driven call pattern, commands_sent counts exactly what the five
-// increments counted.
+// driven call pattern (a one-region control plane over one switch),
+// commands_sent counts exactly what the five increments counted.
 TEST(ControlChannelAccounting, CommandCountMatchesOldRpcAccounting) {
   struct FakeClient : public SignalingClient {
     net::Endpoint ep;
@@ -302,7 +302,8 @@ TEST(ControlChannelAccounting, CommandCountMatchesOldRpcAccounting) {
   SwitchAgent agent(sched, dp, agent_cfg);
   net.Attach(sw.address(), &sw, {}, {});
   ControlChannel channel(sched, agent);
-  Controller controller(channel, sw.address());
+  FederatedControlPlane plane(sched, {.regions = 1, .switches = 1});
+  plane.AddSwitch(channel, sw.address());
 
   auto offer_for = [](uint8_t host, uint32_t ssrc_base) {
     sdp::SessionDescription offer;
@@ -319,18 +320,18 @@ TEST(ControlChannelAccounting, CommandCountMatchesOldRpcAccounting) {
   };
 
   FakeClient clients[3];
-  MeetingId meeting = controller.CreateMeeting();  // 1 CreateMeeting
+  MeetingId meeting = plane.CreateMeeting();  // 1 CreateMeeting
   std::vector<ParticipantId> ids;
   for (uint8_t i = 0; i < 3; ++i) {
     clients[i].ep = net::Endpoint{net::Ipv4(10, 0, 0, i),
                                   static_cast<uint16_t>(41'000 + i)};
     ids.push_back(
-        controller.Join(meeting, offer_for(i, 16u * (i + 1)), &clients[i])
+        plane.Join(meeting, offer_for(i, 16u * (i + 1)), &clients[i])
             .participant);
   }
   // 3 joins: 3 AddParticipant + (0 + 2 + 4) AddRecvLeg = 9.
-  controller.Leave(meeting, ids[1]);  // 1 RemoveParticipant
-  controller.EndMeeting(meeting);     // 1 RemoveMeeting
+  plane.Leave(meeting, ids[1]);             // 1 RemoveParticipant
+  plane.region(0).EndMeeting(meeting);      // 1 RemoveMeeting
   const uint64_t expected = 1 + 3 + 6 + 1 + 1;
   EXPECT_EQ(channel.stats().commands_sent, expected);
   EXPECT_EQ(channel.stats().commands_applied, expected);

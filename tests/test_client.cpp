@@ -37,8 +37,6 @@ TEST(PeerTest, JoinNegotiatesLegsBothWays) {
   c.Join(bed.signaling(), meeting);
   EXPECT_EQ(a.remote_senders().size(), 2u);
   EXPECT_EQ(c.remote_senders().size(), 2u);
-  EXPECT_GT(bed.fleet().controller(0).stats().legs_negotiated, 4u);
-  EXPECT_GT(bed.fleet().controller(0).stats().candidates_rewritten, 0u);
 }
 
 TEST(PeerTest, EndMeetingNotifiesRemainingMembers) {

@@ -187,9 +187,9 @@ TEST(Fleet, MigrateMeetingMovesPlacementAndCountsRebalance) {
 }
 
 TEST(Fleet, StaleLeaveAfterMigrationCannotKickNewMembers) {
-  // Per-switch controllers get disjoint participant-id ranges, so a stale
-  // Leave carrying an id minted by the dead switch can never name a live
-  // member on the standby.
+  // Switches mint participant ids from disjoint ranges, so a stale Leave
+  // carrying an id minted by the dead switch can never name a live member
+  // on the standby.
   FleetBed bed;
   auto m1 = bed.fleet.CreateMeeting();
   client::Peer& a = bed.AddPeer(1);

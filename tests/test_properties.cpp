@@ -8,19 +8,30 @@
 //  3. RTCP compound round-trips under randomized message mixes.
 //  4. RTP parser agreement: mutated wire bytes get the same verdict and
 //     the same fields from the borrowing view and the owning packet.
+//  5. STUN, AV1 dependency descriptor and SDP parser fuzz: mutants of the
+//     repo's own output parse or are rejected (never crash or throw), and
+//     whatever parses re-serializes to a fixed point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <functional>
+#include <string>
 #include <tuple>
 
 #include "av1/dependency_descriptor.hpp"
+#include "client/peer.hpp"
 #include "core/seqrewrite.hpp"
 #include "media/audio.hpp"
 #include "media/encoder.hpp"
 #include "media/packetizer.hpp"
 #include "media/receiver.hpp"
+#include "rtp/classifier.hpp"
 #include "rtp/rtcp.hpp"
 #include "rtp/rtp_packet.hpp"
+#include "sdp/sdp.hpp"
+#include "sim/network.hpp"
+#include "stun/stun.hpp"
 #include "switchsim/pre.hpp"
 #include "util/random.hpp"
 
@@ -469,6 +480,329 @@ TEST_P(RtpParseFuzz, ViewAndPacketAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RtpParseFuzz, ::testing::Values(1, 2, 3));
+
+// ---------------------------------------------------------------------
+// 5. STUN, AV1 dependency descriptor and SDP parser fuzz.
+// ---------------------------------------------------------------------
+
+using Bytes = std::vector<uint8_t>;
+
+// What two Peers (one sending, one receive-only) put on the wire and into
+// signaling over six seconds of a call: the STUN binding requests they
+// send toward the SFU, their SDP offers, and the answers the controller
+// sends back. This stands in for both the server and the SFU host.
+class PeerOutput : public sim::Host, public core::SignalingServer {
+ public:
+  PeerOutput() : network_(sched_, 1) {
+    const sim::LinkConfig link{.rate_bps = 0, .prop_delay = util::Millis(1)};
+    network_.Attach(sfu_.addr, this, link, link);
+    for (int i = 0; i < 2; ++i) {
+      client::PeerConfig pc;
+      pc.address = net::Ipv4(10, 0, 0, static_cast<uint8_t>(i + 1));
+      pc.seed = static_cast<uint64_t>(i + 1);
+      pc.send_video = i == 0;
+      peers_.push_back(std::make_unique<client::Peer>(sched_, network_, pc));
+      network_.Attach(pc.address, peers_.back().get(), link, link);
+      peers_.back()->Join(*this, 1);
+    }
+    sched_.RunUntil(util::Seconds(6));
+  }
+  PeerOutput(const PeerOutput&) = delete;
+  PeerOutput& operator=(const PeerOutput&) = delete;
+
+  void OnPacket(net::PacketPtr pkt) override {
+    const auto payload = pkt->payload_span();
+    if (rtp::Classify(payload) == rtp::PayloadKind::kStun) {
+      stun_.emplace_back(payload.begin(), payload.end());
+    }
+  }
+  JoinResult Join(core::MeetingId, const sdp::SessionDescription& offer,
+                  core::SignalingClient*) override {
+    JoinResult result;
+    result.participant = static_cast<core::ParticipantId>(peers_.size());
+    result.uplink_sfu = sfu_;
+    result.answer = sdp::MakeAnswer(
+        offer, sfu_, "sfu" + std::to_string(result.participant), "pwd");
+    sdp_.push_back(offer.ToString());
+    sdp_.push_back(result.answer.ToString());
+    return result;
+  }
+  void Leave(core::MeetingId, core::ParticipantId) override {}
+
+  const std::vector<Bytes>& stun() const { return stun_; }
+  const std::vector<std::string>& sdp() const { return sdp_; }
+
+ private:
+  sim::Scheduler sched_;
+  sim::Network network_;
+  const net::Endpoint sfu_{net::Ipv4(100, 64, 0, 1), 40'000};
+  std::vector<std::unique_ptr<client::Peer>> peers_;
+  std::vector<Bytes> stun_;
+  std::vector<std::string> sdp_;
+};
+
+const PeerOutput& Output() {
+  static const PeerOutput output;
+  return output;
+}
+
+// One to three seeded mutations of a random corpus entry: bit flips,
+// truncation, a format-specific lie (`lie` rewrites a length or numeric
+// field in place), or a splice onto another entry's tail.
+Bytes Mutate(util::Rng& rng, const std::vector<Bytes>& corpus,
+             const std::function<void(util::Rng&, Bytes&)>& lie) {
+  auto pick = [&]() -> const Bytes& {
+    return corpus[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(corpus.size()) - 1))];
+  };
+  auto at = [&](size_t size) {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(size)));
+  };
+  Bytes wire = pick();
+  const int mutations = static_cast<int>(rng.UniformInt(1, 3));
+  for (int m = 0; m < mutations && !wire.empty(); ++m) {
+    switch (rng.UniformInt(0, 3)) {
+      case 0: {  // bit flips
+        const int flips = static_cast<int>(rng.UniformInt(1, 8));
+        for (int i = 0; i < flips; ++i) {
+          wire[at(wire.size() - 1)] ^=
+              static_cast<uint8_t>(1u << rng.UniformInt(0, 7));
+        }
+        break;
+      }
+      case 1:  // truncation
+        wire.resize(at(wire.size()));
+        break;
+      case 2:
+        lie(rng, wire);
+        break;
+      case 3: {  // splice
+        const Bytes& other = pick();
+        wire.resize(at(wire.size()));
+        wire.insert(wire.end(), other.begin() + at(other.size()), other.end());
+        break;
+      }
+    }
+  }
+  return wire;
+}
+
+// Runs 1,500 seeded mutants of `corpus` through `check`, which returns
+// the parser's verdict, and keeps both verdicts well represented.
+void FuzzMutants(uint64_t seed, const std::vector<Bytes>& corpus,
+                 const std::function<void(util::Rng&, Bytes&)>& lie,
+                 const std::function<bool(const Bytes&)>& check,
+                 int min_accepted, int max_accepted) {
+  util::Rng rng(seed);
+  int accepted = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    if (check(Mutate(rng, corpus, lie))) ++accepted;
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(accepted, min_accepted);
+  EXPECT_LT(accepted, max_accepted);
+}
+
+// A lying length: the field at one of `offsets` (`width` bytes, big
+// endian) becomes a random value or its old value off by a little.
+void LieAt(util::Rng& rng, Bytes& wire, const std::vector<size_t>& offsets,
+           int width) {
+  if (offsets.empty()) return;
+  const size_t o = offsets[static_cast<size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(offsets.size()) - 1))];
+  int64_t old = 0;
+  for (int i = 0; i < width; ++i) old = old << 8 | wire[o + i];
+  const int64_t max = (int64_t{1} << (8 * width)) - 1;
+  const int64_t value = rng.Bernoulli(0.5)
+                            ? rng.UniformInt(0, max)
+                            : std::clamp<int64_t>(old + rng.UniformInt(-4, 4),
+                                                  0, max);
+  for (int i = 0; i < width; ++i) {
+    wire[o + i] = static_cast<uint8_t>(value >> (8 * (width - 1 - i)));
+  }
+}
+
+// STUN lies in its message length and in any attribute length.
+void LieStunLength(util::Rng& rng, Bytes& wire) {
+  std::vector<size_t> offsets;
+  if (wire.size() >= 4) offsets.push_back(2);
+  for (size_t i = 20; i + 4 <= wire.size();) {
+    offsets.push_back(i + 2);
+    const size_t len = static_cast<size_t>(wire[i + 2] << 8 | wire[i + 3]);
+    i += 4 + ((len + 3) & ~size_t{3});
+  }
+  LieAt(rng, wire, offsets, 2);
+}
+
+// A dependency descriptor lies in its template count.
+void LieDdLength(util::Rng& rng, Bytes& wire) {
+  if (wire.size() > 4) LieAt(rng, wire, {4}, 1);
+}
+
+// SDP has no length fields; its numbers lie instead: one digit run
+// becomes a huge, negative, empty or non-numeric token.
+void LieSdpNumber(util::Rng& rng, Bytes& text) {
+  std::vector<std::pair<size_t, size_t>> runs;  // [begin, end)
+  for (size_t i = 0; i < text.size();) {
+    if (!std::isdigit(text[i])) {
+      ++i;
+      continue;
+    }
+    size_t j = i;
+    while (j < text.size() && std::isdigit(text[j])) ++j;
+    runs.emplace_back(i, j);
+    i = j;
+  }
+  if (runs.empty()) return;
+  const auto [begin, end] = runs[static_cast<size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(runs.size()) - 1))];
+  static const char* const kLies[] = {"99999999999999999999999", "-1", "",
+                                      "x", "4294967296", "65536", "+7"};
+  const std::string lie = kLies[rng.UniformInt(0, 6)];
+  text.erase(text.begin() + static_cast<std::ptrdiff_t>(begin),
+             text.begin() + static_cast<std::ptrdiff_t>(end));
+  text.insert(text.begin() + static_cast<std::ptrdiff_t>(begin), lie.begin(),
+              lie.end());
+}
+
+// The STUN parser on `wire`; an accepted message re-serializes to bytes
+// that parse back to the same bytes. Returns the verdict.
+bool ExpectStunFixedPoint(std::span<const uint8_t> wire) {
+  const auto msg = stun::StunMessage::Parse(wire);
+  if (!msg.has_value()) return false;
+  const Bytes once = msg->Serialize();
+  const auto again = stun::StunMessage::Parse(once);
+  EXPECT_TRUE(again.has_value()) << util::ToHex(wire);
+  if (again.has_value()) EXPECT_EQ(again->Serialize(), once);
+  return true;
+}
+
+std::vector<Bytes> StunSeedCorpus() {
+  std::vector<Bytes> corpus = Output().stun();
+  const size_t requests = corpus.size();
+  for (size_t i = 0; i < requests; ++i) {
+    const auto request = stun::StunMessage::Parse(corpus[i]);
+    if (!request.has_value()) continue;  // the corpus check reports it
+    corpus.push_back(stun::MakeBindingResponse(
+                         *request, net::Endpoint{net::Ipv4(10, 0, 0, 1),
+                                                 static_cast<uint16_t>(
+                                                     50'000 + i)})
+                         .Serialize());
+  }
+  return corpus;
+}
+
+class StunParseFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(StunParseFuzz, RejectsOrReachesFixedPoint) {
+  const auto corpus = StunSeedCorpus();
+  ASSERT_GE(corpus.size(), 4u);  // requests and their responses
+  for (const Bytes& wire : corpus) {
+    const auto msg = stun::StunMessage::Parse(wire);
+    ASSERT_TRUE(msg.has_value()) << util::ToHex(wire);
+    EXPECT_EQ(msg->Serialize(), wire);
+  }
+  // Most mutants break the message length, so fewer parse than for RTP.
+  FuzzMutants(GetParam() * 131 + 5, corpus, LieStunLength,
+              ExpectStunFixedPoint, 100, 1350);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StunParseFuzz, ::testing::Values(1, 2, 3));
+
+// The full dependency-descriptor parser on `wire`: an accepted descriptor
+// survives serialize -> parse unchanged, and the switch's fast path
+// (PeekMandatory) reads the same mandatory fields. Returns the verdict.
+bool ExpectDdFixedPoint(std::span<const uint8_t> wire) {
+  const auto dd = av1::DependencyDescriptor::Parse(wire);
+  if (!dd.has_value()) return false;
+  const auto again = av1::DependencyDescriptor::Parse(dd->Serialize());
+  EXPECT_TRUE(again.has_value()) << util::ToHex(wire);
+  if (again.has_value()) EXPECT_EQ(*again, *dd) << util::ToHex(wire);
+  const auto peek = av1::PeekMandatory(wire);
+  EXPECT_TRUE(peek.has_value()) << util::ToHex(wire);
+  if (peek.has_value()) {
+    EXPECT_EQ(peek->start_of_frame, dd->start_of_frame);
+    EXPECT_EQ(peek->end_of_frame, dd->end_of_frame);
+    EXPECT_EQ(peek->template_id, dd->template_id);
+    EXPECT_EQ(peek->frame_number, dd->frame_number);
+    EXPECT_EQ(peek->has_extended, dd->structure.has_value());
+  }
+  return true;
+}
+
+// Every distinct dependency descriptor the encoder and packetizer attach
+// over 40 frames, key frames (with the template structure) included.
+std::vector<Bytes> DdSeedCorpus() {
+  std::vector<Bytes> corpus;
+  media::SvcEncoderConfig ecfg;
+  ecfg.key_frame_interval = util::Seconds(1);
+  media::SvcEncoder encoder(ecfg, 4);
+  media::Packetizer packetizer(media::PacketizerConfig{.ssrc = 0x1234});
+  for (int f = 0; f < 40; ++f) {
+    const util::TimeUs t = f * 33'333;
+    for (const auto& pkt : packetizer.Packetize(encoder.NextFrame(t), t)) {
+      const rtp::RtpExtension* ext = pkt.FindExtension(av1::kDdExtensionId);
+      if (ext == nullptr) continue;
+      if (std::find(corpus.begin(), corpus.end(), ext->data) == corpus.end()) {
+        corpus.push_back(ext->data);
+      }
+    }
+  }
+  return corpus;
+}
+
+class DdParseFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DdParseFuzz, RejectsOrReachesFixedPoint) {
+  const auto corpus = DdSeedCorpus();
+  ASSERT_GE(corpus.size(), 10u);
+  ASSERT_TRUE(std::any_of(corpus.begin(), corpus.end(),
+                          [](const Bytes& dd) { return dd.size() > 3; }))
+      << "no key-frame structure in the corpus";
+  for (const Bytes& wire : corpus) {
+    const auto dd = av1::DependencyDescriptor::Parse(wire);
+    ASSERT_TRUE(dd.has_value()) << util::ToHex(wire);
+    EXPECT_EQ(dd->Serialize(), wire);
+  }
+  FuzzMutants(GetParam() * 151 + 7, corpus, LieDdLength, ExpectDdFixedPoint,
+              150, 1350);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DdParseFuzz, ::testing::Values(1, 2, 3));
+
+// The SDP parser on `bytes`: it never throws, and an accepted
+// description renders to canonical text that parses back to the same
+// text. Returns the verdict.
+bool ExpectSdpFixedPoint(const Bytes& bytes) {
+  const std::string text(bytes.begin(), bytes.end());
+  std::optional<sdp::SessionDescription> desc;
+  EXPECT_NO_THROW(desc = sdp::SessionDescription::Parse(text)) << text;
+  if (!desc.has_value()) return false;
+  const std::string once = desc->ToString();
+  std::optional<sdp::SessionDescription> again;
+  EXPECT_NO_THROW(again = sdp::SessionDescription::Parse(once)) << once;
+  EXPECT_TRUE(again.has_value()) << once;
+  if (again.has_value()) EXPECT_EQ(again->ToString(), once) << text;
+  return true;
+}
+
+class SdpParseFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SdpParseFuzz, RejectsOrReachesFixedPoint) {
+  std::vector<Bytes> corpus;
+  for (const std::string& text : Output().sdp()) {
+    const auto desc = sdp::SessionDescription::Parse(text);
+    ASSERT_TRUE(desc.has_value()) << text;
+    EXPECT_EQ(desc->ToString(), text);
+    corpus.emplace_back(text.begin(), text.end());
+  }
+  ASSERT_EQ(corpus.size(), 4u);  // two offers, two answers
+  // The parser skips lines it does not know, so most mutants parse.
+  FuzzMutants(GetParam() * 173 + 11, corpus, LieSdpNumber,
+              ExpectSdpFixedPoint, 150, 1450);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SdpParseFuzz, ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace scallop

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "sdp/sdp.hpp"
 
 namespace scallop::sdp {
@@ -91,6 +94,36 @@ TEST(Sdp, CandidateLineRejectsGarbage) {
 
 TEST(Sdp, ParseRejectsMissingVersion) {
   EXPECT_FALSE(SessionDescription::Parse("s=-\nt=0 0\n").has_value());
+}
+
+// Lines from mutants SdpParseFuzz (test_properties.cpp) found escaping the
+// parser as std::stoul exceptions, or accepted with a wrapped number: a
+// missing extmap id, a candidate whose port field is a word, a component
+// past 64 bits, and a negative clock rate. A malformed number now rejects
+// the description, and a candidate line with one is dropped like any
+// other malformed candidate.
+TEST(Sdp, ParseRejectsMalformedNumbersWithoutThrowing) {
+  const std::string head =
+      "v=0\no=answer 1 1 IN IP4 0.0.0.0\ns=-\nt=0 0\nm=audio 9 UDP/RTP 111\n";
+  for (const char* line :
+       {"a=extmap: http://www.webrtc.org/experiments/rtp-hdrext/abs-send-time",
+        "a=rtpmap:111 opus/-1", "o=answer 99999999999999999999999 1"}) {
+    std::optional<SessionDescription> desc;
+    EXPECT_NO_THROW(desc = SessionDescription::Parse(head + line + "\n"))
+        << line;
+    EXPECT_FALSE(desc.has_value()) << line;
+  }
+  for (const char* line :
+       {"a=candidate:1 1 udp 100 100.60000 typ host",
+        "a=candidate:1 99999999999999999999999 udp 100 100.64.0.1 40000 typ "
+        "host"}) {
+    std::optional<SessionDescription> desc;
+    EXPECT_NO_THROW(desc = SessionDescription::Parse(head + line + "\n"))
+        << line;
+    ASSERT_TRUE(desc.has_value()) << line;
+    ASSERT_EQ(desc->media.size(), 1u);
+    EXPECT_TRUE(desc->media[0].candidates.empty()) << line;
+  }
 }
 
 TEST(Sdp, RewriteCandidatesReturnsOriginals) {

@@ -87,8 +87,7 @@ TEST(Pre, L2PruneOnlyAppliesToMatchingRid) {
 TEST(Pre, NodeRemovalAndPortUpdate) {
   ReplicationEngine pre;
   pre.CreateTree(1);
-  pre.AddNode(1, L1Node{1, 1, 0, false, {1}});
-  EXPECT_TRUE(pre.UpdateNodePorts(1, 1, {1, 5}));
+  pre.AddNode(1, L1Node{1, 1, 0, false, {1, 5}});
   EXPECT_EQ(pre.Replicate(1, 0, 0, 0).size(), 2u);
   EXPECT_TRUE(pre.RemoveNode(1, 1));
   EXPECT_TRUE(pre.Replicate(1, 0, 0, 0).empty());

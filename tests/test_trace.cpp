@@ -6,10 +6,12 @@
 #include <string>
 #include <vector>
 
+#include "harness/fingerprint.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
 #include "obs/stats_registry.hpp"
 #include "obs/trace.hpp"
+#include "testbed/fleet_testbed.hpp"
 #include "trace/campus.hpp"
 
 namespace scallop::trace {
@@ -204,6 +206,105 @@ TEST(ObsTrace, DeterministicOnFederatedFleet) {
   ASSERT_NE(a.trace(), nullptr);
   EXPECT_GT(a.trace()->size(), 0u);
   EXPECT_EQ(a.trace()->ToText(), b.trace()->ToText());
+}
+
+// Pins the southbound command stream itself, not only its determinism:
+// each traced spec's full trace text folds to a committed digest, next to
+// its event count. Between them the specs create meetings, open and drain
+// a relay span, collapse a span on a switch death, migrate a meeting,
+// open and collect protection meetings, and join into an adopted shard,
+// so a command reordered, added or dropped on any of those paths fails
+// here even when the media it carries comes out the same. An intentional
+// control-plane change updates these pins together with
+// tests/fingerprint_table.inc.
+struct TracePin {
+  std::string name;
+  ScenarioSpec spec;
+  // Events the spec exists to exercise; each must appear in the trace.
+  std::vector<std::string> must_see;
+  std::string digest;
+  uint64_t events = 0;
+  // When >= 0, that switch's control link goes dark at `dark_at_s`, and
+  // its owner's heartbeat detector declares it dead.
+  int dark_switch = -1;
+  double dark_at_s = 0.0;
+};
+
+std::vector<TracePin> TracePins() {
+  using testbed::BackendChoice;
+  std::vector<TracePin> pins;
+
+  // A ring backbone spread one member per switch, with redundant trees:
+  // every standby chain runs the long way round through protection
+  // meetings. Member 3 leaves, draining its span and the chains protecting
+  // its stream, then rejoins and the span opens again.
+  ScenarioSpec ring = ScenarioSpec::Uniform("pin-ring", 1, 4, 2.5, 3);
+  ring.WithBackend(BackendChoice::Fleet(4))
+      .WithPlacementPolicy(core::PlacementPolicyConfig::TopologyAware(1))
+      .WithInterSwitchLink(0, 1, 0.001, 100e6)
+      .WithInterSwitchLink(1, 2, 0.001, 100e6)
+      .WithInterSwitchLink(2, 3, 0.001, 100e6)
+      .WithInterSwitchLink(3, 0, 0.001, 100e6)
+      .WithRedundantTrees()
+      .WithLeave(0, 3, 1.0, /*rejoin_at_s=*/1.6)
+      .WithTrace();
+  pins.push_back({"ring", ring,
+                  {"placement.meeting_placed", "placement.span_installed",
+                   "redundancy.secondary_planned", "remove_meeting.sent"},
+                  "0xe97e1aa62d229a7e", 823});
+
+  // Cascaded meetings on fleet{3} through the death of switch 0: the
+  // meeting homed there migrates, its members rejoin on the standby, and
+  // the span another meeting has there collapses.
+  ScenarioSpec death = ScenarioSpec::Uniform("pin-death", 3, 3, 3.0, 5);
+  death.WithBackend(BackendChoice::Fleet(3))
+      .WithPlacementPolicy(core::PlacementPolicyConfig::Cascade(2))
+      .WithTrace();
+  pins.push_back({"death", death,
+                  {"switch.dead", "meeting.migrate", "span.collapsed"},
+                  "0x3c9b8dbf5d03331f", 206, /*dark_switch=*/0,
+                  /*dark_at_s=*/1.0});
+
+  // fleet{6,2} loses region 1's controller; region 0 adopts its shard,
+  // and members then leave, rejoin and join late into the adopted
+  // meeting.
+  ScenarioSpec adopt = ScenarioSpec::Uniform("pin-adopt", 2, 3, 3.0, 7);
+  adopt.WithBackend(BackendChoice::Fleet(6, 2))
+      .WithControlPlane(0.002)
+      .WithMeetingRegion(0, 0)
+      .WithMeetingRegion(1, 1)
+      .WithControllerFailure(1.0, 1)
+      .WithLeave(1, 0, 1.8, /*rejoin_at_s=*/2.2)
+      .WithJoin(1, 2, 2.0)
+      .WithTrace();
+  pins.push_back({"adopt", adopt,
+                  {"controller.adopted", "fleet.shard_adopted"},
+                  "0xddebc35d25ad5482", 72});
+  return pins;
+}
+
+TEST(ObsTrace, CommandStreamPinned) {
+  for (const TracePin& pin : TracePins()) {
+    SCOPED_TRACE(pin.name);
+    ScenarioRunner runner(pin.spec);
+    if (pin.dark_switch >= 0) {
+      runner.backend().sched().At(
+          util::Seconds(pin.dark_at_s), [&runner, &pin] {
+            runner.fleet().channel(pin.dark_switch).set_link_up(false);
+          });
+    }
+    runner.Run();
+    ASSERT_NE(runner.trace(), nullptr);
+    const obs::TraceLog& trace = *runner.trace();
+    ASSERT_EQ(trace.evicted(), 0u);
+    const std::string text = trace.ToText();
+    for (const std::string& event : pin.must_see) {
+      EXPECT_NE(text.find(" " + event + " "), std::string::npos) << event;
+    }
+    EXPECT_EQ(ScenarioFingerprint::Hex(ScenarioFingerprint::Fold(text)),
+              pin.digest);
+    EXPECT_EQ(trace.size(), pin.events);
+  }
 }
 
 TEST(ObsTrace, RegionTracksNameGlobalSwitchIds) {
