@@ -110,8 +110,7 @@ ControlChannel::ControlChannel(sim::Scheduler& sched, SwitchAgent& agent,
     : sched_(sched),
       agent_(agent),
       cfg_(cfg),
-      conduit_(sched, cfg.latency, cfg.loss_rate, cfg.seed),
-      next_port_(agent.config().first_sfu_port) {}
+      conduit_(sched, cfg.latency, cfg.loss_rate, cfg.seed) {}
 
 ControlChannel::~ControlChannel() = default;
 

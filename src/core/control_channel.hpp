@@ -245,6 +245,9 @@ class ControlChannel {
   // upstream relay leg's endpoint, whose port is reserved here and later
   // passed to AddRelayLeg as `assigned_port`.
   uint16_t AllocatePort() { return next_port_++; }
+  // The first SFU port the channel assigns on its switch; later ones
+  // count up from it.
+  static constexpr uint16_t kFirstSfuPort = 10'000;
 
   // ---- northbound events ------------------------------------------------
   // Registers the telemetry consumer and starts the heartbeat/load-report
@@ -255,7 +258,6 @@ class ControlChannel {
   // programming what it believes is there, exactly like a real southbound
   // channel writing into a restarted switch.
   void set_link_up(bool up) { link_up_ = up; }
-  bool link_up() const { return link_up_; }
 
   // Traces every southbound command on track "sw:<switch_index>".
   // Northbound telemetry (heartbeats, load reports) stays untraced — at
@@ -305,7 +307,7 @@ class ControlChannel {
   MessageConduit conduit_;
   ConduitStats cmd_stats_;
   ConduitStats evt_stats_;
-  uint16_t next_port_;
+  uint16_t next_port_ = kFirstSfuPort;
 
   // Entities the controller has removed, stamped with removal time:
   // retransmission-cancellation state for the reliable vocabulary (ids

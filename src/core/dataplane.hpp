@@ -83,7 +83,6 @@ class DataPlaneProgram : public switchsim::PipelineProgram {
   // Installing is idempotent (the window survives re-installs untouched).
   void InstallDedup(uint32_t ssrc, int window);
   void RemoveDedup(uint32_t ssrc);
-  size_t dedup_streams() const { return dedup_.size(); }
 
   // Rewriter state management (control plane assigns collision-free
   // indices; immediate cleanup on stream end — paper §6.3).

@@ -12,8 +12,7 @@ SwitchAgent::SwitchAgent(sim::Scheduler& sched, DataPlaneProgram& dp,
     : sched_(sched),
       dp_(dp),
       cfg_(cfg),
-      trees_(dp, dp.sw().pre()),
-      next_port_(cfg.first_sfu_port) {
+      trees_(dp, dp.sw().pre()) {
   dp_.sw().SetCpuHandler([this](net::PacketPtr pkt) {
     OnCpuPacket(std::move(pkt));
   });
@@ -139,12 +138,12 @@ uint16_t SwitchAgent::AddParticipant(MeetingId meeting, ParticipantId id,
                                      net::Endpoint media_src,
                                      uint32_t video_ssrc, uint32_t audio_ssrc,
                                      bool sends_video, bool sends_audio,
-                                     uint16_t assigned_port) {
+                                     uint16_t port) {
   Participant p;
   p.id = id;
   p.meeting = meeting;
   p.media_src = media_src;
-  p.uplink_port = assigned_port != 0 ? assigned_port : next_port_++;
+  p.uplink_port = port;
   p.video_ssrc = video_ssrc;
   p.audio_ssrc = audio_ssrc;
   p.sends_video = sends_video;
@@ -171,11 +170,11 @@ uint16_t SwitchAgent::AddRelaySender(MeetingId meeting, ParticipantId id,
                                      net::Endpoint upstream_src,
                                      uint32_t video_ssrc, uint32_t audio_ssrc,
                                      bool sends_video, bool sends_audio,
-                                     uint16_t assigned_port) {
+                                     uint16_t port) {
   // A remote sender homed on another switch: its "client endpoint" is the
   // upstream switch's relay leg, so the stream table, tree manager and
-  // keyframe re-anchoring treat the relayed stream like any uplink. The
-  // assigned port is the address relayed media is sent to.
+  // keyframe re-anchoring treat the relayed stream like any uplink.
+  // `port` is the address relayed media is sent to.
   // Idempotent under retransmission: a duplicate install (same relay id,
   // already registered from the same upstream) must not double-count the
   // relay or re-register the participant, wiping its legs.
@@ -184,9 +183,8 @@ uint16_t SwitchAgent::AddRelaySender(MeetingId meeting, ParticipantId id,
       existing->second.media_src == upstream_src) {
     return existing->second.uplink_port;
   }
-  uint16_t port = AddParticipant(meeting, id, upstream_src, video_ssrc,
-                                 audio_ssrc, sends_video, sends_audio,
-                                 assigned_port);
+  AddParticipant(meeting, id, upstream_src, video_ssrc, audio_ssrc,
+                 sends_video, sends_audio, port);
   participants_[id].is_relay = true;
   ++relay_count_;
   ++stats_.relay_senders;
@@ -197,12 +195,11 @@ uint16_t SwitchAgent::AddRelayLeg(MeetingId meeting,
                                   ParticipantId relay_receiver,
                                   ParticipantId sender,
                                   net::Endpoint downstream_sfu,
-                                  uint16_t assigned_port) {
+                                  uint16_t port) {
   // Lost-command semantics: a relay leg naming a sender this switch never
   // learned about (its install was lost on the channel) must be a pure
   // no-op, like any other command referencing unknown state — no orphan
   // pseudo-receiver, no stats.
-  uint16_t port = assigned_port != 0 ? assigned_port : next_port_++;
   if (participants_.find(sender) == participants_.end()) return port;
   // Idempotent under retransmission: the pseudo-receiver already carrying
   // this sender's leg means the first copy landed — re-installing would
@@ -473,8 +470,7 @@ void SwitchAgent::RemoveParticipant(MeetingId meeting, ParticipantId id) {
 uint16_t SwitchAgent::AddRecvLeg(MeetingId meeting, ParticipantId receiver,
                                  ParticipantId sender,
                                  net::Endpoint receiver_client,
-                                 uint16_t assigned_port) {
-  uint16_t port = assigned_port != 0 ? assigned_port : next_port_++;
+                                 uint16_t port) {
   // A leg referencing a participant this switch never learned about (its
   // AddParticipant was lost on the control channel) is ignored, like a
   // flow rule naming an unknown group in a real switch.
@@ -528,10 +524,31 @@ uint16_t SwitchAgent::AddRecvLeg(MeetingId meeting, ParticipantId receiver,
   return leg.sfu_port;
 }
 
+namespace {
+
+constexpr double kRembEwmaAlpha = 0.3;
+// Default decode-target policy: per-target bitrate fractions of the
+// sender rate (L1T3 layer weights). A target is *kept* while the
+// estimate covers kDownMargin x its rate; an *upgrade* additionally
+// requires kUpMargin headroom. The asymmetry matters because at
+// equilibrium the receiver-driven estimate sits right at the sender
+// rate for the best downlink.
+constexpr double kLayerRateFraction[3] = {0.48, 0.71, 1.00};
+constexpr double kDownMargin = 0.95;
+constexpr double kUpMargin = 1.15;
+// Upgrade hold-down after a downgrade; doubles (up to the max) when an
+// upgrade probe fails quickly, so capacity-boundary receivers settle
+// instead of flapping.
+constexpr util::DurationUs kUpgradeHoldDown = util::Seconds(8);
+constexpr util::DurationUs kUpgradeHoldDownMax = util::Seconds(120);
+constexpr util::DurationUs kFailedProbeWindow = util::Seconds(15);
+
+}  // namespace
+
 void SwitchAgent::ProcessRemb(Participant& receiver, ParticipantId sender,
                               uint64_t bitrate) {
   PerSender& ps = receiver.by_sender[sender];
-  if (!ps.remb_ewma) ps.remb_ewma.emplace(cfg_.remb_ewma_alpha);
+  if (!ps.remb_ewma) ps.remb_ewma.emplace(kRembEwmaAlpha);
   ps.remb_ewma->Add(static_cast<double>(bitrate));
   auto& hist = ps.est_hist;
   hist.push_back(bitrate);
@@ -573,13 +590,13 @@ void SwitchAgent::ProcessRemb(Participant& receiver, ParticipantId sender,
       ps.last_downgrade = now;
       // A downgrade shortly after an upgrade = failed probe: back off.
       bool had_backoff = ps.backoff.has_value();
-      if (!had_backoff) ps.backoff = cfg_.upgrade_hold_down;
+      if (!had_backoff) ps.backoff = kUpgradeHoldDown;
       if (ps.last_upgrade &&
-          now - *ps.last_upgrade < cfg_.failed_probe_window) {
+          now - *ps.last_upgrade < kFailedProbeWindow) {
         ps.backoff = std::min<util::DurationUs>(*ps.backoff * 2,
-                                                cfg_.upgrade_hold_down_max);
+                                                kUpgradeHoldDownMax);
       } else if (had_backoff) {
-        ps.backoff = cfg_.upgrade_hold_down;  // organic downgrade: reset
+        ps.backoff = kUpgradeHoldDown;  // organic downgrade: reset
       }
     } else {
       ps.last_upgrade = now;
@@ -597,13 +614,13 @@ int SwitchAgent::DefaultPolicy(const Participant& receiver,
 
   // Keep the current target while the estimate still covers it.
   bool current_fits =
-      est >= cfg_.down_margin * cfg_.layer_rate_fraction[curr] * rate;
+      est >= kDownMargin * kLayerRateFraction[curr] * rate;
 
   // Downgrade: highest target the estimate covers (DT0 is the floor).
   if (!current_fits) {
     int target = 0;
     for (int k = curr - 1; k >= 1; --k) {
-      if (est >= cfg_.down_margin * cfg_.layer_rate_fraction[k] * rate) {
+      if (est >= kDownMargin * kLayerRateFraction[k] * rate) {
         target = k;
         break;
       }
@@ -614,11 +631,11 @@ int SwitchAgent::DefaultPolicy(const Participant& receiver,
   // Upgrade: needs headroom plus an expired (possibly backed-off)
   // hold-down since the last downgrade.
   if (curr < 2 &&
-      est >= cfg_.up_margin * cfg_.layer_rate_fraction[curr + 1] * rate) {
+      est >= kUpMargin * kLayerRateFraction[curr + 1] * rate) {
     auto ps = receiver.by_sender.find(sender);
     if (ps != receiver.by_sender.end() && ps->second.last_downgrade) {
       util::DurationUs hold =
-          ps->second.backoff.value_or(cfg_.upgrade_hold_down);
+          ps->second.backoff.value_or(kUpgradeHoldDown);
       if (sched_.now() - *ps->second.last_downgrade < hold) return curr;
     }
     return curr + 1;

@@ -31,23 +31,6 @@ using SelectDecodeTargetFn = std::function<int(
 
 struct AgentConfig {
   net::Ipv4 sfu_ip;
-  uint16_t first_sfu_port = 10'000;
-  double remb_ewma_alpha = 0.3;
-  // Default decode-target policy: per-target bitrate fractions of the
-  // sender rate (L1T3 layer weights). A target is *kept* while the
-  // estimate covers down_margin x its rate; an *upgrade* additionally
-  // requires up_margin headroom. The asymmetry matters because at
-  // equilibrium the receiver-driven estimate sits right at the sender
-  // rate for the best downlink.
-  double layer_rate_fraction[3] = {0.48, 0.71, 1.00};
-  double down_margin = 0.95;
-  double up_margin = 1.15;
-  // Upgrade hold-down after a downgrade; doubles (up to the max) when an
-  // upgrade probe fails quickly, so capacity-boundary receivers settle
-  // instead of flapping.
-  util::DurationUs upgrade_hold_down = util::Seconds(8);
-  util::DurationUs upgrade_hold_down_max = util::Seconds(120);
-  util::DurationUs failed_probe_window = util::Seconds(15);
   // No automatic decode-target changes this soon after a leg is created:
   // fresh GCC estimates and SR-rate readings are unreliable.
   util::DurationUs policy_warmup = util::Seconds(3);
@@ -85,21 +68,20 @@ class SwitchAgent {
   // ---- controller-facing API ----
   // In the deployed system these are southbound messages; controllers
   // reach them through core::ControlChannel (which also does the RPC
-  // accounting). `assigned_port` of 0 means "allocate locally" — the
-  // direct-call mode unit tests and scripted experiments use; the channel
-  // passes controller-assigned ports so commands stay one-way.
+  // accounting). Every SFU port is assigned on the controller side and
+  // passed in as `port`, so commands stay one-way.
   void CreateMeeting(MeetingId id);
   void RemoveMeeting(MeetingId id);
-  // Registers a participant's uplink; returns the SFU port for its media.
+  // Registers a participant's uplink on SFU port `port`; returns it.
   uint16_t AddParticipant(MeetingId meeting, ParticipantId id,
                           net::Endpoint media_src, uint32_t video_ssrc,
                           uint32_t audio_ssrc, bool sends_video,
-                          bool sends_audio, uint16_t assigned_port = 0);
+                          bool sends_audio, uint16_t port);
   void RemoveParticipant(MeetingId meeting, ParticipantId id);
-  // Creates the (receiver <- sender) leg; returns its SFU port.
+  // Creates the (receiver <- sender) leg on SFU port `port`; returns it.
   uint16_t AddRecvLeg(MeetingId meeting, ParticipantId receiver,
                       ParticipantId sender, net::Endpoint receiver_client,
-                      uint16_t assigned_port = 0);
+                      uint16_t port);
 
   // ---- cascading relays (paper Appendix A) ----
   // Registers a remote sender whose media arrives from `upstream_src` (a
@@ -109,7 +91,7 @@ class SwitchAgent {
   uint16_t AddRelaySender(MeetingId meeting, ParticipantId id,
                           net::Endpoint upstream_src, uint32_t video_ssrc,
                           uint32_t audio_ssrc, bool sends_video,
-                          bool sends_audio, uint16_t assigned_port = 0);
+                          bool sends_audio, uint16_t port);
   // Forwards `sender`'s selected stream to a downstream switch's SFU:
   // installs a relay pseudo-receiver (the downstream SFU's stand-in) and
   // its receive leg, so the stream crosses the inter-switch link exactly
@@ -118,7 +100,7 @@ class SwitchAgent {
   // downstream switch sees the stream arrive from.
   uint16_t AddRelayLeg(MeetingId meeting, ParticipantId relay_receiver,
                        ParticipantId sender, net::Endpoint downstream_sfu,
-                       uint16_t assigned_port = 0);
+                       uint16_t port);
   // Bulk teardown of one span's relay participants on this switch (the
   // pseudo-receivers toward it, or the relay senders from it).
   void RemoveRelaySpan(MeetingId meeting,
@@ -154,7 +136,6 @@ class SwitchAgent {
                          ParticipantId sender, int dt);
 
   const AgentStats& stats() const { return stats_; }
-  const AgentConfig& config() const { return cfg_; }
   TreeManager& tree_manager() { return trees_; }
   const TreeManager& tree_manager() const { return trees_; }
   // Load introspection for northbound SwitchLoadReports. Relay
@@ -256,7 +237,6 @@ class SwitchAgent {
   std::map<uint32_t, SenderRate> sender_rates_;     // by video ssrc
   std::map<ParticipantId, uint16_t> dd_anchor_;     // keyframe anchor
   std::map<uint32_t, ParticipantId> ssrc_to_sender_;
-  uint16_t next_port_;
   size_t relay_count_ = 0;
 
   AgentStats stats_;

@@ -47,7 +47,6 @@ EncodedFrame SvcEncoder::NextFrame(util::TimeUs now) {
   double size = mean_frame_bytes * weight * weight_norm_;
   if (key) {
     size = mean_frame_bytes * cfg_.key_frame_factor;
-    ++key_frame_counter_;
     last_key_time_ = now;
   }
   size *= rng_.Uniform(1.0 - cfg_.size_jitter, 1.0 + cfg_.size_jitter);

@@ -61,7 +61,6 @@ class SvcEncoder {
   const SvcEncoderConfig& config() const { return cfg_; }
 
   int64_t frames_produced() const { return frame_counter_; }
-  int64_t key_frames_produced() const { return key_frame_counter_; }
 
  private:
   SvcEncoderConfig cfg_;
@@ -69,7 +68,6 @@ class SvcEncoder {
   av1::L1T3Pattern pattern_;
   uint64_t target_bitrate_;
   int64_t frame_counter_ = 0;
-  int64_t key_frame_counter_ = 0;
   bool key_frame_requested_ = true;  // first frame is a key frame
   util::TimeUs last_key_time_ = 0;
   double weight_norm_;  // normalizes layer weights to the target mean

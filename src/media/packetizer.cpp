@@ -41,7 +41,6 @@ std::vector<rtp::RtpPacket> Packetizer::Packetize(const EncodedFrame& frame,
     if (frame.key_frame && i == 0 && structure_pending_) {
       dd.structure = av1::TemplateStructure::L1T3();
       structure_pending_ = false;
-      ++structures_sent_;
     }
     pkt.SetExtension(cfg_.dd_extension_id, dd.Serialize());
     pkt.SetExtension(cfg_.abs_send_time_id, EncodeAbsSendTime(send_time));

@@ -45,9 +45,7 @@ class Packetizer {
   // after PLI-triggered refreshes so the SFU can revalidate).
   void ResendStructure() { structure_pending_ = true; }
 
-  uint16_t next_sequence_number() const { return next_seq_; }
   uint64_t packets_produced() const { return packets_produced_; }
-  uint64_t structures_sent() const { return structures_sent_; }
   const PacketizerConfig& config() const { return cfg_; }
 
  private:
@@ -55,7 +53,6 @@ class Packetizer {
   uint16_t next_seq_ = 1;
   uint64_t packets_produced_ = 0;
   bool structure_pending_ = true;  // first key frame always carries it
-  uint64_t structures_sent_ = 0;
 };
 
 }  // namespace scallop::media

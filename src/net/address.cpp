@@ -1,7 +1,7 @@
 #include "net/address.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 
 namespace scallop::net {
 
@@ -12,13 +12,20 @@ std::string Ipv4::ToString() const {
   return buf;
 }
 
-Ipv4 Ipv4::Parse(const std::string& dotted) {
-  unsigned a = 0, b = 0, c = 0, d = 0;
-  if (std::sscanf(dotted.c_str(), "%u.%u.%u.%u", &a, &b, &c, &d) != 4) {
-    return Ipv4{};
+std::optional<Ipv4> Ipv4::Parse(const std::string& dotted) {
+  const char* p = dotted.data();
+  const char* const end = p + dotted.size();
+  uint32_t addr = 0;
+  for (int i = 0; i < 4; ++i) {
+    if (i > 0 && (p == end || *p++ != '.')) return std::nullopt;
+    unsigned octet = 0;
+    const auto [next, ec] = std::from_chars(p, end, octet);
+    if (ec != std::errc{} || octet > 255) return std::nullopt;
+    addr = addr << 8 | octet;
+    p = next;
   }
-  return Ipv4(static_cast<uint8_t>(a), static_cast<uint8_t>(b),
-              static_cast<uint8_t>(c), static_cast<uint8_t>(d));
+  if (p != end) return std::nullopt;
+  return Ipv4(addr);
 }
 
 std::string Endpoint::ToString() const {

@@ -1,9 +1,10 @@
-// IPv4 addresses, UDP endpoints and flow five-tuples.
+// IPv4 addresses and UDP endpoints.
 #pragma once
 
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 namespace scallop::net {
@@ -19,7 +20,9 @@ class Ipv4 {
 
   constexpr uint32_t value() const { return addr_; }
   std::string ToString() const;
-  static Ipv4 Parse(const std::string& dotted);
+  // Exactly four dot-separated decimal octets of 0-255; nullopt for
+  // anything else.
+  static std::optional<Ipv4> Parse(const std::string& dotted);
 
   auto operator<=>(const Ipv4&) const = default;
 

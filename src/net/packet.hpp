@@ -34,7 +34,6 @@ struct Packet {
   util::TimeUs arrival = 0;
   uint32_t ingress_port = 0;  // switch ingress port, set by switchsim
 
-  size_t payload_size() const { return payload.size(); }
   // Total bytes on the wire including L3/L4 headers (no Ethernet).
   size_t wire_size() const { return payload.size() + kL3L4Overhead; }
 

@@ -66,11 +66,12 @@ std::optional<Candidate> Candidate::FromLine(const std::string& line) {
   if (toks.size() < 7 || toks[2] != "udp") return std::nullopt;
   Candidate c;
   c.foundation = toks[0];
+  const std::optional<net::Ipv4> addr = net::Ipv4::Parse(toks[4]);
   if (!ReadNumber(toks[1], c.component) || !ReadNumber(toks[3], c.priority) ||
-      !ReadNumber(toks[5], c.endpoint.port)) {
+      !addr.has_value() || !ReadNumber(toks[5], c.endpoint.port)) {
     return std::nullopt;
   }
-  c.endpoint.addr = net::Ipv4::Parse(toks[4]);
+  c.endpoint.addr = *addr;
   if (toks.size() >= 8 && toks[6] == "typ") c.type = toks[7];
   return c;
 }

@@ -49,7 +49,8 @@ void Link::Send(net::PacketPtr pkt, util::TimeUs depart_at) {
   }
 
   util::TimeUs arrival = tx_end + cfg_.prop_delay + extra;
-  // Deliveries are never cancelled, so they take Post's cheaper heap.
+  // Deliveries are never cancelled, so they skip At's callable slot: the
+  // packet waits in the link's own slab under the delivery's token.
   sched_.Post(arrival, *this, flights_.Put(Flight{std::move(pkt), arrival}));
 }
 

@@ -8,89 +8,71 @@ namespace {
 constexpr uint64_t MakeId(uint32_t slot, uint32_t gen) {
   return (static_cast<uint64_t>(slot) << 32) | gen;
 }
+constexpr uint32_t SlotOf(uint64_t id) {
+  return static_cast<uint32_t>(id >> 32);
+}
+constexpr uint32_t GenOf(uint64_t id) { return static_cast<uint32_t>(id); }
 
 }  // namespace
 
-uint32_t Scheduler::AcquireSlot() {
-  if (!free_slots_.empty()) {
-    uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  slots_.push_back(Slot{});
-  return static_cast<uint32_t>(slots_.size() - 1);
-}
-
-void Scheduler::ReleaseSlot(uint32_t slot) {
-  ++slots_[slot].gen;  // invalidates every id issued for this occupancy
-  free_slots_.push_back(slot);
-}
-
 uint64_t Scheduler::At(util::TimeUs when, EventFn fn) {
-  if (when < now_) when = now_;
-  uint32_t slot = AcquireSlot();
-  slots_[slot].armed = true;
-  queue_.push(Event{when, next_seq_++, slot, std::move(fn)});
-  return MakeId(slot, slots_[slot].gen);
+  uint32_t slot = static_cast<uint32_t>(callables_.slots.size());
+  if (callables_.free.empty()) {
+    callables_.slots.emplace_back();
+  } else {
+    slot = callables_.free.back();
+    callables_.free.pop_back();
+  }
+  Callables::Slot& s = callables_.slots[slot];
+  s.fn = std::move(fn);
+  const uint64_t id = MakeId(slot, s.gen);
+  Post(when, callables_, id);
+  return id;
 }
 
 void Scheduler::Post(util::TimeUs when, Target& target, uint64_t token) {
   if (when < now_) when = now_;
-  posted_.push(Delivery{when, next_seq_++, &target, token});
-}
-
-void Scheduler::Post(util::TimeUs when, EventFn fn) {
-  Post(when, callables_, callables_.Add(std::move(fn)));
+  queue_.push(Delivery{when, next_seq_++, &target, token});
 }
 
 void Scheduler::Cancel(uint64_t id) {
-  uint32_t slot = static_cast<uint32_t>(id >> 32);
-  uint32_t gen = static_cast<uint32_t>(id);
-  if (slot >= slots_.size()) return;
-  Slot& s = slots_[slot];
-  if (s.gen != gen || !s.armed) return;  // fired or already cancelled
-  s.armed = false;
-  ++cancelled_in_queue_;
+  const uint32_t slot = SlotOf(id);
+  if (slot >= callables_.slots.size()) return;
+  uint32_t& gen = callables_.slots[slot].gen;
+  if (gen != GenOf(id)) return;  // fired or already cancelled
+  ++gen;  // disarmed: the run loop frees the slot when the record pops
+  ++disarmed_;
 }
 
-bool Scheduler::PopLive(Event& ev) {
-  Event& top = const_cast<Event&>(queue_.top());
-  ev.when = top.when;
-  ev.seq = top.seq;
-  ev.slot = top.slot;
-  ev.fn = std::move(top.fn);
-  queue_.pop();
-  Slot& s = slots_[ev.slot];
-  if (!s.armed) {  // cancelled while queued
-    --cancelled_in_queue_;
-    ReleaseSlot(ev.slot);
-    return false;
-  }
-  // Release before running: `fn` may Cancel its own (now stale) id or
-  // schedule a new event that reuses the slot under a fresh generation.
-  s.armed = false;
-  ReleaseSlot(ev.slot);
-  return true;
+void Scheduler::Callables::Fire(uint64_t token) {
+  const uint32_t slot = SlotOf(token);
+  EventFn fn = std::move(slots[slot].fn);
+  // Free the slot before running: `fn` may Cancel its own (now stale) id
+  // or schedule a new event that reuses the slot under a fresh generation.
+  ++slots[slot].gen;
+  free.push_back(slot);
+  fn();
 }
 
 size_t Scheduler::Run(util::TimeUs until) {
   size_t executed = 0;
-  for (;;) {
-    // The fronts never tie: seq is unique across both heaps.
-    if (!posted_.empty() &&
-        (queue_.empty() || Later{}(queue_.top(), posted_.top()))) {
-      const Delivery front = posted_.top();
-      if (front.when > until) break;
-      posted_.pop();
-      now_ = front.when;
-      front.target->Fire(front.token);
-    } else {
-      if (queue_.empty() || queue_.top().when > until) break;
-      Event ev;
-      if (!PopLive(ev)) continue;  // a cancelled tombstone
-      now_ = ev.when;
-      ev.fn();
+  while (!queue_.empty() && queue_.top().when <= until) {
+    const Delivery front = queue_.top();
+    queue_.pop();
+    if (front.target == &callables_) {
+      const uint32_t slot = SlotOf(front.token);
+      Callables::Slot& s = callables_.slots[slot];
+      if (s.gen != GenOf(front.token)) {  // cancelled while queued
+        // Destroyed off the slot, once it is free: its captures' destructors
+        // may schedule events, which can reuse the slot or move the slab.
+        const EventFn dropped = std::move(s.fn);
+        callables_.free.push_back(slot);
+        --disarmed_;
+        continue;
+      }
     }
+    now_ = front.when;
+    front.target->Fire(front.token);
     ++executed;
   }
   return executed;

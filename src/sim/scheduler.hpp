@@ -1,14 +1,15 @@
 // Discrete-event scheduler. All experiments run on a single scheduler; time
 // is virtual, so a 10-minute meeting simulates in well under a second.
 //
-// Events live in two heaps keyed alike by (when, seq), where seq is one
-// counter shared by both: At's cancellable events, and Post's cheaper
-// uncancellable deliveries (packet arrivals, nearly all of the work). A
-// delivery is a plain record (when, seq, target, token): the run loop calls
-// target.Fire(token), so a link or server keeps the packet in a slab of its
-// own and the heap sifts no callable. The run loop takes whichever front is
-// earlier, so every event runs in (when, submission) order no matter which
-// call queued it.
+// Every event is a delivery: a plain record (when, seq, target, token) in
+// one heap ordered by (when, seq), which the run loop hands to
+// target.Fire(token). Post's callers (links, the software SFU) keep the
+// packet in a slab of their own under the token, so the heap sifts no
+// callable. At parks its callable in a generation-stamped slot of the
+// scheduler's own target and posts the slot's id as the token, so Cancel
+// disarms it in O(1) and the run loop drops the disarmed record unrun.
+// One counter draws seq for both, so every event runs in (when,
+// submission) order no matter which call queued it.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,6 @@
 #include <queue>
 #include <vector>
 
-#include "util/slab.hpp"
 #include "util/time.hpp"
 
 namespace scallop::sim {
@@ -39,9 +39,10 @@ class Scheduler {
     return At(now_ + delay, std::move(fn));
   }
 
-  // Cancels a pending event in O(1). Cancelling an already-fired (or
-  // already-cancelled) id is a no-op: ids are generation-stamped slot
-  // handles, so a stale id can never hit a later event reusing the slot.
+  // Cancels a pending event in O(1): it does not run, is not counted and
+  // does not move now(). Cancelling an already-fired (or already-cancelled)
+  // id is a no-op: ids are generation-stamped slot handles, so a stale id
+  // can never hit a later event reusing the slot.
   void Cancel(uint64_t id);
 
   // Receives typed deliveries. The target must outlive every delivery
@@ -56,82 +57,55 @@ class Scheduler {
 
   // Schedules `target.Fire(token)` at `when` as a delivery that cannot be
   // cancelled: the packet path. Same clamping and same order as At,
-  // without At's cancellation slot.
+  // without At's callable slot.
   void Post(util::TimeUs when, Target& target, uint64_t token);
-  // The same for a one-shot callable, kept in a slab of the scheduler's
-  // own whose slot is the delivery's token.
-  void Post(util::TimeUs when, EventFn fn);
 
-  // Runs events until both heaps are empty or the next event lies past
-  // `until`, then advances now() to `until`; RunAll runs until both heaps
-  // are empty. Safe to call from inside a running event. Returns the
-  // number of events executed, At and Post alike.
+  // Runs events until the heap is empty or the next event lies past
+  // `until`, then advances now() to `until`; RunAll runs until the heap is
+  // empty. Safe to call from inside a running event. Returns the number of
+  // events executed, At and Post alike.
   size_t RunUntil(util::TimeUs until);
   size_t RunAll();
 
   bool empty() const { return pending() == 0; }
-  size_t pending() const {
-    return queue_.size() - cancelled_in_queue_ + posted_.size();
-  }
+  size_t pending() const { return queue_.size() - disarmed_; }
 
  private:
-  struct Event {
-    util::TimeUs when;
-    uint64_t seq;   // global FIFO order among equal times
-    uint32_t slot;  // cancellation slot (slots_[slot])
-    EventFn fn;
-  };
   struct Delivery {
     util::TimeUs when;
-    uint64_t seq;
+    uint64_t seq;  // global FIFO order among equal times
     Target* target;
     uint64_t token;
   };
-  // Post(when, fn)'s callables; the token is the slab handle, freed as
-  // the callable runs.
-  class Callables final : public Target {
-   public:
-    uint32_t Add(EventFn fn) { return fns_.Put(std::move(fn)); }
-    void Fire(uint64_t token) override {
-      fns_.Take(static_cast<uint32_t>(token))();
-    }
-
-   private:
-    util::Slab<EventFn> fns_;
-  };
   struct Later {
-    // Earliest time first; FIFO among equal times via seq. Orders each
-    // heap, and compares one heap's front with the other's.
-    template <typename A, typename B>
-    bool operator()(const A& a, const B& b) const {
+    // Earliest time first; FIFO among equal times via seq.
+    bool operator()(const Delivery& a, const Delivery& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
   };
-  // One live queue entry per slot. `gen` stamps the slot's current
-  // occupancy: Cancel ids carry the generation they were issued under and
-  // miss once the slot is released (event fired or cancelled-and-popped).
-  struct Slot {
-    uint32_t gen = 1;
-    bool armed = false;
+  // At's callables. A slot's id (slot, gen) is its delivery's token; `gen`
+  // stamps the slot's current occupancy, and running or cancelling the
+  // callable bumps it, so the id misses from then on. A cancelled slot
+  // stays taken until the run loop pops its record and frees it.
+  struct Callables final : Target {
+    struct Slot {
+      EventFn fn;
+      uint32_t gen = 1;
+    };
+    std::vector<Slot> slots;
+    std::vector<uint32_t> free;
+
+    void Fire(uint64_t token) override;
   };
 
-  uint32_t AcquireSlot();
-  void ReleaseSlot(uint32_t slot);
-  // Pops the top event; returns false (and releases the slot) when it was
-  // cancelled while queued.
-  bool PopLive(Event& ev);
-  // The run loop behind RunUntil and RunAll: runs events due by `until`,
-  // each step taking the earlier of the two heaps' fronts.
+  // The run loop behind RunUntil and RunAll: runs events due by `until`.
   size_t Run(util::TimeUs until);
 
   util::TimeUs now_ = 0;
   uint64_t next_seq_ = 1;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::vector<Slot> slots_;
-  std::vector<uint32_t> free_slots_;
-  size_t cancelled_in_queue_ = 0;
-  std::priority_queue<Delivery, std::vector<Delivery>, Later> posted_;
+  std::priority_queue<Delivery, std::vector<Delivery>, Later> queue_;
+  size_t disarmed_ = 0;  // cancelled records still in queue_
   Callables callables_;
 };
 

@@ -125,6 +125,8 @@ std::optional<StunMessage> StunMessage::Parse(std::span<const uint8_t> data) {
         r.Skip(2);
         uint8_t cls = r.ReadU8();
         uint8_t num = r.ReadU8();
+        // RFC 5389 §15.6: class 3-6 (the hundreds digit), number 0-99.
+        if (cls < 3 || cls > 6 || num > 99) return std::nullopt;
         msg.error_code = static_cast<uint16_t>(cls * 100 + num);
         break;
       }

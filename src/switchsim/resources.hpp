@@ -61,7 +61,6 @@ class ResourceModel {
                         size_t pre_nodes) const;
 
   const TofinoConstants& constants() const { return constants_; }
-  uint64_t egress_bytes() const { return egress_bytes_; }
 
   std::string FormatTable3(const ResourceReport& r) const;
 

@@ -1,7 +1,7 @@
 // The knobs every testbed is built from: seed, addressing, client and
 // datacenter link shapes, and the per-layer configs of the stack the
-// substrate assembles (data plane, agent, control channel, fleet control
-// loops, or the software SFU). Backends read the fields that apply to them.
+// substrate assembles (data plane, control channel, fleet control loops,
+// or the software SFU). Backends read the fields that apply to them.
 // This is the one home of every testbed knob: a ScenarioSpec carries one
 // as `base`, and its fluent helpers (WithControlPlane, WithRebalance,
 // WithPlacementPolicy, ...) write these fields directly.
@@ -14,7 +14,6 @@
 #include "core/control_channel.hpp"
 #include "core/dataplane.hpp"
 #include "core/fleet.hpp"
-#include "core/switch_agent.hpp"
 #include "sfu/software_sfu.hpp"
 #include "sim/link.hpp"
 
@@ -39,7 +38,6 @@ struct TestbedConfig {
   sim::LinkConfig sfu_uplink{.rate_bps = 0, .prop_delay = util::Millis(1)};
   sim::LinkConfig sfu_downlink{.rate_bps = 0, .prop_delay = util::Millis(1)};
   core::DataPlaneConfig dataplane;
-  core::AgentConfig agent;          // sfu_ip is overwritten
   sfu::SoftwareSfuConfig software;  // address is overwritten
   client::PeerConfig peer;          // address/seed overwritten per peer
   // Southbound control channel between the controller and each switch

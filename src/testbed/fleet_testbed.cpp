@@ -38,10 +38,8 @@ FleetTestbed::FleetTestbed(const TestbedConfig& cfg, int n_switches,
     node.sw = std::make_unique<switchsim::Switch>(sched_, *network_, sw_cfg);
     node.dp = std::make_unique<core::DataPlaneProgram>(*node.sw,
                                                        cfg_.dataplane);
-    core::AgentConfig agent_cfg = cfg_.agent;
-    agent_cfg.sfu_ip = node.ip;
-    node.agent =
-        std::make_unique<core::SwitchAgent>(sched_, *node.dp, agent_cfg);
+    node.agent = std::make_unique<core::SwitchAgent>(
+        sched_, *node.dp, core::AgentConfig{.sfu_ip = node.ip});
     core::ControlChannelConfig ctrl_cfg = cfg_.control;
     ctrl_cfg.seed =
         cfg_.seed * 1'000'003 + 17 + static_cast<uint64_t>(i) * 7919;

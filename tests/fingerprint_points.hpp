@@ -323,6 +323,40 @@ inline std::vector<FingerprintPoint> AllFingerprintPoints() {
     add("hitless/fleet2/s11", spec);
   }
 
+  // Teardown: the southbound removals. On a cascaded fleet{3}, meeting 0's
+  // span members both leave, so its span drains (RemoveRelaySpan, then
+  // RemoveMeeting), and one of them rejoins, so the span is installed
+  // again; every member of meeting 1 leaves, span members last, so its
+  // span drains with no relay left to remove. On a redundant fleet{4}
+  // ring, a span member leaves and rejoins, so the protection meetings its
+  // standby chains opened are collected and then opened again.
+  for (uint64_t seed : {uint64_t{5}, uint64_t{17}}) {
+    const std::string tag = "/s" + std::to_string(seed);
+
+    ScenarioSpec drain = ScenarioSpec::Uniform("fp-teardown", 2, 4, 2.5,
+                                               seed);
+    drain.sample_interval_s = 0.5;
+    drain.WithBackend(BackendChoice::Fleet(3));
+    drain.WithPlacementPolicy(core::PlacementPolicyConfig::Cascade(2));
+    drain.WithLeave(0, 2, 0.8, 1.6).WithLeave(0, 3, 1.0);
+    for (int p = 0; p < 4; ++p) drain.WithLeave(1, p, 1.2 + 0.1 * p);
+    add("teardown/fleet3" + tag, drain);
+
+    ScenarioSpec ring = ScenarioSpec::Uniform("fp-teardown-ring", 1, 4, 2.5,
+                                              seed);
+    ring.sample_interval_s = 0.5;
+    ring.base.peer.encoder.start_bitrate_bps = 700'000;
+    ring.WithBackend(BackendChoice::Fleet(4));
+    ring.WithPlacementPolicy(core::PlacementPolicyConfig::TopologyAware(1));
+    ring.WithInterSwitchLink(0, 1, 0.001, 100e6)
+        .WithInterSwitchLink(1, 2, 0.001, 100e6)
+        .WithInterSwitchLink(2, 3, 0.001, 100e6)
+        .WithInterSwitchLink(3, 0, 0.001, 100e6);
+    ring.WithRedundantTrees();
+    ring.WithLeave(0, 2, 0.9, 1.6);
+    add("teardown/fleet4" + tag, ring);
+  }
+
   return points;
 }
 

@@ -30,6 +30,15 @@ class AgentTest : public ::testing::Test {
     return cfg;
   }
 
+  // SFU ports the tests assign: participant p's uplink, and receiver r's
+  // leg about sender s (both 1-indexed).
+  static uint16_t UplinkPort(uint32_t p) {
+    return static_cast<uint16_t>(10'000 + p - 1);
+  }
+  static uint16_t LegPort(uint32_t r, uint32_t s) {
+    return static_cast<uint16_t>(11'000 + 10 * r + s);
+  }
+
   // Builds a 3-participant meeting with legs, returns sfu leg ports:
   // port[r][s] = receiver r's feedback port about sender s (1-indexed).
   void SetupMeeting() {
@@ -37,14 +46,15 @@ class AgentTest : public ::testing::Test {
     for (uint32_t p = 1; p <= 3; ++p) {
       net::Endpoint media{net::Ipv4(10, 0, 0, static_cast<uint8_t>(p)),
                           40'000};
-      agent_.AddParticipant(1, p, media, p * 16 + 1, p * 16 + 2, true, true);
+      agent_.AddParticipant(1, p, media, p * 16 + 1, p * 16 + 2, true, true,
+                            UplinkPort(p));
     }
     for (uint32_t r = 1; r <= 3; ++r) {
       for (uint32_t s = 1; s <= 3; ++s) {
         if (r == s) continue;
         net::Endpoint local{net::Ipv4(10, 0, 0, static_cast<uint8_t>(r)),
                             static_cast<uint16_t>(41'000 + s)};
-        leg_port_[r][s] = agent_.AddRecvLeg(1, r, s, local);
+        leg_port_[r][s] = agent_.AddRecvLeg(1, r, s, local, LegPort(r, s));
       }
     }
   }
@@ -199,10 +209,10 @@ TEST_F(AgentTest, WarmupBlocksEarlyChanges) {
     agent2.AddParticipant(
         5, p + 10,
         net::Endpoint{net::Ipv4(10, 0, 1, static_cast<uint8_t>(p)), 40'000},
-        (p + 10) * 16 + 1, (p + 10) * 16 + 2, true, true);
+        (p + 10) * 16 + 1, (p + 10) * 16 + 2, true, true, UplinkPort(p));
   }
   net::Endpoint local{net::Ipv4(10, 0, 1, 3), 41'001};
-  uint16_t port = agent2.AddRecvLeg(5, 13, 11, local);
+  uint16_t port = agent2.AddRecvLeg(5, 13, 11, local, LegPort(3, 1));
 
   rtp::SenderReport sr;
   sr.sender_ssrc = 11 * 16 + 1;

@@ -55,8 +55,8 @@ TEST(ControlChannel, ZeroLatencyAppliesInline) {
                                            17, 18, true, true);
   EXPECT_EQ(bed.agent.meeting_count(), 1u);
   EXPECT_EQ(bed.agent.participant_count(), 1u);
-  // The controller-assigned port matches the agent's allocation scheme.
-  EXPECT_EQ(up, bed.agent.config().first_sfu_port);
+  // The controller assigns ports from the first SFU port up.
+  EXPECT_EQ(up, ControlChannel::kFirstSfuPort);
   EXPECT_EQ(bed.channel.stats().commands_sent, 2u);
   EXPECT_EQ(bed.channel.stats().commands_applied, 2u);
   EXPECT_EQ(bed.channel.stats().commands_dropped, 0u);
@@ -72,7 +72,7 @@ TEST(ControlChannel, LatencyDelaysButNeverReordersCommands) {
   uint16_t leg = bed.channel.AddRecvLeg(1, 2, 1, ChannelBed::Client(2, 41'001));
 
   // Ports are assigned on the controller side at send time...
-  EXPECT_EQ(up1, bed.agent.config().first_sfu_port);
+  EXPECT_EQ(up1, ControlChannel::kFirstSfuPort);
   EXPECT_EQ(up2, up1 + 1);
   EXPECT_EQ(leg, up1 + 2);
   // ...but nothing has reached the switch yet.
@@ -204,7 +204,7 @@ TEST(ControlChannel, RelayLegNamingUnknownSenderIsAPureNoOp) {
   ChannelBed bed;
   bed.channel.CreateMeeting(1);
   bed.agent.AddRelayLeg(1, /*relay_receiver=*/900'001, /*sender=*/77,
-                        ChannelBed::Client(9, 50'000));
+                        ChannelBed::Client(9, 50'000), 46'000);
   EXPECT_EQ(bed.agent.participant_count(), 0u);
   EXPECT_EQ(bed.agent.relay_count(), 0u);
   EXPECT_EQ(bed.agent.stats().relay_legs, 0u);
@@ -213,7 +213,7 @@ TEST(ControlChannel, RelayLegNamingUnknownSenderIsAPureNoOp) {
   bed.channel.AddParticipant(1, 77, ChannelBed::Client(1, 40'000), 17, 18,
                              true, true);
   uint16_t port = bed.agent.AddRelayLeg(1, 900'001, 77,
-                                        ChannelBed::Client(9, 50'000));
+                                        ChannelBed::Client(9, 50'000), 46'000);
   EXPECT_EQ(bed.agent.relay_count(), 1u);
   EXPECT_EQ(bed.agent.stats().relay_legs, 1u);
   EXPECT_NE(bed.dp.MutableFeedback(port), nullptr);

@@ -85,10 +85,22 @@ TEST(PerfReport, WriteJsonHonorsBenchDirEnv) {
 
 // ---- scheduler invariants the fast paths must uphold -----------------------
 
-// pending() is computed from three moving parts (the At heap's size, its
-// cancelled tombstones, the Post heap's size). Churn all of them against
-// a simple reference count. Deterministic xorshift so the interleaving is
-// reproducible.
+// Takes Post(when, target, token) deliveries: records each token as it
+// fires, then hands it to `then` when one is set, for deliveries that must
+// act (note their place in a shared order, submit more work).
+struct Recorder final : sim::Scheduler::Target {
+  std::vector<uint64_t> fired;
+  std::function<void(uint64_t)> then;
+
+  void Fire(uint64_t token) override {
+    fired.push_back(token);
+    if (then) then(token);
+  }
+};
+
+// pending() is the heap's size less the records Cancel disarmed. Churn At,
+// Post and Cancel against a simple reference count. Deterministic
+// xorshift so the interleaving is reproducible.
 TEST(SchedulerInvariants, PendingExactUnderCancelHeavyChurn) {
   sim::Scheduler s;
   uint64_t rng = 0x9e3779b97f4a7c15ull;
@@ -104,6 +116,8 @@ TEST(SchedulerInvariants, PendingExactUnderCancelHeavyChurn) {
   size_t expected_pending = 0;
   size_t expected_fires = 0;
   size_t fired = 0;
+  Recorder posted;
+  posted.then = [&](uint64_t) { ++fired; };
 
   for (int op = 0; op < 5000; ++op) {
     switch (next() % 4) {
@@ -114,7 +128,8 @@ TEST(SchedulerInvariants, PendingExactUnderCancelHeavyChurn) {
         ++expected_fires;
         break;
       case 1:  // posted (uncancellable) event
-        s.Post(static_cast<util::TimeUs>(next() % 1000), [&] { ++fired; });
+        s.Post(static_cast<util::TimeUs>(next() % 1000), posted,
+               static_cast<uint64_t>(op));
         ++expected_pending;
         ++expected_fires;
         break;
@@ -153,11 +168,13 @@ TEST(SchedulerInvariants, PendingExactUnderCancelHeavyChurn) {
 TEST(SchedulerInvariants, PostedDeliveryKeepsFifoAmongEqualTimes) {
   sim::Scheduler s;
   std::vector<int> order;
+  Recorder posted;
+  posted.then = [&](uint64_t t) { order.push_back(static_cast<int>(t)); };
   s.At(100, [&] { order.push_back(0); });
-  s.Post(100, [&] { order.push_back(1); });
+  s.Post(100, posted, 1);
   s.At(100, [&] { order.push_back(2); });
-  s.Post(100, [&] { order.push_back(3); });
-  s.Post(100, [&] { order.push_back(4); });
+  s.Post(100, posted, 3);
+  s.Post(100, posted, 4);
   s.At(100, [&] { order.push_back(5); });
   s.RunAll();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
@@ -165,23 +182,26 @@ TEST(SchedulerInvariants, PostedDeliveryKeepsFifoAmongEqualTimes) {
 }
 
 // Same promise across distinct timestamps: the merged At/Post stream runs
-// in global (when, submission) order regardless of which heap each event
-// entered, including same-time reentrant submissions from inside a
-// running posted callback.
+// in global (when, submission) order regardless of which call queued each
+// event, including same-time reentrant submissions from inside a running
+// posted delivery.
 TEST(SchedulerInvariants, PostedAndDirectEventsMergeInTimeOrder) {
   sim::Scheduler s;
   std::vector<int> order;
-  s.Post(300, [&] { order.push_back(5); });
-  s.At(100, [&] { order.push_back(1); });
-  s.Post(200, [&] {
-    order.push_back(3);
-    // Reentrant: a posted callback queueing more work at its own
+  Recorder posted;
+  posted.then = [&](uint64_t t) {
+    order.push_back(static_cast<int>(t));
+    if (t != 3) return;
+    // Reentrant: a posted delivery queueing more work at its own
     // timestamp still runs after everything already submitted for that
     // timestamp (its sequence number is newer).
-    s.Post(200, [&] { order.push_back(4); });
-    s.Post(400, [&] { order.push_back(6); });
-  });
-  s.Post(100, [&] { order.push_back(2); });
+    s.Post(200, posted, 4);
+    s.Post(400, posted, 6);
+  };
+  s.Post(300, posted, 5);
+  s.At(100, [&] { order.push_back(1); });
+  s.Post(200, posted, 3);
+  s.Post(100, posted, 2);
   s.At(50, [&] { order.push_back(0); });
   s.RunAll();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
@@ -191,9 +211,11 @@ TEST(SchedulerInvariants, PostedAndDirectEventsMergeInTimeOrder) {
 TEST(SchedulerInvariants, PostClampsPastTimesToNow) {
   sim::Scheduler s;
   std::vector<int> order;
+  Recorder posted;
+  posted.then = [&](uint64_t t) { order.push_back(static_cast<int>(t)); };
   s.At(100, [&] {
     // now() == 100; a posted event aimed at the past must not rewind.
-    s.Post(10, [&] { order.push_back(1); });
+    s.Post(10, posted, 1);
     order.push_back(0);
   });
   s.At(100, [&] { order.push_back(2); });
@@ -205,15 +227,15 @@ TEST(SchedulerInvariants, PostClampsPastTimesToNow) {
 
 TEST(SchedulerInvariants, RunUntilLeavesFuturePostedWorkQueued) {
   sim::Scheduler s;
-  int fired = 0;
-  s.Post(500, [&] { ++fired; });
-  s.Post(600, [&] { ++fired; });
+  Recorder posted;
+  s.Post(500, posted, 1);
+  s.Post(600, posted, 2);
   EXPECT_EQ(s.RunUntil(250), 0u);
-  EXPECT_EQ(fired, 0);
+  EXPECT_TRUE(posted.fired.empty());
   EXPECT_EQ(s.pending(), 2u);
   EXPECT_EQ(s.now(), 250);
   EXPECT_EQ(s.RunAll(), 2u);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(posted.fired, (std::vector<uint64_t>{1, 2}));
   EXPECT_EQ(s.pending(), 0u);
 }
 
@@ -227,6 +249,7 @@ class SchedulerOrderProperty : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(SchedulerOrderProperty, FiresInTimeThenSubmissionOrder) {
   struct Submitted {
     util::TimeUs when = 0;  // after clamping
+    int depth = 0;          // > 0: submitted from inside a callback
     uint64_t id = 0;        // At's cancel id; 0 for Post
     bool cancelled = false;
     bool fired = false;
@@ -245,7 +268,25 @@ TEST_P(SchedulerOrderProperty, FiresInTimeThenSubmissionOrder) {
   int nesting = 0;
 
   // One random operation; `depth` > 0 means it runs inside a callback.
-  std::function<void(int)> op = [&](int depth) {
+  std::function<void(int)> op;
+  // Runs submission `idx`, whichever call queued it.
+  auto fire = [&](size_t idx) {
+    EXPECT_EQ(s.now(), subs[idx].when) << "event " << idx;
+    EXPECT_FALSE(subs[idx].cancelled) << "event " << idx;
+    subs[idx].fired = true;
+    fired_order.push_back(idx);
+    --live;
+    // Callbacks submit, cancel and (rarely) run a nested loop.
+    if (subs[idx].depth < 3 && next() % 3 == 0) op(subs[idx].depth + 1);
+    if (nesting == 0 && next() % 16 == 0) {
+      ++nesting;
+      s.RunUntil(s.now() + static_cast<util::TimeUs>(next() % 30));
+      --nesting;
+    }
+  };
+  Recorder posted;
+  posted.then = [&](uint64_t idx) { fire(idx); };
+  op = [&](int depth) {
     uint64_t r = next();
     util::TimeUs when = s.now() + static_cast<util::TimeUs>(r % 40) - 5;
     switch ((r >> 8) % 6) {
@@ -254,25 +295,11 @@ TEST_P(SchedulerOrderProperty, FiresInTimeThenSubmissionOrder) {
       case 2:
       case 3: {  // At or Post, half each
         size_t idx = subs.size();
-        subs.push_back({std::max(when, s.now())});
-        auto fire = [&, idx, depth] {
-          EXPECT_EQ(s.now(), subs[idx].when) << "event " << idx;
-          EXPECT_FALSE(subs[idx].cancelled) << "event " << idx;
-          subs[idx].fired = true;
-          fired_order.push_back(idx);
-          --live;
-          // Callbacks submit, cancel and (rarely) run a nested loop.
-          if (depth < 3 && next() % 3 == 0) op(depth + 1);
-          if (nesting == 0 && next() % 16 == 0) {
-            ++nesting;
-            s.RunUntil(s.now() + static_cast<util::TimeUs>(next() % 30));
-            --nesting;
-          }
-        };
+        subs.push_back({std::max(when, s.now()), depth});
         if ((r >> 16) % 2 == 0) {
-          subs[idx].id = s.At(when, fire);
+          subs[idx].id = s.At(when, [&fire, idx] { fire(idx); });
         } else {
-          s.Post(when, fire);
+          s.Post(when, posted, idx);
         }
         ++live;
         break;

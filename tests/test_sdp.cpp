@@ -92,6 +92,27 @@ TEST(Sdp, CandidateLineRejectsGarbage) {
   EXPECT_FALSE(Candidate::FromLine("m=video 9 UDP/RTP 96").has_value());
 }
 
+// An address must be exactly four dot-separated decimal octets of 0-255.
+// Octets past 255 used to wrap (300.1.1.999 read as 44.1.1.231).
+TEST(Sdp, CandidateLineRejectsMalformedAddress) {
+  for (const char* addr :
+       {"300.1.1.999", "256.0.0.1", "1.2.3", "1.2.3.4.5", "1.2.3.4x", "1..2.3",
+        "-1.2.3.4", "+1.2.3.4", "1.2.3.", "a.b.c.d", "4294967297.0.0.1"}) {
+    const std::string line =
+        std::string("a=candidate:1 1 udp 100 ") + addr + " 40000 typ host";
+    EXPECT_FALSE(Candidate::FromLine(line).has_value()) << addr;
+  }
+  for (const net::Ipv4 addr :
+       {net::Ipv4(0, 0, 0, 0), net::Ipv4(255, 255, 255, 255),
+        net::Ipv4(100, 64, 0, 1)}) {
+    Candidate c;
+    c.endpoint = {addr, 40'000};
+    const auto parsed = Candidate::FromLine(c.ToLine());
+    ASSERT_TRUE(parsed.has_value()) << addr.ToString();
+    EXPECT_EQ(parsed->endpoint, c.endpoint);
+  }
+}
+
 TEST(Sdp, ParseRejectsMissingVersion) {
   EXPECT_FALSE(SessionDescription::Parse("s=-\nt=0 0\n").has_value());
 }
@@ -100,8 +121,9 @@ TEST(Sdp, ParseRejectsMissingVersion) {
 // parser as std::stoul exceptions, or accepted with a wrapped number: a
 // missing extmap id, a candidate whose port field is a word, a component
 // past 64 bits, and a negative clock rate. A malformed number now rejects
-// the description, and a candidate line with one is dropped like any
-// other malformed candidate.
+// the description, and a candidate line with one, or with an address that
+// is not four octets of 0-255, is dropped like any other malformed
+// candidate.
 TEST(Sdp, ParseRejectsMalformedNumbersWithoutThrowing) {
   const std::string head =
       "v=0\no=answer 1 1 IN IP4 0.0.0.0\ns=-\nt=0 0\nm=audio 9 UDP/RTP 111\n";
@@ -116,7 +138,8 @@ TEST(Sdp, ParseRejectsMalformedNumbersWithoutThrowing) {
   for (const char* line :
        {"a=candidate:1 1 udp 100 100.60000 typ host",
         "a=candidate:1 99999999999999999999999 udp 100 100.64.0.1 40000 typ "
-        "host"}) {
+        "host",
+        "a=candidate:1 1 udp 100 300.1.1.999 40000 typ host"}) {
     std::optional<SessionDescription> desc;
     EXPECT_NO_THROW(desc = SessionDescription::Parse(head + line + "\n"))
         << line;

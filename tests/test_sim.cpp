@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -16,6 +17,14 @@ namespace {
 
 using net::Endpoint;
 using net::Ipv4;
+
+// Takes Post(when, target, token) deliveries and hands each token to
+// `on_fire`.
+struct TokenSink final : Scheduler::Target {
+  std::function<void(uint64_t)> on_fire;
+
+  void Fire(uint64_t token) override { on_fire(token); }
+};
 
 TEST(Scheduler, OrdersByTime) {
   Scheduler s;
@@ -54,8 +63,32 @@ TEST(Scheduler, CancelPreventsExecution) {
   int fired = 0;
   uint64_t id = s.At(100, [&] { ++fired; });
   s.Cancel(id);
-  s.RunAll();
+  EXPECT_EQ(s.RunAll(), 0u);  // not counted
   EXPECT_EQ(fired, 0);
+  EXPECT_EQ(s.now(), 0);  // and the clock never reached it
+}
+
+TEST(Scheduler, CancelledCallableMayScheduleAsItIsDestroyed) {
+  // The run loop destroys a cancelled callable when its record pops. Its
+  // captures' destructors may schedule events, here enough to regrow the
+  // scheduler's callable slab while the callable is being destroyed.
+  Scheduler s;
+  int fired = 0;
+  struct ScheduleOnDestroy {
+    Scheduler* sched = nullptr;
+    int* fired = nullptr;
+    ~ScheduleOnDestroy() {
+      for (int i = 0; i < 64; ++i) sched->At(200, [f = fired] { ++*f; });
+    }
+  };
+  auto payload = std::make_shared<ScheduleOnDestroy>();
+  payload->sched = &s;
+  payload->fired = &fired;
+  s.Cancel(s.At(100, [payload] {}));
+  payload.reset();  // the cancelled callable holds the last reference
+  EXPECT_EQ(s.RunAll(), 64u);
+  EXPECT_EQ(fired, 64);
+  EXPECT_EQ(s.pending(), 0u);
 }
 
 TEST(Scheduler, EventsScheduleEvents) {
@@ -138,25 +171,28 @@ TEST(Scheduler, PendingStaysExactUnderCancelHeavyChurn) {
   EXPECT_EQ(fired, 500);
 }
 
-TEST(Scheduler, NestedRunUntilMergesBothHeaps) {
+TEST(Scheduler, NestedRunUntilMergesBothEntryPoints) {
   // Regression: a RunUntil called from inside a posted delivery used to
-  // see only the At heap, so deliveries due before its end ran later with
+  // see only At's events, so deliveries due before its end ran later with
   // now() already past their timestamps.
   Scheduler s;
   using Ran = std::vector<std::pair<std::string, util::TimeUs>>;
   Ran ran;  // (what ran, now() as it ran)
   auto note = [&](std::string what) { ran.emplace_back(what, s.now()); };
   size_t inner = 0;
-  s.Post(100, [&] {
-    note("post@100");
+  TokenSink posted;  // each token is the time it was posted for
+  posted.on_fire = [&](uint64_t at) {
+    note("post@" + std::to_string(at));
+    if (at != 100) return;
     inner = s.RunUntil(300);
     note("back@100");
-  });
-  s.Post(200, [&] { note("post@200"); });
-  s.Post(300, [&] { note("post@300"); });
+  };
+  s.Post(100, posted, 100);
+  s.Post(200, posted, 200);
+  s.Post(300, posted, 300);
   s.At(250, [&] {
     note("at@250");
-    s.Post(250, [&] { note("post@250"); });
+    s.Post(250, posted, 250);
   });
   s.At(350, [&] { note("at@350"); });
   EXPECT_EQ(s.RunAll(), 2u);  // the inner RunUntil counts its own four

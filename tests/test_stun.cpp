@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "rtp/classifier.hpp"
 #include "stun/stun.hpp"
 
@@ -56,6 +60,38 @@ TEST(Stun, ErrorCodeRoundTrip) {
   auto parsed = StunMessage::Parse(msg.Serialize());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->error_code, 487);
+}
+
+// RFC 5389 §15.6: the class byte is the hundreds digit, 3-6, and the
+// number byte is 0-99. Class 255, number 255 used to parse as 25,755 and
+// re-serialize as 155.
+TEST(Stun, ParseRejectsOutOfRangeErrorCode) {
+  StunMessage msg;
+  msg.type = MessageType::kBindingError;
+  msg.error_code = 487;
+  const std::vector<uint8_t> wire = msg.Serialize();
+  // ERROR-CODE is the last attribute: its class and number end the wire.
+  auto with_code = [&wire](uint8_t cls, uint8_t num) {
+    std::vector<uint8_t> mutated = wire;
+    mutated[mutated.size() - 2] = cls;
+    mutated[mutated.size() - 1] = num;
+    return mutated;
+  };
+  for (const auto& [cls, num] : std::vector<std::pair<uint8_t, uint8_t>>{
+           {255, 255}, {2, 99}, {7, 0}, {0, 0}, {4, 100}, {3, 255}}) {
+    EXPECT_FALSE(StunMessage::Parse(with_code(cls, num)).has_value())
+        << "class " << int{cls} << " number " << int{num};
+  }
+  // Valid codes still round-trip, byte for byte.
+  for (const auto& [cls, num, code] :
+       std::vector<std::tuple<uint8_t, uint8_t, uint16_t>>{
+           {3, 0, 300}, {4, 87, 487}, {6, 99, 699}}) {
+    const std::vector<uint8_t> bytes = with_code(cls, num);
+    const auto parsed = StunMessage::Parse(bytes);
+    ASSERT_TRUE(parsed.has_value()) << code;
+    EXPECT_EQ(parsed->error_code, code);
+    EXPECT_EQ(parsed->Serialize(), bytes) << code;
+  }
 }
 
 TEST(Stun, ParseRejectsBadCookie) {
